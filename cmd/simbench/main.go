@@ -42,12 +42,13 @@ func main() {
 		base := rows[0].Result.EventsPerSec()
 		fmt.Printf("shards scaling on %d CPUs (virtual-time schedule identical in every row):\n", runtime.NumCPU())
 		if runtime.NumCPU() == 1 {
-			fmt.Println("  single-core host: the ratios below measure thread overhead, not parallel speedup")
+			fmt.Println("  single-core host: every row runs on one lane, so the ratios below are noise, not speedup")
 		}
 		for _, row := range rows {
 			r := row.Result
 			fmt.Printf("  workers=%d  %9d events  %10.0f events/sec  %7.1f ns/event  %.2fx\n",
 				row.Workers, r.Events, r.EventsPerSec(), r.NsPerEvent(), r.EventsPerSec()/base)
+			fmt.Printf("             %s\n", r.ClusterLine())
 		}
 		if *jsonPath != "" {
 			if err := simbench.SweepReport(rows, *repeat).WriteFile(*jsonPath); err != nil {
@@ -87,6 +88,9 @@ func main() {
 		results = append(results, r)
 		fmt.Printf("%-24s %9d events  %10.0f events/sec  %7.1f ns/event  %6.2f allocs/event  (%v)\n",
 			r.Name, r.Events, r.EventsPerSec(), r.NsPerEvent(), r.AllocsPerEvent(), r.Wall.Round(100_000))
+		if line := r.ClusterLine(); line != "" {
+			fmt.Printf("%-24s %s\n", "", line)
+		}
 	}
 
 	if *memprofile != "" {

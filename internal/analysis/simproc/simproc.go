@@ -10,17 +10,16 @@
 // as engine processes (sim.Engine.Go), which are ordinary goroutines
 // *driven* by the engine's handoff protocol.
 //
-// The same fence covers OS-thread pinning: runtime.LockOSThread and
-// runtime.UnlockOSThread exist for the cluster runtime's per-domain
-// workers, whose coroutines must always resume on their creation thread.
-// Pinning anywhere else either does nothing (single-engine code) or
-// fights the cluster's thread discipline (a coroutine resumed under a
-// different lock state aborts the process) — so thread locking outside
-// internal/sim is flagged alongside raw go statements.
+// OS-thread pinning is fenced everywhere, internal/sim included:
+// runtime.LockOSThread and runtime.UnlockOSThread give a goroutine's
+// coroutines (sim.Proc is an iter.Pull coroutine) an affinity to the locked
+// thread, so resuming them from any other goroutine aborts the process. The
+// cluster runtime's lanes are plain goroutines and create coroutines
+// lazily, unlocked; a pin anywhere would reintroduce the affinity.
 //
-// internal/sim itself is exempt: it owns the handoff protocol and the
-// cluster's worker threads, and is the one place raw goroutines and
-// thread pinning are part of the design. Anything else needs an audited
+// internal/sim is exempt from the go-statement check only: it owns the
+// handoff protocol and the cluster's lane goroutines, the one place raw
+// goroutines are part of the design. Anything else needs an audited
 // //simlint:allow simproc <reason> directive.
 package simproc
 
@@ -31,29 +30,29 @@ import (
 	"durassd/internal/analysis"
 )
 
-// ExemptPaths are the packages allowed to start raw goroutines and pin OS
-// threads: the engine + cluster runtime only.
+// ExemptPaths are the packages allowed to start raw goroutines: the engine
+// + cluster runtime only. Nothing is exempt from the thread-pinning check.
 var ExemptPaths = map[string]bool{"durassd/internal/sim": true}
 
 // Analyzer is the simproc check.
 var Analyzer = &analysis.Analyzer{
 	Name: "simproc",
-	Doc:  "forbid raw go statements and OS-thread pinning outside internal/sim; simulated concurrency must go through engine processes so replay stays deterministic",
+	Doc:  "forbid raw go statements outside internal/sim and OS-thread pinning anywhere; simulated concurrency must go through engine processes so replay stays deterministic",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
-	if ExemptPaths[pass.Pkg.Path()] {
-		return nil
-	}
+	goExempt := ExemptPaths[pass.Pkg.Path()]
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "raw go statement outside internal/sim: OS-scheduled goroutines break deterministic replay; use sim.Engine.Go to start an engine process")
+				if !goExempt {
+					pass.Reportf(n.Pos(), "raw go statement outside internal/sim: OS-scheduled goroutines break deterministic replay; use sim.Engine.Go to start an engine process")
+				}
 			case *ast.CallExpr:
 				if name := threadLockCall(pass, n); name != "" {
-					pass.Reportf(n.Pos(), "runtime.%s outside internal/sim: OS-thread pinning belongs to the cluster runtime's domain workers; coroutines resumed under a different lock state abort", name)
+					pass.Reportf(n.Pos(), "runtime.%s pins a goroutine to an OS thread: coroutines created under the pin abort when another goroutine resumes them, and no lane of the cluster runtime is pinned", name)
 				}
 			}
 			return true

@@ -1,7 +1,7 @@
 // Package sim is analyzer testdata standing in for the real engine
 // package: internal/sim owns the process handoff protocol and the cluster
-// runtime's per-domain worker threads, so it is the one place raw
-// goroutines and OS-thread pinning are part of the design.
+// runtime's lane goroutines, so it is the one place raw goroutines are part
+// of the design. OS-thread pinning is not: the lanes are plain goroutines.
 package sim
 
 import "runtime"
@@ -10,11 +10,10 @@ func resume() {
 	go func() {}()
 }
 
-// worker mimics the cluster runtime: each domain worker locks itself to an
-// OS thread so coroutines always resume on their creation thread.
+// worker mimics a cluster lane that pins itself: flagged even here.
 func worker() {
 	go func() {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
+		runtime.LockOSThread()         // want `runtime\.LockOSThread pins a goroutine to an OS thread`
+		defer runtime.UnlockOSThread() // want `runtime\.UnlockOSThread pins a goroutine to an OS thread`
 	}()
 }

@@ -25,8 +25,8 @@ func allowed() {
 }
 
 func pinsThread() {
-	runtime.LockOSThread()         // want `runtime\.LockOSThread outside internal/sim`
-	defer runtime.UnlockOSThread() // want `runtime\.UnlockOSThread outside internal/sim`
+	runtime.LockOSThread()         // want `runtime\.LockOSThread pins a goroutine to an OS thread`
+	defer runtime.UnlockOSThread() // want `runtime\.UnlockOSThread pins a goroutine to an OS thread`
 }
 
 func allowedPin() {

@@ -44,22 +44,38 @@
 // relays are later still. Note the domain's own events never constrain it —
 // self-sends are ordinary local events.
 //
-// # Thread pinning
+// # Lanes and the epoch barrier
 //
-// In parallel mode each domain gets a dedicated worker goroutine locked to
-// its own OS thread. This is required for correctness, not just affinity:
-// process coroutines (iter.Pull) created on a thread-locked goroutine must
-// always be resumed from that same thread, so a domain's processes are
-// created and resumed exclusively by its worker. The worker mode is fixed
-// at construction for the same reason — a cluster must not alternate
-// between sequential and parallel execution of the same coroutines.
+// Epochs run on lanes = min(workers, domains, GOMAXPROCS) goroutines. Lane 0
+// is whichever goroutine calls Run: it computes the epoch and runs its own
+// domains inline. Lanes 1… are plain goroutines started by the first Run —
+// none is locked to an OS thread; process coroutines (iter.Pull) are
+// created lazily by their first resume and carry no thread affinity. Domain
+// i belongs to lane i % lanes for the cluster's lifetime: letting the next
+// free lane claim the next domain ran at half the throughput in the
+// prototype (engine state bounces between caches).
+//
+// The barrier is one count plus a gate per lane (lane.go). The coordinator
+// sets pending to 1 (its own share), adds one for each lane that owns a
+// runnable domain and posts that lane, runs lane 0's domains, and gives up
+// its share; a worker runs its domains and decrements; whoever brings
+// pending to zero has seen everyone finish — a worker then posts lane 0.
+// These atomic operations are the only cross-lane synchronization: what a
+// lane wrote before its decrement is visible to whoever observes the count
+// it left, and the coordinator's peeks and limits are visible to a worker
+// that observes its post. An epoch whose runnable domains all sit on lane 0
+// skips the barrier, and a one-lane cluster has no workers at all — the
+// same loop serves both.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -70,29 +86,41 @@ const maxTime = time.Duration(math.MaxInt64 / 4)
 // Cluster is a set of simulation domains advanced together under a
 // conservative virtual-time merge. Create one with NewCluster, build each
 // domain's devices and processes on Domain(i).Engine(), then drive the
-// whole cluster with Run/RunUntil. Call Close when done with a parallel
-// cluster to release its worker threads.
+// whole cluster with Run/RunUntil. Call Close when done: it stops the
+// worker goroutines of a multi-lane cluster.
 //
 // A Cluster must be driven from a single goroutine. While Run executes,
 // each domain's state may only be touched from that domain's own processes
 // and callbacks; between runs (and before the first) the owning goroutine
 // may touch any domain directly.
 type Cluster struct {
-	latency  time.Duration
-	domains  []*Domain
-	parallel bool
+	latency time.Duration
+	domains []*Domain
+	lanes   []lane // lanes[0] is where the coordinator waits
 
 	running bool
 	spawned bool
 	closed  bool
+	wg      sync.WaitGroup // worker goroutines, for Close
 
-	start []chan time.Duration // per-domain epoch kickoff (parallel mode)
-	done  chan workerDone
-
+	stats  ClusterStats
 	inbox  []xmsg          // merge scratch: all pending cross-domain messages
 	peeks  []time.Duration // scratch: per-domain next-event time (maxTime = none)
 	limits []time.Duration // scratch: per-domain epoch bound
-	panics []any           // scratch: per-domain panic values from one epoch
+	panics []any           // per-domain panic values from one epoch
+
+	_       [cacheLine]byte // keep the workers' counter off the lines above
+	pending atomic.Int32    // lanes still inside the epoch, the coordinator included
+}
+
+// ClusterStats counts what the merge loop did, from the coordinator's side
+// and without reading a clock. Parks depends on the host; the rest is a
+// function of the program and the lane count.
+type ClusterStats struct {
+	Epochs        uint64 // epochs executed
+	BarrierEpochs uint64 // epochs that handed domains to another lane
+	Messages      uint64 // cross-domain messages injected
+	Parks         uint64 // times the coordinator parked or had to wake a parked worker
 }
 
 // Domain is one shard of a Cluster: an Engine plus the cross-domain link
@@ -116,17 +144,16 @@ type xmsg struct {
 	fn  func()
 }
 
-type workerDone struct {
-	id       int
-	panicVal any
+// compare orders messages by (at, src, seq).
+func (a xmsg) compare(b xmsg) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 }
 
 // NewCluster returns a cluster of n domains connected by links with the
 // given fixed latency (the conservative lookahead; it must be positive).
-// workers <= 1 selects sequential mode: epochs run domain-by-domain on the
-// calling goroutine. workers > 1 selects parallel mode: each domain runs
-// its epochs on a dedicated goroutine locked to its own OS thread. Both
-// modes produce byte-identical schedules.
+// workers asks for that many goroutines to run epochs on, the caller of Run
+// included; the cluster uses min(workers, n, GOMAXPROCS) of them, at least
+// one. Every count produces byte-identical schedules.
 func NewCluster(n int, latency time.Duration, workers int) *Cluster {
 	if n <= 0 {
 		panic("sim: cluster needs at least one domain")
@@ -134,13 +161,17 @@ func NewCluster(n int, latency time.Duration, workers int) *Cluster {
 	if latency <= 0 {
 		panic("sim: cluster link latency (lookahead) must be positive")
 	}
+	lanes := max(1, min(workers, n, runtime.GOMAXPROCS(0)))
 	c := &Cluster{
-		latency:  latency,
-		domains:  make([]*Domain, n),
-		parallel: workers > 1,
-		peeks:    make([]time.Duration, n),
-		limits:   make([]time.Duration, n),
-		panics:   make([]any, n),
+		latency: latency,
+		domains: make([]*Domain, n),
+		lanes:   make([]lane, lanes),
+		peeks:   make([]time.Duration, n),
+		limits:  make([]time.Duration, n),
+		panics:  make([]any, n),
+	}
+	for i := range c.lanes {
+		c.lanes[i].wake = make(chan struct{}, 1)
 	}
 	for i := range c.domains {
 		d := &Domain{id: i, c: c, eng: New(), out: make([][]xmsg, n)}
@@ -176,12 +207,16 @@ func (c *Cluster) Blocked() []string {
 	for _, d := range c.domains {
 		names = append(names, d.eng.Blocked()...)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
-// Close shuts down the cluster's worker threads (parallel mode). The
-// cluster must not be run again afterwards. Close is idempotent.
+// Stats returns the merge-loop counters accumulated so far.
+func (c *Cluster) Stats() ClusterStats { return c.stats }
+
+// Close stops the cluster's worker goroutines, spinning or parked, and
+// returns once they have exited. The cluster must not be run again
+// afterwards. Close is idempotent.
 func (c *Cluster) Close() {
 	if c.closed {
 		return
@@ -190,11 +225,10 @@ func (c *Cluster) Close() {
 		panic("sim: Close called while the cluster is running")
 	}
 	c.closed = true
-	if c.spawned {
-		for _, ch := range c.start {
-			close(ch)
-		}
+	for l := 1; c.spawned && l < len(c.lanes); l++ {
+		c.lanes[l].post()
 	}
+	c.wg.Wait()
 }
 
 // Run advances every domain until no events remain anywhere and no
@@ -226,8 +260,12 @@ func (c *Cluster) RunUntil(deadline time.Duration) {
 	}
 	c.running = true
 	defer func() { c.running = false }()
-	if c.parallel && !c.spawned {
-		c.spawn()
+	if !c.spawned {
+		c.spawned = true
+		c.wg.Add(len(c.lanes) - 1)
+		for l := 1; l < len(c.lanes); l++ {
+			go c.worker(l) // the one sanctioned home for raw goroutines: the cluster runtime
+		}
 	}
 	for {
 		c.inject()
@@ -236,11 +274,7 @@ func (c *Cluster) RunUntil(deadline time.Duration) {
 			break
 		}
 		c.computeLimits(m, second, deadline)
-		if c.parallel {
-			c.runEpochParallel()
-		} else {
-			c.runEpochSequential()
-		}
+		c.runEpoch()
 		c.rethrow()
 	}
 	if deadline >= 0 {
@@ -250,29 +284,18 @@ func (c *Cluster) RunUntil(deadline time.Duration) {
 	}
 }
 
-// spawn starts one worker per domain, each locked to its own OS thread.
-func (c *Cluster) spawn() {
-	c.spawned = true
-	c.start = make([]chan time.Duration, len(c.domains))
-	c.done = make(chan workerDone, len(c.domains))
-	for i, d := range c.domains {
-		c.start[i] = make(chan time.Duration, 1)
-		go c.worker(d) // the one sanctioned home for raw goroutines: the cluster runtime
-	}
-}
-
-// worker drives one domain's epochs. It locks itself to an OS thread so the
-// domain's coroutines are always created and resumed on the same thread;
-// the thread is released when the channel closes and the goroutine exits.
-func (c *Cluster) worker(d *Domain) {
-	runtime.LockOSThread()
-	for limit := range c.start[d.id] {
-		var pv any
-		func() {
-			defer func() { pv = recover() }()
-			d.eng.runEpochBefore(limit)
-		}()
-		c.done <- workerDone{id: d.id, panicVal: pv}
+// worker runs lane l's share of every epoch it is posted for, until Close.
+func (c *Cluster) worker(l int) {
+	defer c.wg.Done()
+	for {
+		c.lanes[l].await()
+		if c.closed {
+			return
+		}
+		c.runLane(l)
+		if c.pending.Add(-1) == 0 {
+			c.lanes[0].post()
+		}
 	}
 }
 
@@ -316,43 +339,67 @@ func (c *Cluster) computeLimits(m, second time.Duration, deadline time.Duration)
 	}
 }
 
-// runEpochParallel kicks every domain with work and waits for all of them.
-func (c *Cluster) runEpochParallel() {
-	active := 0
-	for i := range c.domains {
-		c.panics[i] = nil
-		if c.peeks[i] < c.limits[i] {
-			c.start[i] <- c.limits[i]
-			active++
+// runEpoch executes one epoch: post every lane that owns a runnable domain,
+// run lane 0's domains here, then wait for the posted lanes unless they have
+// all finished already.
+func (c *Cluster) runEpoch() {
+	c.stats.Epochs++
+	c.pending.Store(1)
+	kicked := false
+	for l := 1; l < len(c.lanes); l++ {
+		if c.runnable(l) {
+			kicked = true
+			c.pending.Add(1)
+			if c.lanes[l].post() {
+				c.stats.Parks++
+			}
 		}
 	}
-	for ; active > 0; active-- {
-		dn := <-c.done
-		c.panics[dn.id] = dn.panicVal
+	c.runLane(0)
+	if kicked {
+		c.stats.BarrierEpochs++
+		if c.pending.Add(-1) > 0 && c.lanes[0].await() {
+			c.stats.Parks++
+		}
 	}
 }
 
-// runEpochSequential runs the same epoch on the calling goroutine, domain
-// by domain in id order. Panics are captured per domain (like parallel
-// mode, every domain's epoch completes) and rethrown afterwards.
-func (c *Cluster) runEpochSequential() {
-	for i, d := range c.domains {
-		c.panics[i] = nil
-		if c.peeks[i] >= c.limits[i] {
-			continue
+// runnable reports whether lane l owns a domain with work in this epoch.
+func (c *Cluster) runnable(l int) bool {
+	for i := l; i < len(c.domains); i += len(c.lanes) {
+		if c.peeks[i] < c.limits[i] {
+			return true
 		}
-		func() {
-			defer func() { c.panics[i] = recover() }()
-			d.eng.runEpochBefore(c.limits[i])
-		}()
 	}
+	return false
+}
+
+// runLane runs the current epoch on every runnable domain lane l owns, in
+// id order. A panic is captured per domain, so every domain's epoch
+// completes whichever lane it ran on.
+func (c *Cluster) runLane(l int) {
+	for i := l; i < len(c.domains); i += len(c.lanes) {
+		if c.peeks[i] < c.limits[i] {
+			c.runDomain(i)
+		}
+	}
+}
+
+func (c *Cluster) runDomain(i int) {
+	defer func() {
+		if pv := recover(); pv != nil {
+			c.panics[i] = pv
+		}
+	}()
+	c.domains[i].eng.runEpochBefore(c.limits[i])
 }
 
 // rethrow re-raises the lowest-domain panic from the last epoch, so the
-// escaping panic is deterministic across worker counts.
+// escaping panic is deterministic across lane counts.
 func (c *Cluster) rethrow() {
 	for i, pv := range c.panics {
 		if pv != nil {
+			clear(c.panics)
 			panic(fmt.Errorf("sim: domain %d: %v", i, pv))
 		}
 	}
@@ -361,7 +408,7 @@ func (c *Cluster) rethrow() {
 // inject drains every outbox and delivers the pending messages into their
 // destination engines in (delivery time, source domain, source seq) order —
 // a total order, so every run assigns the same engine sequence numbers to
-// the same messages regardless of how workers interleaved.
+// the same messages regardless of how lanes interleaved.
 func (c *Cluster) inject() {
 	buf := c.inbox[:0]
 	for _, d := range c.domains {
@@ -373,20 +420,10 @@ func (c *Cluster) inject() {
 			d.out[dst] = q[:0]
 		}
 	}
-	if len(buf) == 0 {
-		c.inbox = buf
-		return
+	c.stats.Messages += uint64(len(buf))
+	if len(buf) > 1 {
+		slices.SortFunc(buf, xmsg.compare)
 	}
-	sort.Slice(buf, func(i, j int) bool {
-		a, b := &buf[i], &buf[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
 	for i := range buf {
 		msg := &buf[i]
 		c.domains[msg.dst].eng.pushEvent(msg.at, msg.fn, nil)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // pingPongDigest builds a deliberately contentious cross-domain workload —
@@ -43,6 +44,26 @@ func pingPongDigest(t *testing.T, domains, workers int) string {
 				log(d, "tick")
 			}
 		})
+	}
+	// A caller per ordered pair of domains: request/completion round trips
+	// (Domain.Call) cross every lane boundary in both directions.
+	for i := 0; i < domains; i++ {
+		for j := 0; j < domains; j++ {
+			if i == j {
+				continue
+			}
+			src, dst := c.Domain(i), c.Domain(j)
+			src.Go(fmt.Sprintf("caller-%d-%d", i, j), func(p *Proc) {
+				for k := 0; k < 3; k++ {
+					p.Sleep(time.Duration(50+11*i+3*j) * time.Microsecond)
+					src.Call(p, dst, "callee", func(q *Proc) {
+						q.Sleep(5 * time.Microsecond)
+						log(dst, "serve")
+					})
+					log(src, "reply")
+				}
+			})
+		}
 	}
 	var hop func(d *Domain, ttl int)
 	hop = func(d *Domain, ttl int) {
@@ -93,18 +114,155 @@ func pingPongDigest(t *testing.T, domains, workers int) string {
 }
 
 // TestClusterDeterminism is the core guarantee: the same program produces a
-// byte-identical schedule at 1 worker and N workers, at GOMAXPROCS 1 and N.
+// byte-identical schedule at any worker count and any GOMAXPROCS. Five
+// domains make lane ownership uneven at 2, 3 and 4 lanes.
 func TestClusterDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	want := pingPongDigest(t, 4, 1)
-	for _, procs := range []int{1, runtime.NumCPU() + 2} {
+	want := pingPongDigest(t, 5, 1)
+	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, workers := range []int{1, 2, 4, 8} {
-			if got := pingPongDigest(t, 4, workers); got != want {
-				t.Fatalf("GOMAXPROCS=%d workers=%d: schedule diverged from sequential baseline\n got: %.200s\nwant: %.200s",
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			if got := pingPongDigest(t, 5, workers); got != want {
+				t.Fatalf("GOMAXPROCS=%d workers=%d: schedule diverged from the 1-worker baseline\n got: %.200s\nwant: %.200s",
 					procs, workers, got, want)
 			}
 		}
+	}
+}
+
+// TestLaneFillsCacheLine pins the padding arithmetic in lane: adding a field
+// without shrinking the pad would put two lanes' spin words on one line.
+func TestLaneFillsCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(lane{}); got != cacheLine {
+		t.Fatalf("lane is %d bytes, want one %d-byte cache line", got, cacheLine)
+	}
+}
+
+// waitParked polls until lane l of c has spent its spin budget and parked.
+func waitParked(c *Cluster, l int) {
+	for !c.lanes[l].parked.Load() {
+		runtime.Gosched()
+	}
+}
+
+// TestClusterLanes pins the worker-count contract: a cluster runs on
+// min(workers, domains, GOMAXPROCS) lanes, starts lanes-1 goroutines on its
+// first Run and not before, and Close releases them whether they are still
+// spinning or already parked.
+func TestClusterLanes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := runtime.NumGoroutine()
+	settled := func(want int) bool {
+		// A worker that has passed wg.Done may still be on its way out, and
+		// the host may have descheduled its thread: poll long, never sleep.
+		for i := 0; i < 1<<22 && runtime.NumGoroutine() != want; i++ {
+			runtime.Gosched()
+		}
+		return runtime.NumGoroutine() == want
+	}
+	for _, tc := range []struct{ domains, workers, procs, lanes int }{
+		{4, 0, 4, 1}, {4, 1, 4, 1}, {4, 2, 4, 2}, {5, 3, 4, 3}, {2, 8, 4, 2}, {13, 8, 4, 4}, {4, 4, 1, 1},
+	} {
+		for _, park := range []bool{false, true} {
+			runtime.GOMAXPROCS(tc.procs)
+			c := NewCluster(tc.domains, 10*time.Microsecond, tc.workers)
+			runtime.GOMAXPROCS(4)
+			if len(c.lanes) != tc.lanes {
+				t.Fatalf("%+v: %d lanes, want %d", tc, len(c.lanes), tc.lanes)
+			}
+			for i := 0; i < tc.domains; i++ {
+				c.Domain(i).Go("tick", func(p *Proc) { p.Sleep(time.Microsecond) })
+			}
+			if got := runtime.NumGoroutine(); got != base {
+				t.Fatalf("%+v: %d goroutines before the first Run, want %d", tc, got, base)
+			}
+			c.Run()
+			if got := runtime.NumGoroutine(); got != base+tc.lanes-1 {
+				t.Fatalf("%+v: %d goroutines after Run, want %d", tc, got, base+tc.lanes-1)
+			}
+			for l := 1; park && l < tc.lanes; l++ {
+				waitParked(c, l)
+			}
+			c.Close()
+			c.Close()
+			if !settled(base) {
+				t.Fatalf("%+v park=%t: %d goroutines after Close, want %d", tc, park, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+	c := NewCluster(4, 10*time.Microsecond, 4)
+	c.Close() // before any Run: nothing to release
+	c.Close()
+	if !settled(base) {
+		t.Fatalf("Close without Run left %d goroutines, want %d", runtime.NumGoroutine(), base)
+	}
+}
+
+// TestClusterInjectOrder pins the merge order: messages drained at one
+// barrier are injected by (delivery time, source domain, source seq), so
+// equal-time messages from three sources run source-major in send order.
+func TestClusterInjectOrder(t *testing.T) {
+	const latency = 100 * time.Microsecond
+	c := NewCluster(4, latency, 1)
+	defer c.Close()
+	dst := c.Domain(3)
+	var got []string
+	// All sends fall inside the first epoch. Every source sends at 10µs and
+	// 20µs alternately, so the drained buffer is source-major but not sorted
+	// by time, and each delivery instant holds 10 messages from each source.
+	for s := 0; s < 3; s++ {
+		src := c.Domain(s)
+		for k := 0; k < 20; k++ {
+			at, tag := time.Duration(10+10*(k%2))*time.Microsecond, fmt.Sprintf("s%dk%d", s, k)
+			src.Engine().Schedule(at, func() { src.Send(dst, func() { got = append(got, tag) }) })
+		}
+	}
+	c.Run()
+	var want []string
+	for parity := 0; parity < 2; parity++ {
+		for s := 0; s < 3; s++ {
+			for k := parity; k < 20; k += 2 {
+				want = append(want, fmt.Sprintf("s%dk%d", s, k))
+			}
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("injection order\n got %v\nwant %v", got, want)
+	}
+	if st := c.Stats(); st.Messages != 60 || st.BarrierEpochs != 0 {
+		t.Fatalf("stats %+v, want 60 messages and no barrier on one lane", st)
+	}
+}
+
+// TestClusterEpochZeroAlloc guards the barrier itself: a message-free epoch
+// that crosses lanes allocates nothing — no channels, closures or results
+// per epoch.
+func TestClusterEpochZeroAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c := NewCluster(2, 100*time.Microsecond, 2)
+	defer c.Close()
+	for i := 0; i < 2; i++ {
+		c.Domain(i).Go("tick", func(p *Proc) {
+			for {
+				p.Sleep(20 * time.Microsecond)
+			}
+		})
+	}
+	deadline := time.Millisecond
+	c.RunUntil(deadline) // start the workers and the coroutines
+	before := c.Stats()
+	// AllocsPerRun drops to GOMAXPROCS(1): the two lanes then take turns on
+	// one P, by parking or by preemption.
+	allocs := testing.AllocsPerRun(5, func() {
+		deadline += 300 * time.Microsecond
+		c.RunUntil(deadline)
+	})
+	after := c.Stats()
+	if allocs != 0 {
+		t.Fatalf("cross-lane epoch allocates %.1f per RunUntil, want 0", allocs)
+	}
+	if after.BarrierEpochs == before.BarrierEpochs || after.Messages != 0 {
+		t.Fatalf("stats %+v → %+v: want barrier epochs and no messages", before, after)
 	}
 }
 
@@ -250,15 +408,18 @@ func TestClusterRunUntil(t *testing.T) {
 
 // TestClusterPanicDeterministic checks that a panicking process surfaces
 // from Cluster.Run with domain attribution, identically at any worker
-// count, and that when two domains panic in one epoch the lowest domain id
-// wins.
+// count, and that when several domains panic in one epoch — on different
+// lanes at every lane count above one — the lowest domain id wins.
 func TestClusterPanicDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	run := func(workers int) (msg string) {
 		c := NewCluster(4, 10*time.Microsecond, workers)
 		defer c.Close()
 		defer func() { msg = fmt.Sprint(recover()) }()
-		// Both panic at the same virtual instant, in the same epoch.
+		// All panic at the same virtual instant, in the same epoch. Domains
+		// 1 and 2 never share a lane; 3 joins 1 at two lanes.
 		c.Domain(3).Go("boom-hi", func(p *Proc) { p.Sleep(5 * time.Microsecond); panic("hi") })
+		c.Domain(2).Go("boom-mid", func(p *Proc) { p.Sleep(5 * time.Microsecond); panic("mid") })
 		c.Domain(1).Go("boom-lo", func(p *Proc) { p.Sleep(5 * time.Microsecond); panic("lo") })
 		c.Run()
 		return ""
@@ -267,7 +428,7 @@ func TestClusterPanicDeterministic(t *testing.T) {
 	if !strings.Contains(want, "domain 1") || !strings.Contains(want, "boom-lo") {
 		t.Fatalf("sequential panic = %q, want domain-1 attribution", want)
 	}
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{2, 3, 4} {
 		if got := run(workers); got != want {
 			t.Fatalf("workers=%d: panic %q, want %q", workers, got, want)
 		}
@@ -338,8 +499,10 @@ func TestClusterSingleDomain(t *testing.T) {
 }
 
 // TestClusterReuseAcrossRuns checks the cluster can be driven in several
-// RunUntil slices with cross-domain traffic spanning the boundaries.
+// RunUntil slices with cross-domain traffic spanning the boundaries, and
+// that a gap long enough for the worker to park between them loses nothing.
 func TestClusterReuseAcrossRuns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	c := NewCluster(2, 20*time.Microsecond, 2)
 	defer c.Close()
 	var delivered []int64
@@ -355,7 +518,11 @@ func TestClusterReuseAcrossRuns(t *testing.T) {
 	if n == 0 || n == 10 {
 		t.Fatalf("partial run delivered %d messages, want a strict subset", n)
 	}
+	waitParked(c, 1)
 	c.Run()
+	if st := c.Stats(); st.Parks == 0 {
+		t.Fatalf("stats %+v: waking the parked worker was not counted", st)
+	}
 	if len(delivered) != 10 {
 		t.Fatalf("delivered %d messages total, want 10", len(delivered))
 	}

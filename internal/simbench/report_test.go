@@ -4,7 +4,31 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"durassd/internal/sim"
 )
+
+// TestReportClusterStats: the scenario report records the CPU count it ran
+// on and carries a cluster scenario's merge counters — and only a cluster
+// scenario's — next to its timing metrics.
+func TestReportClusterStats(t *testing.T) {
+	rep := Report([]Result{
+		{Name: "solo", Events: 10, Wall: time.Millisecond},
+		{Name: "clu", Events: 100, Wall: time.Millisecond,
+			Cluster: sim.ClusterStats{Epochs: 4, BarrierEpochs: 3, Messages: 2, Parks: 1}},
+	}, 1)
+	if rep.Config["num_cpu"] != runtime.NumCPU() {
+		t.Errorf("num_cpu = %v, want %d", rep.Config["num_cpu"], runtime.NumCPU())
+	}
+	for key, want := range map[string]float64{"clu/epochs": 4, "clu/barrier_epochs": 3, "clu/messages": 2, "clu/parks": 1} {
+		if got, ok := rep.Metrics[key]; !ok || got != want {
+			t.Errorf("%s = %v (present %t), want %v", key, got, ok, want)
+		}
+	}
+	if _, ok := rep.Metrics["solo/epochs"]; ok {
+		t.Error("single-engine scenario reports cluster counters")
+	}
+}
 
 // TestSingleCoreAnnotation: reports produced on a one-CPU host must carry
 // "single_core": true, and hosts with real parallelism must not be tagged —
@@ -51,11 +75,11 @@ func TestServeMixedScenarioRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.run()
+	a, _, err := s.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.run()
+	b, _, err := s.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +96,11 @@ func TestServeChaosScenarioRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.run()
+	a, _, err := s.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.run()
+	b, _, err := s.run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,9 @@ import (
 // The shards scenario is the multi-device benchmark the cluster runtime
 // exists for: four DuraSSDs, each in its own simulation domain with its own
 // workload — two running fio 4KB random writes, two running YCSB-A against
-// a couch store. "shards" drives the cluster with one worker thread per
-// domain; "shards-seq" runs the identical program through the sequential
-// merge (workers=1), so the pair measures the parallel speedup of the
+// a couch store. "shards" asks the cluster for one worker per domain (it
+// runs on min(4, CPUs) lanes); "shards-seq" runs the identical program on
+// one lane (workers=1), so the pair measures the parallel speedup of the
 // conservative virtual-time merge at equal schedules: both produce
 // byte-identical virtual-time behavior (pinned by TestShardsDigestWorkerSweep),
 // only the wall clock differs.
@@ -32,8 +32,8 @@ import (
 const shardsLatency = 250 * time.Microsecond
 
 // shardsDomains is the domain count of the shards scenario (ISSUE: 4
-// DuraSSDs), and shardsWorkers the worker-thread count of the parallel
-// variant.
+// DuraSSDs), and shardsWorkers the worker count the parallel variant asks
+// for.
 const (
 	shardsDomains = 4
 	shardsWorkers = 4
@@ -114,28 +114,29 @@ func newShardsRig(workers int) (*shardsRig, error) {
 }
 
 // run drives the cluster to completion, surfaces the first workload error,
-// and returns the total events processed across all domains.
-func (r *shardsRig) run() (uint64, error) {
+// and returns the total events processed across all domains with the
+// cluster's merge counters.
+func (r *shardsRig) run() (uint64, sim.ClusterStats, error) {
 	defer r.c.Close()
 	r.c.Run()
 	for i, pd := range r.fio {
 		if _, err := pd.Result(); err != nil {
-			return 0, fmt.Errorf("fio shard %d: %w", i, err)
+			return 0, sim.ClusterStats{}, fmt.Errorf("fio shard %d: %w", i, err)
 		}
 	}
 	for i, pd := range r.ycsb {
 		if _, err := pd.Result(); err != nil {
-			return 0, fmt.Errorf("ycsb shard %d: %w", i+2, err)
+			return 0, sim.ClusterStats{}, fmt.Errorf("ycsb shard %d: %w", i+2, err)
 		}
 	}
-	return r.c.Events(), nil
+	return r.c.Events(), r.c.Stats(), nil
 }
 
 // runShards executes the scenario at the given worker count.
-func runShards(workers int) (uint64, error) {
+func runShards(workers int) (uint64, sim.ClusterStats, error) {
 	r, err := newShardsRig(workers)
 	if err != nil {
-		return 0, err
+		return 0, sim.ClusterStats{}, err
 	}
 	return r.run()
 }
@@ -147,8 +148,8 @@ type ShardSweepRow struct {
 }
 
 // SweepReport assembles the shared -json schema from a worker sweep. On a
-// single-CPU host the report carries "single_core": true — the scaling
-// ratios in it compare thread scheduling overhead, not parallelism.
+// single-CPU host the report carries "single_core": true — every row then
+// ran on one lane, so the ratios in it are noise, not parallelism.
 func SweepReport(rows []ShardSweepRow, repeat int) *repro.JSONReport {
 	rep := repro.NewJSONReport("simbench-shardsweep")
 	rep.SetConfig("repeat", repeat)
@@ -160,6 +161,7 @@ func SweepReport(rows []ShardSweepRow, repeat int) *repro.JSONReport {
 		rep.AddMetric(prefix+"/wall_ns", float64(row.Result.Wall.Nanoseconds()))
 		rep.AddMetric(prefix+"/ns_per_event", row.Result.NsPerEvent())
 		rep.AddMetric(prefix+"/events_per_sec", row.Result.EventsPerSec())
+		addClusterMetrics(rep, row.Result)
 	}
 	return rep
 }
@@ -174,7 +176,7 @@ func ShardSweep(workerCounts []int, repeat int) ([]ShardSweepRow, error) {
 		s := Scenario{
 			Name: fmt.Sprintf("shards-w%d", w),
 			Desc: fmt.Sprintf("shards scenario at %d workers", w),
-			run:  func() (uint64, error) { return runShards(w) },
+			run:  func() (uint64, sim.ClusterStats, error) { return runShards(w) },
 		}
 		r, err := MeasureBest(s, repeat)
 		if err != nil {

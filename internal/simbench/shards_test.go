@@ -22,7 +22,7 @@ func shardsDigest(t *testing.T, workers int) string {
 	for i, d := range r.devs {
 		rec.Attach(i, d.Registry())
 	}
-	events, err := r.run()
+	events, st, err := r.run()
 	if err != nil {
 		t.Fatalf("shards run (workers=%d): %v", workers, err)
 	}
@@ -30,7 +30,9 @@ func shardsDigest(t *testing.T, workers int) string {
 	for _, d := range r.devs {
 		wrote += d.Stats().PagesWritten
 	}
-	return fmt.Sprintf("%s events=%d written=%d", rec.Digest(), events, wrote)
+	// Epoch and message counts are properties of the merge rule, not of the
+	// lane count, so they belong in the fingerprint too.
+	return fmt.Sprintf("%s events=%d written=%d epochs=%d messages=%d", rec.Digest(), events, wrote, st.Epochs, st.Messages)
 }
 
 // TestShardsDigestWorkerSweep is the headline determinism gate: the same

@@ -35,6 +35,9 @@ type Result struct {
 	Events uint64        // engine events processed
 	Wall   time.Duration // host wall-clock time for the run
 	Allocs uint64        // heap allocations during the run
+	// Cluster holds the merge-loop counters of a scenario that runs on a
+	// sim.Cluster (zero otherwise): what the epoch barrier had to do.
+	Cluster sim.ClusterStats
 }
 
 // EventsPerSec returns the throughput of the simulator core.
@@ -63,11 +66,20 @@ func (r Result) AllocsPerEvent() float64 {
 }
 
 // Scenario is one fixed seeded workload. run executes it once on a fresh
-// engine and returns the number of engine events processed.
+// engine and returns the number of engine events processed, plus the merge
+// counters when the scenario drives a sim.Cluster itself.
 type Scenario struct {
 	Name string
 	Desc string
-	run  func() (uint64, error)
+	run  func() (uint64, sim.ClusterStats, error)
+}
+
+// solo adapts a scenario with no cluster of its own to report on.
+func solo(run func() (uint64, error)) func() (uint64, sim.ClusterStats, error) {
+	return func() (uint64, sim.ClusterStats, error) {
+		events, err := run()
+		return events, sim.ClusterStats{}, err
+	}
 }
 
 // Scenarios returns the benchmark suite, in reporting order. Each entry is
@@ -77,37 +89,37 @@ func Scenarios() []Scenario {
 		{
 			Name: "fio-randwrite-durassd",
 			Desc: "fio 4KB random write, 4 threads, DuraSSD scale 16, preloaded",
-			run:  runFioRandWrite,
+			run:  solo(runFioRandWrite),
 		},
 		{
 			Name: "ycsb-a-striped4",
 			Desc: "YCSB-A (50/50) on a couch store over striped-4 DuraSSD",
-			run:  runYCSBAStriped4,
+			run:  solo(runYCSBAStriped4),
 		},
 		{
 			Name: "crashexplore-probe",
 			Desc: "crash-point probe run: InnoDB on DuraSSD, no cut, schedule recorded",
-			run:  runCrashExploreProbe,
+			run:  solo(runCrashExploreProbe),
 		},
 		{
 			Name: "shards",
 			Desc: "4 DuraSSD domains (2×fio randwrite, 2×YCSB-A), parallel merge, 4 workers",
-			run:  func() (uint64, error) { return runShards(shardsWorkers) },
+			run:  func() (uint64, sim.ClusterStats, error) { return runShards(shardsWorkers) },
 		},
 		{
 			Name: "shards-seq",
 			Desc: "same 4-domain program through the sequential merge (1 worker)",
-			run:  func() (uint64, error) { return runShards(1) },
+			run:  func() (uint64, sim.ClusterStats, error) { return runShards(1) },
 		},
 		{
 			Name: "serve-mixed",
 			Desc: "mixed-tenant serving (YCSB-A + LinkBench + TPC-C) over a 4-shard DuraSSD box",
-			run:  runServeMixed,
+			run:  solo(runServeMixed),
 		},
 		{
 			Name: "serve-chaos",
 			Desc: "replicated serving (R=3 W=2 groups) under seeded brownout, crash+catch-up and overload faults",
-			run:  runServeChaos,
+			run:  solo(runServeChaos),
 		},
 	}
 }
@@ -192,7 +204,7 @@ func Measure(s Scenario) (Result, error) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now() //simlint:allow nowalltime benchmark harness measures host wall-clock speed by design
-	events, err := s.run()
+	events, cluster, err := s.run()
 	wall := time.Since(start) //simlint:allow nowalltime benchmark harness measures host wall-clock speed by design
 	runtime.ReadMemStats(&m1)
 	if err != nil {
@@ -201,7 +213,7 @@ func Measure(s Scenario) (Result, error) {
 	if events == 0 {
 		return Result{}, fmt.Errorf("simbench: scenario %s processed no events", s.Name)
 	}
-	return Result{Name: s.Name, Events: events, Wall: wall, Allocs: m1.Mallocs - m0.Mallocs}, nil
+	return Result{Name: s.Name, Events: events, Wall: wall, Allocs: m1.Mallocs - m0.Mallocs, Cluster: cluster}, nil
 }
 
 // MeasureBest runs s repeat times and keeps the fastest wall clock (the
@@ -246,6 +258,7 @@ func annotateSingleCore(rep *repro.JSONReport, numCPU int) {
 func Report(results []Result, repeat int) *repro.JSONReport {
 	rep := repro.NewJSONReport("simbench")
 	rep.SetConfig("repeat", repeat)
+	rep.SetConfig("num_cpu", runtime.NumCPU())
 	annotateSingleCore(rep, runtime.NumCPU())
 	for _, r := range results {
 		rep.AddMetric(r.Name+"/events", float64(r.Events))
@@ -253,8 +266,33 @@ func Report(results []Result, repeat int) *repro.JSONReport {
 		rep.AddMetric(r.Name+"/ns_per_event", r.NsPerEvent())
 		rep.AddMetric(r.Name+"/events_per_sec", r.EventsPerSec())
 		rep.AddMetric(r.Name+"/allocs_per_event", r.AllocsPerEvent())
+		addClusterMetrics(rep, r)
 	}
 	return rep
+}
+
+// addClusterMetrics carries a cluster scenario's merge counters into the
+// report: the numbers the spin budget and lane rules were chosen from.
+func addClusterMetrics(rep *repro.JSONReport, r Result) {
+	st := r.Cluster
+	if st.Epochs == 0 {
+		return
+	}
+	rep.AddMetric(r.Name+"/epochs", float64(st.Epochs))
+	rep.AddMetric(r.Name+"/barrier_epochs", float64(st.BarrierEpochs))
+	rep.AddMetric(r.Name+"/messages", float64(st.Messages))
+	rep.AddMetric(r.Name+"/parks", float64(st.Parks))
+}
+
+// ClusterLine renders the merge counters for the terminal tables, or ""
+// for a scenario that drives no cluster.
+func (r Result) ClusterLine() string {
+	st := r.Cluster
+	if st.Epochs == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%d epochs (%.1f events/epoch), %d crossed the barrier, %d messages, %d parks",
+		st.Epochs, float64(r.Events)/float64(st.Epochs), st.BarrierEpochs, st.Messages, st.Parks)
 }
 
 // CheckRegression compares fresh results against a committed baseline
