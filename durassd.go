@@ -10,6 +10,7 @@
 // typical session:
 //
 //	s := durassd.NewSession()
+//	defer s.Close()
 //	dev, _ := s.NewDevice(durassd.DuraSSD, 16)
 //	fs := s.NewFS(dev, durassd.NoBarriers)
 //	s.Run(func(p *sim.Proc) {
@@ -66,6 +67,11 @@ func NewSession() *Session { return &Session{eng: sim.New()} }
 
 // Engine exposes the underlying discrete-event engine.
 func (s *Session) Engine() *sim.Engine { return s.eng }
+
+// Close releases the session's engine: device service loops and any other
+// process still parked are unwound and their coroutines freed. The session
+// and everything built on it must not be used afterwards.
+func (s *Session) Close() { s.eng.Close() }
 
 // NewDevice builds a powered-on device of the given kind. scale (>= 1)
 // shrinks capacity for faster simulation; 1 is ~4 GiB of flash.

@@ -12,6 +12,7 @@ import (
 
 func TestSessionDeviceKinds(t *testing.T) {
 	s := durassd.NewSession()
+	defer s.Close()
 	for _, kind := range []durassd.DeviceKind{durassd.DuraSSD, durassd.SSDA, durassd.SSDB, durassd.HDD} {
 		dev, err := s.NewDevice(kind, 32)
 		if err != nil {
@@ -28,6 +29,7 @@ func TestSessionDeviceKinds(t *testing.T) {
 
 func TestSessionEndToEnd(t *testing.T) {
 	s := durassd.NewSession()
+	defer s.Close()
 	dev, err := s.NewDevice(durassd.DuraSSD, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +72,7 @@ func TestSessionEndToEnd(t *testing.T) {
 
 func TestSessionConcurrentProcs(t *testing.T) {
 	s := durassd.NewSession()
+	defer s.Close()
 	var done int
 	for i := 0; i < 4; i++ {
 		s.Go("worker", func(p *sim.Proc) {
@@ -86,6 +89,7 @@ func TestSessionConcurrentProcs(t *testing.T) {
 func TestStorageDeviceContract(t *testing.T) {
 	// Every facade device implements PowerCycler.
 	s := durassd.NewSession()
+	defer s.Close()
 	for _, kind := range []durassd.DeviceKind{durassd.DuraSSD, durassd.HDD} {
 		dev, _ := s.NewDevice(kind, 32)
 		if _, ok := dev.(storage.PowerCycler); !ok {

@@ -35,6 +35,7 @@ func main() {
 			}
 			fmt.Printf("  %2dKB pages: %8.0f IOPS  (mean latency %v)\n",
 				pageBytes/storage.KB, res.IOPS(), res.Lat.Mean().Round(1000))
+			s.Close()
 		}
 		fmt.Println()
 	}

@@ -82,6 +82,7 @@ func main() {
 			fmt.Println("  ✗ DATA LOSS — this is why volatile caches force barriers+fsync")
 		}
 		fmt.Println()
+		s.Close()
 	}
 }
 

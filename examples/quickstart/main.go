@@ -16,6 +16,7 @@ import (
 
 func main() {
 	s := durassd.NewSession()
+	defer s.Close()
 	dev, err := s.NewDevice(durassd.DuraSSD, 16)
 	if err != nil {
 		log.Fatal(err)

@@ -189,6 +189,7 @@ func RunWith(s Scenario, o Options) (*Verdict, error) {
 	s.defaults()
 	v := &Verdict{Scenario: s}
 	eng := sim.New()
+	defer eng.Close() // the rig's service loops and cut-off writers park for ever
 	if o.EngineHook != nil {
 		o.EngineHook(eng)
 	}

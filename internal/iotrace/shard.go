@@ -1,12 +1,12 @@
 package iotrace
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"reflect"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"time"
 )
 
@@ -31,12 +31,20 @@ type ShardRec struct {
 // only on the simulated schedule, never on how worker threads interleaved,
 // so a digest taken at 1 worker is byte-identical to one taken at N.
 type ShardRecorder struct {
-	streams [][]ShardRec
+	streams []shardStream
+}
+
+// shardStream is one domain's records in capture order. A domain's clock
+// never runs backwards, so the stream is normally already in (At, Seq)
+// order and the merge reads it as it stands; unsorted notes the exception.
+type shardStream struct {
+	recs     []ShardRec
+	unsorted bool // a record was captured with an earlier At than its predecessor
 }
 
 // NewShardRecorder returns a recorder for the given number of domains.
 func NewShardRecorder(domains int) *ShardRecorder {
-	return &ShardRecorder{streams: make([][]ShardRec, domains)}
+	return &ShardRecorder{streams: make([]shardStream, domains)}
 }
 
 // Attach installs the recorder as reg's event observer, tagging every
@@ -46,47 +54,83 @@ func NewShardRecorder(domains int) *ShardRecorder {
 func (r *ShardRecorder) Attach(domain int, reg *Registry) {
 	s := &r.streams[domain]
 	reg.SetEventFn(func(kind EventKind, at time.Duration) {
-		*s = append(*s, ShardRec{At: at, Domain: domain, Seq: uint64(len(*s)), Kind: kind})
+		n := len(s.recs)
+		if n > 0 && at < s.recs[n-1].At {
+			s.unsorted = true
+		}
+		s.recs = append(s.recs, ShardRec{At: at, Domain: domain, Seq: uint64(n), Kind: kind})
 	})
 }
 
 // Events returns the total number of captured events across all domains.
 func (r *ShardRecorder) Events() int {
 	n := 0
-	for _, s := range r.streams {
-		n += len(s)
+	for i := range r.streams {
+		n += len(r.streams[i].recs)
 	}
 	return n
 }
 
+// each calls fn on every captured record in (At, Domain, Seq) order: a
+// k-way merge over the per-domain streams, which copies nothing.
+func (r *ShardRecorder) each(fn func(rec *ShardRec)) {
+	for i := range r.streams {
+		if s := &r.streams[i]; s.unsorted {
+			slices.SortFunc(s.recs, func(a, b ShardRec) int {
+				return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Seq, b.Seq))
+			})
+			s.unsorted = false
+		}
+	}
+	heads := make([]int, len(r.streams)) // next unread record per stream
+	for {
+		// Streams are indexed by domain id, so taking the first of equal
+		// instants breaks the tie the way the order requires.
+		best := -1
+		var at time.Duration
+		for d := range r.streams {
+			if recs := r.streams[d].recs; heads[d] < len(recs) && (best < 0 || recs[heads[d]].At < at) {
+				best, at = d, recs[heads[d]].At
+			}
+		}
+		if best < 0 {
+			return
+		}
+		fn(&r.streams[best].recs[heads[best]])
+		heads[best]++
+	}
+}
+
 // Merged returns all captured events in (At, Domain, Seq) order.
 func (r *ShardRecorder) Merged() []ShardRec {
-	var all []ShardRec
-	for _, s := range r.streams {
-		all = append(all, s...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
-		}
-		return a.Seq < b.Seq
-	})
+	all := make([]ShardRec, 0, r.Events())
+	r.each(func(rec *ShardRec) { all = append(all, *rec) })
 	return all
 }
 
 // Digest returns a SHA-256 over the merged event stream: the schedule
-// fingerprint used by the worker-sweep equality tests.
+// fingerprint used by the worker-sweep equality tests. The hashed text is
+// one "domain seq kind at\n" line per record, streamed through a scratch
+// buffer so a long run is never held as one string.
 func (r *ShardRecorder) Digest() string {
-	var b strings.Builder
-	for _, rec := range r.Merged() {
-		fmt.Fprintf(&b, "%d %d %s %d\n", rec.Domain, rec.Seq, rec.Kind, int64(rec.At))
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	buf := make([]byte, 0, 4096)
+	r.each(func(rec *ShardRec) {
+		if len(buf) > cap(buf)-128 { // a line is at most 76 bytes
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = strconv.AppendInt(buf, int64(rec.Domain), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendUint(buf, rec.Seq, 10)
+		buf = append(buf, ' ')
+		buf = append(buf, rec.Kind.String()...)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(rec.At), 10)
+		buf = append(buf, '\n')
+	})
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // SumStats returns the field-wise sum of the registries' cumulative

@@ -1,6 +1,11 @@
 package iotrace
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -53,6 +58,70 @@ func TestShardRecorderDigestStable(t *testing.T) {
 	}
 	if d1, d2 := build().Digest(), build().Digest(); d1 != d2 {
 		t.Fatalf("digests differ for identical streams: %s vs %s", d1, d2)
+	}
+}
+
+// TestShardRecorderDigestMatchesFormatted pins the streamed digest to the
+// text it replaced: every record of the merged order printed with
+// "%d %d %s %d\n" into one string, hashed whole. The fixture has four
+// domains (one empty), long runs from one domain, equal instants across
+// domains and within one, and one domain that captures out of time order.
+func TestShardRecorderDigestMatchesFormatted(t *testing.T) {
+	r := NewShardRecorder(4)
+	regs := []*Registry{NewRegistry(), NewRegistry(), NewRegistry(), NewRegistry()}
+	for i, reg := range regs {
+		r.Attach(i, reg)
+	}
+	kinds := []EventKind{EvWriteAck, EvFlushStart, EvFlushEnd, EvProgram, EvErase, EvRetireStart, EvRetireEnd, EventKind(99)}
+	for i := 0; i < 3000; i++ {
+		at := time.Duration(i/3) * time.Microsecond // three records an instant
+		regs[0].Emit(kinds[i%len(kinds)], at)
+		if i%2 == 0 {
+			regs[3].Emit(kinds[(i/2)%len(kinds)], at) // ties with domain 0
+		}
+		if i%7 == 0 {
+			// Domain 1 runs backwards every seventh record.
+			regs[1].Emit(EvProgram, time.Duration(1000-i/7)*time.Microsecond)
+		}
+	}
+	regs[3].Emit(EvErase, 1<<62) // widest timestamp the line can carry
+
+	// The old implementation, verbatim: copy, sort.Slice, Fprintf, Sum256.
+	var all []ShardRec
+	for _, s := range r.streams {
+		all = append(all, s.recs...)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := &all[i], &all[j]
+		if a.At != b.At {
+			return a.At < b.At
+		}
+		if a.Domain != b.Domain {
+			return a.Domain < b.Domain
+		}
+		return a.Seq < b.Seq
+	})
+	var b strings.Builder
+	for _, rec := range all {
+		fmt.Fprintf(&b, "%d %d %s %d\n", rec.Domain, rec.Seq, rec.Kind, int64(rec.At))
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	want := hex.EncodeToString(sum[:])
+
+	if got := r.Digest(); got != want {
+		t.Fatalf("streamed digest %s, formatted digest %s", got, want)
+	}
+	merged := r.Merged()
+	if len(merged) != len(all) {
+		t.Fatalf("Merged returned %d records, want %d", len(merged), len(all))
+	}
+	for i := range all {
+		if merged[i] != all[i] {
+			t.Fatalf("Merged[%d] = %+v, want %+v", i, merged[i], all[i])
+		}
+	}
+	if got := r.Digest(); got != want {
+		t.Fatalf("second digest %s differs from the first %s", got, want)
 	}
 }
 

@@ -64,11 +64,12 @@ func Breakdown(cfg BreakdownConfig) (*BreakdownResult, error) {
 	cfg.defaults()
 	res := &BreakdownResult{LayerMean: make(map[string]map[iotrace.Layer]time.Duration)}
 
-	for _, row := range breakdownRows {
+	runRow := func(row Table1Row) error {
 		rig, err := NewRig(row.Device, cfg.Scale, !row.NoBarrier)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		defer rig.Close()
 		rig.setWriteCache(row.CacheOn)
 		reg := rig.Dev.Registry()
 		reg.EnableTracing(true)
@@ -76,10 +77,10 @@ func Breakdown(cfg BreakdownConfig) (*BreakdownResult, error) {
 		filePages := rig.Dev.Pages() * 11 / 20
 		file, err := rig.FS.Create("breakdown", filePages)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := file.Preload(0, filePages, nil); err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := fio.RunFile(rig.Eng, file, fio.Job{
 			Name:       "breakdown-" + row.String(),
@@ -90,7 +91,7 @@ func Breakdown(cfg BreakdownConfig) (*BreakdownResult, error) {
 			Ops:        cfg.Ops,
 			Seed:       cfg.Seed,
 		}); err != nil {
-			return nil, fmt.Errorf("breakdown %s: %w", row, err)
+			return fmt.Errorf("breakdown %s: %w", row, err)
 		}
 
 		var total time.Duration
@@ -119,6 +120,12 @@ func Breakdown(cfg BreakdownConfig) (*BreakdownResult, error) {
 		res.Tables = append(res.Tables, tbl)
 		res.Tables = append(res.Tables, OriginTable(reg,
 			fmt.Sprintf("Per-origin traffic — %s, cache %s", row.Device, cacheLabel(row))))
+		return nil
+	}
+	for _, row := range breakdownRows {
+		if err := runRow(row); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }

@@ -79,6 +79,7 @@ func runLinkBenchInner(cfg LinkBenchConfig) (*linkbench.Result, *innodb.Engine, 
 // in hooks and per-origin reporting).
 func runLinkBenchInnerWithStats(cfg LinkBenchConfig, stPtr **storage.Stats, regPtr **iotrace.Registry) (*linkbench.Result, *innodb.Engine, error) {
 	eng := sim.New()
+	defer eng.Close()
 	dataDev, err := ssd.New(eng, ssd.DuraSSD(2))
 	if err != nil {
 		return nil, nil, err

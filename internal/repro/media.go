@@ -113,6 +113,7 @@ func MediaSweep(cfg MediaSweepConfig) (*MediaSweepResult, error) {
 // uncorrectable host reads.
 func mediaCellRun(cfg MediaSweepConfig, rate float64, scrub bool) (int64, *storage.Stats, error) {
 	eng := sim.New()
+	defer eng.Close()
 	prof := ssd.DuraSSD(cfg.Scale)
 	prof.NAND.Media = nand.MediaConfig{Seed: cfg.Seed, RetentionPerMs: rate}
 	// A cache smaller than the cold set so audit reads actually reach the

@@ -34,6 +34,10 @@ type Rig struct {
 	Dev storage.Device
 }
 
+// Close releases the rig's engine: the device's service processes unwind
+// and their coroutines are freed. The rig must not be used afterwards.
+func (r *Rig) Close() { r.Eng.Close() }
+
 // SSDDev returns the device as an *ssd.Device (nil for the HDD).
 func (r *Rig) SSDDev() *ssd.Device {
 	d, _ := r.Dev.(*ssd.Device)

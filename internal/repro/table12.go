@@ -75,19 +75,20 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 	tbl := stats.NewTable("Table 1: effect of fsync and flush cache on 4KB random write IOPS",
 		append([]string{"Device", "Cache"}, fsyncHeaders()...)...)
 
-	for _, row := range Table1Rows {
+	runRow := func(row Table1Row) error {
 		rig, err := NewRig(row.Device, cfg.Scale, !row.NoBarrier)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		defer rig.Close()
 		rig.setWriteCache(row.CacheOn)
 		filePages := rig.Dev.Pages() * 11 / 20
 		file, err := rig.FS.Create("t1", filePages)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := file.Preload(0, filePages, nil); err != nil {
-			return nil, err
+			return err
 		}
 		cells := make(map[int]float64, len(FsyncSweep))
 		rowCells := []any{string(row.Device), cacheLabel(row)}
@@ -101,13 +102,19 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 				Seed:       cfg.Seed + int64(every),
 			})
 			if err != nil {
-				return nil, fmt.Errorf("table1 %s fsync=%d: %w", row, every, err)
+				return fmt.Errorf("table1 %s fsync=%d: %w", row, every, err)
 			}
 			cells[every] = r.IOPS()
 			rowCells = append(rowCells, r.IOPS())
 		}
 		res.IOPS[row.String()] = cells
 		tbl.AddRow(rowCells...)
+		return nil
+	}
+	for _, row := range Table1Rows {
+		if err := runRow(row); err != nil {
+			return nil, err
+		}
 	}
 	tbl.AddComment("columns: writes per fsync; last column: no fsync")
 	res.Table = tbl
@@ -204,18 +211,19 @@ func Table2(cfg Table2Config) (*Table2Result, error) {
 		for _, row := range rows {
 			cells := make(map[int]float64, len(PageSizes))
 			rowCells := []any{row.name}
-			for _, ps := range PageSizes {
+			runCell := func(ps int) error {
 				rig, err := NewRig(row.kind, cfg.Scale, row.barrier)
 				if err != nil {
-					return nil, err
+					return err
 				}
+				defer rig.Close()
 				filePages := rig.Dev.Pages() * 11 / 20
 				file, err := rig.FS.Create("t2", filePages)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if err := file.Preload(0, filePages, nil); err != nil {
-					return nil, err
+					return err
 				}
 				r, err := fio.RunFile(rig.Eng, file, fio.Job{
 					Name:       row.name,
@@ -227,10 +235,16 @@ func Table2(cfg Table2Config) (*Table2Result, error) {
 					Seed:       cfg.Seed + int64(ps),
 				})
 				if err != nil {
-					return nil, fmt.Errorf("table2 %s page=%d: %w", row.name, ps, err)
+					return fmt.Errorf("table2 %s page=%d: %w", row.name, ps, err)
 				}
 				cells[ps] = r.IOPS()
 				rowCells = append(rowCells, r.IOPS())
+				return nil
+			}
+			for _, ps := range PageSizes {
+				if err := runCell(ps); err != nil {
+					return nil, err
+				}
 			}
 			res.IOPS[row.name] = cells
 			tbl.AddRow(rowCells...)

@@ -51,6 +51,7 @@ func (c *TPCCConfig) defaults() {
 func RunTPCC(cfg TPCCConfig) (*tpcc.Result, error) {
 	cfg.defaults()
 	eng := sim.New()
+	defer eng.Close()
 	dataDev, err := ssd.New(eng, ssd.DuraSSD(2))
 	if err != nil {
 		return nil, err
@@ -161,6 +162,7 @@ func (c *YCSBConfig) defaults() {
 func RunYCSB(cfg YCSBConfig) (*ycsb.Result, error) {
 	cfg.defaults()
 	eng := sim.New()
+	defer eng.Close()
 	dev, err := ssd.New(eng, ssd.DuraSSD(4))
 	if err != nil {
 		return nil, err

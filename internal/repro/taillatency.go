@@ -46,11 +46,12 @@ func TailLatency(cfg TailLatencyConfig) (*TailLatencyResult, error) {
 	}
 	tbl := stats.NewTable("Read latency under a mixed 70/30 workload with per-8-writes fsync (DuraSSD)",
 		"Barriers", "Read P50", "Read P99", "Read max", "Write P99")
-	for _, barrier := range []bool{true, false} {
+	runRow := func(barrier bool) error {
 		rig, err := NewRig(DuraSSD, cfg.Scale, barrier)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		defer rig.Close()
 		r, err := fio.Run(rig.Eng, rig.FS, fio.Job{
 			Name:       "tail",
 			Threads:    64,
@@ -63,7 +64,7 @@ func TailLatency(cfg TailLatencyConfig) (*TailLatencyResult, error) {
 			Seed:       cfg.Seed,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res.ReadP99[barrier] = r.ReadLat.Percentile(99)
 		res.ReadP50[barrier] = r.ReadLat.Percentile(50)
@@ -73,6 +74,12 @@ func TailLatency(cfg TailLatencyConfig) (*TailLatencyResult, error) {
 		}
 		tbl.AddRow(name, r.ReadLat.Percentile(50), r.ReadLat.Percentile(99),
 			r.ReadLat.Max(), r.WriteLat.Percentile(99))
+		return nil
+	}
+	for _, barrier := range []bool{true, false} {
+		if err := runRow(barrier); err != nil {
+			return nil, err
+		}
 	}
 	tbl.AddComment("barriers off is only safe on a durable cache — that is the paper")
 	res.Table = tbl

@@ -165,18 +165,19 @@ func VolumeSweep(cfg VolumeSweepConfig) (*VolumeSweepResult, error) {
 	res := &VolumeSweepResult{IOPS: make(map[string]float64)}
 	tbl := stats.NewTable("Volume sweep: 4KB random-write IOPS by geometry",
 		"Device", "Regime", "Volume", "IOPS", "vs single")
-	for _, row := range VolumeSweepRows {
+	runRow := func(row VolumeRow) error {
 		rig, err := NewVolumeRig(row.Device, row.Spec, cfg.Scale, row.Barrier)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		defer rig.Close()
 		filePages := rig.Dev.Pages() * 11 / 20
 		file, err := rig.FS.Create("volsweep", filePages)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := file.Preload(0, filePages, nil); err != nil {
-			return nil, err
+			return err
 		}
 		r, err := fio.RunFile(rig.Eng, file, fio.Job{
 			Name:       row.String(),
@@ -187,7 +188,7 @@ func VolumeSweep(cfg VolumeSweepConfig) (*VolumeSweepResult, error) {
 			Seed:       cfg.Seed,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("volume sweep %s: %w", row, err)
+			return fmt.Errorf("volume sweep %s: %w", row, err)
 		}
 		res.IOPS[row.String()] = r.IOPS()
 		regime := "no-barrier"
@@ -195,6 +196,12 @@ func VolumeSweep(cfg VolumeSweepConfig) (*VolumeSweepResult, error) {
 			regime = fmt.Sprintf("fsync every %d", row.FsyncEvery)
 		}
 		tbl.AddRow(string(row.Device), regime, row.Spec.String(), r.IOPS(), res.Speedup(row))
+		return nil
+	}
+	for _, row := range VolumeSweepRows {
+		if err := runRow(row); err != nil {
+			return nil, err
+		}
 	}
 	tbl.AddComment("vs single: IOPS ratio against the same device and regime on one drive")
 	tbl.AddComment("durable cache scales with the stripe; fsync-every-write wastes it")

@@ -55,6 +55,9 @@ type Group struct {
 	stripes []*sim.Resource
 	vers    map[uint64]uint64 // group version authority
 
+	calls   []*rpcCall // settled-and-completed RPC records, for reuse
+	weights []uint64   // readCandidates scratch: weights of the ranked replicas
+
 	hedges       int64
 	deadlines    int64
 	retries      int64
@@ -219,40 +222,46 @@ func replicaSalt(ri int) uint64 {
 // assignments — is minimal movement: excluding one replica changes the top
 // choice only for keys that preferred the excluded replica.
 func RendezvousOrder(key uint64, n int, alive func(int) bool) []int {
-	type ranked struct {
-		w  uint64
-		ri int
-	}
-	var rs []ranked
+	order, _ := rendezvousRank(make([]int, 0, n), nil, key, n, alive)
+	return order
+}
+
+// rendezvousRank fills order with the replicas among 0..n-1 that alive
+// admits (nil admits all), heaviest first and the lower index first among
+// equal weights. weights is scratch for the weights of what is in order;
+// both slices are overwritten from the start and returned for reuse.
+// Replica groups are a handful wide, so this is an insertion sort: no
+// closure, no reflection, nothing allocated once the slices have their
+// capacity.
+func rendezvousRank(order []int, weights []uint64, key uint64, n int, alive func(int) bool) ([]int, []uint64) {
+	order, weights = order[:0], weights[:0]
 	h := mix64(key)
 	for ri := 0; ri < n; ri++ {
 		if alive != nil && !alive(ri) {
 			continue
 		}
-		rs = append(rs, ranked{w: mix64(h ^ replicaSalt(ri)), ri: ri})
-	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].w != rs[j].w {
-			return rs[i].w > rs[j].w
+		w := mix64(h ^ replicaSalt(ri))
+		order, weights = append(order, ri), append(weights, w)
+		i := len(order) - 1
+		for ; i > 0 && weights[i-1] < w; i-- {
+			order[i], weights[i] = order[i-1], weights[i-1]
 		}
-		return rs[i].ri < rs[j].ri
-	})
-	out := make([]int, len(rs))
-	for i, r := range rs {
-		out[i] = r.ri
+		order[i], weights[i] = ri, w
 	}
-	return out
+	return order, weights
 }
 
-// readCandidates ranks the group's replicas for a read of key, excluding
-// replicas known to be behind on that key (a behind replica would serve a
-// stale version; consistency wins over one more read target).
-func (g *Group) readCandidates(key uint64) []int {
-	return RendezvousOrder(key, len(g.reps), func(ri int) bool {
-		rep := g.reps[ri]
-		_, behind := rep.behind[key]
+// readCandidates fills order (owned by the caller, who keeps it across
+// parks — which is why it is not group scratch) with the group's replicas
+// ranked for a read of key, excluding replicas known to be behind on that
+// key: a behind replica would serve a stale version, and consistency wins
+// over one more read target.
+func (g *Group) readCandidates(order []int, key uint64) []int {
+	order, g.weights = rendezvousRank(order, g.weights, key, len(g.reps), func(ri int) bool {
+		_, behind := g.reps[ri].behind[key]
 		return !behind
 	})
+	return order
 }
 
 // backoff returns the seeded-jitter exponential backoff for retry attempt k.
@@ -261,10 +270,86 @@ func (g *Group) backoff(attempt int) time.Duration {
 	return base + time.Duration(g.rng.Int63n(int64(base)))
 }
 
-// callState is the front-domain settlement flag of one replica RPC: the
+// rpcCall is the front-domain record of one replica RPC in flight: the
 // deadline timer and the real completion race to settle it, and whichever
-// loses only updates replica health.
-type callState struct{ settled bool }
+// loses only updates replica health. Records are recycled through
+// Group.calls; one goes back when its completion arrives, which is after
+// the deadline if that fired, so nothing can still refer to it.
+type rpcCall struct {
+	g       *Group
+	tm      sim.Timer // the deadline; fires expire
+	settled bool
+	ri      int
+	key     uint64
+	ver     uint64 // puts only
+	// Exactly one is set: which of them says whether this is a put or a get.
+	onPut func(err error)
+	onGet func(ver uint64, found bool, err error)
+}
+
+// call takes an RPC record for replica ri from the free list, or makes one,
+// and starts its deadline.
+func (g *Group) call(ri int, key, ver uint64) *rpcCall {
+	var c *rpcCall
+	if n := len(g.calls); n > 0 {
+		c = g.calls[n-1]
+		g.calls = g.calls[:n-1]
+	} else {
+		c = &rpcCall{g: g}
+		g.front.Engine().InitTimer(&c.tm, c.expire)
+	}
+	c.settled, c.ri, c.key, c.ver = false, ri, key, ver
+	c.tm.Reset(g.cfg.CallTimeout)
+	return c
+}
+
+// release returns a completed record to the free list.
+func (c *rpcCall) release() {
+	c.onPut, c.onGet = nil, nil
+	c.g.calls = append(c.g.calls, c)
+}
+
+// expire is the deadline firing before the completion arrived.
+func (c *rpcCall) expire() {
+	g := c.g
+	c.settled = true
+	g.deadlines++
+	if c.onPut != nil {
+		g.finishPut(c.ri, c.key, c.ver, ErrDeadlineExceeded)
+		c.onPut(ErrDeadlineExceeded)
+		return
+	}
+	g.reps[c.ri].br.Failure(g.front.Now())
+	c.onGet(0, false, ErrDeadlineExceeded)
+}
+
+// putDone is a write RPC's completion arriving in the front domain.
+func (c *rpcCall) putDone(err error) {
+	// Late or not, the outcome counts: a late success heals or confirms.
+	c.g.finishPut(c.ri, c.key, c.ver, err)
+	if !c.settled {
+		c.settled = true
+		c.tm.Stop()
+		c.onPut(err)
+	}
+	c.release()
+}
+
+// getDone is a read RPC's completion arriving in the front domain.
+func (c *rpcCall) getDone(ver uint64, found bool, err error) {
+	rep := c.g.reps[c.ri]
+	if err == nil {
+		rep.br.Success()
+	} else {
+		rep.br.Failure(c.g.front.Now())
+	}
+	if !c.settled {
+		c.settled = true
+		c.tm.Stop()
+		c.onGet(ver, found, err)
+	}
+	c.release()
+}
 
 // finishPut records the outcome of a write RPC on replica health and
 // behind-tracking. It runs for every outcome, including completions that
@@ -293,30 +378,12 @@ func (g *Group) finishPut(ri int, key, ver uint64, err error) {
 func (g *Group) putRPC(ri int, key, ver uint64, onDone func(err error)) {
 	rep := g.reps[ri]
 	st, dst, front := rep.st, rep.dom, g.front
-	cs := &callState{}
-	tm := front.Engine().NewTimer(func() {
-		if cs.settled {
-			return
-		}
-		cs.settled = true
-		g.deadlines++
-		g.finishPut(ri, key, ver, ErrDeadlineExceeded)
-		onDone(ErrDeadlineExceeded)
-	})
-	tm.Reset(g.cfg.CallTimeout)
+	c := g.call(ri, key, ver)
+	c.onPut = onDone
 	front.Send(dst, func() {
 		dst.Go("serve/rput", func(q *sim.Proc) {
 			err := st.PutVersion(q, key, ver)
-			dst.Send(front, func() {
-				if cs.settled {
-					g.finishPut(ri, key, ver, err) // late completion: heal or confirm
-					return
-				}
-				cs.settled = true
-				tm.Stop()
-				g.finishPut(ri, key, ver, err)
-				onDone(err)
-			})
+			dst.Send(front, func() { c.putDone(err) })
 		})
 	})
 }
@@ -326,33 +393,12 @@ func (g *Group) putRPC(ri int, key, ver uint64, onDone func(err error)) {
 func (g *Group) getRPC(ri int, key uint64, onDone func(ver uint64, found bool, err error)) {
 	rep := g.reps[ri]
 	st, dst, front := rep.st, rep.dom, g.front
-	cs := &callState{}
-	tm := front.Engine().NewTimer(func() {
-		if cs.settled {
-			return
-		}
-		cs.settled = true
-		g.deadlines++
-		rep.br.Failure(front.Now())
-		onDone(0, false, ErrDeadlineExceeded)
-	})
-	tm.Reset(g.cfg.CallTimeout)
+	c := g.call(ri, key, 0)
+	c.onGet = onDone
 	front.Send(dst, func() {
 		dst.Go("serve/rget", func(q *sim.Proc) {
 			ver, found, err := st.Get(q, key)
-			dst.Send(front, func() {
-				if err == nil {
-					rep.br.Success()
-				} else {
-					rep.br.Failure(front.Now())
-				}
-				if cs.settled {
-					return
-				}
-				cs.settled = true
-				tm.Stop()
-				onDone(ver, found, err)
-			})
+			dst.Send(front, func() { c.getDone(ver, found, err) })
 		})
 	})
 }
@@ -441,6 +487,7 @@ type readState struct {
 	found    bool
 	fails    int
 	firstErr error
+	buf      [4]int // backs the candidate order of the usual group
 }
 
 // Get reads key from the group: the rendezvous-preferred replica first,
@@ -464,9 +511,9 @@ func (g *Group) Get(p *sim.Proc, key uint64) (uint64, bool, error) {
 
 // getOnce runs one read attempt with hedging and failover.
 func (g *Group) getOnce(p *sim.Proc, key uint64) (uint64, bool, error) {
-	order := g.readCandidates(key)
-	wake := sim.NewQueue(g.front.Engine())
 	rs := &readState{}
+	order := g.readCandidates(rs.buf[:0], key)
+	wake := sim.NewQueue(g.front.Engine())
 	next, launched := 0, 0
 	launchNext := func() bool {
 		for next < len(order) {
@@ -632,7 +679,8 @@ func (g *Group) CatchUp(p *sim.Proc, ri int) int {
 // readFromPeer reads key's current version from the best live peer of ri
 // that is not itself behind on the key.
 func (g *Group) readFromPeer(p *sim.Proc, ri int, key uint64) (uint64, bool) {
-	for _, pi := range g.readCandidates(key) {
+	var buf [4]int // enough for the usual group, and stays on the stack
+	for _, pi := range g.readCandidates(buf[:0], key) {
 		if pi == ri {
 			continue
 		}

@@ -87,7 +87,8 @@ const maxTime = time.Duration(math.MaxInt64 / 4)
 // conservative virtual-time merge. Create one with NewCluster, build each
 // domain's devices and processes on Domain(i).Engine(), then drive the
 // whole cluster with Run/RunUntil. Call Close when done: it stops the
-// worker goroutines of a multi-lane cluster.
+// worker goroutines of a multi-lane cluster and the coroutines of every
+// domain's engine.
 //
 // A Cluster must be driven from a single goroutine. While Run executes,
 // each domain's state may only be touched from that domain's own processes
@@ -214,8 +215,10 @@ func (c *Cluster) Blocked() []string {
 // Stats returns the merge-loop counters accumulated so far.
 func (c *Cluster) Stats() ClusterStats { return c.stats }
 
-// Close stops the cluster's worker goroutines, spinning or parked, and
-// returns once they have exited. The cluster must not be run again
+// Close stops the cluster's worker goroutines, spinning or parked, waits
+// for them to exit, and then closes every domain's engine (see
+// Engine.Close: processes still parked unwind and run their deferred
+// functions here, domain by domain). The cluster must not be run again
 // afterwards. Close is idempotent.
 func (c *Cluster) Close() {
 	if c.closed {
@@ -228,7 +231,12 @@ func (c *Cluster) Close() {
 	for l := 1; c.spawned && l < len(c.lanes); l++ {
 		c.lanes[l].post()
 	}
+	// The workers' exit orders every coroutine switch they made before the
+	// stops below, which run on this goroutine.
 	c.wg.Wait()
+	for _, d := range c.domains {
+		d.eng.close()
+	}
 }
 
 // Run advances every domain until no events remain anywhere and no

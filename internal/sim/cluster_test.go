@@ -177,8 +177,18 @@ func TestClusterLanes(t *testing.T) {
 				t.Fatalf("%+v: %d goroutines before the first Run, want %d", tc, got, base)
 			}
 			c.Run()
-			if got := runtime.NumGoroutine(); got != base+tc.lanes-1 {
-				t.Fatalf("%+v: %d goroutines after Run, want %d", tc, got, base+tc.lanes-1)
+			// Every domain ran one process, so each holds one idle carrier
+			// (a coroutine counts as a goroutine) until Close.
+			carriers := 0
+			for i := 0; i < tc.domains; i++ {
+				eng := c.Domain(i).Engine()
+				if len(eng.all) != 1 || len(eng.idle) != 1 {
+					t.Fatalf("%+v: domain %d has %d carriers, %d idle, want 1 and 1", tc, i, len(eng.all), len(eng.idle))
+				}
+				carriers += len(eng.all)
+			}
+			if got, want := runtime.NumGoroutine(), base+tc.lanes-1+carriers; got != want {
+				t.Fatalf("%+v: %d goroutines after Run, want %d", tc, got, want)
 			}
 			for l := 1; park && l < tc.lanes; l++ {
 				waitParked(c, l)

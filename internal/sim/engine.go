@@ -15,16 +15,34 @@
 // Events live in a pooled arena ([]event plus a free list) and are ordered
 // by an indexed 4-ary min-heap whose nodes carry the (timestamp, seq) key
 // inline next to the arena index, so Schedule, Sleep and queue wakeups
-// allocate nothing in steady state and sift comparisons stay in one array. Processes are coroutines
-// (iter.Pull): resuming one is a direct stack switch on the dispatching
-// goroutine, costing tens of nanoseconds — no channel operation, no runtime
-// scheduler pass, no OS-thread wakeup. The dispatch loop runs on the single
-// goroutine that called Run: it pops events strictly by (timestamp, seq),
-// runs callback events (Schedule, Timer) inline, and switches into the
-// resumed process's coroutine for process events; the process switches back
-// when it parks. None of this changes the event order — schedules, and
-// every digest derived from them, are bit-identical to the boxed-heap
-// channel engine this replaced.
+// allocate nothing in steady state and sift comparisons stay in one array.
+// Processes run on coroutines (iter.Pull): resuming one is a direct stack
+// switch on the dispatching goroutine, costing tens of nanoseconds — no
+// channel operation, no runtime scheduler pass, no OS-thread wakeup. The
+// dispatch loop runs on the single goroutine that called Run: it pops events
+// strictly by (timestamp, seq), runs callback events (Schedule, Timer)
+// inline, and switches into the resumed process's coroutine for process
+// events; the process switches back when it parks. None of this changes the
+// event order — schedules, and every digest derived from them, are
+// bit-identical to the boxed-heap channel engine this replaced.
+//
+// # Carriers
+//
+// The engine owns its coroutines. A carrier is one iter.Pull pair whose
+// body loops: run the bound process's function, mark the process finished,
+// yield idle, take the next process. A process is bound to a carrier by its
+// first resume, which pops the idle list before it ever creates a
+// coroutine, so a run that starts a process per request pays for as many
+// coroutines as it has processes in flight at once, and each keeps the
+// stack its earlier bodies grew. Which stack runs a body is invisible to
+// the schedule: Go pushes the same start event either way.
+//
+// Every carrier stays on Engine.all until Close stops it. A parked process
+// then sees its yield return false and unwinds with a private sentinel panic
+// that the carrier recovers: deferred functions run, the coroutine exits,
+// and nothing is left for the runtime to keep alive. An engine that is
+// dropped without Close leaks one goroutine per carrier, and each pins
+// whatever its stack references.
 package sim
 
 import (
@@ -56,6 +74,10 @@ type Engine struct {
 	live     []*Proc // started-or-pending, not yet finished (for Blocked)
 	current  *Proc   // process being resumed (panic attribution); nil in callbacks
 	panicVal any     // re-raised by Run if a process or callback panicked
+
+	all    []*carrier // every live coroutine, for Close
+	idle   []*carrier // carriers whose process finished, ready for the next
+	closed bool
 
 	dom *Domain // owning cluster domain; nil for a standalone engine
 }
@@ -107,6 +129,9 @@ func (e *Engine) Schedule(d time.Duration, fn func()) {
 // current virtual time (after already-pending events at this instant).
 // Go may be called before Run or from within a running process.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
+	if e.closed {
+		panic("sim: Go on a closed engine")
+	}
 	p := &Proc{eng: e, name: name, body: fn}
 	e.procs++
 	e.addLive(p)
@@ -132,6 +157,9 @@ func (e *Engine) RunFor(d time.Duration) {
 func (e *Engine) RunUntil(deadline time.Duration) {
 	if e.dom != nil {
 		panic("sim: engine is owned by a cluster domain; drive it via Cluster.Run")
+	}
+	if e.closed {
+		panic("sim: Run on a closed engine")
 	}
 	if e.running {
 		panic("sim: Run called reentrantly")
@@ -198,9 +226,11 @@ func (e *Engine) loop() {
 	defer func() {
 		if r := recover(); r != nil {
 			if p := e.current; p != nil {
-				p.dead = true
-				e.procs--
-				e.removeLive(p)
+				e.finish(p)
+				if c := p.car; c != nil {
+					e.drop(c) // its coroutine died with the panic
+					p.car = nil
+				}
 				r = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}
 			e.panicVal = r
@@ -232,19 +262,146 @@ func (e *Engine) loop() {
 	}
 }
 
-// resume switches into p's coroutine, starting it on first resumption. It
-// returns when p parks again or its body finishes.
+// resume switches into p's carrier, binding p to one on its first
+// resumption. It returns when p parks again or its body finishes.
 func (e *Engine) resume(p *Proc) {
-	if !p.started {
-		p.started = true
-		p.next, _ = iter.Pull(iter.Seq[struct{}](p.coro)) //simlint:allow hotalloc one-time coroutine start; steady-state resumes reuse p.next
+	c := p.car
+	if c == nil {
+		c = e.carrier()
+		c.p, p.car = p, c
 	}
-	if _, more := p.next(); !more {
-		// Body returned: the process is finished.
+	c.next()
+	if p.dead {
+		e.finish(p)
+		c.p, p.car = nil, nil
+		e.idle = append(e.idle, c)
+	}
+}
+
+// finish takes a process whose body returned or panicked off the books.
+func (e *Engine) finish(p *Proc) {
+	p.dead = true
+	p.body = nil
+	e.procs--
+	e.removeLive(p)
+}
+
+// carrier is one coroutine owned by the engine. It runs one process body at
+// a time and idles between bodies; see "Carriers" in the package comment.
+type carrier struct {
+	next func() (struct{}, bool) // switches into the coroutine
+	stop func()                  // makes the pending yield return false
+	p    *Proc                   // bound process; nil while idle
+	idx  int32                   // position in Engine.all
+}
+
+// unwind is the panic value that takes a parked process down its stack when
+// the engine is closed. It is zero-sized, so raising it allocates nothing.
+type unwind struct{}
+
+// carrier returns an idle carrier, creating one when none is free.
+func (e *Engine) carrier() *carrier {
+	if n := len(e.idle); n > 0 {
+		c := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		return c
+	}
+	return e.newCarrier()
+}
+
+func (e *Engine) newCarrier() *carrier { //simlint:allow hotalloc idle-list miss; steady state reuses the carriers of finished processes
+	c := &carrier{idx: int32(len(e.all))}
+	c.next, c.stop = iter.Pull(iter.Seq[struct{}](c.run))
+	e.all = append(e.all, c)
+	return c
+}
+
+// drop forgets a carrier whose coroutine has exited.
+func (e *Engine) drop(c *carrier) {
+	last := len(e.all) - 1
+	e.all[c.idx] = e.all[last]
+	e.all[c.idx].idx = c.idx
+	e.all[last] = nil
+	e.all = e.all[:last]
+}
+
+// run is the coroutine body: run the bound process, report it finished,
+// idle until the engine binds the next one. A false yield means Close: the
+// idle carrier returns, a parked process arrives here on the unwind panic. A
+// real panic passes through to the resume (or stop) call that switched in.
+func (c *carrier) run(yield func(struct{}) bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, closing := r.(unwind); !closing {
+				panic(r)
+			}
+		}
+	}()
+	for {
+		p := c.p
+		p.suspend = yield
+		p.body(p)
 		p.dead = true
-		e.procs--
-		e.removeLive(p)
+		if !yield(struct{}{}) {
+			return
+		}
 	}
+}
+
+// Close stops every coroutine the engine owns and releases the event heap.
+// Processes still parked — sleeping, queued, waiting on a resource — unwind
+// from their park, so their deferred functions run, inside Close, in the
+// order their carriers were created; they must not block (a park during the
+// unwind panics again) and should not start new work. A process that panics
+// for real while unwinding is re-raised from Close once every coroutine has
+// been stopped. Processes that never started are dropped with the heap.
+//
+// Close is idempotent and must not be called while the engine is running.
+// Afterwards Go and Run panic; an engine dropped without Close leaks one
+// goroutine per carrier. A cluster domain's engine is closed by
+// Cluster.Close.
+func (e *Engine) Close() {
+	if e.dom != nil {
+		panic("sim: engine is owned by a cluster domain; close it via Cluster.Close")
+	}
+	e.close()
+}
+
+func (e *Engine) close() {
+	if e.closed {
+		return
+	}
+	if e.running {
+		panic("sim: Close called while the engine is running")
+	}
+	e.closed = true
+	var first any
+	for _, c := range e.all {
+		if pv := c.halt(); pv != nil && first == nil {
+			first = pv
+		}
+	}
+	// Only now: deferred functions may still have released resources or
+	// woken queues, and those events must land somewhere.
+	e.heap, e.arena, e.free = nil, nil, nil
+	e.live, e.idle, e.all = nil, nil, nil
+	e.procs = 0
+	if first != nil {
+		panic(first)
+	}
+}
+
+// halt stops c's coroutine and returns the panic, attributed to the bound
+// process, if unwinding it raised a real one.
+func (c *carrier) halt() (pv any) {
+	defer func() {
+		if r := recover(); r != nil {
+			pv = fmt.Errorf("sim: process %q panicked during Close: %v", c.p.name, r)
+		}
+	}()
+	c.stop()
+	return nil
 }
 
 // Blocked returns the names of processes that are parked with no pending
@@ -287,12 +444,11 @@ type Proc struct {
 	eng     *Engine
 	name    string
 	body    func(p *Proc)
-	next    func() (struct{}, bool) // resumes the coroutine
-	yield   func(struct{}) bool     // parks the coroutine; set by coro
-	started bool
-	blocked bool  // parked, wakeup not yet processed
-	dead    bool  // body finished or panicked
-	liveIdx int32 // position in eng.live; -1 when finished
+	car     *carrier            // bound by the first resume, cleared at finish
+	suspend func(struct{}) bool // car's yield, copied here so park reaches it in one load
+	blocked bool                // parked, wakeup not yet processed
+	dead    bool                // body finished or panicked
+	liveIdx int32               // position in eng.live; -1 when finished
 }
 
 // Name returns the name given to Engine.Go.
@@ -303,14 +459,6 @@ func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.eng.now }
-
-// coro is the coroutine body: capture the yield switch, then run the
-// process body. Panics propagate out of the resume call in the dispatch
-// loop, which attributes them to this process.
-func (p *Proc) coro(yield func(struct{}) bool) {
-	p.yield = yield
-	p.body(p)
-}
 
 // Sleep suspends the process for d of virtual time.
 //
@@ -336,11 +484,15 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // in place — the clock advances and the event counts as processed, but no
 // coroutine switch happens. The pop order is unchanged: the event consumed
 // is exactly the one the dispatch loop would have popped next.
+//
+// When the engine is being closed the switch returns false at once and park
+// panics with the unwind sentinel instead of returning: the process body is
+// abandoned where it stands and its deferred functions run.
 func (p *Proc) park() {
 	e := p.eng
 	if len(e.heap) > 0 {
 		top := e.heap[0]
-		if e.arena[top.idx].proc == p && (e.deadline < 0 || top.at <= e.deadline) {
+		if e.arena[top.idx].proc == p && (e.deadline < 0 || top.at <= e.deadline) && !e.closed {
 			at := top.at
 			e.freeEvent(e.popMin())
 			if at > e.now {
@@ -351,7 +503,9 @@ func (p *Proc) park() {
 		}
 	}
 	p.blocked = true
-	p.yield(struct{}{})
+	if !p.suspend(struct{}{}) {
+		panic(unwind{})
+	}
 }
 
 // --- event arena and indexed min-heap ---

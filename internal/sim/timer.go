@@ -12,21 +12,36 @@ import "time"
 // A Timer fires at most once per Reset; Reset from within the callback
 // re-arms it. Like everything else on the Engine, Timers are single-owner:
 // call methods only from the engine's own processes and callbacks.
+//
+// A Timer may be embedded in a larger object (a pooled request record, say)
+// and set up in place with InitTimer; it must not be copied or moved
+// afterwards, and its zero value is not usable.
 type Timer struct {
 	eng  *Engine
 	fn   func()
-	wrap func() // clears idx, then runs fn; allocated once
+	wrap func() // t.fire as a method value, bound once by InitTimer
 	idx  int32  // arena index of the pending event; -1 when idle
 }
 
 // NewTimer returns an idle timer that will run fn each time it fires.
 func (e *Engine) NewTimer(fn func()) *Timer {
-	t := &Timer{eng: e, fn: fn, idx: -1}
-	t.wrap = func() {
-		t.idx = -1
-		t.fn()
-	}
+	t := new(Timer)
+	e.InitTimer(t, fn)
 	return t
+}
+
+// InitTimer sets up t, wherever it lives, as an idle timer on e that will
+// run fn each time it fires. It must not be called on a timer that has a
+// firing pending.
+func (e *Engine) InitTimer(t *Timer, fn func()) {
+	*t = Timer{eng: e, fn: fn, idx: -1}
+	t.wrap = t.fire
+}
+
+// fire is what the event loop calls: mark the timer idle, then run fn.
+func (t *Timer) fire() {
+	t.idx = -1
+	t.fn()
 }
 
 // Reset (re)schedules the timer to fire after d of virtual time, cancelling

@@ -139,6 +139,7 @@ func runFioRandWrite() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer rig.Close()
 	_, err = fio.Run(rig.Eng, rig.FS, fio.Job{
 		Name:    "randwrite",
 		Threads: 4,
@@ -153,6 +154,7 @@ func runFioRandWrite() (uint64, error) {
 func runYCSBAStriped4() (uint64, error) {
 	const docs = 4000
 	eng := sim.New()
+	defer eng.Close()
 	members := make([]storage.Device, 4)
 	for i := range members {
 		d, err := ssd.New(eng, ssd.DuraSSD(32))

@@ -32,7 +32,7 @@ import (
 // processes run) and Cluster is the owning cluster: the suite then drives
 // the simulation through Cluster.Run, since a domain-owned engine refuses
 // direct Run calls. The factory is responsible for Cluster cleanup
-// (typically t.Cleanup(c.Close)).
+// (typically t.Cleanup(c.Close)); a single engine is closed by Run.
 type Harness struct {
 	Eng     *sim.Engine
 	Dev     storage.Device
@@ -52,16 +52,31 @@ func (h Harness) run() {
 // Factory builds a fresh powered-on device for one subtest.
 type Factory func(t *testing.T) Harness
 
-// Run executes the full conformance suite against devices built by f.
+// Run executes the full conformance suite against devices built by f. Each
+// subtest closes its harness's engine when it is done (a cluster harness is
+// closed by its factory's cleanup instead).
 func Run(t *testing.T, f Factory) {
-	t.Run("Bounds", func(t *testing.T) { testBounds(t, f(t)) })
-	t.Run("OverrunNoSideEffects", func(t *testing.T) { testOverrun(t, f(t)) })
-	t.Run("StatsRegistry", func(t *testing.T) { testStatsRegistry(t, f(t)) })
-	t.Run("FlushDurability", func(t *testing.T) { testFlushDurability(t, f(t)) })
-	t.Run("PowerCycleDuringQueuedFlush", func(t *testing.T) { testPowerCycleDuringQueuedFlush(t, f(t)) })
-	t.Run("OfflineAfterPowerFail", func(t *testing.T) { testOffline(t, f(t)) })
-	t.Run("MediaErrorCorrectableRead", func(t *testing.T) { testMediaCorrectable(t, f(t)) })
-	t.Run("MediaErrorUncorrectablePowerCycle", func(t *testing.T) { testMediaUncorrectable(t, f(t)) })
+	for _, tc := range []struct {
+		name string
+		test func(*testing.T, Harness)
+	}{
+		{"Bounds", testBounds},
+		{"OverrunNoSideEffects", testOverrun},
+		{"StatsRegistry", testStatsRegistry},
+		{"FlushDurability", testFlushDurability},
+		{"PowerCycleDuringQueuedFlush", testPowerCycleDuringQueuedFlush},
+		{"OfflineAfterPowerFail", testOffline},
+		{"MediaErrorCorrectableRead", testMediaCorrectable},
+		{"MediaErrorUncorrectablePowerCycle", testMediaUncorrectable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := f(t)
+			if h.Cluster == nil {
+				defer h.Eng.Close()
+			}
+			tc.test(t, h)
+		})
+	}
 }
 
 // drive runs fn as one simulated process and drains the engine.
