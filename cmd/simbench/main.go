@@ -125,7 +125,12 @@ func main() {
 			fatal(fmt.Errorf("simbench: baseline %s has unexpected shape (tool=%q, %d metrics)",
 				*checkPath, base.Tool, len(base.Metrics)))
 		}
-		if err := simbench.CheckRegression(results, &base, *checkFactor); err != nil {
+		skipped, err := simbench.CheckRegression(results, &base, *checkFactor)
+		for _, name := range skipped {
+			fmt.Fprintf(os.Stderr, "simbench: %s: ns/event not compared: %s has num_cpu %d, this host %d\n",
+				name, *checkPath, base.Config.NumCPU, runtime.NumCPU())
+		}
+		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("ok: within %.1fx of %s\n", *checkFactor, *checkPath)

@@ -3,6 +3,7 @@ package nand
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math/bits"
 )
 
 // ECC codec: per-codeword SEC-DED Hamming parity with a whole-page CRC-32C
@@ -28,24 +29,12 @@ const (
 	synMark = 0x1000
 )
 
-var (
-	eccCRC = crc32.MakeTable(crc32.Castagnoli)
-	// bitXOR[b] is the XOR of the indices (0..7) of the set bits of b;
-	// bitPar[b] is the parity of its popcount. Together they let cwSyndrome
-	// fold a whole byte into the syndrome with two table lookups.
-	bitXOR [256]uint16
-	bitPar [256]uint16
-)
+var eccCRC = crc32.MakeTable(crc32.Castagnoli)
 
-func init() {
-	for b := 1; b < 256; b++ {
-		for i := 0; i < 8; i++ {
-			if b&(1<<i) != 0 {
-				bitXOR[b] ^= uint16(i)
-				bitPar[b] ^= 1
-			}
-		}
-	}
+// synLowMask[i] selects the bits of a 64-bit word whose index has bit i set.
+var synLowMask = [6]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
 }
 
 // eccCodewords returns the number of codewords covering a page of n bytes.
@@ -60,22 +49,38 @@ func ECCSize(n int) int { return 2*eccCodewords(n) + 4 }
 // cwSyndrome computes the codeword syndrome: the XOR of (p | synMark) over
 // every set bit position p. A single flipped bit at p changes the syndrome
 // by exactly (p | synMark).
+//
+// The codeword is read as little-endian 64-bit words, so bit j of word k is
+// position 64k+j. Position bits 0–5 are then the XOR of j over every set
+// bit, which XOR-ing the words together preserves bit by bit: each is the
+// parity of the folded word under one mask. Position bits 6–11 are the XOR
+// of k over the words with an odd number of set bits, and the mark is the
+// parity of the whole fold.
 func cwSyndrome(cw []byte) uint16 {
-	var xp, pr uint16
-	for i, b := range cw {
-		if b == 0 {
-			continue
-		}
-		if bitPar[b] != 0 {
-			xp ^= uint16(i) << 3
-			pr ^= 1
-		}
-		xp ^= bitXOR[b]
+	var fold uint64
+	var high uint
+	words := len(cw) / 8
+	for k := 0; k < words; k++ {
+		w := binary.LittleEndian.Uint64(cw[8*k:])
+		fold ^= w
+		high ^= uint(k) & -(uint(bits.OnesCount64(w)) & 1)
 	}
-	if pr != 0 {
-		xp |= synMark
+	if tail := cw[8*words:]; len(tail) > 0 {
+		// Zero padding adds no set bit: the tail is one more word.
+		var last [8]byte
+		copy(last[:], tail)
+		w := binary.LittleEndian.Uint64(last[:])
+		fold ^= w
+		high ^= uint(words) & -(uint(bits.OnesCount64(w)) & 1)
 	}
-	return xp
+	syn := uint16(high << 6)
+	for i, mask := range synLowMask {
+		syn |= uint16(bits.OnesCount64(fold&mask)&1) << i
+	}
+	if bits.OnesCount64(fold)&1 != 0 {
+		syn |= synMark
+	}
+	return syn
 }
 
 // ECCEncode computes the parity blob for a page image.

@@ -130,7 +130,8 @@ func (c *GroupConfig) defaults(replicas int) {
 const groupStripes = 64
 
 // NewGroup builds a replica group over the given stores (each already on
-// its own domain) fronted from the front domain.
+// its own domain) fronted from the front domain, which it links to every
+// replica's domain.
 func NewGroup(id int, front *sim.Domain, stores []*Store, cfg GroupConfig) (*Group, error) {
 	if len(stores) == 0 {
 		return nil, fmt.Errorf("serve: group %d needs at least one replica", id)
@@ -155,6 +156,7 @@ func NewGroup(id int, front *sim.Domain, stores []*Store, cfg GroupConfig) (*Gro
 		if st.Domain().Cluster() != front.Cluster() {
 			return nil, fmt.Errorf("serve: group %d replica %d lives in a different cluster", id, i)
 		}
+		front.Link(st.Domain())
 		g.reps = append(g.reps, &replica{
 			st:     st,
 			dom:    st.Domain(),

@@ -5,12 +5,13 @@
 // conservative parallel discrete-event simulation): the fixed cross-domain
 // link latency is the lookahead bound, so within one epoch every domain may
 // safely run ahead on its own events without seeing the others — no event it
-// could receive can land inside the window it is executing. Cross-domain
-// sends become timestamped messages queued on per-pair single-producer /
-// single-consumer outboxes; at each epoch barrier the coordinator merges all
-// pending messages in (delivery time, source domain, source sequence) order
-// and injects them into the destination engines before computing the next
-// epoch.
+// could receive can land inside the window it is executing. Which domains can
+// send to which is declared with Domain.Link; a domain synchronises only with
+// the domains it can reach over links. Cross-domain sends become timestamped
+// messages queued on per-pair single-producer / single-consumer outboxes; at
+// each epoch barrier the coordinator merges all pending messages in (delivery
+// time, source domain, source sequence) order and injects them into the
+// destination engines before computing the next epoch.
 //
 // # Determinism
 //
@@ -31,18 +32,29 @@
 //
 // # Epoch bound
 //
-// With lookahead L and per-domain next-event times peek_j, domain i may
-// execute every event strictly before
+// Links are undirected and all have the cluster's one latency L, so the link
+// graph falls into connected components, and nothing a domain does can reach
+// a domain of another component at any time: a Send without a Link panics.
+// Each component therefore gets its own bound. With per-domain next-event
+// times peek_j, domain i of component C may execute every event strictly
+// before
 //
-//	limit_i = min( min_{j≠i, j nonempty} peek_j + L,  m + 2L )
+//	limit_i = min( min_{j∈C, j≠i, j nonempty} peek_j + L,  m_C + 2L )
 //
-// where m is the global minimum next-event time. The first term bounds
-// messages sent directly by another busy domain (they arrive no earlier
-// than its next event plus one hop). The second bounds relays through
-// currently idle domains: an idle domain can only act after a message
-// reaches it (≥ m+L), so anything it forwards arrives at ≥ m+2L. Deeper
-// relays are later still. Note the domain's own events never constrain it —
-// self-sends are ordinary local events.
+// where m_C is the minimum next-event time over C. The first term bounds
+// messages sent directly by another busy member (they arrive no earlier than
+// its next event plus one hop). The second bounds replies and relays: a
+// member that is idle, or busy only later, can act on i's behalf only after
+// a message reaches it (≥ m_C+L), so anything it sends on arrives at
+// ≥ m_C+2L. Deeper relays are later still. The domain's own events never
+// constrain it — self-sends are ordinary local events — so a component of
+// one domain has no bound but the run's deadline and drains in one epoch.
+//
+// Inside a component the bound treats every pair of members as linked even
+// where the graph is a star or a path. A bound that followed path lengths
+// would be longer, but the barrier a message is injected at decides its
+// engine sequence number, and with it the order of a message and a local
+// event due at the same instant: moving barriers would move schedules.
 //
 // # Lanes and the epoch barrier
 //
@@ -85,10 +97,10 @@ const maxTime = time.Duration(math.MaxInt64 / 4)
 
 // Cluster is a set of simulation domains advanced together under a
 // conservative virtual-time merge. Create one with NewCluster, build each
-// domain's devices and processes on Domain(i).Engine(), then drive the
-// whole cluster with Run/RunUntil. Call Close when done: it stops the
-// worker goroutines of a multi-lane cluster and the coroutines of every
-// domain's engine.
+// domain's devices and processes on Domain(i).Engine(), Link the domains
+// that send to each other, then drive the whole cluster with Run/RunUntil.
+// Call Close when done: it stops the worker goroutines of a multi-lane
+// cluster and the coroutines of every domain's engine.
 //
 // A Cluster must be driven from a single goroutine. While Run executes,
 // each domain's state may only be touched from that domain's own processes
@@ -103,6 +115,11 @@ type Cluster struct {
 	spawned bool
 	closed  bool
 	wg      sync.WaitGroup // worker goroutines, for Close
+
+	// The link graph's connected components, rebuilt by every Link:
+	// comp[i] indexes domain i's entry in comps.
+	comp  []int32
+	comps []component
 
 	stats  ClusterStats
 	inbox  []xmsg          // merge scratch: all pending cross-domain messages
@@ -124,6 +141,13 @@ type ClusterStats struct {
 	Parks         uint64 // times the coordinator parked or had to wake a parked worker
 }
 
+// component is one connected component of the link graph: the set of
+// domains that share an epoch bound.
+type component struct {
+	size      int
+	m, second time.Duration // scratch: the two smallest member peeks (maxTime when absent)
+}
+
 // Domain is one shard of a Cluster: an Engine plus the cross-domain link
 // endpoints. Devices and processes bind to a domain by being constructed on
 // its Engine.
@@ -131,6 +155,7 @@ type Domain struct {
 	id      int
 	c       *Cluster
 	eng     *Engine
+	linked  []bool   // linked[j]: this domain and domain j may exchange messages
 	out     [][]xmsg // outbox per destination domain; written only by this domain
 	sendSeq uint64
 }
@@ -150,11 +175,12 @@ func (a xmsg) compare(b xmsg) int {
 	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 }
 
-// NewCluster returns a cluster of n domains connected by links with the
-// given fixed latency (the conservative lookahead; it must be positive).
-// workers asks for that many goroutines to run epochs on, the caller of Run
-// included; the cluster uses min(workers, n, GOMAXPROCS) of them, at least
-// one. Every count produces byte-identical schedules.
+// NewCluster returns a cluster of n domains whose links, once declared with
+// Domain.Link, all have the given fixed latency (the conservative lookahead;
+// it must be positive). The domains start unlinked. workers asks for that
+// many goroutines to run epochs on, the caller of Run included; the cluster
+// uses min(workers, n, GOMAXPROCS) of them, at least one. Every count
+// produces byte-identical schedules.
 func NewCluster(n int, latency time.Duration, workers int) *Cluster {
 	if n <= 0 {
 		panic("sim: cluster needs at least one domain")
@@ -167,6 +193,7 @@ func NewCluster(n int, latency time.Duration, workers int) *Cluster {
 		latency: latency,
 		domains: make([]*Domain, n),
 		lanes:   make([]lane, lanes),
+		comp:    make([]int32, n),
 		peeks:   make([]time.Duration, n),
 		limits:  make([]time.Duration, n),
 		panics:  make([]any, n),
@@ -175,10 +202,11 @@ func NewCluster(n int, latency time.Duration, workers int) *Cluster {
 		c.lanes[i].wake = make(chan struct{}, 1)
 	}
 	for i := range c.domains {
-		d := &Domain{id: i, c: c, eng: New(), out: make([][]xmsg, n)}
+		d := &Domain{id: i, c: c, eng: New(), linked: make([]bool, n), out: make([][]xmsg, n)}
 		d.eng.dom = d
 		c.domains[i] = d
 	}
+	c.findComponents()
 	return c
 }
 
@@ -277,11 +305,11 @@ func (c *Cluster) RunUntil(deadline time.Duration) {
 	}
 	for {
 		c.inject()
-		m, second := c.peekAll()
+		m := c.peekAll()
 		if m == maxTime || (deadline >= 0 && m > deadline) {
 			break
 		}
-		c.computeLimits(m, second, deadline)
+		c.computeLimits(deadline)
 		c.runEpoch()
 		c.rethrow()
 	}
@@ -307,38 +335,75 @@ func (c *Cluster) worker(l int) {
 	}
 }
 
-// peekAll fills c.peeks and returns the two smallest next-event times
-// (maxTime when absent).
-func (c *Cluster) peekAll() (m, second time.Duration) {
-	m, second = maxTime, maxTime
+// findComponents partitions the domains into the connected components of
+// the link graph, numbered by their lowest member.
+func (c *Cluster) findComponents() {
+	c.comps = c.comps[:0]
+	for i := range c.comp {
+		c.comp[i] = -1
+	}
+	var todo []int
+	for i := range c.domains {
+		if c.comp[i] >= 0 {
+			continue
+		}
+		k := int32(len(c.comps))
+		c.comp[i] = k
+		size := 0
+		for todo = append(todo, i); len(todo) > 0; size++ {
+			j := todo[len(todo)-1]
+			todo = todo[:len(todo)-1]
+			for peer, ok := range c.domains[j].linked {
+				if ok && c.comp[peer] < 0 {
+					c.comp[peer] = k
+					todo = append(todo, peer)
+				}
+			}
+		}
+		c.comps = append(c.comps, component{size: size})
+	}
+}
+
+// peekAll fills c.peeks and every component's two smallest next-event times,
+// and returns the smallest of all (maxTime when no domain has an event).
+func (c *Cluster) peekAll() (m time.Duration) {
+	for k := range c.comps {
+		c.comps[k].m, c.comps[k].second = maxTime, maxTime
+	}
+	m = maxTime
 	for i, d := range c.domains {
 		t := maxTime
 		if at, ok := d.eng.peek(); ok {
 			t = at
 		}
 		c.peeks[i] = t
-		if t < m {
-			second = m
-			m = t
-		} else if t < second {
-			second = t
+		m = min(m, t)
+		if k := &c.comps[c.comp[i]]; t < k.m {
+			k.second = k.m
+			k.m = t
+		} else if t < k.second {
+			k.second = t
 		}
 	}
-	return m, second
+	return m
 }
 
-// computeLimits derives each domain's epoch bound from the peek snapshot:
-// events strictly before the bound are safe to execute this epoch.
-func (c *Cluster) computeLimits(m, second time.Duration, deadline time.Duration) {
-	relay := m + 2*c.latency // earliest arrival via a currently idle relay
+// computeLimits derives each domain's epoch bound from the peek snapshot of
+// its component: events strictly before the bound are safe to execute this
+// epoch. A domain alone in its component, or in one with no event anywhere,
+// is bounded by the deadline only.
+func (c *Cluster) computeLimits(deadline time.Duration) {
 	for i := range c.domains {
-		minOther := m
-		if c.peeks[i] == m {
-			minOther = second
-		}
-		limit := relay
-		if minOther != maxTime && minOther+c.latency < limit {
-			limit = minOther + c.latency
+		limit := maxTime
+		if k := &c.comps[c.comp[i]]; k.size > 1 && k.m != maxTime {
+			limit = k.m + 2*c.latency // earliest reply, or arrival via a relay
+			minOther := k.m
+			if c.peeks[i] == k.m {
+				minOther = k.second
+			}
+			if minOther != maxTime && minOther+c.latency < limit {
+				limit = minOther + c.latency
+			}
 		}
 		if deadline >= 0 && deadline+1 < limit {
 			limit = deadline + 1
@@ -457,11 +522,31 @@ func (d *Domain) Now() time.Duration { return d.eng.Now() }
 // Go starts a process in this domain (shorthand for Engine().Go).
 func (d *Domain) Go(name string, fn func(p *Proc)) *Proc { return d.eng.Go(name, fn) }
 
+// Link declares that d and peer exchange messages: from here on Send and
+// Call between them are legal, in either direction. Declaring a link twice,
+// or from a domain to itself, changes nothing. Domains joined by a chain of
+// links share an epoch bound (see the package comment), so a link costs
+// barrier crossings whether or not a message ever uses it. Link panics
+// while the cluster is running.
+func (d *Domain) Link(peer *Domain) {
+	if peer.c != d.c {
+		panic("sim: Link across clusters")
+	}
+	if d.c.running {
+		panic("sim: Link called while the cluster is running")
+	}
+	if peer == d || d.linked[peer.id] {
+		return
+	}
+	d.linked[peer.id], peer.linked[d.id] = true, true
+	d.c.findComponents()
+}
+
 // Send schedules fn to run in dst's domain one link latency after this
-// domain's current virtual time. Messages between one (src, dst) pair are
-// delivered in send order. Send must be called from within this domain's
-// own execution (a process or callback running on its engine) or while the
-// cluster is idle between runs.
+// domain's current virtual time; dst must be this domain or one it has a
+// Link to. Messages between one (src, dst) pair are delivered in send order.
+// Send must be called from within this domain's own execution (a process or
+// callback running on its engine) or while the cluster is idle between runs.
 //
 //simlint:hotpath
 func (d *Domain) Send(dst *Domain, fn func()) {
@@ -474,6 +559,10 @@ func (d *Domain) Send(dst *Domain, fn func()) {
 		d.eng.pushEvent(at, fn, nil)
 		return
 	}
+	if !d.linked[dst.id] {
+		// The epoch bound assumes this message cannot exist.
+		panic(fmt.Sprintf("sim: domain %d sent to domain %d without a Link", d.id, dst.id))
+	}
 	d.out[dst.id] = append(d.out[dst.id], xmsg{
 		at:  at,
 		src: int32(d.id),
@@ -484,12 +573,12 @@ func (d *Domain) Send(dst *Domain, fn func()) {
 	d.sendSeq++
 }
 
-// Call runs fn as a new process in dst's domain and parks p until it
-// finishes. The request and its completion each take one link-latency hop,
-// so the caller observes at least 2*Latency of round-trip time. fn's
-// writes are visible to the caller when Call returns (the epoch barrier
-// orders them); it is the building block for cross-domain request /
-// completion pairs such as volume member I/O.
+// Call runs fn as a new process in dst's domain — this domain or one it has
+// a Link to — and parks p until it finishes. The request and its completion
+// each take one link-latency hop, so the caller observes at least 2*Latency
+// of round-trip time. fn's writes are visible to the caller when Call
+// returns (the epoch barrier orders them); it is the building block for
+// cross-domain request / completion pairs such as volume member I/O.
 func (d *Domain) Call(p *Proc, dst *Domain, name string, fn func(q *Proc)) {
 	if dst == d {
 		// Local fast path: no hops, run inline on the caller's process.

@@ -10,6 +10,16 @@ import (
 	"unsafe"
 )
 
+// linkAll joins every pair of c's domains: the clique the tests that send
+// between arbitrary domains need.
+func linkAll(c *Cluster) {
+	for i := 0; i < c.Domains(); i++ {
+		for j := i + 1; j < c.Domains(); j++ {
+			c.Domain(i).Link(c.Domain(j))
+		}
+	}
+}
+
 // pingPongDigest builds a deliberately contentious cross-domain workload —
 // every domain streams messages to every other, with overlapping delivery
 // times and relays through otherwise idle domains — and returns a digest of
@@ -19,6 +29,7 @@ func pingPongDigest(t *testing.T, domains, workers int) string {
 	t.Helper()
 	c := NewCluster(domains, 100*time.Microsecond, workers)
 	defer c.Close()
+	linkAll(c)
 	// Each domain records into its own stream (cross-domain writes to one
 	// shared log would race in parallel mode); the streams are merged by
 	// (virtual time, domain id, per-domain order) after the run — the same
@@ -215,6 +226,7 @@ func TestClusterInjectOrder(t *testing.T) {
 	const latency = 100 * time.Microsecond
 	c := NewCluster(4, latency, 1)
 	defer c.Close()
+	linkAll(c)
 	dst := c.Domain(3)
 	var got []string
 	// All sends fall inside the first epoch. Every source sends at 10µs and
@@ -251,6 +263,7 @@ func TestClusterEpochZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	c := NewCluster(2, 100*time.Microsecond, 2)
 	defer c.Close()
+	linkAll(c) // unlinked, each RunUntil would be one epoch
 	for i := 0; i < 2; i++ {
 		c.Domain(i).Go("tick", func(p *Proc) {
 			for {
@@ -283,6 +296,7 @@ func TestClusterSendLatencyAndFIFO(t *testing.T) {
 	const latency = 50 * time.Microsecond
 	c := NewCluster(2, latency, 1)
 	defer c.Close()
+	linkAll(c)
 	src, dst := c.Domain(0), c.Domain(1)
 	var got []string
 	src.Go("sender", func(p *Proc) {
@@ -328,6 +342,7 @@ func TestClusterCall(t *testing.T) {
 	const latency = 25 * time.Microsecond
 	for _, workers := range []int{1, 4} {
 		c := NewCluster(3, latency, workers)
+		linkAll(c)
 		src, dst := c.Domain(0), c.Domain(2)
 		var result int
 		var returned time.Duration
@@ -515,6 +530,7 @@ func TestClusterReuseAcrossRuns(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	c := NewCluster(2, 20*time.Microsecond, 2)
 	defer c.Close()
+	linkAll(c)
 	var delivered []int64
 	a, b := c.Domain(0), c.Domain(1)
 	a.Go("drip", func(p *Proc) {
@@ -540,5 +556,222 @@ func TestClusterReuseAcrossRuns(t *testing.T) {
 		if delivered[i] <= delivered[i-1] {
 			t.Fatalf("deliveries out of order: %v", delivered)
 		}
+	}
+}
+
+// TestClusterUnlinkedSendPanics: Send and Call to a domain the sender has no
+// Link to panic with both ids — directly when the cluster is idle, and out of
+// Run with domain attribution when a process does it, identically whether
+// that process ran on the coordinator's lane or on a worker's.
+func TestClusterUnlinkedSendPanics(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	idle := NewCluster(3, 10*time.Microsecond, 1)
+	defer idle.Close()
+	idle.Domain(0).Link(idle.Domain(1))
+	if msg := mustPanic(t, "idle Send", func() { idle.Domain(1).Send(idle.Domain(2), func() {}) }); !strings.Contains(msg, "domain 1 sent to domain 2 without a Link") {
+		t.Fatalf("idle Send: %q", msg)
+	}
+	for _, tc := range []struct {
+		name string
+		act  func(p *Proc, src, dst *Domain)
+	}{
+		{"send", func(_ *Proc, src, dst *Domain) { src.Send(dst, func() {}) }},
+		{"call", func(p *Proc, src, dst *Domain) { src.Call(p, dst, "callee", func(*Proc) {}) }},
+	} {
+		run := func(workers int) (msg string) {
+			c := NewCluster(4, 10*time.Microsecond, workers)
+			defer c.Close()
+			defer func() { msg = fmt.Sprint(recover()) }()
+			c.Domain(0).Link(c.Domain(1))
+			c.Domain(1).Link(c.Domain(2))
+			// Domain 1 is lane 1's at two workers; 3 is reachable from nowhere.
+			src, dst := c.Domain(1), c.Domain(3)
+			src.Go("stray", func(p *Proc) {
+				p.Sleep(5 * time.Microsecond)
+				tc.act(p, src, dst)
+			})
+			c.Run()
+			return ""
+		}
+		want := `sim: domain 1: sim: process "stray" panicked: sim: domain 1 sent to domain 3 without a Link`
+		for _, workers := range []int{1, 2} {
+			if got := run(workers); got != want {
+				t.Fatalf("%s, workers=%d: panic %q, want %q", tc.name, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestClusterUnlinkedDomainsOneEpoch: domains with no link share no barrier —
+// each drains, or reaches the deadline, in the run's single epoch.
+func TestClusterUnlinkedDomainsOneEpoch(t *testing.T) {
+	const n = 5
+	for _, workers := range []int{1, 2} {
+		c := NewCluster(n, 10*time.Microsecond, workers)
+		ticks := make([]int, n)
+		for i := 0; i < n; i++ {
+			c.Domain(i).Go("tick", func(p *Proc) {
+				for k := 0; k < 100*(i+1); k++ {
+					p.Sleep(time.Duration(3+i) * time.Microsecond)
+					ticks[i]++
+				}
+			})
+		}
+		const deadline = 200 * time.Microsecond
+		c.RunUntil(deadline)
+		for i := 0; i < n; i++ {
+			if now := c.Domain(i).Now(); now != deadline {
+				t.Fatalf("workers=%d: domain %d clock %v after RunUntil(%v)", workers, i, now, deadline)
+			}
+			if want := int(deadline / (time.Duration(3+i) * time.Microsecond)); ticks[i] != want {
+				t.Fatalf("workers=%d: domain %d ticked %d times by %v, want %d", workers, i, ticks[i], deadline, want)
+			}
+		}
+		if st := c.Stats(); st.Epochs != 1 {
+			t.Fatalf("workers=%d: RunUntil took %d epochs, want 1", workers, st.Epochs)
+		}
+		c.Run()
+		for i := 0; i < n; i++ {
+			if ticks[i] != 100*(i+1) {
+				t.Fatalf("workers=%d: domain %d ticked %d times in all, want %d", workers, i, ticks[i], 100*(i+1))
+			}
+		}
+		if st := c.Stats(); st.Epochs != 2 || st.Messages != 0 {
+			t.Fatalf("workers=%d: stats %+v, want one epoch per run and no messages", workers, st)
+		}
+		c.Close()
+	}
+}
+
+// componentsDigest runs a six-domain cluster of three components — a star
+// (hub 0, leaves 1 and 2) whose members Call each other through the hub, a
+// pair (3, 4) trading messages, and domain 5 on its own — and returns the
+// merged event log. Every delivery checks that it took exactly one latency.
+func componentsDigest(t *testing.T, workers int) string {
+	t.Helper()
+	const latency = 40 * time.Microsecond
+	c := NewCluster(6, latency, workers)
+	defer c.Close()
+	hub := c.Domain(0)
+	hub.Link(c.Domain(1))
+	hub.Link(c.Domain(2))
+	c.Domain(3).Link(c.Domain(4))
+	logs := make([][]string, c.Domains())
+	log := func(d *Domain, what string) {
+		logs[d.ID()] = append(logs[d.ID()], fmt.Sprintf("%d %d %s", int64(d.Now()), d.ID(), what))
+	}
+	for i := 0; i < c.Domains(); i++ {
+		d := c.Domain(i)
+		d.Go("ticker", func(p *Proc) {
+			for k := 0; k < 60; k++ {
+				p.Sleep(time.Duration(17+5*i) * time.Microsecond)
+				log(d, "tick")
+			}
+		})
+	}
+	// call is Domain.Call with the transit time of both hops checked.
+	call := func(p *Proc, src, dst *Domain, what string, body func(q *Proc)) {
+		sent := p.Now()
+		var done time.Duration
+		src.Call(p, dst, what, func(q *Proc) {
+			if q.Now() != sent+latency {
+				t.Errorf("%s: request sent at %v arrived at %v", what, sent, q.Now())
+			}
+			body(q)
+			log(dst, what)
+			done = q.Now()
+		})
+		if p.Now() != done+latency {
+			t.Errorf("%s: completion sent at %v arrived at %v", what, done, p.Now())
+		}
+	}
+	for _, leaf := range []*Domain{c.Domain(1), c.Domain(2)} {
+		other := c.Domain(3 - leaf.ID())
+		leaf.Go("leaf", func(p *Proc) {
+			for k := 0; k < 8; k++ {
+				p.Sleep(time.Duration(60+9*leaf.ID()) * time.Microsecond)
+				// Leaf to leaf goes through the hub: there is no direct link.
+				call(p, leaf, hub, "relay", func(q *Proc) {
+					call(q, hub, other, "serve", func(r *Proc) { r.Sleep(3 * time.Microsecond) })
+				})
+				log(leaf, "reply")
+			}
+		})
+	}
+	var volley func(from, to *Domain, left int)
+	volley = func(from, to *Domain, left int) {
+		sent := from.Now()
+		from.Send(to, func() {
+			if to.Now() != sent+latency {
+				t.Errorf("volley sent at %v arrived at %v", sent, to.Now())
+			}
+			log(to, "volley")
+			if left > 0 {
+				volley(to, from, left-1)
+			}
+		})
+	}
+	c.Domain(3).Engine().Schedule(25*time.Microsecond, func() { volley(c.Domain(3), c.Domain(4), 30) })
+	c.Run()
+	var all []string
+	for _, l := range logs {
+		all = append(all, l...)
+	}
+	st := c.Stats()
+	return fmt.Sprintf("%s\nevents=%d epochs=%d messages=%d", strings.Join(all, "\n"), c.Events(), st.Epochs, st.Messages)
+}
+
+// TestClusterComponentsDeterminism: a cluster of several components — star,
+// pair, singleton — produces one event log at every worker count and
+// GOMAXPROCS, each component on its own epoch bound.
+func TestClusterComponentsDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := componentsDigest(t, 1)
+	if !strings.Contains(want, " 2 serve") || !strings.Contains(want, " 4 volley") || !strings.Contains(want, " 5 tick") {
+		t.Fatalf("log misses a component's events:\n%.400s", want)
+	}
+	for _, procs := range []int{1, runtime.NumCPU() + 1} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2, 4} {
+			if got := componentsDigest(t, workers); got != want {
+				t.Fatalf("GOMAXPROCS=%d workers=%d: log diverged from the 1-worker baseline\n got: %.300s\nwant: %.300s",
+					procs, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestClusterLinkBetweenRuns: a Link declared while the cluster is idle
+// holds from the next Run on, and one attempted from inside a run panics.
+func TestClusterLinkBetweenRuns(t *testing.T) {
+	const latency = 10 * time.Microsecond
+	c := NewCluster(2, latency, 1)
+	defer c.Close()
+	a, b := c.Domain(0), c.Domain(1)
+	for _, d := range []*Domain{a, b} {
+		d.Go("tick", func(p *Proc) {
+			for {
+				p.Sleep(4 * time.Microsecond)
+			}
+		})
+	}
+	c.RunUntil(100 * time.Microsecond)
+	if st := c.Stats(); st.Epochs != 1 {
+		t.Fatalf("unlinked run took %d epochs, want 1", st.Epochs)
+	}
+	a.Link(b)
+	b.Link(a) // symmetric and idempotent
+	var arrived time.Duration
+	a.Go("send", func(*Proc) { a.Send(b, func() { arrived = b.Now() }) })
+	c.RunUntil(200 * time.Microsecond)
+	if arrived != 100*time.Microsecond+latency {
+		t.Fatalf("message over the new link arrived at %v, want %v", arrived, 100*time.Microsecond+latency)
+	}
+	if st := c.Stats(); st.Epochs < 5 {
+		t.Fatalf("linked run took %d epochs in all, want one per lookahead window", st.Epochs)
+	}
+	a.Go("late-link", func(*Proc) { a.Link(b) })
+	if msg := mustPanic(t, "Link inside Run", func() { c.RunUntil(300 * time.Microsecond) }); !strings.Contains(msg, "domain 0") || !strings.Contains(msg, "Link called while the cluster is running") {
+		t.Fatalf("Link inside Run: %q", msg)
 	}
 }

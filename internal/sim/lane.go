@@ -8,7 +8,8 @@ import "sync/atomic"
 // microseconds of work and waking a parked thread costs more than that, so
 // parking is for idle stretches (between Runs, a long-descheduled peer),
 // never the common case. Chosen from Cluster.Stats on the two-lane shards
-// scenario (2 CPUs, 7266 barrier epochs of ≈56 events each, best of 5):
+// scenario when its four domains shared one epoch bound (2 CPUs, 7266
+// barrier epochs of ≈56 events each, best of 5):
 //
 //	1<<10  14306 parks  1.0 M events/s      1<<18  3 parks  2.2 M
 //	1<<14   6947 parks  0.8 M               1<<20  1 park   2.2 M

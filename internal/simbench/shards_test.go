@@ -67,15 +67,52 @@ func TestCheckRegressionAllocs(t *testing.T) {
 	mk := func(allocs uint64) []Result {
 		return []Result{{Name: "s", Events: 1000, Wall: 100 * time.Microsecond, Allocs: allocs}}
 	}
-	if err := CheckRegression(mk(900), base, 2.0); err != nil {
+	if _, err := CheckRegression(mk(900), base, 2.0); err != nil {
 		t.Errorf("0.9 allocs/event vs 0.5 baseline at 2x: unexpected failure: %v", err)
 	}
-	if err := CheckRegression(mk(1200), base, 2.0); err == nil {
+	if _, err := CheckRegression(mk(1200), base, 2.0); err == nil {
 		t.Error("1.2 allocs/event vs 0.5 baseline at 2x: regression not caught")
 	}
 	// Scenarios absent from the baseline start a fresh trajectory.
 	fresh := []Result{{Name: "new", Events: 1000, Wall: time.Second, Allocs: 1 << 20}}
-	if err := CheckRegression(fresh, base, 2.0); err != nil {
+	if _, err := CheckRegression(fresh, base, 2.0); err != nil {
 		t.Errorf("scenario missing from baseline must pass: %v", err)
+	}
+}
+
+// TestCheckRegressionLikeForLike pins the host-time arm of the -check gate:
+// a cluster scenario's ns/event is compared only against a baseline from a
+// host with the same CPU count, a single-engine scenario's always, and the
+// allocs/event arm runs either way.
+func TestCheckRegressionLikeForLike(t *testing.T) {
+	baseline := func(numCPU int) *JSONBaseline {
+		b := &JSONBaseline{Schema: 1, Tool: "simbench", Metrics: map[string]float64{
+			"s/ns_per_event": 100, "s/allocs_per_event": 0.5,
+		}}
+		b.Config.NumCPU = numCPU
+		return b
+	}
+	same, other := baseline(runtime.NumCPU()), baseline(runtime.NumCPU()+1)
+	// 300 ns/event, three times the baseline, at its allocs/event.
+	solo := Result{Name: "s", Events: 1000, Wall: 300 * time.Microsecond, Allocs: 500}
+	clustered := solo
+	clustered.Cluster.Epochs = 1
+
+	skipped, err := CheckRegression([]Result{clustered}, other, 2.0)
+	if err != nil || len(skipped) != 1 || skipped[0] != "s" {
+		t.Errorf("cluster result vs a %d-CPU baseline: skipped %v, err %v; want the timing skipped and reported", other.Config.NumCPU, skipped, err)
+	}
+	if skipped, err := CheckRegression([]Result{clustered}, same, 2.0); err == nil || len(skipped) != 0 {
+		t.Errorf("cluster result vs a same-CPU baseline: skipped %v, err %v; want the 3x regression caught", skipped, err)
+	}
+	for _, base := range []*JSONBaseline{same, other} {
+		if _, err := CheckRegression([]Result{solo}, base, 2.0); err == nil {
+			t.Errorf("single-engine result 3x slower than a %d-CPU baseline passed", base.Config.NumCPU)
+		}
+	}
+	clustered.Allocs = 1200
+	clustered.Wall = 100 * time.Microsecond
+	if _, err := CheckRegression([]Result{clustered}, other, 2.0); err == nil {
+		t.Error("allocs/event regression of a cluster result passed against a different-CPU baseline")
 	}
 }

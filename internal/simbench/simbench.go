@@ -300,12 +300,19 @@ func (r Result) ClusterLine() string {
 // CheckRegression compares fresh results against a committed baseline
 // report and returns an error if any scenario's ns/event or allocs/event
 // exceeds factor times its committed value. Scenarios missing from the
-// baseline are ignored (new scenarios start a fresh trajectory).
-func CheckRegression(results []Result, baseline *JSONBaseline, factor float64) error {
+// baseline are ignored (new scenarios start a fresh trajectory). A scenario
+// that ran on a cluster is as fast as the host has lanes for it, so its
+// ns/event is held to a baseline only from a host with this one's CPU
+// count; skipped names the scenarios whose timing went unchecked for that
+// reason.
+func CheckRegression(results []Result, baseline *JSONBaseline, factor float64) (skipped []string, err error) {
+	sameHost := baseline.Config.NumCPU == runtime.NumCPU()
 	for _, r := range results {
 		if base, ok := baseline.Metrics[r.Name+"/ns_per_event"]; ok && base > 0 {
-			if cur := r.NsPerEvent(); cur > base*factor {
-				return fmt.Errorf("simbench: %s regressed: %.1f ns/event vs baseline %.1f (limit %.1fx)",
+			if r.Cluster.Epochs > 0 && !sameHost {
+				skipped = append(skipped, r.Name)
+			} else if cur := r.NsPerEvent(); cur > base*factor {
+				return skipped, fmt.Errorf("simbench: %s regressed: %.1f ns/event vs baseline %.1f (limit %.1fx)",
 					r.Name, cur, base, factor)
 			}
 		}
@@ -315,18 +322,21 @@ func CheckRegression(results []Result, baseline *JSONBaseline, factor float64) e
 		// stray allocation into a failure.
 		if base, ok := baseline.Metrics[r.Name+"/allocs_per_event"]; ok && base > 0 {
 			if cur := r.AllocsPerEvent(); cur > base*factor+0.05 {
-				return fmt.Errorf("simbench: %s regressed: %.3f allocs/event vs baseline %.3f (limit %.1fx)",
+				return skipped, fmt.Errorf("simbench: %s regressed: %.3f allocs/event vs baseline %.3f (limit %.1fx)",
 					r.Name, cur, base, factor)
 			}
 		}
 	}
-	return nil
+	return skipped, nil
 }
 
 // JSONBaseline is the subset of the shared report schema the regression
-// check needs.
+// check needs. NumCPU is 0 for a baseline older than the field.
 type JSONBaseline struct {
-	Schema  int                `json:"schema"`
-	Tool    string             `json:"tool"`
+	Schema int    `json:"schema"`
+	Tool   string `json:"tool"`
+	Config struct {
+		NumCPU int `json:"num_cpu"`
+	} `json:"config"`
 	Metrics map[string]float64 `json:"metrics"`
 }

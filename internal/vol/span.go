@@ -59,7 +59,7 @@ type Span struct {
 func (s *Span) Front() *sim.Domain { return s.front }
 
 // wrapMembers validates domains and proxies every member that lives
-// outside the front domain.
+// outside the front domain, linking the front to that member's domain.
 func wrapMembers(front *sim.Domain, members []SpanMember) ([]storage.Device, error) {
 	if front == nil {
 		return nil, fmt.Errorf("vol: span needs a front domain")
@@ -79,6 +79,7 @@ func wrapMembers(front *sim.Domain, members []SpanMember) ([]storage.Device, err
 			devs[i] = m.Dev
 			continue
 		}
+		front.Link(m.Dom)
 		devs[i] = &remoteDev{front: front, dom: m.Dom, dev: m.Dev}
 	}
 	return devs, nil
