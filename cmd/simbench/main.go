@@ -1,8 +1,8 @@
 // Command simbench measures the simulator's raw wall-clock speed on fixed
 // seeded scenarios and emits the shared -json result schema. The committed
 // BENCH_<n>.json files at the repo root record the trajectory PR by PR;
-// -check compares a fresh run against one and fails on a >2x ns/event
-// regression (the CI smoke gate).
+// -check compares a fresh run against one and fails on a >2x ns/event or a
+// >1.15x allocs/event regression (the CI smoke gate).
 //
 // Usage:
 //
@@ -133,7 +133,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("ok: within %.1fx of %s\n", *checkFactor, *checkPath)
+		fmt.Printf("ok: no regression against %s (ns/event limit %.1fx)\n", *checkPath, *checkFactor)
 	}
 }
 

@@ -12,7 +12,9 @@
 // living for the device's lifetime) and must carry an audited
 // //simlint:allow procbudget <reason> directive; per-request work belongs
 // in callbacks or on an existing process. sim.Domain.Go — the cluster-era
-// shorthand for Engine().Go — counts against the same budget.
+// shorthand for Engine().Go — counts against the same budget, and so does
+// Spawn on either: it recycles the Proc record, but a spawned process still
+// costs a start event and two coroutine switches per request.
 //
 // Test files are exempt: spawning driver processes is how device tests
 // express workloads, and none of that runs inside measured scenarios.
@@ -59,14 +61,14 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Name() != "Go" {
+			if !ok || (fn.Name() != "Go" && fn.Name() != "Spawn") {
 				return true
 			}
 			recv := spawnReceiver(fn)
 			if recv == "" {
 				return true
 			}
-			pass.Reportf(call.Pos(), "sim.%s.Go in device hot-path package %s: per-request processes defeat the zero-alloc scheduler fast path; use Schedule/Timer callbacks or an existing process, or justify a long-lived singleton with //simlint:allow procbudget <reason>", recv, pass.Pkg.Path())
+			pass.Reportf(call.Pos(), "sim.%s.%s in device hot-path package %s: per-request processes defeat the zero-alloc scheduler fast path; use Schedule/Timer callbacks or an existing process, or justify a long-lived singleton with //simlint:allow procbudget <reason>", recv, fn.Name(), pass.Pkg.Path())
 			return true
 		})
 	}

@@ -36,3 +36,8 @@ func perRequestViaDomain(d *sim.Domain) {
 func allowedDomainSingleton(d *sim.Domain) {
 	d.Go("bg-loop", func(p *sim.Proc) {}) //simlint:allow procbudget long-lived singleton started once at construction
 }
+
+func perRequestSpawn(eng *sim.Engine, d *sim.Domain) {
+	eng.Spawn("per-request", func(p *sim.Proc) {}) // want `sim\.Engine\.Spawn in device hot-path package`
+	d.Spawn("per-request", func(p *sim.Proc) {})   // want `sim\.Domain\.Spawn in device hot-path package`
+}

@@ -114,7 +114,7 @@ func (f *File) Pages() int64 { return f.pages }
 // (O_DIRECT: no host page cache).
 func (f *File) WritePages(p *sim.Proc, off int64, n int, data []byte) error {
 	if off < 0 || off+int64(n) > f.pages {
-		return fmt.Errorf("host: write beyond EOF of %q (off %d, n %d)", f.name, off, n)
+		return fmt.Errorf("host: write beyond EOF of %q (off %d, n %d)", f.name, off, n) //simlint:allow hotalloc the caller addressed pages the file does not have: a bug in it, reported
 	}
 	lpn := f.base + storage.LPN(off)
 	req := f.fs.reg.NewReq(p, iotrace.OpWrite, f.origin, uint64(lpn), n)
@@ -135,7 +135,7 @@ func (f *File) WritePages(p *sim.Proc, off int64, n int, data []byte) error {
 // ReadPages reads n device pages at page offset off as one command.
 func (f *File) ReadPages(p *sim.Proc, off int64, n int, buf []byte) error {
 	if off < 0 || off+int64(n) > f.pages {
-		return fmt.Errorf("host: read beyond EOF of %q (off %d, n %d)", f.name, off, n)
+		return fmt.Errorf("host: read beyond EOF of %q (off %d, n %d)", f.name, off, n) //simlint:allow hotalloc the caller addressed pages the file does not have: a bug in it, reported
 	}
 	lpn := f.base + storage.LPN(off)
 	req := f.fs.reg.NewReq(p, iotrace.OpRead, f.origin, uint64(lpn), n)

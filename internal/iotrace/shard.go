@@ -1,19 +1,19 @@
 package iotrace
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
-	"slices"
+	"sort"
 	"strconv"
 	"time"
 )
 
-// ShardRec is one device event captured in a cluster domain, stamped with
-// the domain id and a per-domain capture sequence. The triple
-// (At, Domain, Seq) is a total order: events at one virtual instant are
-// reported by ascending domain id, and within a domain in emission order.
+// ShardRec is one device event captured in a cluster domain, as Merged
+// reports it: stamped with the domain id and a per-domain capture sequence.
+// The triple (At, Domain, Seq) is a total order: events at one virtual
+// instant are reported by ascending domain id, and within a domain in
+// emission order.
 type ShardRec struct {
 	At     time.Duration
 	Domain int
@@ -34,12 +34,37 @@ type ShardRecorder struct {
 	streams []shardStream
 }
 
-// shardStream is one domain's records in capture order. A domain's clock
+// shardEvent is what a stream keeps per captured event: 16 bytes. The
+// domain is the stream's index and the capture sequence is the event's
+// position, so neither is stored; a long run holds millions of these until
+// its final digest.
+type shardEvent struct {
+	at   time.Duration
+	kind EventKind
+}
+
+// shardStream is one domain's events in capture order. A domain's clock
 // never runs backwards, so the stream is normally already in (At, Seq)
 // order and the merge reads it as it stands; unsorted notes the exception.
+// Sorting is the one thing that separates an event from its position, so
+// seqs exists only from a stream's first sort on.
 type shardStream struct {
-	recs     []ShardRec
-	unsorted bool // a record was captured with an earlier At than its predecessor
+	evs      []shardEvent
+	seqs     []uint64 // seqs[i] is evs[i]'s capture sequence; nil while that is i
+	unsorted bool     // an event was captured with an earlier At than its predecessor
+}
+
+// sort.Interface, ordering by (At, Seq); seqs must be materialised.
+func (s *shardStream) Len() int { return len(s.evs) }
+func (s *shardStream) Less(i, j int) bool {
+	if a, b := s.evs[i].at, s.evs[j].at; a != b {
+		return a < b
+	}
+	return s.seqs[i] < s.seqs[j]
+}
+func (s *shardStream) Swap(i, j int) {
+	s.evs[i], s.evs[j] = s.evs[j], s.evs[i]
+	s.seqs[i], s.seqs[j] = s.seqs[j], s.seqs[i]
 }
 
 // NewShardRecorder returns a recorder for the given number of domains.
@@ -54,11 +79,14 @@ func NewShardRecorder(domains int) *ShardRecorder {
 func (r *ShardRecorder) Attach(domain int, reg *Registry) {
 	s := &r.streams[domain]
 	reg.SetEventFn(func(kind EventKind, at time.Duration) {
-		n := len(s.recs)
-		if n > 0 && at < s.recs[n-1].At {
+		n := len(s.evs)
+		if n > 0 && at < s.evs[n-1].at {
 			s.unsorted = true
 		}
-		s.recs = append(s.recs, ShardRec{At: at, Domain: domain, Seq: uint64(n), Kind: kind})
+		s.evs = append(s.evs, shardEvent{at: at, kind: kind})
+		if s.seqs != nil {
+			s.seqs = append(s.seqs, uint64(n))
+		}
 	})
 }
 
@@ -66,37 +94,47 @@ func (r *ShardRecorder) Attach(domain int, reg *Registry) {
 func (r *ShardRecorder) Events() int {
 	n := 0
 	for i := range r.streams {
-		n += len(r.streams[i].recs)
+		n += len(r.streams[i].evs)
 	}
 	return n
 }
 
 // each calls fn on every captured record in (At, Domain, Seq) order: a
-// k-way merge over the per-domain streams, which copies nothing.
-func (r *ShardRecorder) each(fn func(rec *ShardRec)) {
+// k-way merge over the per-domain streams. Records are built on the way out
+// and passed by value, so nothing is copied up front and nothing escapes.
+func (r *ShardRecorder) each(fn func(rec ShardRec)) {
 	for i := range r.streams {
 		if s := &r.streams[i]; s.unsorted {
-			slices.SortFunc(s.recs, func(a, b ShardRec) int {
-				return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Seq, b.Seq))
-			})
+			if s.seqs == nil {
+				s.seqs = make([]uint64, len(s.evs))
+				for j := range s.seqs {
+					s.seqs[j] = uint64(j)
+				}
+			}
+			sort.Sort(s)
 			s.unsorted = false
 		}
 	}
-	heads := make([]int, len(r.streams)) // next unread record per stream
+	heads := make([]int, len(r.streams)) // next unread event per stream
 	for {
 		// Streams are indexed by domain id, so taking the first of equal
 		// instants breaks the tie the way the order requires.
 		best := -1
 		var at time.Duration
 		for d := range r.streams {
-			if recs := r.streams[d].recs; heads[d] < len(recs) && (best < 0 || recs[heads[d]].At < at) {
-				best, at = d, recs[heads[d]].At
+			if evs := r.streams[d].evs; heads[d] < len(evs) && (best < 0 || evs[heads[d]].at < at) {
+				best, at = d, evs[heads[d]].at
 			}
 		}
 		if best < 0 {
 			return
 		}
-		fn(&r.streams[best].recs[heads[best]])
+		s, i := &r.streams[best], heads[best]
+		seq := uint64(i)
+		if s.seqs != nil {
+			seq = s.seqs[i]
+		}
+		fn(ShardRec{At: at, Domain: best, Seq: seq, Kind: s.evs[i].kind})
 		heads[best]++
 	}
 }
@@ -104,7 +142,7 @@ func (r *ShardRecorder) each(fn func(rec *ShardRec)) {
 // Merged returns all captured events in (At, Domain, Seq) order.
 func (r *ShardRecorder) Merged() []ShardRec {
 	all := make([]ShardRec, 0, r.Events())
-	r.each(func(rec *ShardRec) { all = append(all, *rec) })
+	r.each(func(rec ShardRec) { all = append(all, rec) })
 	return all
 }
 
@@ -115,7 +153,7 @@ func (r *ShardRecorder) Merged() []ShardRec {
 func (r *ShardRecorder) Digest() string {
 	h := sha256.New()
 	buf := make([]byte, 0, 4096)
-	r.each(func(rec *ShardRec) {
+	r.each(func(rec ShardRec) {
 		if len(buf) > cap(buf)-128 { // a line is at most 76 bytes
 			h.Write(buf)
 			buf = buf[:0]

@@ -74,6 +74,7 @@ func (c *Cache) Admit(key uint64, version uint64) bool {
 		c.moveToFront(e)
 		return true
 	}
+	var e *centry
 	if len(c.entries) >= c.cap {
 		victim := c.tail
 		if c.sketch.Estimate(key) <= c.sketch.Estimate(victim.key) {
@@ -82,8 +83,11 @@ func (c *Cache) Admit(key uint64, version uint64) bool {
 		}
 		c.remove(victim)
 		c.evictions++
+		e = victim // its struct serves the entry that displaced it
+	} else {
+		e = &centry{} //simlint:allow hotalloc the cache is still filling; at capacity an admission reuses its victim's entry
 	}
-	e := &centry{key: key, version: version}
+	e.key, e.version = key, version
 	c.entries[key] = e
 	c.pushFront(e)
 	c.admits++

@@ -42,6 +42,14 @@ import (
 // All Group state is confined to the front (gateway) domain; replica RPC
 // completions are shipped back there, so no locks are needed and every
 // transition lands in deterministic virtual-time order.
+//
+// The serving path allocates nothing per operation. One attempt record
+// carries a fan-out's or a read's tallies, wait queue and hedge timer, and
+// one rpcCall record carries each replica RPC there and back — request,
+// result, deadline and the three functions that move it between the
+// domains. Both kinds are recycled through free lists on the group; see
+// their declarations for who may touch which field when, and for why an
+// attempt is not reusable the moment its waiter returns.
 type Group struct {
 	id    int
 	front *sim.Domain
@@ -55,8 +63,9 @@ type Group struct {
 	stripes []*sim.Resource
 	vers    map[uint64]uint64 // group version authority
 
-	calls   []*rpcCall // settled-and-completed RPC records, for reuse
-	weights []uint64   // readCandidates scratch: weights of the ranked replicas
+	calls    []*rpcCall // answered RPC records, for reuse
+	attempts []*attempt // attempt records nobody refers to any more, for reuse
+	weights  []uint64   // readCandidates scratch: weights of the ranked replicas
 
 	hedges       int64
 	deadlines    int64
@@ -219,37 +228,34 @@ func replicaSalt(ri int) uint64 {
 }
 
 // RendezvousOrder ranks replicas 0..n-1 for a read of key by rendezvous
-// (highest-random-weight) hashing over the replicas alive reports as up.
-// The defining property — the reason replica death never reshuffles healthy
-// assignments — is minimal movement: excluding one replica changes the top
-// choice only for keys that preferred the excluded replica.
+// (highest-random-weight) hashing over the replicas alive reports as up
+// (nil admits all). The defining property — the reason replica death never
+// reshuffles healthy assignments — is minimal movement: excluding one
+// replica changes the top choice only for keys that preferred the excluded
+// replica.
 func RendezvousOrder(key uint64, n int, alive func(int) bool) []int {
-	order, _ := rendezvousRank(make([]int, 0, n), nil, key, n, alive)
+	order, weights := make([]int, 0, n), make([]uint64, 0, n)
+	h := mix64(key)
+	for ri := 0; ri < n; ri++ {
+		if alive == nil || alive(ri) {
+			order, weights = rankInsert(order, weights, ri, mix64(h^replicaSalt(ri)))
+		}
+	}
 	return order
 }
 
-// rendezvousRank fills order with the replicas among 0..n-1 that alive
-// admits (nil admits all), heaviest first and the lower index first among
-// equal weights. weights is scratch for the weights of what is in order;
-// both slices are overwritten from the start and returned for reuse.
-// Replica groups are a handful wide, so this is an insertion sort: no
-// closure, no reflection, nothing allocated once the slices have their
-// capacity.
-func rendezvousRank(order []int, weights []uint64, key uint64, n int, alive func(int) bool) ([]int, []uint64) {
-	order, weights = order[:0], weights[:0]
-	h := mix64(key)
-	for ri := 0; ri < n; ri++ {
-		if alive != nil && !alive(ri) {
-			continue
-		}
-		w := mix64(h ^ replicaSalt(ri))
-		order, weights = append(order, ri), append(weights, w)
-		i := len(order) - 1
-		for ; i > 0 && weights[i-1] < w; i-- {
-			order[i], weights[i] = order[i-1], weights[i-1]
-		}
-		order[i], weights[i] = ri, w
+// rankInsert adds replica ri of weight w to a ranking kept heaviest first,
+// the lower index first among equal weights when replicas arrive in index
+// order. weights[i] is the weight of order[i]. Replica groups are a handful
+// wide, so this is one step of an insertion sort: no closure, no
+// reflection, nothing allocated once the slices have their capacity.
+func rankInsert(order []int, weights []uint64, ri int, w uint64) ([]int, []uint64) {
+	order, weights = append(order, ri), append(weights, w)
+	i := len(order) - 1
+	for ; i > 0 && weights[i-1] < w; i-- {
+		order[i], weights[i] = order[i-1], weights[i-1]
 	}
+	order[i], weights[i] = ri, w
 	return order, weights
 }
 
@@ -259,10 +265,14 @@ func rendezvousRank(order []int, weights []uint64, key uint64, n int, alive func
 // key: a behind replica would serve a stale version, and consistency wins
 // over one more read target.
 func (g *Group) readCandidates(order []int, key uint64) []int {
-	order, g.weights = rendezvousRank(order, g.weights, key, len(g.reps), func(ri int) bool {
-		_, behind := g.reps[ri].behind[key]
-		return !behind
-	})
+	order, weights := order[:0], g.weights[:0]
+	h := mix64(key)
+	for ri, rep := range g.reps {
+		if _, behind := rep.behind[key]; !behind {
+			order, weights = rankInsert(order, weights, ri, mix64(h^rep.salt))
+		}
+	}
+	g.weights = weights
 	return order
 }
 
@@ -272,85 +282,163 @@ func (g *Group) backoff(attempt int) time.Duration {
 	return base + time.Duration(g.rng.Int63n(int64(base)))
 }
 
-// rpcCall is the front-domain record of one replica RPC in flight: the
-// deadline timer and the real completion race to settle it, and whichever
-// loses only updates replica health. Records are recycled through
-// Group.calls; one goes back when its completion arrives, which is after
-// the deadline if that fired, so nothing can still refer to it.
+// rpcCall is one replica RPC, both halves of it: what the front ships, what
+// the replica's process answers, and the front's race between that answer
+// and the deadline. Its three steps — deliver at the replica, the process
+// body there, the reply at the front — are method values bound when the
+// record is made, so a call allocates nothing. Records are recycled through
+// Group.calls; one goes back when its reply arrives, which is after the
+// deadline if that fired, so no message can still refer to it.
+//
+// Two domains use a record in flight, and never the same field:
+//
+//   - The request (st, dst, ri, key, ver, put) is written by the front before
+//     the request is sent and only read, by either side, until the record is
+//     released.
+//   - The result (gotVer, found, err) is written by the replica's process and
+//     read by the front in reply; the reply's hop orders the two.
+//   - at and tm belong to the front alone. The deadline may fire there
+//     while the replica's process is still running, which is why the
+//     replica's side must not read them.
 type rpcCall struct {
-	g       *Group
-	tm      sim.Timer // the deadline; fires expire
-	settled bool
-	ri      int
-	key     uint64
-	ver     uint64 // puts only
-	// Exactly one is set: which of them says whether this is a put or a get.
-	onPut func(err error)
-	onGet func(ver uint64, found bool, err error)
+	g *Group
+
+	st       *Store
+	dst      *sim.Domain
+	ri       int
+	key, ver uint64 // ver: puts only
+	put      bool
+
+	gotVer uint64 // gets only
+	found  bool   // gets only
+	err    error
+
+	at *attempt  // whom to report to; nil once the deadline or the reply has
+	tm sim.Timer // the deadline; fires expire
+
+	fwd  func()            // c.deliver
+	body func(q *sim.Proc) // c.serve
+	back func()            // c.reply
 }
 
-// call takes an RPC record for replica ri from the free list, or makes one,
-// and starts its deadline.
-func (g *Group) call(ri int, key, ver uint64) *rpcCall {
+// call takes an RPC record from the free list, or makes one, addresses it
+// to replica ri on behalf of attempt a, and starts its deadline.
+func (g *Group) call(a *attempt, ri int) *rpcCall {
 	var c *rpcCall
 	if n := len(g.calls); n > 0 {
 		c = g.calls[n-1]
 		g.calls = g.calls[:n-1]
 	} else {
-		c = &rpcCall{g: g}
-		g.front.Engine().InitTimer(&c.tm, c.expire)
+		c = g.newCall()
 	}
-	c.settled, c.ri, c.key, c.ver = false, ri, key, ver
+	rep := g.reps[ri]
+	c.st, c.dst, c.ri, c.key = rep.st, rep.dom, ri, a.key
+	c.at = a
+	a.refs++
 	c.tm.Reset(g.cfg.CallTimeout)
 	return c
 }
 
-// release returns a completed record to the free list.
-func (c *rpcCall) release() {
-	c.onPut, c.onGet = nil, nil
+func (g *Group) newCall() *rpcCall { //simlint:allow hotalloc free-list miss; steady state reuses the records of answered RPCs
+	c := &rpcCall{g: g}
+	c.fwd, c.body, c.back = c.deliver, c.serve, c.reply
+	g.front.Engine().InitTimer(&c.tm, c.expire)
+	return c
+}
+
+// putRPC ships PutVersion(a.key, ver) to replica ri with a deadline. The
+// attempt hears exactly once, through putResult: nil on a durable ack,
+// ErrDeadlineExceeded if the deadline fires first, or the replica's error.
+// Health and behind-tracking are updated on every outcome, settled or late.
+//
+//simlint:hotpath
+func (g *Group) putRPC(a *attempt, ri int, ver uint64) {
+	c := g.call(a, ri)
+	c.put, c.ver = true, ver
+	g.front.Send(c.dst, c.fwd)
+}
+
+// getRPC ships a read of a.key to replica ri with a deadline; the attempt
+// hears exactly once, through getResult.
+//
+//simlint:hotpath
+func (g *Group) getRPC(a *attempt, ri int) {
+	c := g.call(a, ri)
+	c.put = false
+	g.front.Send(c.dst, c.fwd)
+}
+
+// deliver is the request arriving in the replica's domain.
+//
+//simlint:hotpath
+func (c *rpcCall) deliver() {
+	name := "serve/rget"
+	if c.put {
+		name = "serve/rput"
+	}
+	c.dst.Spawn(name, c.body)
+}
+
+// serve is the replica's process: do the operation, ship the result back.
+//
+//simlint:hotpath
+func (c *rpcCall) serve(q *sim.Proc) {
+	if c.put {
+		c.err = c.st.PutVersion(q, c.key, c.ver)
+	} else {
+		c.gotVer, c.found, c.err = c.st.Get(q, c.key)
+	}
+	c.dst.Send(c.g.front, c.back)
+}
+
+// reply is the result arriving in the front domain. Late or not, the
+// outcome counts for the replica's health; only a call the deadline has not
+// settled still has an attempt to tell.
+//
+//simlint:hotpath
+func (c *rpcCall) reply() {
+	c.health(c.err)
+	if c.at != nil {
+		c.tm.Stop()
+		c.settle(c.gotVer, c.found, c.err)
+	}
+	c.err = nil
 	c.g.calls = append(c.g.calls, c)
 }
 
-// expire is the deadline firing before the completion arrived.
+// expire is the deadline firing before the reply arrived. The record stays
+// out until the reply does arrive.
+//
+//simlint:hotpath
 func (c *rpcCall) expire() {
+	c.g.deadlines++
+	c.health(ErrDeadlineExceeded)
+	c.settle(0, false, ErrDeadlineExceeded)
+}
+
+// health records an outcome on the replica's breaker and, for a write, its
+// behind set.
+func (c *rpcCall) health(err error) {
 	g := c.g
-	c.settled = true
-	g.deadlines++
-	if c.onPut != nil {
-		g.finishPut(c.ri, c.key, c.ver, ErrDeadlineExceeded)
-		c.onPut(ErrDeadlineExceeded)
-		return
+	switch {
+	case c.put:
+		g.finishPut(c.ri, c.key, c.ver, err)
+	case err == nil:
+		g.reps[c.ri].br.Success()
+	default:
+		g.reps[c.ri].br.Failure(g.front.Now())
 	}
-	g.reps[c.ri].br.Failure(g.front.Now())
-	c.onGet(0, false, ErrDeadlineExceeded)
 }
 
-// putDone is a write RPC's completion arriving in the front domain.
-func (c *rpcCall) putDone(err error) {
-	// Late or not, the outcome counts: a late success heals or confirms.
-	c.g.finishPut(c.ri, c.key, c.ver, err)
-	if !c.settled {
-		c.settled = true
-		c.tm.Stop()
-		c.onPut(err)
-	}
-	c.release()
-}
-
-// getDone is a read RPC's completion arriving in the front domain.
-func (c *rpcCall) getDone(ver uint64, found bool, err error) {
-	rep := c.g.reps[c.ri]
-	if err == nil {
-		rep.br.Success()
+// settle reports the call's outcome to its attempt and lets go of it.
+func (c *rpcCall) settle(ver uint64, found bool, err error) {
+	a := c.at
+	c.at = nil
+	if c.put {
+		a.putResult(err)
 	} else {
-		rep.br.Failure(c.g.front.Now())
+		a.getResult(ver, found, err)
 	}
-	if !c.settled {
-		c.settled = true
-		c.tm.Stop()
-		c.onGet(ver, found, err)
-	}
-	c.release()
 }
 
 // finishPut records the outcome of a write RPC on replica health and
@@ -372,37 +460,124 @@ func (g *Group) finishPut(ri int, key, ver uint64, err error) {
 	}
 }
 
-// putRPC ships PutVersion(key, ver) to replica ri with a deadline. onDone
-// runs exactly once in the front domain: with nil on a durable ack, with
-// ErrDeadlineExceeded if the deadline fires first, or with the replica's
-// error. Health and behind-tracking are updated on every outcome, settled
-// or late.
-func (g *Group) putRPC(ri int, key, ver uint64, onDone func(err error)) {
-	rep := g.reps[ri]
-	st, dst, front := rep.st, rep.dom, g.front
-	c := g.call(ri, key, ver)
-	c.onPut = onDone
-	front.Send(dst, func() {
-		dst.Go("serve/rput", func(q *sim.Proc) {
-			err := st.PutVersion(q, key, ver)
-			dst.Send(front, func() { c.putDone(err) })
-		})
-	})
+// attempt is one quorum fan-out or one hedged read in the front domain: the
+// tallies its RPCs report into, the queue its waiter parks on, and for a
+// read the candidate order and the hedge timer. Records are recycled
+// through Group.attempts, and the queue's ring, the order's backing array
+// and the timer's binding stay with the record.
+//
+// An attempt outlives its waiter. A Put returns at W acks while the RPC to
+// the remaining replica is still out, and that RPC's report — its reply or
+// its deadline, whichever settles it — still tallies here and wakes the
+// queue. Were the record already serving the next operation, that would be
+// a wrong tally and a stray wakeup. So refs counts the waiter plus every
+// RPC that has not reported, and the record goes back only at zero.
+type attempt struct {
+	g    *Group
+	key  uint64
+	refs int
+	wake *sim.Queue // the waiter; every report wakes it to re-check
+
+	acks, fails int // acks: writes only
+	firstErr    error
+
+	// Reads only.
+	done     bool // a replica answered; ver and found are its answer
+	ver      uint64
+	found    bool
+	order    []int // candidates, best first
+	next     int   // first candidate not tried yet
+	launched int
+	hedge    sim.Timer // fires hedged
 }
 
-// getRPC ships a read of key to replica ri with a deadline; onDone runs
-// exactly once in the front domain.
-func (g *Group) getRPC(ri int, key uint64, onDone func(ver uint64, found bool, err error)) {
-	rep := g.reps[ri]
-	st, dst, front := rep.st, rep.dom, g.front
-	c := g.call(ri, key, 0)
-	c.onGet = onDone
-	front.Send(dst, func() {
-		dst.Go("serve/rget", func(q *sim.Proc) {
-			ver, found, err := st.Get(q, key)
-			dst.Send(front, func() { c.getDone(ver, found, err) })
-		})
-	})
+// attempt takes a record for one attempt on key, holding the waiter's
+// reference.
+func (g *Group) attempt(key uint64) *attempt {
+	var a *attempt
+	if n := len(g.attempts); n > 0 {
+		a = g.attempts[n-1]
+		g.attempts = g.attempts[:n-1]
+	} else {
+		a = g.newAttempt()
+	}
+	a.key, a.refs = key, 1
+	return a
+}
+
+func (g *Group) newAttempt() *attempt { //simlint:allow hotalloc free-list miss; steady state reuses the records of finished attempts
+	a := &attempt{g: g, wake: sim.NewQueue(g.front.Engine())}
+	g.front.Engine().InitTimer(&a.hedge, a.hedged)
+	return a
+}
+
+// drop gives up one reference — the waiter leaving, or one RPC having
+// reported — and recycles the record with the last.
+func (a *attempt) drop() {
+	if a.refs--; a.refs > 0 {
+		return
+	}
+	a.acks, a.fails, a.firstErr = 0, 0, nil
+	a.done, a.next, a.launched = false, 0, 0
+	a.g.attempts = append(a.g.attempts, a)
+}
+
+func (a *attempt) fail(err error) {
+	a.fails++
+	if a.firstErr == nil {
+		a.firstErr = err
+	}
+}
+
+// putResult is a write RPC reporting, exactly once.
+func (a *attempt) putResult(err error) {
+	if err == nil {
+		a.acks++
+	} else {
+		a.fail(err)
+	}
+	a.wake.WakeAll()
+	a.drop()
+}
+
+// getResult is a read RPC reporting, exactly once. The first answer wins.
+func (a *attempt) getResult(ver uint64, found bool, err error) {
+	if err != nil {
+		a.fail(err)
+	} else if !a.done {
+		a.done, a.ver, a.found = true, ver, found
+	}
+	a.wake.WakeAll()
+	a.drop()
+}
+
+// launchNext sends the read to the best candidate not tried yet whose
+// breaker admits it, and reports whether there was one.
+func (a *attempt) launchNext() bool {
+	g := a.g
+	for a.next < len(a.order) {
+		ri := a.order[a.next]
+		a.next++
+		if !g.reps[ri].br.Allow(g.front.Now()) {
+			continue
+		}
+		a.launched++
+		g.getRPC(a, ri)
+		return true
+	}
+	return false
+}
+
+// hedged is the hedge timer firing: the read has been out for HedgeAfter.
+// The waiter stops the timer before it leaves, so it never fires for a
+// record that has moved on; it can fire in the instant between the answer
+// and the waiter's resumption.
+//
+//simlint:hotpath
+func (a *attempt) hedged() {
+	if !a.done && a.launchNext() {
+		a.g.hedges++
+	}
 }
 
 // Put durably writes the next version of key at quorum and returns it. A
@@ -411,6 +586,8 @@ func (g *Group) getRPC(ri int, key uint64, onDone func(ver uint64, found bool, e
 // that miss quorum are retried with backoff (a half-applied attempt re-sends
 // the same version, so retries converge); when the group cannot reach W the
 // write is shed with ErrShardUnavailable.
+//
+//simlint:hotpath
 func (g *Group) Put(p *sim.Proc, key uint64) (uint64, error) {
 	lock := g.stripes[mix64(key)%groupStripes]
 	lock.Acquire(p, 1)
@@ -426,70 +603,45 @@ func (g *Group) Put(p *sim.Proc, key uint64) (uint64, error) {
 			return ver, nil
 		}
 		if attempt >= g.cfg.Retries {
-			return 0, fmt.Errorf("serve: group %d put key %d: %w", g.id, key, err)
+			return 0, fmt.Errorf("serve: group %d put key %d: %w", g.id, key, err) //simlint:allow hotalloc the write failed after every retry; the error names the key
 		}
 		g.retries++
 		p.Sleep(g.backoff(attempt))
 	}
 }
 
-// quorumState tallies one fan-out attempt in the front domain.
-type quorumState struct {
-	acks, fails int
-	firstErr    error
-}
-
 // putQuorum runs one fan-out attempt: launch a write RPC at every replica
 // whose breaker admits it, count skipped replicas as immediate failures,
 // and wait until W acks arrive or quorum becomes impossible.
+//
+//simlint:hotpath
 func (g *Group) putQuorum(p *sim.Proc, key, ver uint64) error {
 	now := p.Now()
-	wake := sim.NewQueue(g.front.Engine())
-	qs := &quorumState{}
-	for ri := range g.reps {
-		rep := g.reps[ri]
+	a := g.attempt(key)
+	for ri, rep := range g.reps {
 		if !rep.br.Allow(now) {
 			// Skipped: the replica is presumed down and will need this write.
 			if rep.behind[key] < ver {
 				rep.behind[key] = ver
 			}
-			qs.fails++
+			a.fails++
 			continue
 		}
-		g.putRPC(ri, key, ver, func(err error) {
-			if err == nil {
-				qs.acks++
-			} else {
-				qs.fails++
-				if qs.firstErr == nil {
-					qs.firstErr = err
-				}
-			}
-			wake.WakeAll()
-		})
+		g.putRPC(a, ri, ver)
 	}
-	total := len(g.reps)
-	for qs.acks < g.w && qs.fails <= total-g.w {
-		wake.Wait(p)
+	for a.acks < g.w && a.fails <= len(g.reps)-g.w {
+		a.wake.Wait(p)
 	}
-	if qs.acks >= g.w {
+	acks, firstErr := a.acks, a.firstErr
+	a.drop() // RPCs still out keep the record until they have reported
+	if acks >= g.w {
 		return nil
 	}
 	g.unavailable++
-	if qs.firstErr != nil {
-		return fmt.Errorf("%w: %d/%d acks: %w", ErrShardUnavailable, qs.acks, g.w, qs.firstErr)
+	if firstErr != nil {
+		return fmt.Errorf("%w: %d/%d acks: %w", ErrShardUnavailable, acks, g.w, firstErr) //simlint:allow hotalloc the attempt missed quorum; the error carries the tally and the first cause
 	}
-	return fmt.Errorf("%w: %d/%d acks, all replicas skipped", ErrShardUnavailable, qs.acks, g.w)
-}
-
-// readState tallies one read attempt in the front domain.
-type readState struct {
-	done     bool
-	ver      uint64
-	found    bool
-	fails    int
-	firstErr error
-	buf      [4]int // backs the candidate order of the usual group
+	return fmt.Errorf("%w: %d/%d acks, all replicas skipped", ErrShardUnavailable, acks, g.w) //simlint:allow hotalloc the attempt missed quorum with every breaker open
 }
 
 // Get reads key from the group: the rendezvous-preferred replica first,
@@ -497,6 +649,8 @@ type readState struct {
 // and sequential failover through the remaining candidates on failure.
 // Exhausted attempts are retried with backoff; a group with no replica able
 // to serve the key returns ErrShardUnavailable.
+//
+//simlint:hotpath
 func (g *Group) Get(p *sim.Proc, key uint64) (uint64, bool, error) {
 	for attempt := 0; ; attempt++ {
 		ver, found, err := g.getOnce(p, key)
@@ -504,7 +658,7 @@ func (g *Group) Get(p *sim.Proc, key uint64) (uint64, bool, error) {
 			return ver, found, nil
 		}
 		if attempt >= g.cfg.Retries {
-			return 0, false, fmt.Errorf("serve: group %d get key %d: %w", g.id, key, err)
+			return 0, false, fmt.Errorf("serve: group %d get key %d: %w", g.id, key, err) //simlint:allow hotalloc the read failed after every retry; the error names the key
 		}
 		g.retries++
 		p.Sleep(g.backoff(attempt))
@@ -512,65 +666,34 @@ func (g *Group) Get(p *sim.Proc, key uint64) (uint64, bool, error) {
 }
 
 // getOnce runs one read attempt with hedging and failover.
+//
+//simlint:hotpath
 func (g *Group) getOnce(p *sim.Proc, key uint64) (uint64, bool, error) {
-	rs := &readState{}
-	order := g.readCandidates(rs.buf[:0], key)
-	wake := sim.NewQueue(g.front.Engine())
-	next, launched := 0, 0
-	launchNext := func() bool {
-		for next < len(order) {
-			ri := order[next]
-			next++
-			if !g.reps[ri].br.Allow(g.front.Now()) {
-				continue
-			}
-			launched++
-			g.getRPC(ri, key, func(ver uint64, found bool, err error) {
-				if err == nil {
-					if !rs.done {
-						rs.done = true
-						rs.ver, rs.found = ver, found
-					}
-				} else {
-					rs.fails++
-					if rs.firstErr == nil {
-						rs.firstErr = err
-					}
-				}
-				wake.WakeAll()
-			})
-			return true
-		}
-		return false
-	}
-	if !launchNext() {
+	a := g.attempt(key)
+	a.order = g.readCandidates(a.order, key)
+	if !a.launchNext() {
+		a.drop()
 		g.unavailable++
-		return 0, false, fmt.Errorf("%w: no replica can serve the read", ErrShardUnavailable)
+		return 0, false, fmt.Errorf("%w: no replica can serve the read", ErrShardUnavailable) //simlint:allow hotalloc no replica is both current on the key and admitted by its breaker
 	}
-	hedge := g.front.Engine().NewTimer(func() {
-		if rs.done {
-			return
-		}
-		if launchNext() {
-			g.hedges++
-		}
-	})
-	hedge.Reset(g.cfg.HedgeAfter)
-	for !rs.done {
-		if rs.fails == launched && !launchNext() {
+	a.hedge.Reset(g.cfg.HedgeAfter)
+	for !a.done {
+		if a.fails == a.launched && !a.launchNext() {
 			break // every candidate tried and failed
 		}
-		wake.Wait(p)
+		a.wake.Wait(p)
 	}
-	hedge.Stop()
-	if rs.done {
-		return rs.ver, rs.found, nil
+	a.hedge.Stop()
+	done, ver, found, firstErr := a.done, a.ver, a.found, a.firstErr
+	a.drop() // a hedged or late RPC still out keeps the record until it has reported
+	if done {
+		return ver, found, nil
 	}
 	g.unavailable++
-	if rs.firstErr != nil {
-		return 0, false, fmt.Errorf("%w: %w", ErrShardUnavailable, rs.firstErr)
+	if firstErr != nil {
+		return 0, false, fmt.Errorf("%w: %w", ErrShardUnavailable, firstErr) //simlint:allow hotalloc every candidate failed; the error carries the first cause
 	}
-	return 0, false, fmt.Errorf("%w: no replica answered the read", ErrShardUnavailable)
+	return 0, false, fmt.Errorf("%w: no replica answered the read", ErrShardUnavailable) //simlint:allow hotalloc every candidate failed
 }
 
 // callPut runs one write RPC as a parking Domain.Call, with no deadline.

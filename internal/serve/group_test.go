@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -22,7 +23,14 @@ type groupHarness struct {
 
 func buildGroupHarness(t *testing.T, replicas int, cfg GroupConfig) *groupHarness {
 	t.Helper()
-	cluster := sim.NewCluster(1+replicas, 100*time.Microsecond, 1)
+	return buildGroupHarnessOn(t, 1, replicas, cfg)
+}
+
+// buildGroupHarnessOn runs the harness's cluster on the given number of
+// workers: same schedule, but the front and the replicas on different lanes.
+func buildGroupHarnessOn(t *testing.T, workers, replicas int, cfg GroupConfig) *groupHarness {
+	t.Helper()
+	cluster := sim.NewCluster(1+replicas, 100*time.Microsecond, workers)
 	t.Cleanup(cluster.Close)
 	front := cluster.Domain(0)
 	keys := make([]uint64, 64)
@@ -305,5 +313,220 @@ func TestRendezvousMinimalMovement(t *testing.T) {
 	// Roughly 1/n of the keys should have preferred the dead replica.
 	if moved < 200 || moved > 700 {
 		t.Errorf("moved=%d of 2000, want roughly 1/%d", moved, n)
+	}
+}
+
+// forEachLaneCount runs a record-lifecycle test on one worker and on four:
+// the records are written by two domains, and only a cluster with more than
+// one lane lets the race detector see both sides at once.
+func forEachLaneCount(t *testing.T, test func(t *testing.T, workers int)) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { test(t, workers) })
+	}
+}
+
+// checkRecordsIdle asserts that an idle group holds every record it ever
+// made on its free lists, each exactly once and with nothing referring to
+// it: calls RPC records and attempts attempt records.
+func checkRecordsIdle(t *testing.T, g *Group, calls, attempts int) {
+	t.Helper()
+	if len(g.calls) != calls || len(g.attempts) != attempts {
+		t.Fatalf("idle group holds %d RPC records and %d attempts, want %d and %d",
+			len(g.calls), len(g.attempts), calls, attempts)
+	}
+	seenCall := map[*rpcCall]bool{}
+	for _, c := range g.calls {
+		if seenCall[c] {
+			t.Fatalf("RPC record released twice")
+		}
+		seenCall[c] = true
+		if c.at != nil || c.tm.Active() || c.err != nil {
+			t.Errorf("free RPC record still live: attempt %p, deadline armed %v, err %v", c.at, c.tm.Active(), c.err)
+		}
+	}
+	seenAttempt := map[*attempt]bool{}
+	for _, a := range g.attempts {
+		if seenAttempt[a] {
+			t.Fatalf("attempt released twice")
+		}
+		seenAttempt[a] = true
+		if a.refs != 0 || a.acks != 0 || a.fails != 0 || a.firstErr != nil || a.done || a.wake.Len() != 0 || a.hedge.Active() {
+			t.Errorf("free attempt not clean: %+v", a)
+		}
+	}
+}
+
+// A write returns at W acks while the RPC to a slow third replica is still
+// out. That RPC's late ack must find its own attempt: the next write cannot
+// have taken the record over, the ack still counts for the slow replica's
+// health and behind set, and in the end every record is back exactly once.
+func TestGroupLateAckFindsItsOwnAttempt(t *testing.T) {
+	forEachLaneCount(t, func(t *testing.T, workers int) {
+		const keyA, keyB, slow = 7, 8, 2
+		h := buildGroupHarnessOn(t, workers, 3, GroupConfig{Quorum: 2})
+		h.stores[slow].SetSlowdown(2 * time.Millisecond) // late, but inside the 8ms deadline
+		// As if the slow replica had timed out on keyA once before.
+		h.g.reps[slow].behind[keyA] = 1
+		h.g.reps[slow].br.Failure(0)
+
+		h.front.Go("writer", func(p *sim.Proc) {
+			if _, err := h.g.Put(p, keyA); err != nil {
+				t.Errorf("put A: %v", err)
+			}
+			// Acked at 2 of 3: the fast replicas' records are back, the attempt
+			// is held by the RPC still out.
+			if len(h.g.calls) != 2 || len(h.g.attempts) != 0 {
+				t.Errorf("after put A: %d free RPC records, %d free attempts, want 2 and 0", len(h.g.calls), len(h.g.attempts))
+			}
+			p.Sleep(time.Millisecond) // keep the two late acks well apart
+			if _, err := h.g.Put(p, keyB); err != nil {
+				t.Errorf("put B: %v", err)
+			}
+			if len(h.g.calls) != 2 || len(h.g.attempts) != 0 {
+				t.Errorf("after put B: %d free RPC records, %d free attempts, want 2 (reused) and 0", len(h.g.calls), len(h.g.attempts))
+			}
+			for h.g.Behind(slow) != 0 { // until A's late ack lands
+				p.Sleep(50 * time.Microsecond)
+			}
+			// A's ack healed the replica and freed A's attempt and nothing else:
+			// B's attempt is still out with its slow RPC.
+			if f := h.g.reps[slow].br.fails; f != 0 {
+				t.Errorf("late ack left %d consecutive failures on the breaker", f)
+			}
+			if len(h.g.calls) != 3 || len(h.g.attempts) != 1 {
+				t.Errorf("after A's late ack: %d free RPC records, %d free attempts, want 3 and 1", len(h.g.calls), len(h.g.attempts))
+			}
+		})
+		h.cluster.Run()
+		for _, k := range []uint64{keyA, keyB} {
+			if v := h.stores[slow].Version(k); v != 1 {
+				t.Errorf("slow replica key %d at version %d, want 1", k, v)
+			}
+		}
+		// Two attempts were live at once, and four RPCs (B reused two of A's).
+		checkRecordsIdle(t, h.g, 4, 2)
+	})
+}
+
+// A read's deadline fires, the retry succeeds, and only then does the first
+// RPC's completion arrive. The deadline was that RPC's one report: the late
+// completion counts for health and gives its record back, nothing else, and
+// the record is not reused while it is still out.
+func TestGroupDeadlineThenLateCompletion(t *testing.T) {
+	forEachLaneCount(t, func(t *testing.T, workers int) {
+		const key = 5
+		h := buildGroupHarnessOn(t, workers, 1, GroupConfig{CallTimeout: time.Millisecond})
+		st := h.stores[0]
+		st.SetSlowdown(3 * time.Millisecond)
+		// Back to speed before the retry (deadline + backoff ≥ 1.2ms) gets there.
+		st.Domain().Engine().Schedule(time.Millisecond, func() { st.SetSlowdown(0) })
+
+		h.front.Go("reader", func(p *sim.Proc) {
+			ver, found, err := h.g.Get(p, key)
+			if err != nil || !found || ver != 0 {
+				t.Errorf("get = (%d, %v, %v), want (0, true, nil)", ver, found, err)
+			}
+			if now := p.Now(); now >= 3*time.Millisecond {
+				t.Errorf("get returned at %v: the retry should beat the slow first read", now)
+			}
+			_, deadlines, retries, _, _ := h.g.Counters()
+			if deadlines != 1 || retries != 1 {
+				t.Errorf("deadlines %d retries %d, want 1 and 1", deadlines, retries)
+			}
+			// The retry reused the attempt (its one RPC had reported) but needed
+			// a second RPC record: the first is still out.
+			if len(h.g.calls) != 1 || len(h.g.attempts) != 1 {
+				t.Errorf("after the retry: %d free RPC records, %d free attempts, want 1 and 1", len(h.g.calls), len(h.g.attempts))
+			}
+		})
+		h.cluster.Run()
+		if _, gets, _ := st.Counters(); gets != 2 {
+			t.Errorf("store served %d reads, want 2 (the slow one completed too)", gets)
+		}
+		if _, deadlines, _, _, _ := h.g.Counters(); deadlines != 1 {
+			t.Errorf("deadlines = %d after the late completion, want 1", deadlines)
+		}
+		if h.g.Breaker(0).Open() || h.g.reps[0].br.fails != 0 {
+			t.Errorf("breaker not reset by the successes that followed the deadline")
+		}
+		checkRecordsIdle(t, h.g, 2, 1)
+	})
+}
+
+// The hedge timer belongs to the attempt record and outlives the read: a
+// read that finished in time must leave it stopped, and a hedge that does
+// fire launches one more read and counts once.
+func TestGroupHedgeTimerLifecycle(t *testing.T) {
+	forEachLaneCount(t, func(t *testing.T, workers int) {
+		const key = 11
+		h := buildGroupHarnessOn(t, workers, 3, GroupConfig{Quorum: 2, HedgeAfter: 500 * time.Microsecond})
+		reads := func() (n int64) {
+			for _, st := range h.stores {
+				_, gets, _ := st.Counters()
+				n += gets
+			}
+			return n
+		}
+		get := func(name string) {
+			h.front.Go(name, func(p *sim.Proc) {
+				if _, found, err := h.g.Get(p, key); err != nil || !found {
+					t.Errorf("%s: found %v, err %v", name, found, err)
+				}
+			})
+			h.cluster.Run() // drains: a hedge timer left armed would fire here
+		}
+
+		get("fast")
+		if hedges, _, _, _, _ := h.g.Counters(); hedges != 0 || reads() != 1 {
+			t.Fatalf("fast read: %d hedges, %d replica reads, want 0 and 1", hedges, reads())
+		}
+		checkRecordsIdle(t, h.g, 1, 1)
+
+		preferred := RendezvousOrder(key, 3, nil)[0]
+		h.stores[preferred].SetSlowdown(2 * time.Millisecond) // > HedgeAfter, < deadline
+		get("hedged")
+		if hedges, _, _, _, _ := h.g.Counters(); hedges != 1 || reads() != 3 {
+			t.Fatalf("slow preferred replica: %d hedges, %d replica reads in all, want 1 and 3", hedges, reads())
+		}
+		checkRecordsIdle(t, h.g, 2, 1)
+	})
+}
+
+// TestGroupSteadyStateAllocs: once the records, rings and coroutines exist,
+// a put or a get through a 3-replica group allocates nothing of its own —
+// not in the group, the RPCs, the stores or the host layer. What is left is
+// the devices' first-touch bookkeeping: a NAND page programmed for the
+// first time costs its OOB record and that record's slot list, and a
+// log-structured device that has not erased yet programs only such pages.
+func TestGroupSteadyStateAllocs(t *testing.T) {
+	h := buildGroupHarness(t, 3, GroupConfig{Quorum: 2})
+	const keys = 64
+	pass := func() {
+		h.front.Go("driver", func(p *sim.Proc) {
+			for k := uint64(0); k < keys; k++ {
+				if _, err := h.g.Put(p, k); err != nil {
+					t.Errorf("put %d: %v", k, err)
+				}
+				if _, _, err := h.g.Get(p, k); err != nil {
+					t.Errorf("get %d: %v", k, err)
+				}
+			}
+		})
+		h.cluster.Run()
+	}
+	programs := func() (n int64) {
+		for _, dev := range h.devs {
+			n += dev.Registry().Stats().NANDPrograms
+		}
+		return n
+	}
+	pass() // warm-up over the key set
+	const runs = 5
+	before := programs()
+	perOp := testing.AllocsPerRun(runs, pass) / (2 * keys)
+	firstTouch := 2 * float64(programs()-before) / (runs + 1) / (2 * keys) // AllocsPerRun adds a warm-up run
+	t.Logf("%.2f allocs per group operation, %.2f of them first-touch NAND records", perOp, firstTouch)
+	if own := perOp - firstTouch; own > 0.05 {
+		t.Fatalf("%.2f allocs per group operation beyond the devices' first-touch records, want none", own)
 	}
 }

@@ -48,14 +48,23 @@ func NewRing(shards int) *Ring {
 	return r
 }
 
-// Lookup returns the shard owning the key.
+// Lookup returns the shard owning the key: a binary search for the first
+// point at or clockwise of the key's hash, written out so that routing a
+// request builds no closure.
 func (r *Ring) Lookup(key uint64) int {
 	h := mix64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0 // wrap: first point clockwise from the top of the ring
+	lo, hi := 0, len(r.points)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); r.points[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return r.points[i].shard
+	if lo == len(r.points) {
+		lo = 0 // wrap: first point clockwise from the top of the ring
+	}
+	return r.points[lo].shard
 }
 
 // Shards returns the number of shards on the ring.

@@ -251,6 +251,8 @@ func (s *Server) admitShard(p *sim.Proc, sh int, t *TenantAccount) bool {
 // shard's bloom filter, then (on a miss) an admission-controlled shard
 // round trip. The end-to-end latency — including throttle and queueing —
 // lands in the tenant's read histogram; that is the p99 the report shows.
+//
+//simlint:hotpath
 func (s *Server) Get(p *sim.Proc, t *TenantAccount, key uint64) (uint64, error) {
 	start := p.Now()
 	s.throttle(p, t)
@@ -308,6 +310,8 @@ func (s *Server) Get(p *sim.Proc, t *TenantAccount, key uint64) (uint64, error) 
 // Put serves a durable write for the tenant and returns the acknowledged
 // version. A nil error is the serving layer's commit ack: the shard wrote
 // the page image and its covering group-commit fdatasync completed.
+//
+//simlint:hotpath
 func (s *Server) Put(p *sim.Proc, t *TenantAccount, key uint64) (uint64, error) {
 	start := p.Now()
 	s.throttle(p, t)

@@ -48,6 +48,11 @@ type Store struct {
 	syncing  bool
 	syncDone *sim.Queue
 
+	// Scratch page images for real-bytes operations. Several processes are
+	// inside the store at once, so this is a free list, not one buffer; the
+	// device copies what it is given before a command returns.
+	pages [][]byte
+
 	puts  int64
 	gets  int64
 	syncs int64
@@ -159,14 +164,36 @@ func (st *Store) SetSlowdown(d time.Duration) { st.slowdown = d }
 // planning; serving reads go through Get.
 func (st *Store) Version(key uint64) uint64 { return st.vers[key] }
 
+// page returns a scratch page image in real-bytes mode and nil in timing
+// mode; the caller hands it back with donePage when its command returns.
+func (st *Store) page() []byte {
+	if !st.real {
+		return nil
+	}
+	if n := len(st.pages); n > 0 {
+		pg := st.pages[n-1]
+		st.pages = st.pages[:n-1]
+		return pg
+	}
+	return make([]byte, st.file.PageSize()) //simlint:allow hotalloc free-list miss; the store keeps as many scratch pages as it has had operations in flight at once
+}
+
+func (st *Store) donePage(pg []byte) {
+	if pg != nil {
+		st.pages = append(st.pages, pg)
+	}
+}
+
 // Put durably writes the next version of key and returns it. The version
 // is assigned under the key's stripe lock, so concurrent Puts to one key
 // serialize and versions land on media in ascending order. The returned
 // version is acknowledged: the write and its covering fdatasync completed.
+//
+//simlint:hotpath
 func (st *Store) Put(p *sim.Proc, key uint64) (uint64, error) {
 	slot, ok := st.slots[key]
 	if !ok {
-		return 0, fmt.Errorf("serve: put of unknown key %d", key)
+		return 0, fmt.Errorf("serve: put of unknown key %d", key) //simlint:allow hotalloc the key is outside the shard: a routing bug, not a serving path
 	}
 	lock := st.stripes[mix64(key)%storeStripes]
 	lock.Acquire(p, 1)
@@ -188,10 +215,12 @@ func (st *Store) Put(p *sim.Proc, key uint64) (uint64, error) {
 // or a catch-up replay of an already-applied write costs nothing and never
 // regresses the media. The applied version is whatever is durable afterwards
 // (max of the replica's state and ver).
+//
+//simlint:hotpath
 func (st *Store) PutVersion(p *sim.Proc, key uint64, ver uint64) error {
 	slot, ok := st.slots[key]
 	if !ok {
-		return fmt.Errorf("serve: put of unknown key %d", key)
+		return fmt.Errorf("serve: put of unknown key %d", key) //simlint:allow hotalloc the key is outside the shard: a routing bug, not a serving path
 	}
 	lock := st.stripes[mix64(key)%storeStripes]
 	lock.Acquire(p, 1)
@@ -208,12 +237,13 @@ func (st *Store) PutVersion(p *sim.Proc, key uint64, ver uint64) error {
 // writeLocked performs the write + group-commit under the caller-held
 // stripe lock and records the new durable version.
 func (st *Store) writeLocked(p *sim.Proc, key uint64, slot int64, version uint64) error {
-	var data []byte
-	if st.real {
-		data = make([]byte, st.file.PageSize())
+	data := st.page()
+	if data != nil {
 		storage.BuildPageImage(data, key, version)
 	}
-	if err := st.file.WritePages(p, slot, 1, data); err != nil {
+	err := st.file.WritePages(p, slot, 1, data)
+	st.donePage(data)
+	if err != nil {
 		return err
 	}
 	st.writeGen++
@@ -234,6 +264,8 @@ func (st *Store) writeLocked(p *sim.Proc, key uint64, slot int64, version uint64
 // (a corrupt image is an error — serving never papers over a failed
 // checksum); in timing mode the device read still happens but the version
 // is tracked in memory.
+//
+//simlint:hotpath
 func (st *Store) Get(p *sim.Proc, key uint64) (version uint64, found bool, err error) {
 	slot, ok := st.slots[key]
 	if !ok {
@@ -242,11 +274,9 @@ func (st *Store) Get(p *sim.Proc, key uint64) (version uint64, found bool, err e
 	if st.slowdown > 0 {
 		p.Sleep(st.slowdown)
 	}
-	var buf []byte
-	if st.real {
-		buf = make([]byte, st.file.PageSize())
-	}
+	buf := st.page()
 	if err := st.file.ReadPages(p, slot, 1, buf); err != nil {
+		st.donePage(buf)
 		return 0, false, err
 	}
 	st.gets++
@@ -254,8 +284,9 @@ func (st *Store) Get(p *sim.Proc, key uint64) (version uint64, found bool, err e
 		return st.vers[key], true, nil
 	}
 	id, version, ok := storage.ParsePageImage(buf)
+	st.donePage(buf)
 	if !ok || id != key {
-		return 0, false, fmt.Errorf("serve: corrupt page image for key %d", key)
+		return 0, false, fmt.Errorf("serve: corrupt page image for key %d", key) //simlint:allow hotalloc the page failed its checksum; the error names the key
 	}
 	return version, true, nil
 }
@@ -264,6 +295,8 @@ func (st *Store) Get(p *sim.Proc, key uint64) (version uint64, found bool, err e
 // gen. The first waiter of a round leads the sync; everyone whose write
 // preceded the leader's snapshot is acknowledged by the same device round
 // trip — classic group commit.
+//
+//simlint:hotpath
 func (st *Store) syncThrough(p *sim.Proc, gen uint64) error {
 	for st.syncGen < gen {
 		if st.syncing {

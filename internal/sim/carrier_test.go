@@ -218,3 +218,82 @@ func TestProcRecyclePanic(t *testing.T) {
 		t.Fatalf("%d goroutines after Close, want %d", got, base)
 	}
 }
+
+// TestSpawnRecyclesProc follows one Proc record through four spawned
+// processes: each runs under its own name — in Blocked, in panic attribution
+// — whatever the record was called before; a body that panics takes the
+// record out of circulation; Close unwinds a parked spawned process through
+// its deferred functions; and a steady-state Spawn + finish allocates
+// nothing.
+func TestSpawnRecyclesProc(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := New()
+	var first *Proc
+	e.Spawn("first", func(p *Proc) {
+		first = p
+		p.Sleep(time.Microsecond)
+	})
+	e.Run()
+	if len(e.spare) != 1 || e.spare[0] != first || e.Procs() != 0 {
+		t.Fatalf("after the first body: %d spare records, %d procs, want its record and 0", len(e.spare), e.Procs())
+	}
+
+	q := NewQueue(e)
+	e.Spawn("second", func(p *Proc) {
+		if p != first || p.Name() != "second" {
+			t.Errorf("second runs on record %p named %q, want the first's (%p) under its own name", p, p.Name(), first)
+		}
+		q.Wait(p)
+	})
+	e.Run()
+	if got := fmt.Sprint(e.Blocked()); got != "[second]" || len(e.spare) != 0 {
+		t.Fatalf("Blocked() = %s with %d spare, want [second] and 0", got, len(e.spare))
+	}
+	q.WakeOne()
+	e.Run()
+
+	e.Spawn("third", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		panic("kaboom")
+	})
+	msg := mustPanic(t, "Run", e.Run)
+	if !strings.Contains(msg, `"third"`) || strings.Contains(msg, "first") || strings.Contains(msg, "second") {
+		t.Fatalf("Run panicked with %q, want it blamed on third alone", msg)
+	}
+	if len(e.spare) != 0 || e.Procs() != 0 {
+		t.Fatalf("after the panic: %d spare records, %d procs, want none", len(e.spare), e.Procs())
+	}
+
+	noop := func(p *Proc) { p.Sleep(time.Microsecond) }
+	e.Spawn("steady", noop)
+	e.Run()
+	if allocs := testing.AllocsPerRun(200, func() {
+		e.Spawn("steady", noop)
+		e.Run()
+	}); allocs != 0 {
+		t.Fatalf("steady-state Spawn + finish allocates %.1f, want 0", allocs)
+	}
+
+	unwound := false
+	e.Spawn("fourth", func(p *Proc) {
+		defer func() { unwound = true }()
+		q.Wait(p)
+		t.Error("fourth resumed past its park")
+	})
+	e.Run()
+	if got := fmt.Sprint(e.Blocked()); got != "[fourth]" {
+		t.Fatalf("Blocked() = %s, want [fourth]", got)
+	}
+	e.Close()
+	if !unwound || e.spare != nil {
+		t.Fatalf("Close: deferred function ran %t, spare list dropped %t", unwound, e.spare == nil)
+	}
+	if msg := mustPanic(t, "Spawn after Close", func() { e.Spawn("late", noop) }); !strings.Contains(msg, "closed engine") {
+		t.Fatalf("Spawn after Close: %q", msg)
+	}
+	// At most: a goroutine of an earlier test may still have been exiting
+	// when base was read.
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after Close, want at most %d", got, base)
+	}
+}

@@ -158,6 +158,7 @@ type Domain struct {
 	linked  []bool   // linked[j]: this domain and domain j may exchange messages
 	out     [][]xmsg // outbox per destination domain; written only by this domain
 	sendSeq uint64
+	calls   []*call // records of finished Calls made from this domain, for reuse
 }
 
 // xmsg is one cross-domain message: a callback to run in the destination
@@ -522,6 +523,10 @@ func (d *Domain) Now() time.Duration { return d.eng.Now() }
 // Go starts a process in this domain (shorthand for Engine().Go).
 func (d *Domain) Go(name string, fn func(p *Proc)) *Proc { return d.eng.Go(name, fn) }
 
+// Spawn starts a process in this domain without a handle, on a recycled
+// Proc record (shorthand for Engine().Spawn).
+func (d *Domain) Spawn(name string, fn func(p *Proc)) { d.eng.Spawn(name, fn) }
+
 // Link declares that d and peer exchange messages: from here on Send and
 // Call between them are legal, in either direction. Declaring a link twice,
 // or from a domain to itself, changes nothing. Domains joined by a chain of
@@ -578,20 +583,71 @@ func (d *Domain) Send(dst *Domain, fn func()) {
 // each take one link-latency hop, so the caller observes at least 2*Latency
 // of round-trip time. fn's writes are visible to the caller when Call
 // returns (the epoch barrier orders them); it is the building block for
-// cross-domain request / completion pairs such as volume member I/O.
+// cross-domain request / completion pairs such as volume member I/O. The
+// call itself allocates nothing once the domain has made as many call
+// records as it has calls in flight at once: what a caller pays is its own
+// closure.
+//
+//simlint:hotpath
 func (d *Domain) Call(p *Proc, dst *Domain, name string, fn func(q *Proc)) {
 	if dst == d {
 		// Local fast path: no hops, run inline on the caller's process.
 		fn(p)
 		return
 	}
-	sig := NewSignal(d.eng)
-	//simlint:allow crossdomain sig is the rendezvous: Fire ships back on the completion hop before Wait resumes, so the two domains never touch it concurrently
-	d.Send(dst, func() {
-		dst.eng.Go(name, func(q *Proc) {
-			fn(q)
-			dst.Send(d, sig.Fire)
-		})
-	})
-	sig.Wait(p)
+	var c *call
+	if n := len(d.calls); n > 0 {
+		c = d.calls[n-1]
+		d.calls = d.calls[:n-1]
+	} else {
+		c = d.newCall()
+	}
+	c.dst, c.name, c.fn, c.done = dst, name, fn, false
+	d.Send(dst, c.fwd)
+	for !c.done {
+		c.wake.Wait(p)
+	}
+	c.fn = nil
+	d.calls = append(d.calls, c)
+}
+
+// call is one Domain.Call in flight. Its three steps are method values
+// bound when the record is made, so shipping them allocates nothing, and
+// the record is recycled through the calling domain's free list.
+//
+// Both domains use the record, never the same field at the same time: the
+// caller writes dst, name and fn before the request is sent and the callee
+// only reads them, after the request's hop; done and wake belong to the
+// caller's domain alone — the completion's hop is what carries the callee's
+// "finished" there. The record goes back on the list after that, so no
+// message can still refer to it.
+type call struct {
+	src, dst *Domain
+	name     string
+	fn       func(q *Proc)
+
+	done bool  // the completion arrived
+	wake Queue // where the caller parks, on src's engine
+
+	fwd  func()        // c.arrive: the request, run in dst
+	body func(q *Proc) // c.run: the process it starts in dst
+	back func()        // c.finish: the completion, run in src
+}
+
+func (d *Domain) newCall() *call { //simlint:allow hotalloc free-list miss; steady state reuses the records of finished calls
+	c := &call{src: d, wake: Queue{eng: d.eng}}
+	c.fwd, c.body, c.back = c.arrive, c.run, c.finish
+	return c
+}
+
+func (c *call) arrive() { c.dst.eng.Spawn(c.name, c.body) }
+
+func (c *call) run(q *Proc) {
+	c.fn(q)
+	c.dst.Send(c.src, c.back)
+}
+
+func (c *call) finish() {
+	c.done = true
+	c.wake.WakeAll()
 }

@@ -340,7 +340,7 @@ func TestClusterSelfSend(t *testing.T) {
 // hop, and the callee's writes are visible to the caller.
 func TestClusterCall(t *testing.T) {
 	const latency = 25 * time.Microsecond
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		c := NewCluster(3, latency, workers)
 		linkAll(c)
 		src, dst := c.Domain(0), c.Domain(2)
@@ -366,6 +366,68 @@ func TestClusterCall(t *testing.T) {
 		if want := 40*time.Microsecond + latency + 7*time.Microsecond + latency; returned != want {
 			t.Fatalf("workers=%d: caller resumed at %v, want %v", workers, returned, want)
 		}
+	}
+}
+
+// TestClusterCallAllocs: a Call is one pooled record, a recycled process in
+// the destination and two messages, so once warm it allocates nothing — what
+// a caller pays is whatever its own closure captures. Two calls in flight at
+// once need a record each, calls one after another share one, and the
+// callee runs under the name of its own call.
+func TestClusterCallAllocs(t *testing.T) {
+	c := NewCluster(2, 10*time.Microsecond, 1)
+	defer c.Close()
+	linkAll(c)
+	src, dst := c.Domain(0), c.Domain(1)
+	go1, go2 := NewQueue(src.Engine()), NewQueue(src.Engine())
+	calls := 0
+	body := func(q *Proc) { q.Sleep(time.Microsecond) } // captures nothing
+	src.Go("caller", func(p *Proc) {
+		for {
+			go1.Wait(p)
+			src.Call(p, dst, "callee", body)
+			calls++
+		}
+	})
+	src.Go("second-caller", func(p *Proc) {
+		for {
+			go2.Wait(p)
+			src.Call(p, dst, "second-callee", body)
+			calls++
+		}
+	})
+	c.Run() // both callers park
+
+	go1.WakeOne()
+	go2.WakeOne()
+	c.Run()
+	if calls != 2 || len(src.calls) != 2 || src.calls[0] == src.calls[1] {
+		t.Fatalf("two calls at once: %d returned on %d records, want 2 on 2", calls, len(src.calls))
+	}
+	if n := len(dst.Engine().spare); n != 2 {
+		t.Fatalf("destination holds %d spare process records, want 2", n)
+	}
+
+	stuck := NewQueue(dst.Engine())
+	src.Go("third-caller", func(p *Proc) {
+		src.Call(p, dst, "stuck-callee", func(q *Proc) { stuck.Wait(q) })
+	})
+	c.Run()
+	if got := fmt.Sprint(dst.Engine().Blocked()); got != "[stuck-callee]" {
+		t.Fatalf("destination Blocked() = %s, want the running call's own name", got)
+	}
+	stuck.WakeOne()
+	c.Run()
+
+	allocs := testing.AllocsPerRun(100, func() {
+		go1.WakeOne()
+		c.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed Call allocates %.1f, want 0", allocs)
+	}
+	if len(src.calls) != 2 {
+		t.Fatalf("%d call records after the run, want still 2", len(src.calls))
 	}
 }
 

@@ -37,6 +37,10 @@
 // stack its earlier bodies grew. Which stack runs a body is invisible to
 // the schedule: Go pushes the same start event either way.
 //
+// A process started with Spawn has no handle, so its Proc record is recycled
+// the same way: it goes on Engine.spare when its body returns, and the next
+// Spawn restarts it under its own name.
+//
 // Every carrier stays on Engine.all until Close stops it. A parked process
 // then sees its yield return false and unwinds with a private sentinel panic
 // that the carrier recovers: deferred functions run, the coroutine exits,
@@ -77,6 +81,7 @@ type Engine struct {
 
 	all    []*carrier // every live coroutine, for Close
 	idle   []*carrier // carriers whose process finished, ready for the next
+	spare  []*Proc    // records of finished Spawn processes, ready for the next
 	closed bool
 
 	dom *Domain // owning cluster domain; nil for a standalone engine
@@ -129,14 +134,41 @@ func (e *Engine) Schedule(d time.Duration, fn func()) {
 // current virtual time (after already-pending events at this instant).
 // Go may be called before Run or from within a running process.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
+	p := &Proc{eng: e}
+	e.start(p, name, fn)
+	return p
+}
+
+// Spawn is Go without the handle. Nothing outside fn can then refer to the
+// process, so when fn returns the engine takes the Proc record back, next to
+// the carrier it ran on, and a later Spawn starts on it: a run that spawns a
+// process per request allocates as many records as it has such processes in
+// flight at once. fn must not let its *Proc outlive the call. The schedule is
+// Go's: one start event at the current instant.
+//
+//simlint:hotpath
+func (e *Engine) Spawn(name string, fn func(p *Proc)) {
+	var p *Proc
+	if n := len(e.spare); n > 0 {
+		p = e.spare[n-1]
+		e.spare[n-1] = nil
+		e.spare = e.spare[:n-1]
+	} else {
+		p = &Proc{eng: e, recycle: true} //simlint:allow hotalloc spare-list miss; steady state reuses the records of finished spawned processes
+	}
+	e.start(p, name, fn)
+}
+
+// start puts a fresh or recycled process on the books and queues its first
+// resume.
+func (e *Engine) start(p *Proc, name string, fn func(p *Proc)) {
 	if e.closed {
 		panic("sim: Go on a closed engine")
 	}
-	p := &Proc{eng: e, name: name, body: fn}
+	p.name, p.body, p.dead = name, fn, false
 	e.procs++
 	e.addLive(p)
 	e.pushEvent(e.now, nil, p)
-	return p
 }
 
 // Run processes events until none remain, then returns. Processes that are
@@ -275,6 +307,9 @@ func (e *Engine) resume(p *Proc) {
 		e.finish(p)
 		c.p, p.car = nil, nil
 		e.idle = append(e.idle, c)
+		if p.recycle {
+			e.spare = append(e.spare, p)
+		}
 	}
 }
 
@@ -385,7 +420,7 @@ func (e *Engine) close() {
 	// Only now: deferred functions may still have released resources or
 	// woken queues, and those events must land somewhere.
 	e.heap, e.arena, e.free = nil, nil, nil
-	e.live, e.idle, e.all = nil, nil, nil
+	e.live, e.idle, e.all, e.spare = nil, nil, nil, nil
 	e.procs = 0
 	if first != nil {
 		panic(first)
@@ -448,10 +483,11 @@ type Proc struct {
 	suspend func(struct{}) bool // car's yield, copied here so park reaches it in one load
 	blocked bool                // parked, wakeup not yet processed
 	dead    bool                // body finished or panicked
+	recycle bool                // started by Spawn: the record returns to eng.spare
 	liveIdx int32               // position in eng.live; -1 when finished
 }
 
-// Name returns the name given to Engine.Go.
+// Name returns the name given to Engine.Go or Engine.Spawn.
 func (p *Proc) Name() string { return p.name }
 
 // Engine returns the engine this process belongs to.

@@ -67,11 +67,11 @@ func TestCheckRegressionAllocs(t *testing.T) {
 	mk := func(allocs uint64) []Result {
 		return []Result{{Name: "s", Events: 1000, Wall: 100 * time.Microsecond, Allocs: allocs}}
 	}
-	if _, err := CheckRegression(mk(900), base, 2.0); err != nil {
-		t.Errorf("0.9 allocs/event vs 0.5 baseline at 2x: unexpected failure: %v", err)
+	if _, err := CheckRegression(mk(620), base, 2.0); err != nil {
+		t.Errorf("0.62 allocs/event vs 0.5 baseline (limit 0.625): unexpected failure: %v", err)
 	}
-	if _, err := CheckRegression(mk(1200), base, 2.0); err == nil {
-		t.Error("1.2 allocs/event vs 0.5 baseline at 2x: regression not caught")
+	if _, err := CheckRegression(mk(630), base, 2.0); err == nil {
+		t.Error("0.63 allocs/event vs 0.5 baseline (limit 0.625): regression not caught")
 	}
 	// Scenarios absent from the baseline start a fresh trajectory.
 	fresh := []Result{{Name: "new", Events: 1000, Wall: time.Second, Allocs: 1 << 20}}
@@ -80,7 +80,7 @@ func TestCheckRegressionAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckRegressionLikeForLike pins the host-time arm of the -check gate:
+// TestCheckRegressionLikeForLike pins both arms of the -check gate. Timing:
 // a cluster scenario's ns/event is compared only against a baseline from a
 // host with the same CPU count, a single-engine scenario's always, and the
 // allocs/event arm runs either way.
@@ -114,5 +114,16 @@ func TestCheckRegressionLikeForLike(t *testing.T) {
 	clustered.Wall = 100 * time.Microsecond
 	if _, err := CheckRegression([]Result{clustered}, other, 2.0); err == nil {
 		t.Error("allocs/event regression of a cluster result passed against a different-CPU baseline")
+	}
+	// The allocs arm has its own, tighter factor: 1.15x + 0.05 of the 0.5
+	// baseline is 0.625 allocs/event, whatever the timing factor.
+	solo.Wall = 100 * time.Microsecond
+	solo.Allocs = 650 // 1.3x
+	if _, err := CheckRegression([]Result{solo}, same, 2.0); err == nil {
+		t.Error("1.3x allocs/event regression passed")
+	}
+	solo.Allocs = 550 // 1.1x
+	if _, err := CheckRegression([]Result{solo}, same, 2.0); err != nil {
+		t.Errorf("1.1x allocs/event failed: %v", err)
 	}
 }

@@ -133,7 +133,7 @@ func (v *volume) fanout(p *sim.Proc, segs []segment, op func(q *sim.Proc, s segm
 	for i := range segs {
 		i := i
 		wg.Add(1)
-		v.eng.Go("vol-io", func(q *sim.Proc) {
+		v.eng.Spawn("vol-io", func(q *sim.Proc) {
 			defer wg.Done()
 			errs[i] = op(q, segs[i])
 		})
@@ -197,7 +197,7 @@ func flushAll(v *volume, p *sim.Proc, req iotrace.Req) error {
 	for i, m := range v.members {
 		i, m := i, m
 		wg.Add(1)
-		v.eng.Go("vol-flush", func(q *sim.Proc) {
+		v.eng.Spawn("vol-flush", func(q *sim.Proc) {
 			defer wg.Done()
 			errs[i] = m.Flush(q, iotrace.Req{Op: req.Op, Origin: req.Origin})
 		})
