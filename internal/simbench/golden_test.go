@@ -18,6 +18,7 @@ import (
 	"durassd/internal/fio"
 	"durassd/internal/iotrace"
 	"durassd/internal/repro"
+	"durassd/internal/serve"
 	"durassd/internal/workload/ycsb"
 )
 
@@ -46,6 +47,21 @@ func goldenCases() map[string]digestFn {
 		"crashpoint-pgsql-durassd":      func(t *testing.T) string { return crashpointDigest(t, faults.EnginePgSQL, 4) },
 		"fio-fsync-durassd":             fioDigest,
 		"ycsb-a-durassd":                ycsbDigest,
+		"serve-midburst": func(t *testing.T) string {
+			return serveDigest(t, crashpoint.Campaign{
+				Burst: &serve.BurstSpec{Shards: 4, Volatile: []int{1, 3}, Updates: 120, Seed: 5}, MaxPoints: 6,
+			})
+		},
+		"serve-replicaloss-r3w2": func(t *testing.T) string {
+			return serveDigest(t, crashpoint.Campaign{
+				Replica: &serve.ReplicaSpec{Groups: 2, Replicas: 3, Quorum: 2, Updates: 120, Seed: 6}, MaxPoints: 6,
+			})
+		},
+		"serve-replicaloss-r1-volatile": func(t *testing.T) string {
+			return serveDigest(t, crashpoint.Campaign{
+				Replica: &serve.ReplicaSpec{Groups: 2, Replicas: 1, Quorum: 1, Volatile: true, Updates: 120, Seed: 7}, MaxPoints: 6,
+			})
+		},
 	}
 }
 
@@ -100,6 +116,36 @@ func crashpointDigest(t *testing.T, engine faults.EngineKind, seed int64) string
 	}
 	return hash(fmt.Sprintf("schedule=%s points=%d unsafe=%d lost=%d torn=%d\n",
 		res.Digest, len(res.Points), res.Unsafe, res.Lost, res.Torn))
+}
+
+// serveDigest explores a serving-layer campaign (MidBurst or ReplicaLoss)
+// and hashes the schedule digest, the points, and every outcome's tallies by
+// device class beside the replication ones.
+func serveDigest(t *testing.T, c crashpoint.Campaign) string {
+	t.Helper()
+	res, err := crashpoint.Explore(c)
+	if err != nil {
+		t.Fatalf("crashpoint.Explore: %v", err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "schedule=%s points=%d\n", res.Digest, len(res.Points))
+	for _, o := range res.Outcomes {
+		var vlost, vtorn, groupLost, catchup int
+		switch {
+		case o.Burst != nil:
+			vlost, vtorn = o.Burst.VolatileLost, o.Burst.VolatileTorn
+		case c.Replica.Volatile:
+			vlost, vtorn = o.Replica.GroupLost+o.Replica.Lost, o.Replica.Torn
+			groupLost, catchup = o.Replica.GroupLost, o.Replica.CatchupKeys
+		default:
+			groupLost, catchup = o.Replica.GroupLost, o.Replica.CatchupKeys
+		}
+		fmt.Fprintf(&b, "%s@%d tear=%d acked=%d lost=%d torn=%d vlost=%d vtorn=%d grouplost=%d catchup=%d\n",
+			o.Point.Kind, int64(o.Point.At), o.Point.DumpTear,
+			o.Verdict.AckedCommits, o.Verdict.LostCommits, o.Verdict.TornPages,
+			vlost, vtorn, groupLost, catchup)
+	}
+	return hash(b.String())
 }
 
 // fioDigest runs a small fsync-heavy fio job on DuraSSD and hashes the
