@@ -27,9 +27,16 @@
 // replica at every derived instant (plus a second cut mid catch-up), while
 // the R=1 volatile control loses acked writes, reported under VolLost.
 //
-// Failing trials are collected and reported together at the end; any
-// failure (or any lost commit / torn page in a configuration expected to
-// be safe) makes the process exit non-zero.
+// Exit status. Failing trials are collected and reported together on stderr
+// at the end, and any of them makes the process exit 1. In -explore mode a
+// row fails when it contradicts what it was built to show
+// (crashpoint.Problems): a durable row (DuraSSD engines, SSD-A with barriers
+// on, MidBurst's DuraSSD shards, ReplicaLoss R=3) with an unsafe crash point
+// — each such point is listed with its ordinal, kind, instant and the first
+// pages or keys it lost — or a volatile control row that lost nothing, which
+// means the audit stopped seeing what it exists to see. The random mode
+// fails only when a trial cannot run or audit; its verdict column is the
+// report.
 package main
 
 import (
@@ -132,8 +139,8 @@ func randomCampaign(trials int, seed int64) []string {
 }
 
 // exploreCampaign runs the systematic crash-point matrix: both engines,
-// both devices, fast and safe host configurations. Returns descriptions of
-// failing explorations.
+// both devices, fast and safe host configurations, and the serving
+// campaigns. Returns what each row got wrong.
 func exploreCampaign(points, updates int, seed int64) []string {
 	var failures []string
 	tbl := stats.NewTable("Systematic crash-point exploration (engine × device × config)",
@@ -149,12 +156,7 @@ func exploreCampaign(points, updates int, seed int64) []string {
 			counts[crashpoint.AfterAck], counts[crashpoint.MidProgram], counts[crashpoint.MidDump],
 			counts[crashpoint.MidMigration], counts[crashpoint.MidCatchup],
 			res.Lost, res.Torn, res.VolatileLost, res.Unsafe, res.Digest[:12])
-		for _, o := range res.Outcomes {
-			if o.Verdict.Err != nil {
-				failures = append(failures, fmt.Sprintf("%s %s at %v: %v",
-					c.Name(), o.Point.Kind, o.Point.At, o.Verdict.Err))
-			}
-		}
+		failures = append(failures, crashpoint.Problems(c, res)...)
 	}
 	tbl.AddComment("Each point is one deterministic replay with the cut pinned to that instant")
 	tbl.AddComment("Digest: SHA-256 prefix of the canonical schedule (same seed => same digest)")

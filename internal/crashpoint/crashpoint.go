@@ -15,13 +15,22 @@
 // the schedule says. Two explorations with the same campaign produce the
 // same schedule digest and the same verdicts; the digest is part of the
 // result so harnesses can assert it.
+//
+// There is one harness. Explore — probe, derive, sample, add the subject's
+// own points, sort, digest, replay and tally — is written once over a
+// subject (subject.go), and there are two of those: a database engine on a
+// volume (faults.RunWith) and the serving layer over replica groups
+// (serve.RunCrash, which both the MidBurst and the ReplicaLoss campaigns
+// lower to). Problems then judges a result against what its row of the
+// matrix was built to show.
 package crashpoint
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -95,7 +104,7 @@ type Point struct {
 type Campaign struct {
 	// Scenario is the workload and device configuration to explore. Its
 	// CutAfter is ignored: the exploration chooses the cut instants.
-	// Ignored when Burst is set.
+	// Ignored when Burst or Replica is set.
 	Scenario faults.Scenario
 	// Burst, when non-nil, explores the serving-layer mid-burst scenario
 	// instead of a single-engine database scenario: a multi-tenant write
@@ -120,7 +129,8 @@ type Campaign struct {
 	DumpTears int
 }
 
-// Name summarizes the campaign's configuration, whichever runner it uses.
+// Name summarizes the campaign's configuration, whichever subject it
+// explores.
 func (c Campaign) Name() string {
 	if c.Burst != nil {
 		return c.Burst.Name()
@@ -131,21 +141,19 @@ func (c Campaign) Name() string {
 	return c.Scenario.Name()
 }
 
-// Outcome pairs a crash point with its audited verdict. For burst
-// campaigns, Verdict carries the DuraSSD-side tallies (the claim under
-// test) and Burst the full split-by-device-class verdict; for replica-loss
-// campaigns, Verdict mirrors the claim-under-test tallies and Replica
-// carries the full replication verdict.
+// Outcome pairs a crash point with its audited verdict. For serving
+// campaigns (Burst, Replica) Verdict mirrors the claim under test — acked,
+// what the DuraSSD groups or the quorum lost and tore, the first findings,
+// the audit error — so reporting reads every campaign alike, and Serve
+// carries the rig's full verdict: the volatile-class and replication tallies.
 type Outcome struct {
 	Point   Point
 	Verdict *faults.Verdict
-	Burst   *serve.BurstVerdict
-	Replica *serve.ReplicaVerdict
+	Serve   *serve.CrashVerdict
 }
 
 // Result is the outcome of one exploration.
 type Result struct {
-	Scenario faults.Scenario
 	// Name is the campaign name the result belongs to (Campaign.Name()).
 	Name string
 	// Points are the enumerated crash points, in execution order.
@@ -156,12 +164,12 @@ type Result struct {
 	// Outcomes holds one verdict per point, aligned with Points.
 	Outcomes []Outcome
 	// Unsafe counts outcomes that lost an acked commit, exposed a torn
-	// page, or failed to recover at all. For burst campaigns only the
-	// DuraSSD shards count: volatile-shard loss is the expected control
+	// page, or failed to recover at all. For serving campaigns only the
+	// DuraSSD groups count: volatile-group loss is the expected control
 	// outcome, tallied separately below.
 	Unsafe int
-	// Lost and Torn total the losses across all outcomes (DuraSSD shards
-	// only for burst campaigns).
+	// Lost and Torn total the losses across all outcomes (DuraSSD groups
+	// only for serving campaigns).
 	Lost, Torn int
 	// VolatileLost and VolatileTorn total the expected losses on the
 	// volatile-cache shards of burst campaigns and on the volatile R=1
@@ -178,6 +186,53 @@ func (r *Result) KindCounts() [int(numKinds)]int {
 	return c
 }
 
+// Problems judges one row of the matrix: what about res contradicts the claim
+// c was built to show. A durable row fails on any unsafe point, and says
+// which points and what each lost. A control row — an SSD-A engine cell with
+// barriers off, a MidBurst with volatile shards, the volatile R=1 group —
+// must lose something: a control that stops failing is a broken audit. An
+// audit that could not run is a problem on any row.
+func Problems(c Campaign, res *Result) []string {
+	var out []string
+	engineControl := c.Burst == nil && c.Replica == nil && c.Scenario.Device == faults.SSDA && !c.Scenario.Barrier
+	servingControl := (c.Burst != nil && len(c.Burst.Volatile) > 0) || (c.Replica != nil && c.Replica.Volatile)
+	controlLoss := res.VolatileLost
+	if engineControl {
+		controlLoss = res.Lost + res.Torn
+	}
+	if (engineControl || servingControl) && controlLoss == 0 {
+		out = append(out, fmt.Sprintf("%s: volatile control lost nothing over %d crash points", res.Name, len(res.Points)))
+	}
+	if res.Unsafe > 0 && !engineControl {
+		out = append(out, fmt.Sprintf("%s: %d of %d crash points unsafe", res.Name, res.Unsafe, len(res.Points)))
+	}
+	for i, o := range res.Outcomes {
+		v := o.Verdict
+		if v.Err == nil && (v.Safe() || engineControl) {
+			continue
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s: point %d %s", res.Name, i+1, o.Point.Kind)
+		if o.Point.Kind == MidDump {
+			fmt.Fprintf(&b, " tear %d", o.Point.DumpTear)
+		}
+		fmt.Fprintf(&b, " at %v: ", o.Point.At)
+		if v.Err != nil {
+			fmt.Fprint(&b, v.Err)
+		} else {
+			fmt.Fprintf(&b, "lost %d torn %d of %d acked", v.LostCommits, v.TornPages, v.AckedCommits)
+		}
+		for _, l := range v.Losses {
+			fmt.Fprintf(&b, "; member %d key %d acked v%d found v%d", l.Member, l.Key, l.Acked, l.Found)
+			if l.Torn {
+				b.WriteString(" (torn)")
+			}
+		}
+		out = append(out, b.String())
+	}
+	return out
+}
+
 // event is one recorded device event.
 type event struct {
 	member int
@@ -185,8 +240,9 @@ type event struct {
 	at     time.Duration
 }
 
-// Explore runs the campaign: one probe run to record the schedule, one
-// probe cut to size the dump, then one deterministic replay per point.
+// Explore runs the campaign on its subject: one probe run to record the
+// schedule, the points derived from it plus the subject's own, then one
+// deterministic replay per point.
 func Explore(c Campaign) (*Result, error) {
 	if c.MaxPoints <= 0 {
 		c.MaxPoints = 24
@@ -194,107 +250,75 @@ func Explore(c Campaign) (*Result, error) {
 	if c.DumpTears == 0 {
 		c.DumpTears = 3
 	}
-	if c.Burst != nil {
-		return exploreBurst(c)
-	}
-	if c.Replica != nil {
-		return exploreReplica(c)
-	}
-	s := c.Scenario
-	s.CutAfter = 0
-
-	// Probe: run the workload to completion, recording the schedule.
-	var events []event
-	_, err := faults.RunWith(s, faults.Options{
-		NoCut: true,
-		EventFn: func(member int, kind iotrace.EventKind, at time.Duration) {
-			events = append(events, event{member, kind, at})
-		},
-	})
+	sub := newSubject(c)
+	events, err := sub.probe()
 	if err != nil {
-		return nil, fmt.Errorf("crashpoint: probe run: %w", err)
+		return nil, fmt.Errorf("crashpoint: %s probe run: %w", c.Name(), err)
 	}
 	if len(events) == 0 {
-		return nil, fmt.Errorf("crashpoint: probe run recorded no device events")
+		return nil, fmt.Errorf("crashpoint: %s probe run recorded no device events", c.Name())
 	}
-
-	prof, err := faults.Profile(s.Device)
+	prof, err := sub.profile()
 	if err != nil {
 		return nil, err
 	}
-	points, lastAck := derivePoints(events, prof.NAND.ProgramLatency, prof.NAND.EraseLatency)
-	points = samplePoints(points, c.MaxPoints)
-
-	// Mid-dump points: cut at the latest acknowledged write (maximal dirty
-	// state), count the dump the firmware performs, then enumerate tears.
-	if c.DumpTears > 0 && prof.Cache.Durable && lastAck > 0 {
-		s2 := s
-		s2.CutAfter = lastAck
-		probe, err := faults.RunWith(s2, faults.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("crashpoint: dump probe: %w", err)
-		}
-		n := int(probe.DumpPages)
-		tears := c.DumpTears
-		if tears > n {
-			tears = n
-		}
-		for i := 0; i < tears; i++ {
-			// Evenly spaced 1-based indices across the dump, last included.
-			k := 1 + i*(n-1)/max(1, tears-1)
-			if tears == 1 {
-				k = n
-			}
-			points = append(points, Point{Kind: MidDump, At: lastAck, DumpTear: k})
-		}
+	points := samplePoints(derivePoints(events, prof.NAND.ProgramLatency, prof.NAND.EraseLatency), c.MaxPoints)
+	extra, err := sub.extraPoints(events, prof)
+	if err != nil {
+		return nil, fmt.Errorf("crashpoint: %s: %w", c.Name(), err)
 	}
+	points = append(points, extra...)
 	sortPoints(points)
-	points = dedupePoints(points)
+	points = slices.Compact(points)
 
-	res := &Result{Scenario: s, Name: s.Name(), Points: points, Digest: digest(s, len(events), points)}
-
-	// Replay: one deterministic trial per point. The interrupted-erase
-	// fault is armed in every trial — it only changes behaviour when an
-	// erase pulse is actually in flight at the cut, and arming it uniformly
-	// keeps the fault surface maximal.
-	for _, pt := range points {
-		s2 := s
-		s2.CutAfter = pt.At
-		v, err := faults.RunWith(s2, faults.Options{
-			DumpTearAfter:    pt.DumpTear,
-			InterruptedErase: true,
-		})
+	res := &Result{Name: c.Name(), Points: points, Digest: digest(sub.header(), len(events), points)}
+	for i, pt := range points {
+		o, err := sub.replay(i, pt)
 		if err != nil {
-			return nil, fmt.Errorf("crashpoint: %s at %v: %w", pt.Kind, pt.At, err)
+			return nil, fmt.Errorf("crashpoint: %s %s at %v: %w", c.Name(), pt.Kind, pt.At, err)
 		}
-		res.Outcomes = append(res.Outcomes, Outcome{Point: pt, Verdict: v})
-		if !v.Safe() {
+		o.Point = pt
+		res.Outcomes = append(res.Outcomes, o)
+		if !o.Verdict.Safe() {
 			res.Unsafe++
 		}
-		res.Lost += v.LostCommits
-		res.Torn += v.TornPages
+		res.Lost += o.Verdict.LostCommits
+		res.Torn += o.Verdict.TornPages
+		if o.Serve != nil {
+			res.VolatileLost += o.Serve.VolatileLost
+			res.VolatileTorn += o.Serve.VolatileTorn
+		}
 	}
 	return res, nil
 }
 
-// derivePoints turns the recorded schedule into candidate crash points and
-// also returns the latest write-ack cut instant (0 if none).
-func derivePoints(events []event, progLat, eraseLat time.Duration) ([]Point, time.Duration) {
+// ackSpan returns the cut instants right after the earliest and the latest
+// write ack of the schedule (0, 0 if it has none). +1ns: the scheduler fires
+// cut events before same-instant device events, so cutting exactly at the
+// ack timestamp would land *before* the acknowledgment in the replay.
+func ackSpan(events []event) (first, last time.Duration) {
+	for _, ev := range events {
+		if ev.kind != iotrace.EvWriteAck {
+			continue
+		}
+		at := ev.at + time.Nanosecond
+		if first == 0 || at < first {
+			first = at
+		}
+		last = max(last, at)
+	}
+	return first, last
+}
+
+// derivePoints turns the recorded schedule into candidate crash points.
+func derivePoints(events []event, progLat, eraseLat time.Duration) []Point {
 	var pts []Point
-	var lastAck time.Duration
 	flushStart := make(map[int]time.Duration)
 	retireStart := make(map[int]time.Duration)
 	for _, ev := range events {
 		switch ev.kind {
 		case iotrace.EvWriteAck:
-			// +1ns: the scheduler fires cut events before same-instant
-			// device events, so cutting exactly at the ack timestamp would
-			// land *before* the acknowledgment in the replay.
-			at := ev.at + time.Nanosecond
-			pts = append(pts, Point{Kind: AfterAck, At: at})
-			if at > lastAck {
-				lastAck = at
-			}
+			pts = append(pts, Point{Kind: AfterAck, At: ev.at + time.Nanosecond}) // see ackSpan
 		case iotrace.EvProgram:
 			pts = append(pts, Point{Kind: MidProgram, At: ev.at + progLat/2})
 		case iotrace.EvErase:
@@ -315,7 +339,7 @@ func derivePoints(events []event, progLat, eraseLat time.Duration) ([]Point, tim
 			}
 		}
 	}
-	return pts, lastAck
+	return pts
 }
 
 // samplePoints enforces the MaxPoints cap: the budget is split evenly over
@@ -330,7 +354,7 @@ func samplePoints(pts []Point, maxPoints int) []Point {
 		}
 		byKind[p.Kind] = append(byKind[p.Kind], p)
 	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
+	slices.Sort(kinds)
 	quota := maxPoints / len(kinds)
 	if quota < 1 {
 		quota = 1
@@ -339,7 +363,7 @@ func samplePoints(pts []Point, maxPoints int) []Point {
 	for _, k := range kinds {
 		group := byKind[k]
 		sortPoints(group)
-		group = dedupePoints(group)
+		group = slices.Compact(group)
 		if len(group) <= quota {
 			out = append(out, group...)
 			continue
@@ -356,32 +380,16 @@ func samplePoints(pts []Point, maxPoints int) []Point {
 }
 
 func sortPoints(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].At != pts[j].At {
-			return pts[i].At < pts[j].At
-		}
-		if pts[i].Kind != pts[j].Kind {
-			return pts[i].Kind < pts[j].Kind
-		}
-		return pts[i].DumpTear < pts[j].DumpTear
+	slices.SortFunc(pts, func(a, b Point) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.DumpTear, b.DumpTear))
 	})
 }
 
-func dedupePoints(pts []Point) []Point {
-	out := pts[:0]
-	for i, p := range pts {
-		if i > 0 && p == pts[i-1] {
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// digest serializes the schedule canonically and hashes it.
-func digest(s faults.Scenario, eventCount int, pts []Point) string {
+// digest serializes the schedule canonically — the subject's header line,
+// then one line per point — and hashes it.
+func digest(header string, eventCount int, pts []Point) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scenario=%s engine=%s seed=%d events=%d\n", s.Name(), s.Engine, s.Seed, eventCount)
+	fmt.Fprintf(&b, "%s events=%d\n", header, eventCount)
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%s@%d tear=%d\n", p.Kind, int64(p.At), p.DumpTear)
 	}

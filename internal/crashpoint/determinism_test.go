@@ -26,8 +26,8 @@ func TestMatrixDigestSetDeterminism(t *testing.T) {
 				fmt.Fprintf(&b, " | %s@%d tear=%d acked=%d lost=%d torn=%d safe=%t",
 					o.Point.Kind, int64(o.Point.At), o.Point.DumpTear,
 					o.Verdict.AckedCommits, o.Verdict.LostCommits, o.Verdict.TornPages, o.Verdict.Safe())
-				if o.Burst != nil {
-					fmt.Fprintf(&b, " vlost=%d vtorn=%d", o.Burst.VolatileLost, o.Burst.VolatileTorn)
+				if o.Serve != nil {
+					fmt.Fprintf(&b, " vlost=%d vtorn=%d", o.Serve.VolatileLost, o.Serve.VolatileTorn)
 				}
 			}
 			b.WriteByte('\n')

@@ -6,78 +6,63 @@ import (
 )
 
 // Matrix returns the canonical exploration campaign set that
-// `crashtest -explore` runs: both engines crossed with the three host
-// configurations the paper contrasts — DuraSSD in the fast configuration
-// (barriers off, torn-page protection off), the volatile-cache SSD-A in
-// the same fast configuration (where it must fail), and SSD-A in the
-// safe-but-slow configuration (where software protection saves it) — plus
-// a wear-out cell: DuraSSD in the fast configuration with bad-block
-// retirement armed, so the exploration also cuts power mid-migration.
+// `crashtest -explore` runs, one row per campaign.
 //
-// The ninth campaign is MidBurst: a multi-tenant write burst through the
-// internal/serve gateway over four shards, two DuraSSD and two volatile,
-// all in the fast configuration, with the cut hitting every shard at the
-// derived instant. It extends the claim one layer up: an ack returned
-// through the serving layer is durable exactly when the shard underneath
-// has a durable cache.
+// Rows 1–8 cross both engines with the three host configurations the paper
+// contrasts — DuraSSD in the fast configuration (barriers off, torn-page
+// protection off), the volatile-cache SSD-A in the same fast configuration
+// (where it must fail), and SSD-A in the safe-but-slow configuration (where
+// software protection saves it) — plus a wear-out cell: DuraSSD in the fast
+// configuration with bad-block retirement armed, so the exploration also
+// cuts power mid-migration.
+//
+// Row 9 is MidBurst: a multi-tenant write burst through the internal/serve
+// gateway over four shards, two DuraSSD and two volatile, all in the fast
+// configuration, with the cut hitting every shard at the derived instant. It
+// extends the claim one layer up: an ack returned through the serving layer
+// is durable exactly when the shard underneath has a durable cache.
+//
+// Rows 10 and 11 are ReplicaLoss: the same burst through R=3 W=2 replicated
+// DuraSSD shard groups, with a single replica of every group cut at the
+// derived instant (the victim rotating across points) plus a mid-catch-up
+// double fault. Quorum-acked writes must survive every point. The R=1
+// volatile control demonstrates the opposite: no quorum, no durable cache,
+// acked writes vanish — tallied as VolLost, the expected control outcome.
 //
 // Keeping the matrix here, rather than inlined in cmd/crashtest, lets the
 // determinism regression test replay the exact same campaign set twice and
-// assert the full digest set is byte-identical.
+// assert the full digest set is byte-identical. It only describes: no rig,
+// profile or subject is built until Explore.
 func Matrix(points, updates int, seed int64) []Campaign {
-	var out []Campaign
-	for _, eng := range []faults.EngineKind{faults.EngineInnoDB, faults.EnginePgSQL} {
-		for _, cell := range []struct {
-			dev              faults.DeviceKind
-			barrier, protect bool
-			wear             bool
-		}{
-			{faults.DuraSSD, false, false, false},
-			{faults.SSDA, false, false, false},
-			{faults.SSDA, true, true, false},
-			{faults.DuraSSD, false, false, true},
-		} {
-			out = append(out, Campaign{
-				Scenario: faults.Scenario{
-					Device: cell.dev, Engine: eng,
-					Barrier: cell.barrier, DoubleWrite: cell.protect,
-					Clients: 4, Updates: updates, Seed: seed,
-					WearOut: cell.wear,
-				},
-				MaxPoints: points,
-				DumpTears: 2,
-			})
+	engine := func(eng faults.EngineKind, dev faults.DeviceKind, safe, wear bool) Campaign {
+		return Campaign{
+			Scenario: faults.Scenario{
+				Device: dev, Engine: eng,
+				Barrier: safe, DoubleWrite: safe,
+				Clients: 4, Updates: updates, Seed: seed,
+				WearOut: wear,
+			},
+			MaxPoints: points,
+			DumpTears: 2,
 		}
 	}
-	out = append(out, Campaign{
-		Burst: &serve.BurstSpec{
-			Shards:   4,
-			Volatile: []int{1, 3},
-			Updates:  updates,
-			Seed:     seed,
-		},
-		MaxPoints: points,
-	})
-	// The tenth and eleventh campaigns are ReplicaLoss: the same write burst
-	// through R=3 W=2 replicated DuraSSD shard groups, with a single replica
-	// of every group cut at the derived instant (the victim rotating across
-	// points) plus a mid-catch-up double fault. Quorum-acked writes must
-	// survive every point. The R=1 volatile control demonstrates the
-	// opposite: no quorum, no durable cache, acked writes vanish — tallied
-	// as VolLost, the expected control outcome.
-	out = append(out, Campaign{
-		Replica: &serve.ReplicaSpec{
-			Groups: 2, Replicas: 3, Quorum: 2,
-			Updates: updates, Seed: seed,
-		},
-		MaxPoints: points,
-	})
-	out = append(out, Campaign{
-		Replica: &serve.ReplicaSpec{
-			Groups: 2, Replicas: 1, Quorum: 1, Volatile: true,
-			Updates: updates, Seed: seed,
-		},
-		MaxPoints: points,
-	})
-	return out
+	return []Campaign{
+		engine(faults.EngineInnoDB, faults.DuraSSD, false, false),
+		engine(faults.EngineInnoDB, faults.SSDA, false, false),
+		engine(faults.EngineInnoDB, faults.SSDA, true, false),
+		engine(faults.EngineInnoDB, faults.DuraSSD, false, true),
+		engine(faults.EnginePgSQL, faults.DuraSSD, false, false),
+		engine(faults.EnginePgSQL, faults.SSDA, false, false),
+		engine(faults.EnginePgSQL, faults.SSDA, true, false),
+		engine(faults.EnginePgSQL, faults.DuraSSD, false, true),
+		{MaxPoints: points, Burst: &serve.BurstSpec{
+			Shards: 4, Volatile: []int{1, 3}, Updates: updates, Seed: seed,
+		}},
+		{MaxPoints: points, Replica: &serve.ReplicaSpec{
+			Groups: 2, Replicas: 3, Quorum: 2, Updates: updates, Seed: seed,
+		}},
+		{MaxPoints: points, Replica: &serve.ReplicaSpec{
+			Groups: 2, Replicas: 1, Quorum: 1, Volatile: true, Updates: updates, Seed: seed,
+		}},
+	}
 }

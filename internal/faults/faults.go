@@ -23,8 +23,10 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"durassd/internal/dbsim/buffer"
@@ -155,13 +157,30 @@ type Verdict struct {
 	DumpPages    int64
 	DumpRetries  int64 // dump programs retried after a torn dump page
 	LostDevPages int64
-	Err          error
+	// Losses are the first maxLosses findings behind LostCommits, in
+	// (Member, Key) order.
+	Losses []Loss
+	Err    error
 
 	// Origins snapshots the device's per-origin traffic counters at the
 	// end of the run, attributing write amplification to the database
 	// mechanism (redo log, double-write, data pages) that caused it.
 	Origins [iotrace.NumOrigins]iotrace.OriginCounters
 }
+
+// Loss is one thing the audit found wrong: page Key reads back below its
+// acked version, or as an image that fails its checksum (Torn, Found 0).
+// Member is the volume member that holds it — 0 here, where the audit reads
+// through the engine and the volume; the serving rig, whose findings
+// crashpoint reports in the same record, numbers its replicas.
+type Loss struct {
+	Member            int
+	Key, Acked, Found uint64
+	Torn              bool
+}
+
+// maxLosses is how many findings a verdict keeps.
+const maxLosses = 8
 
 // Safe reports whether the configuration preserved every guarantee.
 func (v *Verdict) Safe() bool {
@@ -310,10 +329,14 @@ func RunWith(s Scenario, o Options) (*Verdict, error) {
 			}
 			if !ok || got < want {
 				v.LostCommits++
+				v.Losses = append(v.Losses, Loss{Key: uint64(id), Acked: want, Found: got, Torn: !ok})
 			}
 		}
 	})
 	eng.Run()
+	// The audit walks a map; the findings are reported in page order.
+	slices.SortFunc(v.Losses, func(a, b Loss) int { return cmp.Compare(a.Key, b.Key) })
+	v.Losses = v.Losses[:min(len(v.Losses), maxLosses)]
 	for _, m := range members {
 		for o := iotrace.Origin(0); o < iotrace.NumOrigins; o++ {
 			c := m.Registry().Origin(o)

@@ -1,30 +1,43 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"durassd/internal/iotrace"
 	"durassd/internal/sim"
 	"durassd/internal/ssd"
-	"durassd/internal/storage"
 )
 
-// The MidBurst crash scenario: a multi-tenant write burst through the full
-// serving layer (gateway, ring, admission, group-commit shard stores) with
-// the power cut mid-burst across every shard at the same instant — the
-// whole box loses its supply, exactly the event the paper's §5.2 study
-// injects. Shards are a mix of DuraSSD and volatile-cache SSD-A drives,
-// all in the fast no-barrier configuration, so one campaign demonstrates
-// both halves of the claim at the serving layer: an ack returned through
-// the gateway is durable on DuraSSD shards and is not on volatile ones.
+// The serving crash rig. Every serving-layer crash campaign is one run of
+// RunCrash: tenants × writers Put through the full serving layer (gateway,
+// ring, admission, quorum fan-out, group-commit stores) over Groups replica
+// groups of R drives each, all in the fast no-barrier configuration, and
+// replica CutReplica of every group loses power at one instant. The audit
+// then asks what an ack through the gateway was worth: readable from the
+// survivors before the victims return, and present on every replica after
+// reboot, delta catch-up and anti-entropy.
+//
+// Two campaign families describe themselves declaratively and lower to it:
+//
+//   - MidBurst (BurstSpec) is the rig at R = 1, W = 1 with a device class
+//     per group: cutting "replica 0 of every group" takes the whole box —
+//     the event the paper's §5.2 study injects — and one run shows both
+//     halves of the claim, acks durable on DuraSSD shards and not on the
+//     volatile-cache ones.
+//   - ReplicaLoss (ReplicaSpec) is the replication contract: a write acked
+//     at quorum W over DuraSSD replicas survives the loss of any single
+//     replica at any instant, and of a second one mid catch-up. Its R = 1
+//     volatile control shows the opposite: no quorum, no durable cache,
+//     acked writes vanish.
 
-// burstLatency is the gateway<->shard link latency of the crash rig.
+// burstLatency is the gateway<->replica link latency of the crash rig.
 const burstLatency = 100 * time.Microsecond
 
-// BurstSpec configures one mid-burst crash run.
+// BurstSpec describes one MidBurst crash run.
 type BurstSpec struct {
 	// Shards is the shard count (default 4; at least 2).
 	Shards int
@@ -67,69 +80,205 @@ func (sp *BurstSpec) defaults() {
 	if sp.Keys <= 0 {
 		sp.Keys = 64
 	}
-	if sp.CutAfter == 0 {
-		sp.CutAfter = 5 * time.Millisecond
-	}
 }
 
 // Name summarizes the configuration (stable: it feeds schedule digests).
 func (sp BurstSpec) Name() string {
-	cp := sp
-	cp.defaults()
-	return fmt.Sprintf("serve midburst shards=%d volatile=%d barrier=off", cp.Shards, len(cp.Volatile))
+	sp.defaults()
+	return fmt.Sprintf("serve midburst shards=%d volatile=%d barrier=off", sp.Shards, len(sp.Volatile))
 }
 
-// BurstOptions are the probe/replay knobs crash-point exploration layers on
-// a BurstSpec, mirroring faults.Options.
-type BurstOptions struct {
-	// NoCut runs the burst to completion without a power cut (the probe
-	// run that records the command schedule).
+// Replicated lowers the burst to the spec the rig runs.
+func (sp BurstSpec) Replicated() ReplicaSpec {
+	sp.defaults()
+	return ReplicaSpec{
+		Groups: sp.Shards, Replicas: 1, Quorum: 1, VolatileGroups: sp.Volatile,
+		Tenants: sp.Tenants, Writers: sp.Clients, Updates: sp.Updates, Keys: sp.Keys,
+		Seed: sp.Seed, CutAfter: sp.CutAfter,
+	}
+}
+
+// ReplicaSpec describes one ReplicaLoss crash run, and is the spec the rig
+// takes.
+type ReplicaSpec struct {
+	// Groups is the number of shard replica groups (default 2).
+	Groups int
+	// Replicas is the replication factor R per group (default 3).
+	Replicas int
+	// Quorum is the write quorum W (default majority).
+	Quorum int
+	// Volatile builds every group on volatile-cache SSD-A drives instead of
+	// DuraSSD — the control configuration that loses acked writes.
+	// VolatileGroups does the same for the listed groups only.
+	Volatile       bool
+	VolatileGroups []int
+	// Tenants is the number of writer tenants, each with its own key space
+	// and account (default 1); Writers the writer processes per tenant
+	// (default 4).
+	Tenants int
+	Writers int
+	// Updates is the total number of Put attempts (default 160).
+	Updates int
+	// Keys is the per-tenant key-space size (default 96).
+	Keys int
+	Seed int64
+	// CutAfter is the instant the victim replica of every group loses power.
+	// Zero with NoCut unset means 5ms.
+	CutAfter time.Duration
+	// CutReplica is the victim replica index, cut in every group.
+	CutReplica int
+	// CutPeerDuringCatchup power-fails replica PeerCut of every group
+	// shortly after the victim's catch-up starts — the recovery-under-
+	// failure arm.
+	CutPeerDuringCatchup bool
+	PeerCut              int
+}
+
+func (sp *ReplicaSpec) defaults() {
+	if sp.Groups <= 0 {
+		sp.Groups = 2
+	}
+	if sp.Replicas <= 0 {
+		sp.Replicas = 3
+	}
+	if sp.Quorum <= 0 {
+		sp.Quorum = sp.Replicas/2 + 1
+	}
+	if sp.Tenants <= 0 {
+		sp.Tenants = 1
+	}
+	if sp.Writers <= 0 {
+		sp.Writers = 4
+	}
+	if sp.Updates <= 0 {
+		sp.Updates = 160
+	}
+	if sp.Keys <= 0 {
+		sp.Keys = 96
+	}
+	if sp.CutAfter == 0 {
+		sp.CutAfter = 5 * time.Millisecond
+	}
+	if sp.CutReplica < 0 || sp.CutReplica >= sp.Replicas {
+		sp.CutReplica = 0
+	}
+	if sp.PeerCut == sp.CutReplica || sp.PeerCut < 0 || sp.PeerCut >= sp.Replicas {
+		sp.PeerCut = (sp.CutReplica + 1) % sp.Replicas
+	}
+}
+
+// Name summarizes the configuration (stable: it feeds schedule digests).
+func (sp ReplicaSpec) Name() string {
+	sp.defaults()
+	dev := "durassd"
+	if sp.Volatile {
+		dev = "ssda"
+	}
+	return fmt.Sprintf("serve replicaloss groups=%d r=%d w=%d dev=%s", sp.Groups, sp.Replicas, sp.Quorum, dev)
+}
+
+// CrashOptions are the probe/replay knobs crash-point exploration layers on
+// a spec, mirroring faults.Options.
+type CrashOptions struct {
+	// NoCut runs the burst with no fault at all (the probe run that records
+	// the command schedule).
 	NoCut bool
-	// EventFn observes device events on every shard (member = shard index).
+	// EventFn observes device events on every replica
+	// (member = group*Replicas + replica).
 	EventFn func(member int, kind iotrace.EventKind, at time.Duration)
 }
 
-// BurstVerdict is the audited outcome of one mid-burst crash, split by
-// device class: the Dura tallies are the paper's claim under test (must be
-// zero), the Volatile tallies are the expected failure of the control
-// group.
-type BurstVerdict struct {
-	AckedCommits int // Puts acknowledged through the gateway before the cut
-	DuraKeys     int // distinct acked keys audited on DuraSSD shards
-	VolatileKeys int // distinct acked keys audited on volatile-cache shards
-	DuraLost     int // acked versions missing on DuraSSD shards after recovery
-	DuraTorn     int // DuraSSD pages failing their image checksum
-	VolatileLost int // acked versions missing on volatile shards
-	VolatileTorn int // volatile pages failing their image checksum
-	Shed         int // Puts shed by admission control (never acknowledged)
-	Err          error
+// Loss is one thing an audit found wrong: Member (group*Replicas + replica)
+// holds Key below its acked version, or holds an image that fails its
+// checksum (Torn, Found 0).
+type Loss struct {
+	Member            int
+	Key, Acked, Found uint64
+	Torn              bool
 }
 
-// Safe reports whether the DuraSSD shards preserved every guarantee. The
-// volatile tallies are deliberately not part of this: their loss is the
-// expected outcome, not a failure.
-func (v *BurstVerdict) Safe() bool {
-	return v.Err == nil && v.DuraLost == 0 && v.DuraTorn == 0
+// maxLosses is how many findings a verdict keeps.
+const maxLosses = 8
+
+// CrashVerdict is the audited outcome of one run. Lost and torn are tallied
+// by the device class of the group they were found on: the Dura tallies are
+// the claim under test (must be zero), the Volatile tallies the expected
+// failure of a control.
+type CrashVerdict struct {
+	AckedCommits int // Puts acknowledged through the gateway
+	DuraKeys     int // distinct acked keys audited on DuraSSD groups
+	VolatileKeys int // distinct acked keys audited on volatile-cache groups
+	// GroupLost counts acked keys whose acked version was not readable from
+	// any still-powered replica before the victims rebooted — the
+	// availability half of the quorum claim. Those replicas never lost
+	// power, so it must be 0 on either device class.
+	GroupLost int
+	// Lost counts (replica, key) pairs below the acked version after every
+	// reboot and catch-up completed — the convergence half. Torn counts page
+	// images failing their checksum in either audit (a torn image found
+	// after convergence is also Lost).
+	DuraLost, DuraTorn         int
+	VolatileLost, VolatileTorn int
+	// Losses are the first maxLosses findings behind the tallies above, in
+	// (Member, Key) order.
+	Losses []Loss
+	// CatchupKeys is the total keys delta-transferred to rejoining replicas;
+	// TotalKeys the resident key count (catch-up must move strictly less — a
+	// delta, not a rebuild).
+	CatchupKeys int
+	TotalKeys   int
+	// BehindAfter counts keys still marked behind after all catch-up passes
+	// (non-zero only when no live peer exists, i.e. at R = 1).
+	BehindAfter int
+	Shed        int // Puts shed by admission control (never acknowledged)
+	Unavailable int // Puts refused below quorum (never acknowledged)
+	Err         error
+}
+
+// Safe reports whether the claim under test held: no acked write was ever
+// unreadable, and the DuraSSD groups lost and tore nothing. The volatile
+// tallies are deliberately not part of this: their loss is the expected
+// outcome, not a failure.
+func (v *CrashVerdict) Safe() bool {
+	return v.Err == nil && v.GroupLost == 0 && v.DuraLost == 0 && v.DuraTorn == 0
 }
 
 // tenantKey builds tenant t's i-th key: disjoint per-tenant key spaces.
 func tenantKey(t, i int) uint64 { return uint64(t+1)<<32 | uint64(i) }
 
-// RunBurst executes the mid-burst crash scenario and audits the aftermath.
-func RunBurst(sp BurstSpec, o BurstOptions) (*BurstVerdict, error) {
-	sp.defaults()
-	v := &BurstVerdict{}
+// crashRead is one audited page: the on-media version, and whether the image
+// parsed.
+type crashRead struct {
+	ver uint64
+	ok  bool
+}
 
-	// The campaign replays need determinism of the recorded schedule, not
-	// wall-clock speed: one worker keeps event capture order trivially
-	// deterministic (and the digest-identity sweeps cover the parallel case
-	// separately).
-	cluster := sim.NewCluster(sp.Shards+1, burstLatency, 1)
+// RunCrash executes the crash scenario and audits the aftermath:
+// availability from the survivors, then reboot, peer catch-up, anti-entropy
+// and convergence on every replica.
+func RunCrash(sp ReplicaSpec, o CrashOptions) (*CrashVerdict, error) {
+	sp.defaults()
+	R := sp.Replicas
+	volatile := make([]bool, sp.Groups)
+	for g := range volatile {
+		volatile[g] = sp.Volatile
+	}
+	for _, g := range sp.VolatileGroups {
+		if g < 0 || g >= sp.Groups {
+			return nil, fmt.Errorf("serve: volatile group index %d out of range", g)
+		}
+		volatile[g] = true
+	}
+	v := &CrashVerdict{TotalKeys: sp.Tenants * sp.Keys}
+
+	// One worker: the campaign replays need determinism of the recorded
+	// schedule, not wall-clock speed (the digest sweeps cover parallelism).
+	cluster := sim.NewCluster(1+sp.Groups*R, burstLatency, 1)
 	defer cluster.Close()
 	front := cluster.Domain(0)
 
-	ring := NewRing(sp.Shards)
-	var keys []uint64
+	ring := NewRing(sp.Groups)
+	keys := make([]uint64, 0, v.TotalKeys)
 	for t := 0; t < sp.Tenants; t++ {
 		for i := 0; i < sp.Keys; i++ {
 			keys = append(keys, tenantKey(t, i))
@@ -137,147 +286,269 @@ func RunBurst(sp BurstSpec, o BurstOptions) (*BurstVerdict, error) {
 	}
 	parts := PartitionKeys(ring, keys)
 
-	isVolatile := make([]bool, sp.Shards)
-	for _, i := range sp.Volatile {
-		if i < 0 || i >= sp.Shards {
-			return nil, fmt.Errorf("serve: volatile shard index %d out of range", i)
-		}
-		isVolatile[i] = true
-	}
-	devs := make([]storage.Device, sp.Shards)
-	stores := make([]*Store, sp.Shards)
-	for i := 0; i < sp.Shards; i++ {
-		dom := cluster.Domain(i + 1)
+	// Member m = g*R + r is replica r of group g, on cluster domain 1 + m.
+	devs := make([]*ssd.Device, sp.Groups*R)
+	stores := make([]*Store, sp.Groups*R)
+	groups := make([][]*Store, sp.Groups)
+	for m := range stores {
+		g := m / R
+		dom := cluster.Domain(1 + m)
 		prof := ssd.DuraSSD(16)
-		if isVolatile[i] {
+		if volatile[g] {
 			prof = ssd.SSDA(16)
 		}
 		dev, err := ssd.New(dom.Engine(), prof)
 		if err != nil {
 			return nil, err
 		}
-		devs[i] = dev
-		st, err := OpenStore(dom, dev, parts[i], StoreConfig{Barrier: false, RealBytes: true})
-		if err != nil {
+		devs[m] = dev
+		if stores[m], err = OpenStore(dom, dev, parts[g], StoreConfig{Barrier: false, RealBytes: true}); err != nil {
 			return nil, err
 		}
-		stores[i] = st
 		if o.EventFn != nil {
-			member := i
 			dev.Registry().SetEventFn(func(kind iotrace.EventKind, at time.Duration) {
-				o.EventFn(member, kind, at)
+				o.EventFn(m, kind, at)
 			})
 		}
+		groups[g] = stores[g*R : m+1] // grows to the whole group
 	}
-	srv, err := New(front, stores, Config{Concurrency: 8, QueueDepth: 64, CacheSize: 64})
+	srv, err := NewReplicated(front, groups, Config{
+		Concurrency: 8, QueueDepth: 64, CacheSize: 64,
+		Group: GroupConfig{Quorum: sp.Quorum},
+	})
 	if err != nil {
 		return nil, err
 	}
 	srv.BuildFilters(parts)
 
-	// Writer tenants: Put random keys from their own space, record the
-	// acked versions. An ack through the gateway is the durability contract
-	// under audit.
+	// Writers: Put random keys of their tenant's space, record the versions
+	// acknowledged at quorum. An ack through the gateway is the durability
+	// contract under audit. The cut takes one replica of every group, so at
+	// R = 1 it takes the whole box: nothing can ack again, and a writer
+	// stops at its first refusal instead of spinning through its budget.
 	acked := make(map[uint64]uint64)
-	perClient := sp.Updates / (sp.Tenants * sp.Clients)
+	perWriter := sp.Updates / (sp.Tenants * sp.Writers)
+	boxCut := !o.NoCut && R == 1
 	for t := 0; t < sp.Tenants; t++ {
 		acct := NewTenantAccount(fmt.Sprintf("tenant%d", t), 1_000_000, 64)
-		for c := 0; c < sp.Clients; c++ {
-			tn, cn := t, c
-			rng := sim.NewRand(sp.Seed + int64(tn)*104_729 + int64(cn)*7_919)
-			front.Go(fmt.Sprintf("burst-%d-%d", tn, cn), func(p *sim.Proc) {
-				for i := 0; i < perClient; i++ {
-					key := tenantKey(tn, rng.Intn(sp.Keys))
+		for c := 0; c < sp.Writers; c++ {
+			rng := sim.NewRand(sp.Seed + int64(t)*104_729 + int64(c)*7_919)
+			front.Go(fmt.Sprintf("writer-%d-%d", t, c), func(p *sim.Proc) {
+				for i := 0; i < perWriter; i++ {
+					key := tenantKey(t, rng.Intn(sp.Keys))
 					ver, err := srv.Put(p, acct, key)
-					if errors.Is(err, ErrOverloaded) {
+					switch {
+					case err == nil:
+						if ver > acked[key] {
+							acked[key] = ver
+						}
+						v.AckedCommits++
+					case errors.Is(err, ErrOverloaded):
 						v.Shed++
-						continue
+					case errors.Is(err, ErrShardUnavailable):
+						v.Unavailable++
+						if boxCut && p.Now() >= sp.CutAfter {
+							return
+						}
+					default:
+						// Unexpected taxonomy escape; surface it in the verdict.
+						if v.Err == nil {
+							v.Err = fmt.Errorf("writer %d/%d: %w", t, c, err)
+						}
+						return
 					}
-					if err != nil {
-						return // power failed mid-operation
-					}
-					if ver > acked[key] {
-						acked[key] = ver
-					}
-					v.AckedCommits++
 				}
 			})
 		}
 	}
 
-	if !o.NoCut {
-		for i := 0; i < sp.Shards; i++ {
-			cy := devs[i].(storage.PowerCycler)
-			cluster.Domain(i+1).Engine().Schedule(sp.CutAfter, cy.PowerFail)
+	// cut power-fails replica r of every group after d; reboot brings it back
+	// (firmware recovery: DuraSSD recharges and keeps its cache, SSD-A comes
+	// back having lost whatever was in it).
+	down := make([]bool, R)
+	cut := func(r int, d time.Duration) {
+		down[r] = true
+		for m := r; m < len(devs); m += R {
+			stores[m].Domain().Engine().Schedule(d, devs[m].PowerFail)
 		}
+	}
+	reboot := func(r int) error {
+		errs := make([]error, sp.Groups)
+		for g := range errs {
+			m := g*R + r
+			stores[m].Domain().Go(fmt.Sprintf("reboot-%d-%d", g, r), func(p *sim.Proc) {
+				errs[g] = devs[m].Reboot(p)
+			})
+		}
+		cluster.Run()
+		down[r] = false
+		for g, err := range errs {
+			if err != nil {
+				return fmt.Errorf("group %d replica %d reboot: %w", g, r, err)
+			}
+		}
+		return nil
+	}
+	// catchUp delta-transfers to every replica in [lo, hi) that is marked
+	// behind, one gateway process per group.
+	catchUp := func(label string, lo, hi int) {
+		for g := 0; g < sp.Groups; g++ {
+			front.Go(fmt.Sprintf("%s-%d", label, g), func(p *sim.Proc) {
+				for r := lo; r < hi; r++ {
+					if srv.Group(g).Behind(r) > 0 {
+						n := srv.Group(g).CatchUp(p, r) // parks: add only once it is back
+						v.CatchupKeys += n
+					}
+				}
+			})
+		}
+		cluster.Run()
+	}
+
+	if !o.NoCut {
+		cut(sp.CutReplica, sp.CutAfter)
 	}
 	cluster.Run()
 	for _, dev := range devs {
 		dev.Registry().SetEventFn(nil) // the schedule covers the workload only
 	}
 
-	// Partition the acked keys by owning shard, in sorted key order so the
+	// Partition the acked keys by owning group, in sorted key order so the
 	// audit schedule never depends on map iteration.
-	sortedKeys := make([]uint64, 0, len(acked))
+	byGroup := make([][]uint64, sp.Groups)
 	for k := range acked {
-		sortedKeys = append(sortedKeys, k)
+		g := ring.Lookup(k)
+		byGroup[g] = append(byGroup[g], k)
 	}
-	sort.Slice(sortedKeys, func(i, j int) bool { return sortedKeys[i] < sortedKeys[j] })
-	byShard := make([][]uint64, sp.Shards)
-	for _, k := range sortedKeys {
-		sh := ring.Lookup(k)
-		byShard[sh] = append(byShard[sh], k)
-		if isVolatile[sh] {
-			v.VolatileKeys++
+	for g, ks := range byGroup {
+		slices.Sort(ks)
+		if volatile[g] {
+			v.VolatileKeys += len(ks)
 		} else {
-			v.DuraKeys++
+			v.DuraKeys += len(ks)
 		}
 	}
 
-	// Reboot every shard (firmware recovery) and audit: each acked version
-	// must still parse from its page image at or above the acked version.
-	lost := make([]int, sp.Shards)
-	torn := make([]int, sp.Shards)
-	auditErr := make([]error, sp.Shards)
-	for i := 0; i < sp.Shards; i++ {
-		i := i
-		st := stores[i]
-		st.Domain().Go(fmt.Sprintf("recover-%d", i), func(p *sim.Proc) {
-			if !o.NoCut {
-				if err := devs[i].(storage.PowerCycler).Reboot(p); err != nil {
-					auditErr[i] = fmt.Errorf("shard %d reboot: %w", i, err)
-					return
-				}
+	// readAll is the audit read: every acked key of every group on every
+	// powered replica, one process per replica; reads[m][i] is byGroup[g][i]
+	// as member m holds it (nil while m is down).
+	readAll := func(label string) ([][]crashRead, error) {
+		reads := make([][]crashRead, len(stores))
+		errs := make([]error, len(stores))
+		for m, st := range stores {
+			g, r := m/R, m%R
+			if down[r] {
+				continue
 			}
-			for _, k := range byShard[i] {
-				got, ok, err := st.CrashRead(p, k)
-				if err != nil {
-					auditErr[i] = fmt.Errorf("shard %d audit: %w", i, err)
-					return
+			out := make([]crashRead, len(byGroup[g]))
+			reads[m] = out
+			st.Domain().Go(fmt.Sprintf("%s-%d-%d", label, g, r), func(p *sim.Proc) {
+				for i, k := range byGroup[g] {
+					ver, ok, err := st.CrashRead(p, k)
+					if err != nil {
+						errs[m] = fmt.Errorf("group %d replica %d audit: %w", g, r, err)
+						return
+					}
+					out[i] = crashRead{ver, ok}
 				}
-				if !ok {
-					torn[i]++
-					lost[i]++
+			})
+		}
+		cluster.Run()
+		return reads, errors.Join(errs...)
+	}
+	// found tallies one audited copy by its group's device class and keeps
+	// what was wrong with it. A torn image is wrong in either audit; a copy
+	// below the acked version only once the group has converged — before
+	// that a live replica may lag, and the group answers for the key.
+	var losses []Loss
+	found := func(m int, k uint64, rd crashRead, converged bool) {
+		if rd.ok && (rd.ver >= acked[k] || !converged) {
+			return
+		}
+		lost, torn := &v.DuraLost, &v.DuraTorn
+		if volatile[m/R] {
+			lost, torn = &v.VolatileLost, &v.VolatileTorn
+		}
+		if !rd.ok {
+			*torn++
+		}
+		if converged {
+			*lost++
+		}
+		losses = append(losses, Loss{Member: m, Key: k, Acked: acked[k], Found: rd.ver, Torn: !rd.ok})
+	}
+
+	// Phase A — availability before the victims return: every acked key must
+	// be readable at its acked version from some still-powered replica. Live
+	// replicas were never power-cut, so a torn image here is a real bug.
+	reads, err := readAll("preaudit")
+	if err != nil {
+		return nil, err
+	}
+	for g, ks := range byGroup {
+		for i, k := range ks {
+			best, at := uint64(0), -1
+			for m := g * R; m < (g+1)*R; m++ {
+				if reads[m] == nil {
 					continue
 				}
-				if got < acked[k] {
-					lost[i]++
+				rd := reads[m][i]
+				found(m, k, rd, false)
+				if at < 0 || rd.ver > best {
+					best, at = rd.ver, m
 				}
 			}
-		})
-	}
-	cluster.Run()
-	for i := 0; i < sp.Shards; i++ {
-		if auditErr[i] != nil && v.Err == nil {
-			v.Err = auditErr[i]
-		}
-		if isVolatile[i] {
-			v.VolatileLost += lost[i]
-			v.VolatileTorn += torn[i]
-		} else {
-			v.DuraLost += lost[i]
-			v.DuraTorn += torn[i]
+			if at >= 0 && best < acked[k] {
+				v.GroupLost++
+				losses = append(losses, Loss{Member: at, Key: k, Acked: acked[k], Found: best})
+			}
 		}
 	}
+
+	// Reboot the victims and catch them up from live peers — with, in the
+	// recovery-under-failure arm, a second replica power-failing shortly
+	// after the transfers begin. That one recovers too, and anti-entropy runs
+	// on every replica still marked behind (including healthy ones that
+	// merely missed an RPC), so the convergence audit is meaningful.
+	if !o.NoCut {
+		if err := reboot(sp.CutReplica); err != nil {
+			return nil, err
+		}
+		if sp.CutPeerDuringCatchup {
+			cut(sp.PeerCut, 200*time.Microsecond)
+		}
+		catchUp("catchup", sp.CutReplica, sp.CutReplica+1)
+		if sp.CutPeerDuringCatchup {
+			if err := reboot(sp.PeerCut); err != nil {
+				return nil, err
+			}
+		}
+		catchUp("anti-entropy", 0, R)
+	}
+	for g := 0; g < sp.Groups; g++ {
+		for r := 0; r < R; r++ {
+			v.BehindAfter += srv.Group(g).Behind(r)
+		}
+	}
+
+	// Phase B — convergence: after reboot and catch-up, every replica of
+	// every group must hold every acked key at or above its acked version.
+	// (At R = 1 this is simply "did the sole copy survive".)
+	if reads, err = readAll("postaudit"); err != nil {
+		return nil, err
+	}
+	for g, ks := range byGroup {
+		for i, k := range ks {
+			for m := g * R; m < (g+1)*R; m++ {
+				if reads[m] != nil {
+					found(m, k, reads[m][i], true)
+				}
+			}
+		}
+	}
+	slices.SortStableFunc(losses, func(a, b Loss) int {
+		return cmp.Or(cmp.Compare(a.Member, b.Member), cmp.Compare(a.Key, b.Key))
+	})
+	v.Losses = losses[:min(len(losses), maxLosses)]
 	return v, nil
 }

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 )
 
 // MidBurst crash tests: the paper's §5.2 durability claim, audited through
@@ -13,7 +15,7 @@ import (
 
 // TestMidBurstDuraSafeVolatileLossy is the headline assertion.
 func TestMidBurstDuraSafeVolatileLossy(t *testing.T) {
-	v, err := RunBurst(BurstSpec{Seed: 1}, BurstOptions{})
+	v, err := RunCrash(BurstSpec{Seed: 1}.Replicated(), CrashOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +39,29 @@ func TestMidBurstDuraSafeVolatileLossy(t *testing.T) {
 	if !v.Safe() {
 		t.Error("verdict not Safe despite clean DuraSSD tallies")
 	}
+	// Every loss has its provenance: a volatile shard (1 or 3; at R = 1 the
+	// member is the shard), below the acked version, in (member, key) order.
+	if want := min(v.VolatileLost, maxLosses); len(v.Losses) != want {
+		t.Fatalf("%d findings kept for %d losses, want %d", len(v.Losses), v.VolatileLost, want)
+	}
+	for i, l := range v.Losses {
+		if l.Member != 1 && l.Member != 3 {
+			t.Errorf("finding %+v is not on a volatile shard", l)
+		}
+		if l.Found >= l.Acked || (l.Torn && l.Found != 0) {
+			t.Errorf("finding %+v is not a loss", l)
+		}
+		if p := v.Losses[max(i-1, 0)]; p.Member > l.Member || (p.Member == l.Member && p.Key > l.Key) {
+			t.Errorf("findings out of (member, key) order: %+v before %+v", p, l)
+		}
+	}
 }
 
 // TestMidBurstNoCutClean: without a power cut the burst completes and the
 // audit finds every acked version on every shard, volatile included — loss
 // in the cut runs comes from the cut, not from the rig.
 func TestMidBurstNoCutClean(t *testing.T) {
-	v, err := RunBurst(BurstSpec{Seed: 1}, BurstOptions{NoCut: true})
+	v, err := RunCrash(BurstSpec{Seed: 1}.Replicated(), CrashOptions{NoCut: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +71,7 @@ func TestMidBurstNoCutClean(t *testing.T) {
 	if v.AckedCommits == 0 {
 		t.Fatal("no commits acknowledged")
 	}
-	if v.DuraLost+v.DuraTorn+v.VolatileLost+v.VolatileTorn != 0 {
+	if v.GroupLost+v.DuraLost+v.DuraTorn+v.VolatileLost+v.VolatileTorn+len(v.Losses) != 0 {
 		t.Errorf("losses without a power cut: %+v", v)
 	}
 }
@@ -61,7 +79,7 @@ func TestMidBurstNoCutClean(t *testing.T) {
 // TestMidBurstAllDuraSafe: a box built entirely from DuraSSD shards survives
 // the same cut with zero loss anywhere.
 func TestMidBurstAllDuraSafe(t *testing.T) {
-	v, err := RunBurst(BurstSpec{Volatile: []int{}, Seed: 1}, BurstOptions{})
+	v, err := RunCrash(BurstSpec{Volatile: []int{}, Seed: 1}.Replicated(), CrashOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +95,7 @@ func TestMidBurstAllDuraSafe(t *testing.T) {
 // verdict — the property the crashpoint campaign's replays depend on.
 func TestMidBurstDeterminism(t *testing.T) {
 	run := func() string {
-		v, err := RunBurst(BurstSpec{Seed: 3}, BurstOptions{})
+		v, err := RunCrash(BurstSpec{Seed: 3}.Replicated(), CrashOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,5 +104,175 @@ func TestMidBurstDeterminism(t *testing.T) {
 	first, second := run(), run()
 	if first != second {
 		t.Fatalf("mid-burst verdict diverged between identical runs:\n%s\n--- vs ---\n%s", first, second)
+	}
+}
+
+// The stop rule. A cut at R = 1 takes every replica there is, so nothing can
+// ack again and each writer ends at its first refusal; a cut that leaves the
+// groups a quorum ends nobody, and every writer runs out its budget.
+func TestCrashWholeBoxCutStopsWriters(t *testing.T) {
+	for _, sp := range []ReplicaSpec{
+		BurstSpec{Seed: 1}.Replicated(),
+		{Groups: 2, Replicas: 1, Quorum: 1, Volatile: true, Seed: 7},
+	} {
+		sp.CutAfter = 2 * time.Millisecond
+		v, err := RunCrash(sp, CrashOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.defaults()
+		writers := sp.Tenants * sp.Writers
+		if v.Unavailable == 0 || v.Unavailable > writers {
+			t.Errorf("%s: %d refusals from %d writers, want one each at most", sp.Name(), v.Unavailable, writers)
+		}
+		if got := v.AckedCommits + v.Shed + v.Unavailable; got >= sp.Updates {
+			t.Errorf("%s: %d of %d Puts attempted although the box died at 2ms", sp.Name(), got, sp.Updates)
+		}
+	}
+	sp := ReplicaSpec{Groups: 2, Replicas: 3, Quorum: 2, Seed: 7, CutAfter: 2 * time.Millisecond}
+	v, err := RunCrash(sp, CrashOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.defaults()
+	if got := v.AckedCommits + v.Shed + v.Unavailable; got != sp.Updates {
+		t.Errorf("single-victim cut: %d of %d Puts attempted; the groups kept their quorum, no writer may stop", got, sp.Updates)
+	}
+}
+
+// A device class for a group the rig does not have is a spec error, not a
+// silently all-DuraSSD run.
+func TestCrashRejectsVolatileGroupOutOfRange(t *testing.T) {
+	for _, sp := range []ReplicaSpec{
+		{Groups: 2, VolatileGroups: []int{2}},
+		{Groups: 2, VolatileGroups: []int{-1}},
+		BurstSpec{Shards: 4, Volatile: []int{1, 4}}.Replicated(),
+	} {
+		if _, err := RunCrash(sp, CrashOptions{NoCut: true}); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("volatile groups %v of %d: err = %v, want out of range", sp.VolatileGroups, sp.Groups, err)
+		}
+	}
+}
+
+// The replication claim as a property: a write acked at quorum W=2 over R=3
+// DuraSSD replicas survives a crash of any W-1=1 replicas at any cut
+// instant — readable from the survivors before the victim returns, and
+// converged on every replica after reboot plus delta catch-up.
+func TestReplicaLossQuorumAckedSurvivesAnyVictim(t *testing.T) {
+	cuts := []time.Duration{
+		1 * time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond,
+	}
+	for victim := 0; victim < 3; victim++ {
+		for _, cut := range cuts {
+			v, err := RunCrash(ReplicaSpec{
+				Groups: 2, Replicas: 3, Quorum: 2,
+				Updates: 120, Keys: 64, Seed: 7,
+				CutAfter: cut, CutReplica: victim,
+			}, CrashOptions{})
+			if err != nil {
+				t.Fatalf("victim %d cut %v: %v", victim, cut, err)
+			}
+			if v.AckedCommits == 0 {
+				t.Fatalf("victim %d cut %v: no acked commits, nothing audited", victim, cut)
+			}
+			if !v.Safe() {
+				t.Errorf("victim %d cut %v: groupLost=%d lost=%d torn=%d err=%v — quorum-acked writes must survive any single replica loss",
+					victim, cut, v.GroupLost, v.DuraLost, v.DuraTorn, v.Err)
+			}
+			if v.BehindAfter != 0 {
+				t.Errorf("victim %d cut %v: %d keys still behind after catch-up", victim, cut, v.BehindAfter)
+			}
+		}
+	}
+}
+
+// The rebooted replica's rejoin is a delta transfer, not a full rebuild:
+// strictly fewer keys move than the replica's resident key count, and the
+// group serves throughout.
+func TestReplicaLossCatchupIsDelta(t *testing.T) {
+	v, err := RunCrash(ReplicaSpec{
+		Groups: 2, Replicas: 3, Quorum: 2,
+		Updates: 160, Keys: 96, Seed: 11,
+		CutAfter: 2 * time.Millisecond, CutReplica: 1,
+	}, CrashOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Safe() {
+		t.Fatalf("unsafe: %+v", v)
+	}
+	if v.CatchupKeys == 0 {
+		t.Fatalf("catch-up transferred nothing; the victim missed writes during its outage")
+	}
+	if v.CatchupKeys >= v.TotalKeys {
+		t.Errorf("catch-up moved %d keys of a %d-key space — that is a rebuild, not a delta",
+			v.CatchupKeys, v.TotalKeys)
+	}
+}
+
+// Losing a second replica mid-catch-up still loses nothing: acked writes
+// live on at least W=2 durable replicas, so even with the rejoining victim
+// and one donor down, the data survives and converges once both return.
+func TestReplicaLossSecondCutDuringCatchup(t *testing.T) {
+	v, err := RunCrash(ReplicaSpec{
+		Groups: 2, Replicas: 3, Quorum: 2,
+		Updates: 160, Keys: 96, Seed: 13,
+		CutAfter: 2 * time.Millisecond, CutReplica: 0,
+		CutPeerDuringCatchup: true, PeerCut: 1,
+	}, CrashOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.AckedCommits == 0 {
+		t.Fatal("no acked commits")
+	}
+	if !v.Safe() {
+		t.Errorf("unsafe under double fault: groupLost=%d lost=%d torn=%d err=%v",
+			v.GroupLost, v.DuraLost, v.DuraTorn, v.Err)
+	}
+	if v.BehindAfter != 0 {
+		t.Errorf("%d keys still behind after both replicas recovered", v.BehindAfter)
+	}
+}
+
+// The control: R=1 over a volatile-cache SSD-A. No quorum to hide behind,
+// no durable cache — acked writes that had not drained are gone after the
+// crash, which is exactly the contrast the replication layer (and the
+// paper's durable cache) exists to close.
+func TestReplicaLossVolatileControlLosesAckedWrites(t *testing.T) {
+	v, err := RunCrash(ReplicaSpec{
+		Groups: 2, Replicas: 1, Quorum: 1, Volatile: true,
+		Updates: 160, Keys: 96, Seed: 7,
+		CutAfter: 2 * time.Millisecond,
+	}, CrashOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.AckedCommits == 0 {
+		t.Fatal("no acked commits before the cut")
+	}
+	if v.VolatileLost == 0 {
+		t.Errorf("volatile R=1 control lost nothing (%d acked keys) — the control must demonstrate loss",
+			v.VolatileKeys)
+	}
+	if !v.Safe() || v.DuraKeys != 0 {
+		t.Errorf("control loss counted against the claim under test: %+v", v)
+	}
+}
+
+// The probe configuration (no fault at all) is trivially safe — the rig
+// itself must not manufacture loss.
+func TestReplicaLossProbeIsClean(t *testing.T) {
+	v, err := RunCrash(ReplicaSpec{
+		Groups: 2, Replicas: 3, Quorum: 2, Updates: 120, Keys: 64, Seed: 3,
+	}, CrashOptions{NoCut: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Safe() || v.GroupLost != 0 || v.DuraLost != 0 {
+		t.Fatalf("probe run unsafe: %+v", v)
+	}
+	if v.Unavailable != 0 {
+		t.Errorf("probe run shed %d writes as unavailable with all replicas healthy", v.Unavailable)
 	}
 }

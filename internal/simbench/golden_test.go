@@ -130,20 +130,10 @@ func serveDigest(t *testing.T, c crashpoint.Campaign) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "schedule=%s points=%d\n", res.Digest, len(res.Points))
 	for _, o := range res.Outcomes {
-		var vlost, vtorn, groupLost, catchup int
-		switch {
-		case o.Burst != nil:
-			vlost, vtorn = o.Burst.VolatileLost, o.Burst.VolatileTorn
-		case c.Replica.Volatile:
-			vlost, vtorn = o.Replica.GroupLost+o.Replica.Lost, o.Replica.Torn
-			groupLost, catchup = o.Replica.GroupLost, o.Replica.CatchupKeys
-		default:
-			groupLost, catchup = o.Replica.GroupLost, o.Replica.CatchupKeys
-		}
 		fmt.Fprintf(&b, "%s@%d tear=%d acked=%d lost=%d torn=%d vlost=%d vtorn=%d grouplost=%d catchup=%d\n",
 			o.Point.Kind, int64(o.Point.At), o.Point.DumpTear,
 			o.Verdict.AckedCommits, o.Verdict.LostCommits, o.Verdict.TornPages,
-			vlost, vtorn, groupLost, catchup)
+			o.Serve.VolatileLost, o.Serve.VolatileTorn, o.Serve.GroupLost, o.Serve.CatchupKeys)
 	}
 	return hash(b.String())
 }
