@@ -25,7 +25,8 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_digests.json from the current engine")
 
 // The golden digests pin the exact virtual-time schedule of every database
-// engine and workload on DuraSSD: device event streams (write acks, flush
+// engine and workload on DuraSSD (and of both engines' repair paths on
+// SSD-A): device event streams (write acks, flush
 // drains, NAND programs/erases, retirements) hashed together with the
 // audited outcomes. A scheduler change that reorders two events, shifts a
 // timestamp by a nanosecond, or changes a crash verdict flips a digest.
@@ -37,16 +38,28 @@ type digestFn func(t *testing.T) string
 func goldenCases() map[string]digestFn {
 	return map[string]digestFn{
 		"faults-innodb-durassd": func(t *testing.T) string {
-			return faultsDigest(t, faults.EngineInnoDB, false, 5, 12*time.Millisecond, false)
+			return faultsDigest(t, faults.Scenario{Device: faults.DuraSSD, Engine: faults.EngineInnoDB, Seed: 5, CutAfter: 12 * time.Millisecond})
 		},
 		"faults-pgsql-durassd": func(t *testing.T) string {
-			return faultsDigest(t, faults.EnginePgSQL, true, 6, 15*time.Millisecond, false)
+			return faultsDigest(t, faults.Scenario{Device: faults.DuraSSD, Engine: faults.EnginePgSQL, DoubleWrite: true, Seed: 6, CutAfter: 15 * time.Millisecond})
 		},
-		"faults-innodb-durassd-wearout": func(t *testing.T) string { return faultsDigest(t, faults.EngineInnoDB, false, 9, 0, true) },
-		"crashpoint-innodb-durassd":     func(t *testing.T) string { return crashpointDigest(t, faults.EngineInnoDB, 3) },
-		"crashpoint-pgsql-durassd":      func(t *testing.T) string { return crashpointDigest(t, faults.EnginePgSQL, 4) },
-		"fio-fsync-durassd":             fioDigest,
-		"ycsb-a-durassd":                ycsbDigest,
+		"faults-innodb-durassd-wearout": func(t *testing.T) string {
+			return faultsDigest(t, faults.Scenario{Device: faults.DuraSSD, Engine: faults.EngineInnoDB, Seed: 9, WearOut: true})
+		},
+		// The two repair paths, which DuraSSD never reaches: a volatile
+		// drive in the safe configuration, cut mid-run. Recovery scans the
+		// double-write area and rewrites 21 pages from it (InnoDB), and
+		// re-bases 6 torn pages on logged full images (PostgreSQL).
+		"faults-innodb-ssda-dwb": func(t *testing.T) string {
+			return faultsDigest(t, faults.Scenario{Device: faults.SSDA, Engine: faults.EngineInnoDB, Barrier: true, DoubleWrite: true, Seed: 1, CutAfter: 41 * time.Millisecond})
+		},
+		"faults-pgsql-ssda-fpw": func(t *testing.T) string {
+			return faultsDigest(t, faults.Scenario{Device: faults.SSDA, Engine: faults.EnginePgSQL, Barrier: true, DoubleWrite: true, Seed: 2, CutAfter: 20 * time.Millisecond})
+		},
+		"crashpoint-innodb-durassd": func(t *testing.T) string { return crashpointDigest(t, faults.EngineInnoDB, 3) },
+		"crashpoint-pgsql-durassd":  func(t *testing.T) string { return crashpointDigest(t, faults.EnginePgSQL, 4) },
+		"fio-fsync-durassd":         fioDigest,
+		"ycsb-a-durassd":            ycsbDigest,
 		"serve-midburst": func(t *testing.T) string {
 			return serveDigest(t, crashpoint.Campaign{
 				Burst: &serve.BurstSpec{Shards: 4, Volatile: []int{1, 3}, Updates: 120, Seed: 5}, MaxPoints: 6,
@@ -65,29 +78,19 @@ func goldenCases() map[string]digestFn {
 	}
 }
 
-// faultsDigest runs one crash (or wear-out probe) scenario and hashes the
-// member-stamped device event stream plus the audited verdict.
-func faultsDigest(t *testing.T, engine faults.EngineKind, doubleWrite bool, seed int64, cutAfter time.Duration, wearOut bool) string {
+// faultsDigest runs one crash scenario (a wear-out scenario runs as a probe,
+// without a cut) at 8 clients and 300 updates and hashes the member-stamped
+// device event stream plus the audited verdict.
+func faultsDigest(t *testing.T, s faults.Scenario) string {
 	t.Helper()
 	var b strings.Builder
 	opts := faults.Options{
 		EventFn: func(member int, kind iotrace.EventKind, at time.Duration) {
 			fmt.Fprintf(&b, "%d %s %d\n", member, kind, int64(at))
 		},
+		NoCut: s.WearOut, // probe: run the scrub/retire schedule to completion
 	}
-	s := faults.Scenario{
-		Device:      faults.DuraSSD,
-		Engine:      engine,
-		DoubleWrite: doubleWrite,
-		Clients:     8,
-		Updates:     300,
-		CutAfter:    cutAfter,
-		Seed:        seed,
-		WearOut:     wearOut,
-	}
-	if wearOut {
-		opts.NoCut = true // probe: run the scrub/retire schedule to completion
-	}
+	s.Clients, s.Updates = 8, 300
 	v, err := faults.RunWith(s, opts)
 	if err != nil {
 		t.Fatalf("faults.RunWith: %v", err)
