@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"durassd/internal/dbsim/index"
+	"durassd/internal/dbsim/pagedb"
 	"durassd/internal/fio"
 	"durassd/internal/host"
 	"durassd/internal/innodb"
@@ -326,80 +327,53 @@ func linkOps() []linkbench.OpType { return linkbench.OpTypes() }
 // ON (where the strategies differ most): InnoDB's double-write buffer,
 // PostgreSQL's full-page writes, and none (safe only on DuraSSD).
 func BenchmarkAblationRedundantWrites(b *testing.B) {
-	updatesPerSec := func(strategy string) float64 {
+	type strategy struct {
+		name string
+		open func(*sim.Engine, *host.FS, *host.FS, pagedb.Config) (*pagedb.Engine, error)
+		cfg  pagedb.Config // what the strategy sets; updatesPerSec fills in the rest
+	}
+	strategies := []strategy{
+		{"none", innodb.Open, pagedb.Config{LogFilePages: 6_000}},
+		{"dwb", innodb.Open, pagedb.Config{LogFilePages: 6_000, DoubleWrite: true}},
+		{"fpw", pgsql.Open, pagedb.Config{LogFilePages: 12_000, FullPageWrites: true}},
+	}
+	const updates = 2000
+	updatesPerSec := func(s strategy) float64 {
+		cfg := s.cfg
 		eng := sim.New()
 		dev, err := ssd.New(eng, ssd.DuraSSD(16))
 		if err != nil {
 			b.Fatal(err)
 		}
 		fs := host.NewFS(dev, true)
-		const updates = 2000
-		var run func(p *sim.Proc) error
-		switch strategy {
-		case "dwb", "none-innodb":
-			e, err := innodb.Open(eng, fs, fs, innodb.Config{
-				PageBytes: 4 * storage.KB, BufferBytes: 512 * storage.KB,
-				DoubleWrite: strategy == "dwb",
-				DataPages:   30_000, LogFilePages: 6_000, LogFiles: 1,
-				CleanerInterval: -1, // evictions pay the strategy cost directly
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tbl, err := e.CreateTable("t", index.Config{RowBytes: 200, MaxRows: 100_000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := tbl.BulkLoad(50_000); err != nil {
-				b.Fatal(err)
-			}
-			run = func(p *sim.Proc) error {
-				defer e.Close()
-				for i := int64(0); i < updates/32; i++ {
-					tx := e.Begin()
-					for j := int64(0); j < 32; j++ {
-						if err := tx.Update(p, tbl, (i*32+j)*131%50_000); err != nil {
-							return err
-						}
-					}
-					if err := tx.Commit(p); err != nil {
+		cfg.PageBytes, cfg.BufferBytes = 4*storage.KB, 512*storage.KB
+		cfg.DataPages, cfg.LogFiles = 30_000, 1
+		cfg.CleanerInterval = -1 // evictions pay the strategy cost directly
+		e, err := s.open(eng, fs, fs, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer e.Close()
+		tbl, err := e.CreateTable("t", index.Config{RowBytes: 200, MaxRows: 100_000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tbl.BulkLoad(50_000); err != nil {
+			b.Fatal(err)
+		}
+		run := func(p *sim.Proc) error {
+			for i := int64(0); i < updates/32; i++ {
+				tx := e.Begin()
+				for j := int64(0); j < 32; j++ {
+					if err := tx.Update(p, tbl, (i*32+j)*131%50_000); err != nil {
 						return err
 					}
 				}
-				return e.FlushAll(p)
-			}
-		case "fpw":
-			e, err := pgsql.Open(eng, fs, fs, pgsql.Config{
-				PageBytes: 4 * storage.KB, BufferBytes: 512 * storage.KB,
-				FullPageWrites: true, DataPages: 30_000,
-				LogFilePages: 12_000, LogFiles: 1,
-				CleanerInterval: -1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tbl, err := e.CreateTable("t", index.Config{RowBytes: 200, MaxRows: 100_000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := tbl.BulkLoad(50_000); err != nil {
-				b.Fatal(err)
-			}
-			run = func(p *sim.Proc) error {
-				defer e.Close()
-				for i := int64(0); i < updates/32; i++ {
-					tx := e.Begin()
-					for j := int64(0); j < 32; j++ {
-						if err := tx.Update(p, tbl, (i*32+j)*131%50_000); err != nil {
-							return err
-						}
-					}
-					if err := tx.Commit(p); err != nil {
-						return err
-					}
+				if err := tx.Commit(p); err != nil {
+					return err
 				}
-				return e.FlushAll(p)
 			}
+			return e.FlushAll(p)
 		}
 		var rerr error
 		start := eng.Now()
@@ -411,15 +385,14 @@ func BenchmarkAblationRedundantWrites(b *testing.B) {
 		return float64(updates) / (eng.Now() - start).Seconds()
 	}
 	for i := 0; i < b.N; i++ {
-		none := updatesPerSec("none-innodb")
-		dwb := updatesPerSec("dwb")
-		fpw := updatesPerSec("fpw")
-		// Dropping redundant writes must win over both software schemes.
-		if none < dwb || none < fpw {
-			b.Fatalf("no-redundancy (%.0f/s) not fastest (dwb %.0f/s, fpw %.0f/s)", none, dwb, fpw)
+		got := make(map[string]float64)
+		for _, s := range strategies {
+			got[s.name] = updatesPerSec(s)
+			b.ReportMetric(got[s.name], "updates_"+s.name)
 		}
-		b.ReportMetric(none, "updates_none")
-		b.ReportMetric(dwb, "updates_dwb")
-		b.ReportMetric(fpw, "updates_fpw")
+		// Dropping redundant writes must win over both software schemes.
+		if got["none"] < got["dwb"] || got["none"] < got["fpw"] {
+			b.Fatalf("no-redundancy (%.0f/s) not fastest (dwb %.0f/s, fpw %.0f/s)", got["none"], got["dwb"], got["fpw"])
+		}
 	}
 }

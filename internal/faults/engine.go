@@ -2,9 +2,12 @@ package faults
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"durassd/internal/dbsim/buffer"
 	"durassd/internal/dbsim/index"
+	"durassd/internal/dbsim/pagedb"
 	"durassd/internal/host"
 	"durassd/internal/innodb"
 	"durassd/internal/pgsql"
@@ -24,67 +27,48 @@ const (
 	EnginePgSQL  EngineKind = "pgsql"
 )
 
-// engineHarness abstracts the two database engines over the surface a crash
-// experiment needs: open + load, committed updates, crash-recover, and a
-// raw page-version audit.
-type engineHarness interface {
-	// open creates the engine on fs, creates the table and bulk-loads it.
-	open(eng *sim.Engine, fs *host.FS) error
-	// update runs one committed single-row update and returns the page
-	// versions the acknowledged transaction touched.
-	update(p *sim.Proc, rank int64) (map[buffer.PageID]uint64, error)
-	// close releases the pre-crash engine (stops its background procs).
-	close()
-	// recoverCrashed reopens a fresh engine over the same files (after the
-	// device rebooted) and runs crash recovery, reporting redo progress and
-	// unrepairable torn pages.
-	recoverCrashed(p *sim.Proc, eng *sim.Engine, fs *host.FS) (redoApplied, tornUnrepaired int, err error)
-	// pageVersionOnDisk audits one page against the recovered engine.
-	pageVersionOnDisk(p *sim.Proc, id buffer.PageID) (uint64, bool, error)
-	// closeRecovered releases the post-crash engine.
-	closeRecovered()
-}
-
 const (
 	tableRows = 4_000
 	rowBytes  = 200
 	maxRows   = 8_000
 )
 
-func newHarness(s Scenario) (engineHarness, error) {
+// harness drives one database engine over the surface a crash experiment
+// needs: open + load, committed updates, crash-recover, and a raw
+// page-version audit. Both engines are profiles of one page engine, so the
+// kind only picks the constructors and the configuration.
+type harness struct {
+	open, reopen func(*sim.Engine, *host.FS, *host.FS, pagedb.Config) (*pagedb.Engine, error)
+	cfg          pagedb.Config
+	e            *pagedb.Engine // before the crash; the recovered engine after it
+	table        *pagedb.Table
+}
+
+func newHarness(s Scenario) (*harness, error) {
+	h := &harness{cfg: pagedb.Config{
+		BufferBytes:  256 * storage.KB, // tiny pool: changes reach the device fast
+		LogFilePages: 4_000,
+		LogFiles:     1,
+		RealBytes:    true,
+	}}
 	switch s.Engine {
 	case EngineInnoDB:
-		return &innodbHarness{cfg: innodb.Config{
-			PageBytes:    4 * storage.KB,
-			BufferBytes:  256 * storage.KB, // tiny pool: changes reach the device fast
-			DoubleWrite:  s.DoubleWrite,
-			DataPages:    20_000,
-			LogFilePages: 4_000,
-			LogFiles:     1,
-			RealBytes:    true,
-		}}, nil
+		h.open, h.reopen = innodb.Open, innodb.Reopen
+		h.cfg.PageBytes, h.cfg.DataPages = 4*storage.KB, 20_000
+		h.cfg.DoubleWrite = s.DoubleWrite
 	case EnginePgSQL:
-		return &pgsqlHarness{cfg: pgsql.Config{
-			PageBytes:      8 * storage.KB, // PostgreSQL page over two 4 KB device slots
-			BufferBytes:    256 * storage.KB,
-			FullPageWrites: s.DoubleWrite,
-			DataPages:      10_000,
-			LogFilePages:   4_000,
-			LogFiles:       1,
-			RealBytes:      true,
-		}}, nil
+		h.open, h.reopen = pgsql.Open, pgsql.Reopen
+		h.cfg.PageBytes, h.cfg.DataPages = 8*storage.KB, 10_000 // a page over two 4 KB device slots
+		h.cfg.FullPageWrites = s.DoubleWrite
+	default:
+		return nil, fmt.Errorf("faults: unknown engine %q", s.Engine)
 	}
-	return nil, fmt.Errorf("faults: unknown engine %q", s.Engine)
+	return h, nil
 }
 
-type innodbHarness struct {
-	cfg   innodb.Config
-	e, e2 *innodb.Engine
-	table *innodb.Table
-}
-
-func (h *innodbHarness) open(eng *sim.Engine, fs *host.FS) error {
-	e, err := innodb.Open(eng, fs, fs, h.cfg)
+// load creates the engine on fs, creates the table and bulk-loads it.
+func (h *harness) load(eng *sim.Engine, fs *host.FS) error {
+	e, err := h.open(eng, fs, fs, h.cfg)
 	if err != nil {
 		return err
 	}
@@ -96,7 +80,9 @@ func (h *innodbHarness) open(eng *sim.Engine, fs *host.FS) error {
 	return h.table.BulkLoad(tableRows)
 }
 
-func (h *innodbHarness) update(p *sim.Proc, rank int64) (map[buffer.PageID]uint64, error) {
+// update runs one committed single-row update and returns the page versions
+// the acknowledged transaction touched.
+func (h *harness) update(p *sim.Proc, rank int64) (map[buffer.PageID]uint64, error) {
 	tx := h.e.Begin()
 	if err := tx.Update(p, h.table, rank); err != nil {
 		return nil, err
@@ -107,76 +93,42 @@ func (h *innodbHarness) update(p *sim.Proc, rank int64) (map[buffer.PageID]uint6
 	return tx.Touched(), nil
 }
 
-func (h *innodbHarness) close() { h.e.Close() }
-
-func (h *innodbHarness) recoverCrashed(p *sim.Proc, eng *sim.Engine, fs *host.FS) (int, int, error) {
-	e2, err := innodb.Reopen(eng, fs, fs, h.cfg)
+// recoverCrashed reopens a fresh engine over the same files (after the
+// device rebooted; the pre-crash engine must be closed) and runs crash
+// recovery. On success h.e is the recovered engine, which the caller audits
+// and closes.
+func (h *harness) recoverCrashed(p *sim.Proc, eng *sim.Engine, fs *host.FS) (*pagedb.RecoveryReport, error) {
+	e, err := h.reopen(eng, fs, fs, h.cfg)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	h.e2 = e2
-	rep, err := e2.Recover(p)
+	rep, err := e.Recover(p)
 	if err != nil {
-		e2.Close()
-		return 0, 0, err
-	}
-	return rep.RedoApplied, rep.TornUnrepaired, nil
-}
-
-func (h *innodbHarness) pageVersionOnDisk(p *sim.Proc, id buffer.PageID) (uint64, bool, error) {
-	return h.e2.PageVersionOnDisk(p, id)
-}
-
-func (h *innodbHarness) closeRecovered() { h.e2.Close() }
-
-type pgsqlHarness struct {
-	cfg   pgsql.Config
-	e, e2 *pgsql.Engine
-	table *pgsql.Table
-}
-
-func (h *pgsqlHarness) open(eng *sim.Engine, fs *host.FS) error {
-	e, err := pgsql.Open(eng, fs, fs, h.cfg)
-	if err != nil {
-		return err
+		e.Close()
+		return nil, err
 	}
 	h.e = e
-	h.table, err = e.CreateTable("t", index.Config{RowBytes: rowBytes, MaxRows: maxRows})
-	if err != nil {
-		return err
-	}
-	return h.table.BulkLoad(tableRows)
+	return rep, nil
 }
 
-func (h *pgsqlHarness) update(p *sim.Proc, rank int64) (map[buffer.PageID]uint64, error) {
-	tx := h.e.Begin()
-	if err := tx.Update(p, h.table, rank); err != nil {
-		return nil, err
+// audit checks that every acked page version is on the device (or a newer
+// one), tallying the rest on v. Each probe is a device read, so the pages go
+// in ascending order, not the map's — which also puts the findings in
+// (Member, Key) order.
+func (h *harness) audit(p *sim.Proc, acked map[buffer.PageID]uint64, v *Verdict) error {
+	ids := slices.AppendSeq(make([]buffer.PageID, 0, len(acked)), maps.Keys(acked))
+	slices.Sort(ids)
+	for _, id := range ids {
+		got, ok, err := h.e.PageVersionOnDisk(p, id)
+		if err != nil {
+			return err
+		}
+		if want := acked[id]; !ok || got < want {
+			v.LostCommits++
+			if len(v.Losses) < maxLosses {
+				v.Losses = append(v.Losses, Loss{Key: uint64(id), Acked: want, Found: got, Torn: !ok})
+			}
+		}
 	}
-	if err := tx.Commit(p); err != nil {
-		return nil, err
-	}
-	return tx.Touched(), nil
+	return nil
 }
-
-func (h *pgsqlHarness) close() { h.e.Close() }
-
-func (h *pgsqlHarness) recoverCrashed(p *sim.Proc, eng *sim.Engine, fs *host.FS) (int, int, error) {
-	e2, err := pgsql.Reopen(eng, fs, fs, h.cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	h.e2 = e2
-	rep, err := e2.Recover(p)
-	if err != nil {
-		e2.Close()
-		return 0, 0, err
-	}
-	return rep.RedoApplied, rep.TornUnrepaired, nil
-}
-
-func (h *pgsqlHarness) pageVersionOnDisk(p *sim.Proc, id buffer.PageID) (uint64, bool, error) {
-	return h.e2.PageVersionOnDisk(p, id)
-}
-
-func (h *pgsqlHarness) closeRecovered() { h.e2.Close() }

@@ -23,10 +23,8 @@
 package faults
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"durassd/internal/dbsim/buffer"
@@ -256,7 +254,7 @@ func RunWith(s Scenario, o Options) (*Verdict, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := h.open(eng, fs); err != nil {
+	if err := h.load(eng, fs); err != nil {
 		return nil, err
 	}
 
@@ -293,7 +291,7 @@ func RunWith(s Scenario, o Options) (*Verdict, error) {
 		eng.Schedule(cut, func() { cycler.PowerFail() })
 	}
 	eng.Run()
-	h.close()
+	h.e.Close() // stops the pre-crash engine's background procs
 	for _, m := range members {
 		m.Registry().SetEventFn(nil) // the schedule covers the workload only
 	}
@@ -312,31 +310,17 @@ func RunWith(s Scenario, o Options) (*Verdict, error) {
 			auditErr = fmt.Errorf("device reboot: %w", err)
 			return
 		}
-		redo, torn, err := h.recoverCrashed(p, eng, fs)
+		rep, err := h.recoverCrashed(p, eng, fs)
 		if err != nil {
 			auditErr = fmt.Errorf("engine recovery: %w", err)
 			return
 		}
-		defer h.closeRecovered()
-		v.TornPages = torn
-		v.RedoApplied = redo
-		// Audit: every acked page version must be present (or newer).
-		for id, want := range acked {
-			got, ok, err := h.pageVersionOnDisk(p, id)
-			if err != nil {
-				auditErr = err
-				return
-			}
-			if !ok || got < want {
-				v.LostCommits++
-				v.Losses = append(v.Losses, Loss{Key: uint64(id), Acked: want, Found: got, Torn: !ok})
-			}
-		}
+		defer h.e.Close()
+		v.TornPages = rep.TornUnrepaired
+		v.RedoApplied = rep.RedoApplied
+		auditErr = h.audit(p, acked, v)
 	})
 	eng.Run()
-	// The audit walks a map; the findings are reported in page order.
-	slices.SortFunc(v.Losses, func(a, b Loss) int { return cmp.Compare(a.Key, b.Key) })
-	v.Losses = v.Losses[:min(len(v.Losses), maxLosses)]
 	for _, m := range members {
 		for o := iotrace.Origin(0); o < iotrace.NumOrigins; o++ {
 			c := m.Registry().Origin(o)

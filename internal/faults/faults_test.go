@@ -1,6 +1,18 @@
 package faults
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"durassd/internal/dbsim/buffer"
+	"durassd/internal/host"
+	"durassd/internal/iotrace"
+	"durassd/internal/sim"
+	"durassd/internal/ssd"
+	"durassd/internal/storage"
+)
 
 func runTrials(t *testing.T, s Scenario, trials int) (lost, torn, acked int) {
 	t.Helper()
@@ -139,5 +151,87 @@ func TestVolatileSSDSafeConfigKeepsCommits(t *testing.T) {
 	}
 	if torn != 0 {
 		t.Fatalf("volatile SSD in the safe config left %d torn pages", torn)
+	}
+}
+
+// readLog records the first page of every read command once armed.
+type readLog struct {
+	*ssd.Device
+	armed bool
+	lpns  []storage.LPN
+}
+
+func (d *readLog) Read(p *sim.Proc, req iotrace.Req, lpn storage.LPN, n int, buf []byte) error {
+	if d.armed {
+		d.lpns = append(d.lpns, lpn)
+	}
+	return d.Device.Read(p, req, lpn, n, buf)
+}
+
+func TestRecoveryIOOrderIsDeterministic(t *testing.T) {
+	// After the reboot every read is the model's: recovery validates the
+	// double-write copies in slot order and the audit probes in page order,
+	// never in a map's. SSD-A in the safe config, cut mid-run, leaves some
+	// 39 copies to validate and 50 acked pages to probe; two runs of the
+	// same seed must read the same pages in the same order.
+	run := func() []storage.LPN {
+		eng := sim.New()
+		defer eng.Close()
+		drive, err := ssd.New(eng, ssd.SSDA(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := &readLog{Device: drive}
+		fs := host.NewFS(dev, true)
+		h, err := newHarness(Scenario{Engine: EngineInnoDB, DoubleWrite: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.load(eng, fs); err != nil {
+			t.Fatal(err)
+		}
+		acked := make(map[buffer.PageID]uint64)
+		for c := 0; c < 8; c++ {
+			rng := rand.New(rand.NewSource(int64(c)))
+			eng.Go("writer", func(p *sim.Proc) {
+				for {
+					touched, err := h.update(p, rng.Int63n(tableRows))
+					if err != nil {
+						return // power failed
+					}
+					for id, ver := range touched {
+						acked[id] = max(acked[id], ver)
+					}
+				}
+			})
+		}
+		eng.Schedule(41*time.Millisecond, dev.PowerFail)
+		eng.Run()
+		h.e.Close()
+		eng.Go("recovery", func(p *sim.Proc) {
+			if err := dev.Reboot(p); err != nil {
+				t.Errorf("Reboot: %v", err)
+				return
+			}
+			dev.armed = true
+			rep, err := h.recoverCrashed(p, eng, fs)
+			if err != nil {
+				t.Errorf("recovery: %v", err)
+				return
+			}
+			defer h.e.Close()
+			if rep.DWBPagesScanned < 2 || len(acked) < 2 {
+				t.Errorf("%d double-write copies, %d acked pages: nothing to order", rep.DWBPagesScanned, len(acked))
+			}
+			if err := h.audit(p, acked, &Verdict{}); err != nil {
+				t.Errorf("audit: %v", err)
+			}
+		})
+		eng.Run()
+		return dev.lpns
+	}
+	a, b := run(), run()
+	if len(a) == 0 || !slices.Equal(a, b) {
+		t.Fatalf("two runs of one seed read %d and %d pages after the reboot, in different orders:\n%v\n%v", len(a), len(b), a, b)
 	}
 }

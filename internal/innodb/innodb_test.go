@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"durassd/internal/dbsim/buffer"
 	"durassd/internal/dbsim/index"
 	"durassd/internal/host"
 	"durassd/internal/sim"
@@ -50,51 +49,6 @@ func newRig(t *testing.T, barrier, dwb, realBytes bool) *rig {
 	return &rig{eng: eng, dev: dev, fs: fs, e: e, tbl: tbl}
 }
 
-func TestLookupUpdateCommit(t *testing.T) {
-	r := newRig(t, false, false, false)
-	r.eng.Go("t", func(p *sim.Proc) {
-		tx := r.e.Begin()
-		if err := tx.Lookup(p, r.tbl, 123); err != nil {
-			t.Errorf("Lookup: %v", err)
-		}
-		if err := tx.Update(p, r.tbl, 123); err != nil {
-			t.Errorf("Update: %v", err)
-		}
-		if err := tx.Commit(p); err != nil {
-			t.Errorf("Commit: %v", err)
-		}
-	})
-	r.eng.Run()
-	r.e.Close()
-	if r.e.Commits != 1 {
-		t.Fatalf("commits = %d", r.e.Commits)
-	}
-	if r.e.Log().Records == 0 {
-		t.Fatal("no redo records")
-	}
-	if r.e.Pool().Stats().Gets == 0 {
-		t.Fatal("no buffer activity")
-	}
-}
-
-func TestReadOnlyCommitIsFree(t *testing.T) {
-	r := newRig(t, true, true, false)
-	r.eng.Go("t", func(p *sim.Proc) {
-		tx := r.e.Begin()
-		if err := tx.Lookup(p, r.tbl, 1); err != nil {
-			t.Errorf("Lookup: %v", err)
-		}
-		if err := tx.Commit(p); err != nil {
-			t.Errorf("Commit: %v", err)
-		}
-	})
-	r.eng.Run()
-	r.e.Close()
-	if r.e.Log().Flushes != 0 {
-		t.Fatal("read-only commit flushed the log")
-	}
-}
-
 func TestDoubleWriteDoublesPageWrites(t *testing.T) {
 	run := func(dwb bool) (pageWrites, dwbWrites int64) {
 		r := newRig(t, false, dwb, false)
@@ -129,29 +83,6 @@ func TestDoubleWriteDoublesPageWrites(t *testing.T) {
 	if pwOff == 0 {
 		t.Fatal("no page writes at all")
 	}
-}
-
-func TestWALBeforeData(t *testing.T) {
-	// Flushing a dirty page must first make the log durable up to the
-	// page's LSN.
-	r := newRig(t, true, false, false)
-	r.eng.Go("t", func(p *sim.Proc) {
-		tx := r.e.Begin()
-		if err := tx.Update(p, r.tbl, 7); err != nil {
-			t.Errorf("Update: %v", err)
-			return
-		}
-		// No commit: log tail is volatile. Force the page out.
-		if err := r.e.FlushAll(p); err != nil {
-			t.Errorf("FlushAll: %v", err)
-			return
-		}
-		if r.e.Log().DurableLSN() < tx.maxLSN {
-			t.Error("page flushed before its redo was durable")
-		}
-	})
-	r.eng.Run()
-	r.e.Close()
 }
 
 func TestBarrierCostVisibleAtCommit(t *testing.T) {
@@ -235,71 +166,6 @@ func TestRealBytesTornDetection(t *testing.T) {
 	r.e.Close()
 }
 
-func TestCrashRecoveryRedo(t *testing.T) {
-	// Commit a change, crash before the page is flushed, recover: redo
-	// must roll the page forward.
-	eng := sim.New()
-	dev, _ := ssd.New(eng, ssd.DuraSSD(16))
-	fs := host.NewFS(dev, false)
-	cfg := Config{
-		PageBytes: 4 * storage.KB, BufferBytes: 1 * storage.MB,
-		DataPages: 30_000, LogFilePages: 4_000, LogFiles: 1, RealBytes: true,
-	}
-	e, err := Open(eng, fs, fs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := e.CreateTable("t", index.Config{RowBytes: 200, MaxRows: 100_000})
-	_ = tbl.BulkLoad(50_000)
-
-	var wantPage storage.LPN
-	var wantVer uint64
-	eng.Go("t", func(p *sim.Proc) {
-		tx := e.Begin()
-		if err := tx.Update(p, tbl, 999); err != nil {
-			t.Errorf("Update: %v", err)
-			return
-		}
-		if err := tx.Commit(p); err != nil {
-			t.Errorf("Commit: %v", err)
-			return
-		}
-		for id, v := range tx.Touched() {
-			wantPage, wantVer = storage.LPN(id), v
-		}
-		// Crash without flushing the buffer pool.
-		dev.PowerFail()
-	})
-	eng.Run()
-	e.Close()
-
-	eng.Go("recover", func(p *sim.Proc) {
-		if err := dev.Reboot(p); err != nil {
-			t.Errorf("Reboot: %v", err)
-			return
-		}
-		e2, err := Reopen(eng, fs, fs, cfg)
-		if err != nil {
-			t.Errorf("Reopen: %v", err)
-			return
-		}
-		defer e2.Close()
-		rep, err := e2.Recover(p)
-		if err != nil {
-			t.Errorf("Recover: %v", err)
-			return
-		}
-		if rep.RedoApplied == 0 {
-			t.Error("recovery applied no redo despite unflushed commit")
-		}
-		ver, ok, err := e2.PageVersionOnDisk(p, buffer.PageID(wantPage))
-		if err != nil || !ok || ver < wantVer {
-			t.Errorf("page %d version after redo = %d (%v, %v), want >= %d", wantPage, ver, ok, err, wantVer)
-		}
-	})
-	eng.Run()
-}
-
 func TestScanTouchesConsecutiveLeaves(t *testing.T) {
 	r := newRig(t, false, false, false)
 	r.eng.Go("t", func(p *sim.Proc) {
@@ -355,35 +221,4 @@ func TestODSyncSkipsBatchFsync(t *testing.T) {
 	if dev.Stats().FlushCommands == 0 {
 		t.Fatal("O_DSYNC produced no device flushes at all")
 	}
-}
-
-func TestAdoptTableRestoresLayout(t *testing.T) {
-	eng := sim.New()
-	dev, _ := ssd.New(eng, ssd.DuraSSD(16))
-	fs := host.NewFS(dev, false)
-	cfg := Config{
-		PageBytes: 4 * storage.KB, BufferBytes: 256 * storage.KB,
-		DataPages: 30_000, LogFilePages: 4_000, LogFiles: 1, RealBytes: true,
-	}
-	e, err := Open(eng, fs, fs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := e.CreateTable("t", index.Config{RowBytes: 200, MaxRows: 100_000})
-	_ = tbl.BulkLoad(50_000)
-	e.Close()
-
-	e2, err := Reopen(eng, fs, fs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2.AdoptTable("t", tbl)
-	eng.Go("t", func(p *sim.Proc) {
-		tx := e2.Begin()
-		if err := tx.Lookup(p, tbl, 123); err != nil {
-			t.Errorf("Lookup after adopt: %v", err)
-		}
-	})
-	eng.Run()
-	e2.Close()
 }

@@ -1,10 +1,12 @@
-// Package pgsql implements a PostgreSQL-style storage engine, the paper's
-// §2.1 second example of software torn-page protection: instead of
-// InnoDB's double-write buffer, the engine logs the **entire content of a
-// page** into the WAL on the page's first modification after a checkpoint
-// (the full_page_writes option). Torn in-place pages are then repaired
-// from the logged image during redo — "at the cost of increasing the
-// amount of data to be written to the log".
+// Package pgsql is the PostgreSQL profile of the page engine
+// (internal/dbsim/pagedb), the paper's §2.1 second example of software
+// torn-page protection: instead of InnoDB's double-write buffer, the engine
+// logs the **entire content of a page** into the WAL on the page's first
+// modification after a checkpoint (Config.FullPageWrites, the
+// full_page_writes option). Torn in-place pages are then repaired from the
+// logged image during redo — "at the cost of increasing the amount of data
+// to be written to the log". The profile: 8 KB pages, two 128 MB WAL
+// files, a checkpoint every 64 MB of WAL, and no double-write area.
 //
 // On DuraSSD the option can be switched off: device-level atomic page
 // writes make the full images redundant, shrinking the log by an order of
@@ -13,478 +15,39 @@
 package pgsql
 
 import (
-	"fmt"
-	"time"
-
-	"durassd/internal/dbsim/buffer"
-	"durassd/internal/dbsim/index"
-	"durassd/internal/dbsim/wal"
+	"durassd/internal/dbsim/pagedb"
 	"durassd/internal/host"
-	"durassd/internal/iotrace"
 	"durassd/internal/sim"
 	"durassd/internal/storage"
 )
 
-// Config tunes the engine.
-type Config struct {
-	PageBytes   int   // PostgreSQL default: 8 KB
-	BufferBytes int64 // shared_buffers
-	DataPages   int64 // data file capacity in pages
+// The engine's types are the page engine's.
+type (
+	Config         = pagedb.Config
+	Engine         = pagedb.Engine
+	Table          = pagedb.Table
+	Tx             = pagedb.Tx
+	RecoveryReport = pagedb.RecoveryReport
+)
 
-	// FullPageWrites logs a page's whole image on first touch after a
-	// checkpoint (the safe default on torn-write storage).
-	FullPageWrites bool
-	// CheckpointWALBytes triggers a checkpoint after this much WAL
-	// (max_wal_size); each checkpoint re-arms full-page logging.
-	CheckpointWALBytes int64
-
-	LogFilePages int64
-	LogFiles     int
-	RealBytes    bool
-
-	CleanerInterval time.Duration
-	CleanerBatch    int
-	LogRecordBytes  int
-	WriteHoldCPU    time.Duration
-}
-
-func (c *Config) defaults() error {
-	if c.PageBytes <= 0 {
-		c.PageBytes = 8 * storage.KB
-	}
-	if c.BufferBytes <= 0 {
-		return fmt.Errorf("pgsql: BufferBytes must be positive")
-	}
-	if c.DataPages <= 0 {
-		return fmt.Errorf("pgsql: DataPages must be positive")
-	}
-	if c.CheckpointWALBytes <= 0 {
-		c.CheckpointWALBytes = 64 * storage.MB
-	}
-	if c.LogFiles <= 0 {
-		c.LogFiles = 2
-	}
-	if c.LogFilePages <= 0 {
-		c.LogFilePages = 32 * 1024
-	}
-	if c.CleanerInterval == 0 {
-		c.CleanerInterval = 5 * time.Millisecond
-	}
-	if c.CleanerBatch <= 0 {
-		c.CleanerBatch = 64
-	}
-	if c.LogRecordBytes <= 0 {
-		c.LogRecordBytes = 128
-	}
-	if c.WriteHoldCPU == 0 {
-		c.WriteHoldCPU = 100*time.Microsecond + 4*time.Microsecond*time.Duration(c.PageBytes/1024)
-	}
-	return nil
-}
-
-// Engine is the storage engine.
-type Engine struct {
-	eng    *sim.Engine
-	cfg    Config
-	dataFS *host.FS
-	logFS  *host.FS
-
-	dataFile *host.File
-	pool     *buffer.Pool
-	log      *wal.Log
-	tables   map[string]*Table
-	nextPage buffer.PageID
-	perDB    int
-
-	fpwLogged   map[buffer.PageID]bool // pages whose image is in WAL since last checkpoint
-	ckptBase    int64                  // BytesLogged at the last checkpoint
-	versions    map[buffer.PageID]uint64
-	inCkpt      bool
-	Commits     int64
-	Checkpoints int64
-	FPWImages   int64 // full-page images logged
+var profile = pagedb.Profile{
+	Name:     "pgsql",
+	DataFile: "pgdata",
+	Defaults: Config{
+		PageBytes:          8 * storage.KB,
+		LogFiles:           2,
+		LogFilePages:       32 * 1024,
+		CheckpointWALBytes: 64 * storage.MB, // max_wal_size
+	},
 }
 
 // Open creates an engine on dataFS (data) and logFS (WAL).
 func Open(eng *sim.Engine, dataFS, logFS *host.FS, cfg Config) (*Engine, error) {
-	return open(eng, dataFS, logFS, cfg, false)
+	return profile.Open(eng, dataFS, logFS, cfg)
 }
 
-// Reopen attaches a fresh engine to existing files after a crash.
+// Reopen attaches a fresh engine to existing files after a crash. The
+// caller then runs Recover.
 func Reopen(eng *sim.Engine, dataFS, logFS *host.FS, cfg Config) (*Engine, error) {
-	return open(eng, dataFS, logFS, cfg, true)
-}
-
-func open(eng *sim.Engine, dataFS, logFS *host.FS, cfg Config, reopen bool) (*Engine, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
-	devPage := dataFS.Device().PageSize()
-	if cfg.PageBytes%devPage != 0 {
-		return nil, fmt.Errorf("pgsql: page %d not a multiple of device page %d", cfg.PageBytes, devPage)
-	}
-	e := &Engine{
-		eng:       eng,
-		cfg:       cfg,
-		dataFS:    dataFS,
-		logFS:     logFS,
-		tables:    make(map[string]*Table),
-		perDB:     cfg.PageBytes / devPage,
-		fpwLogged: make(map[buffer.PageID]bool),
-	}
-	var err error
-	if reopen {
-		if e.dataFile, err = dataFS.Open("pgdata"); err != nil {
-			return nil, err
-		}
-		if e.log, err = wal.Reopen(eng, logFS, wal.Config{FilePages: cfg.LogFilePages, Files: cfg.LogFiles, RealBytes: cfg.RealBytes}); err != nil {
-			return nil, err
-		}
-	} else {
-		if e.dataFile, err = dataFS.Create("pgdata", cfg.DataPages*int64(e.perDB)); err != nil {
-			return nil, err
-		}
-		if e.log, err = wal.New(eng, logFS, wal.Config{FilePages: cfg.LogFilePages, Files: cfg.LogFiles, RealBytes: cfg.RealBytes}); err != nil {
-			return nil, err
-		}
-	}
-	e.dataFile.SetOrigin(iotrace.OriginData)
-	e.pool, err = buffer.New(eng, buffer.Config{
-		Frames:          int(cfg.BufferBytes / int64(cfg.PageBytes)),
-		PageBytes:       cfg.PageBytes,
-		RealBytes:       cfg.RealBytes,
-		CleanerInterval: cfg.CleanerInterval,
-		CleanerBatch:    cfg.CleanerBatch,
-	}, (*pageReader)(e), (*pageWriter)(e))
-	if err != nil {
-		return nil, err
-	}
-	if cfg.RealBytes {
-		e.versions = make(map[buffer.PageID]uint64)
-	}
-	return e, nil
-}
-
-// Pool exposes the buffer pool.
-func (e *Engine) Pool() *buffer.Pool { return e.pool }
-
-// Log exposes the WAL.
-func (e *Engine) Log() *wal.Log { return e.log }
-
-type pageReader Engine
-
-func (r *pageReader) ReadPage(p *sim.Proc, id buffer.PageID, buf []byte) error {
-	e := (*Engine)(r)
-	return e.dataFile.ReadPages(p, int64(id)*int64(e.perDB), e.perDB, buf)
-}
-
-// pageWriter persists dirty pages: WAL first, then plain in-place writes
-// plus one fsync per batch. No double-write — torn-page protection is the
-// WAL's full images (when enabled).
-type pageWriter Engine
-
-func (w *pageWriter) WritePages(p *sim.Proc, pages []buffer.PageWrite) error {
-	e := (*Engine)(w)
-	var maxLSN uint64
-	for _, pg := range pages {
-		if pg.LSN > maxLSN {
-			maxLSN = pg.LSN
-		}
-	}
-	if maxLSN > 0 {
-		if err := e.log.Commit(p, maxLSN); err != nil {
-			return err
-		}
-	}
-	for _, pg := range pages {
-		if err := e.dataFile.WritePages(p, int64(pg.ID)*int64(e.perDB), e.perDB, pg.Data); err != nil {
-			return err
-		}
-	}
-	return e.dataFile.Fdatasync(p)
-}
-
-// Table is an index-organized table.
-type Table struct {
-	e    *Engine
-	name string
-	tree *index.Tree
-}
-
-// CreateTable reserves space for a table.
-func (e *Engine) CreateTable(name string, cfg index.Config) (*Table, error) {
-	if _, ok := e.tables[name]; ok {
-		return nil, fmt.Errorf("pgsql: table %q exists", name)
-	}
-	cfg.PageBytes = e.cfg.PageBytes
-	tree, err := index.New(cfg, e.nextPage)
-	if err != nil {
-		return nil, err
-	}
-	if int64(e.nextPage)+tree.Pages() > e.cfg.DataPages {
-		return nil, fmt.Errorf("pgsql: data file full creating %q", name)
-	}
-	e.nextPage += buffer.PageID(tree.Pages())
-	t := &Table{e: e, name: name, tree: tree}
-	e.tables[name] = t
-	return t, nil
-}
-
-// Tree exposes the table's topology.
-func (t *Table) Tree() *index.Tree { return t.tree }
-
-// BulkLoad installs rows instantly.
-func (t *Table) BulkLoad(rows int64) error {
-	t.tree.SetRows(rows)
-	start := int64(t.tree.LeafOf(0)) * int64(t.e.perDB)
-	return t.e.dataFile.Preload(start, t.tree.Pages()*int64(t.e.perDB), nil)
-}
-
-// AdoptTable re-registers a table after Reopen.
-func (e *Engine) AdoptTable(name string, t *Table) {
-	t.e = e
-	e.tables[name] = t
-	end := t.tree.LeafOf(0) + buffer.PageID(t.tree.Pages())
-	if end > e.nextPage {
-		e.nextPage = end
-	}
-}
-
-// Tx is a transaction handle.
-type Tx struct {
-	e       *Engine
-	maxLSN  uint64
-	writes  int
-	touched map[buffer.PageID]uint64
-}
-
-// Begin starts a transaction.
-func (e *Engine) Begin() *Tx { return &Tx{e: e} }
-
-// Touched returns the page versions written (RealBytes mode).
-func (tx *Tx) Touched() map[buffer.PageID]uint64 { return tx.touched }
-
-func (e *Engine) touchRead(p *sim.Proc, id buffer.PageID) error {
-	fr, err := e.pool.Get(p, id)
-	if err != nil {
-		return err
-	}
-	e.pool.Unpin(fr)
-	return nil
-}
-
-// touchWrite applies one row change, logging a full page image on the
-// page's first modification since the last checkpoint when FPW is on.
-func (e *Engine) touchWrite(p *sim.Proc, tx *Tx, id buffer.PageID) error {
-	fr, err := e.pool.Get(p, id)
-	if err != nil {
-		return err
-	}
-	e.pool.LockX(p, fr)
-	p.Sleep(e.cfg.WriteHoldCPU)
-	var ver uint64
-	if e.cfg.RealBytes {
-		e.versions[id]++
-		ver = e.versions[id]
-		storage.BuildPageImage(fr.Data(), uint64(id), ver)
-	}
-	var lsn uint64
-	if e.cfg.FullPageWrites && !e.fpwLogged[id] {
-		e.fpwLogged[id] = true
-		e.FPWImages++
-		if e.cfg.RealBytes {
-			lsn = e.log.AppendFullImage(uint64(id), ver, e.cfg.PageBytes+e.cfg.LogRecordBytes)
-		} else {
-			lsn = e.log.Append(e.cfg.PageBytes + e.cfg.LogRecordBytes)
-		}
-	} else if e.cfg.RealBytes {
-		lsn = e.log.AppendRecord(uint64(id), ver, e.cfg.LogRecordBytes)
-	} else {
-		lsn = e.log.Append(e.cfg.LogRecordBytes)
-	}
-	if e.cfg.RealBytes {
-		if tx.touched == nil {
-			tx.touched = make(map[buffer.PageID]uint64)
-		}
-		tx.touched[id] = ver
-	}
-	if lsn > tx.maxLSN {
-		tx.maxLSN = lsn
-	}
-	tx.writes++
-	e.pool.MarkDirty(fr, lsn)
-	e.pool.UnlockX(fr)
-	e.pool.Unpin(fr)
-	return nil
-}
-
-// Lookup reads the row at rank.
-func (tx *Tx) Lookup(p *sim.Proc, t *Table, rank int64) error {
-	for _, id := range t.tree.SearchPath(rank) {
-		if err := tx.e.touchRead(p, id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Update modifies the row at rank.
-func (tx *Tx) Update(p *sim.Proc, t *Table, rank int64) error {
-	path := t.tree.SearchPath(rank)
-	for _, id := range path[:len(path)-1] {
-		if err := tx.e.touchRead(p, id); err != nil {
-			return err
-		}
-	}
-	return tx.e.touchWrite(p, tx, path[len(path)-1])
-}
-
-// Insert adds a row at rank.
-func (tx *Tx) Insert(p *sim.Proc, t *Table, rank int64) error {
-	path := t.tree.SearchPath(rank)
-	for _, id := range path[:len(path)-1] {
-		if err := tx.e.touchRead(p, id); err != nil {
-			return err
-		}
-	}
-	for _, id := range t.tree.Insert(rank) {
-		if err := tx.e.touchWrite(p, tx, id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Commit flushes the WAL up to the transaction's LSN (group commit) and
-// triggers a checkpoint if the WAL budget is spent.
-func (tx *Tx) Commit(p *sim.Proc) error {
-	if tx.writes > 0 {
-		if err := tx.e.log.Commit(p, tx.maxLSN); err != nil {
-			return err
-		}
-		tx.e.Commits++
-	}
-	if tx.e.log.BytesLogged-tx.e.ckptBase > tx.e.cfg.CheckpointWALBytes {
-		return tx.e.Checkpoint(p)
-	}
-	return nil
-}
-
-// Checkpoint flushes every dirty page and re-arms full-page logging.
-// Concurrent callers coalesce onto one checkpoint.
-func (e *Engine) Checkpoint(p *sim.Proc) error {
-	if e.inCkpt {
-		return nil // another backend is already checkpointing
-	}
-	e.inCkpt = true
-	defer func() { e.inCkpt = false }()
-	e.ckptBase = e.log.BytesLogged
-	if err := e.pool.FlushAll(p); err != nil {
-		return err
-	}
-	e.fpwLogged = make(map[buffer.PageID]bool)
-	e.Checkpoints++
-	return nil
-}
-
-// FlushAll checkpoints (alias for symmetry with innodb).
-func (e *Engine) FlushAll(p *sim.Proc) error { return e.Checkpoint(p) }
-
-// Close stops background workers.
-func (e *Engine) Close() { e.pool.Close() }
-
-// RecoveryReport summarizes crash recovery.
-type RecoveryReport struct {
-	RedoRecords    int
-	RedoApplied    int
-	TornRepaired   int // torn pages re-established from full-page images
-	TornUnrepaired int // torn pages with no full image (full_page_writes off!)
-}
-
-// Recover replays the WAL (RealBytes mode): full-page images establish
-// page bases (repairing torn pages); delta records roll intact pages
-// forward. Without full-page writes, a torn page is unrepairable — unless
-// the device never tears pages, which is DuraSSD's whole pitch.
-func (e *Engine) Recover(p *sim.Proc) (*RecoveryReport, error) {
-	if !e.cfg.RealBytes {
-		return nil, fmt.Errorf("pgsql: Recover requires RealBytes mode")
-	}
-	rep := &RecoveryReport{}
-	recs, err := e.log.ReadAll(p)
-	if err != nil {
-		return nil, err
-	}
-	rep.RedoRecords = len(recs)
-	pageBuf := make([]byte, e.cfg.PageBytes)
-	state := make(map[uint64]uint64) // on-disk version; 0 = absent
-	torn := make(map[uint64]bool)
-	probe := func(id uint64) (uint64, error) {
-		if v, ok := state[id]; ok {
-			return v, nil
-		}
-		if err := e.dataFile.ReadPages(p, int64(id)*int64(e.perDB), e.perDB, pageBuf); err != nil {
-			return 0, err
-		}
-		gotID, ver, ok := storage.ParsePageImage(pageBuf)
-		if !ok || gotID != id {
-			ver = 0
-			if !ok && isNonZero(pageBuf) {
-				torn[id] = true
-				rep.TornUnrepaired++
-			}
-		}
-		state[id] = ver
-		return ver, nil
-	}
-	for _, rec := range recs {
-		ver, err := probe(rec.Page)
-		if err != nil {
-			return nil, err
-		}
-		if torn[rec.Page] {
-			if !rec.FullImage {
-				continue // delta on a torn base: unusable
-			}
-			delete(torn, rec.Page)
-			rep.TornUnrepaired--
-			rep.TornRepaired++
-			ver = 0
-		}
-		if ver < rec.Version {
-			storage.BuildPageImage(pageBuf, rec.Page, rec.Version)
-			if err := e.dataFile.WritePages(p, int64(rec.Page)*int64(e.perDB), e.perDB, pageBuf); err != nil {
-				return nil, err
-			}
-			state[rec.Page] = rec.Version
-			rep.RedoApplied++
-		}
-	}
-	for id, v := range state {
-		if v > 0 {
-			e.versions[buffer.PageID(id)] = v
-		}
-	}
-	return rep, nil
-}
-
-// PageVersionOnDisk reads a page's image version directly from storage.
-func (e *Engine) PageVersionOnDisk(p *sim.Proc, id buffer.PageID) (uint64, bool, error) {
-	buf := make([]byte, e.cfg.PageBytes)
-	if err := e.dataFile.ReadPages(p, int64(id)*int64(e.perDB), e.perDB, buf); err != nil {
-		return 0, false, err
-	}
-	gotID, ver, ok := storage.ParsePageImage(buf)
-	if !ok || gotID != uint64(id) {
-		return 0, false, nil
-	}
-	return ver, true, nil
-}
-
-func isNonZero(b []byte) bool {
-	for _, x := range b {
-		if x != 0 {
-			return true
-		}
-	}
-	return false
+	return profile.Reopen(eng, dataFS, logFS, cfg)
 }
