@@ -10,7 +10,6 @@
 package buffer
 
 import (
-	"container/list"
 	"fmt"
 	"time"
 
@@ -66,13 +65,12 @@ func (c *Config) defaults() {
 
 // Stats counts pool activity.
 type Stats struct {
-	Gets            int64
-	Hits            int64
-	Misses          int64
-	Evictions       int64
-	DirtyEvictions  int64 // reads that had to write back a victim first
-	CleanerFlushes  int64
-	ReadsBlockedByW int64 // alias of DirtyEvictions seen from the read side
+	Gets           int64
+	Hits           int64
+	Misses         int64
+	Evictions      int64
+	DirtyEvictions int64 // reads that had to write back a victim first
+	CleanerFlushes int64
 }
 
 // MissRatio returns misses / gets (Figure 6a's metric).
@@ -83,7 +81,11 @@ func (s *Stats) MissRatio() float64 {
 	return float64(s.Misses) / float64(s.Gets)
 }
 
-// Frame is a buffer frame. Access it only while pinned.
+// none marks the end of the LRU list.
+const none = -1
+
+// Frame is a buffer frame. Access it only while pinned. The pool's frames
+// are one slab, and the LRU list runs through them by slab index.
 type Frame struct {
 	id     PageID
 	data   []byte
@@ -91,9 +93,11 @@ type Frame struct {
 	dirty  bool
 	pins   int
 	busy   bool // I/O in progress
-	inPool bool
-	elem   *list.Element
-	latch  *sim.Resource // exclusive page latch (created on first use)
+	inPool bool // holds a page: in the page table and on the LRU list
+	// self is the frame's slab index; newer and older are its LRU
+	// neighbours toward the MRU and the LRU end, none past them.
+	self, newer, older int32
+	latch              *sim.Resource // exclusive page latch (created on first use)
 }
 
 // ID returns the page held by the frame.
@@ -115,17 +119,31 @@ type Pool struct {
 	reader PageReader
 	writer PageWriter
 
-	frames map[PageID]*Frame
-	lru    *list.List // front = MRU, back = LRU victim side
-	free   []*Frame
-	dirty  int
+	slab           []Frame
+	frames         map[PageID]*Frame
+	newest, oldest int32 // LRU list ends: the MRU frame and the victim side
+	free           []*Frame
+	dirty          int
 
-	inIO     map[PageID]*sim.Signal // page reads in progress
-	flushers *sim.Queue             // procs waiting for a frame being written
-	cleanerQ *sim.Queue             // wakes the cleaner when dirty crosses the threshold
+	inIO     map[PageID]*sim.Queue // page reads in progress: their waiters
+	flushers *sim.Queue            // procs waiting for a frame being written
+	cleanerQ *sim.Queue            // wakes the cleaner when dirty crosses the threshold
+
+	// Free lists: a read's wait queue returns when the read ends, a
+	// write-back's batch when its write does.
+	readQs  []*sim.Queue
+	batches []*batch
 
 	closed bool
 	stats  Stats
+}
+
+// batch is the scratch of one write-back: its victims and their page
+// images. Write-backs park in the writer, and the cleaner and readers that
+// evict a dirty victim write back at once, so each takes its own.
+type batch struct {
+	frames []*Frame
+	writes []PageWrite
 }
 
 // New builds a pool of cfg.Frames frames over the given reader/writer and
@@ -140,15 +158,18 @@ func New(eng *sim.Engine, cfg Config, reader PageReader, writer PageWriter) (*Po
 		cfg:      cfg,
 		reader:   reader,
 		writer:   writer,
+		slab:     make([]Frame, cfg.Frames),
 		frames:   make(map[PageID]*Frame, cfg.Frames),
-		lru:      list.New(),
-		inIO:     make(map[PageID]*sim.Signal),
+		newest:   none,
+		oldest:   none,
+		free:     make([]*Frame, 0, cfg.Frames),
+		inIO:     make(map[PageID]*sim.Queue),
 		flushers: sim.NewQueue(eng),
 		cleanerQ: sim.NewQueue(eng),
 	}
-	bp.free = make([]*Frame, 0, cfg.Frames)
-	for i := 0; i < cfg.Frames; i++ {
-		fr := &Frame{}
+	for i := range bp.slab {
+		fr := &bp.slab[i]
+		fr.self = int32(i)
 		if cfg.RealBytes {
 			fr.data = make([]byte, cfg.PageBytes)
 		}
@@ -169,36 +190,65 @@ func (bp *Pool) Frames() int { return bp.cfg.Frames }
 // DirtyPages returns the current number of dirty frames.
 func (bp *Pool) DirtyPages() int { return bp.dirty }
 
+// pushNewest puts fr at the MRU end of the LRU list.
+func (bp *Pool) pushNewest(fr *Frame) {
+	fr.newer, fr.older = none, bp.newest
+	if bp.newest != none {
+		bp.slab[bp.newest].newer = fr.self
+	} else {
+		bp.oldest = fr.self
+	}
+	bp.newest = fr.self
+}
+
+// unlink takes fr off the LRU list.
+func (bp *Pool) unlink(fr *Frame) {
+	if fr.newer != none {
+		bp.slab[fr.newer].older = fr.older
+	} else {
+		bp.newest = fr.older
+	}
+	if fr.older != none {
+		bp.slab[fr.older].newer = fr.newer
+	} else {
+		bp.oldest = fr.newer
+	}
+}
+
 // Get pins the page, reading it from storage on a miss. The returned frame
 // stays pinned until Unpin.
+//
+//simlint:hotpath
 func (bp *Pool) Get(p *sim.Proc, id PageID) (*Frame, error) {
 	bp.stats.Gets++
 	for {
 		if fr, ok := bp.frames[id]; ok {
 			if fr.busy {
 				// Someone is reading or writing this exact page; wait.
-				sig := bp.inIO[id]
-				if sig == nil {
+				if q := bp.inIO[id]; q != nil {
+					q.Wait(p)
+				} else {
 					// Being written back; retry after the writer finishes.
 					bp.flushers.Wait(p)
-					continue
 				}
-				sig.Wait(p)
 				continue
 			}
 			bp.stats.Hits++
 			fr.pins++
-			bp.lru.MoveToFront(fr.elem)
+			if bp.newest != fr.self {
+				bp.unlink(fr)
+				bp.pushNewest(fr)
+			}
 			return fr, nil
 		}
 		// Miss. Serialize concurrent faults on the same page.
-		if sig, ok := bp.inIO[id]; ok {
-			sig.Wait(p)
+		if q, ok := bp.inIO[id]; ok {
+			q.Wait(p)
 			continue
 		}
 		bp.stats.Misses++
-		sig := sim.NewSignal(bp.eng)
-		bp.inIO[id] = sig
+		q := bp.readQ()
+		bp.inIO[id] = q
 		fr, err := bp.takeFreeFrame(p)
 		if err == nil {
 			fr.id = id
@@ -207,12 +257,15 @@ func (bp *Pool) Get(p *sim.Proc, id PageID) (*Frame, error) {
 			fr.lsn = 0
 			fr.inPool = true
 			bp.frames[id] = fr
-			fr.elem = bp.lru.PushFront(fr)
+			bp.pushNewest(fr)
 			err = bp.reader.ReadPage(p, id, fr.data)
 			fr.busy = false
 		}
 		delete(bp.inIO, id)
-		sig.Fire()
+		// The woken waiters re-check the page table, not the queue, so it
+		// is free for the next read at once.
+		q.WakeAll()
+		bp.readQs = append(bp.readQs, q)
 		if err != nil {
 			if fr != nil && fr.inPool {
 				bp.removeFrame(fr)
@@ -223,6 +276,16 @@ func (bp *Pool) Get(p *sim.Proc, id PageID) (*Frame, error) {
 		fr.pins++
 		return fr, nil
 	}
+}
+
+// readQ takes a wait queue for a page read from the free list.
+func (bp *Pool) readQ() *sim.Queue { //simlint:allow hotalloc free-list miss: one queue per concurrent page read, kept for reuse
+	if n := len(bp.readQs); n > 0 {
+		q := bp.readQs[n-1]
+		bp.readQs = bp.readQs[:n-1]
+		return q
+	}
+	return sim.NewQueue(bp.eng)
 }
 
 // takeFreeFrame returns a frame from the free list, evicting (and if dirty,
@@ -248,19 +311,26 @@ func (bp *Pool) takeFreeFrame(p *sim.Proc) (*Frame, error) {
 
 // evictOne scans the LRU list from the tail for an unpinned victim.
 // A dirty victim is written back synchronously before reuse.
+//
+//simlint:hotpath
 func (bp *Pool) evictOne(p *sim.Proc) (*Frame, error) {
-	for e := bp.lru.Back(); e != nil; e = e.Prev() {
-		fr := e.Value.(*Frame)
+	for i := bp.oldest; i != none; i = bp.slab[i].newer {
+		fr := &bp.slab[i]
 		if fr.pins > 0 || fr.busy {
 			continue
 		}
 		if fr.dirty {
 			bp.stats.DirtyEvictions++
-			bp.stats.ReadsBlockedByW++
-			if err := bp.writeBack(p, []*Frame{fr}); err != nil {
+			b := bp.takeBatch()
+			b.frames = append(b.frames, fr)
+			err := bp.writeBack(p, b)
+			bp.batches = append(bp.batches, b)
+			if err != nil {
 				return nil, err
 			}
-			// State may have changed while writing; restart the scan.
+			// The victim may have changed while it was written: report no
+			// frame, and the caller waits for the next write-back to end
+			// before it scans again.
 			if fr.dirty || fr.pins > 0 || !fr.inPool {
 				return nil, nil
 			}
@@ -274,23 +344,35 @@ func (bp *Pool) evictOne(p *sim.Proc) (*Frame, error) {
 
 func (bp *Pool) removeFrame(fr *Frame) {
 	delete(bp.frames, fr.id)
-	if fr.elem != nil {
-		bp.lru.Remove(fr.elem)
-		fr.elem = nil
+	if fr.inPool {
+		bp.unlink(fr)
 	}
 	fr.inPool = false
 	fr.dirty = false
 }
 
-// writeBack persists the given dirty frames as one batch via the writer.
-func (bp *Pool) writeBack(p *sim.Proc, victims []*Frame) error {
-	writes := make([]PageWrite, len(victims))
-	for i, fr := range victims {
-		fr.busy = true
-		writes[i] = PageWrite{ID: fr.id, LSN: fr.lsn, Data: fr.data}
+// takeBatch takes an empty write-back batch from the free list.
+func (bp *Pool) takeBatch() *batch {
+	if n := len(bp.batches); n > 0 {
+		b := bp.batches[n-1]
+		bp.batches = bp.batches[:n-1]
+		b.frames = b.frames[:0]
+		return b
 	}
-	err := bp.writer.WritePages(p, writes)
-	for _, fr := range victims {
+	return &batch{} //simlint:allow hotalloc free-list miss: one batch per concurrent write-back, kept for reuse
+}
+
+// writeBack persists the batch's dirty frames as one write via the writer.
+//
+//simlint:hotpath
+func (bp *Pool) writeBack(p *sim.Proc, b *batch) error {
+	b.writes = b.writes[:0]
+	for _, fr := range b.frames {
+		fr.busy = true
+		b.writes = append(b.writes, PageWrite{ID: fr.id, LSN: fr.lsn, Data: fr.data})
+	}
+	err := bp.writer.WritePages(p, b.writes)
+	for _, fr := range b.frames {
 		fr.busy = false
 		if err == nil && fr.dirty {
 			fr.dirty = false
@@ -305,7 +387,7 @@ func (bp *Pool) writeBack(p *sim.Proc, victims []*Frame) error {
 // hold it for their page-CPU time, so a hot 16 KB leaf serializes four
 // times the key range of a 4 KB one — the concurrency-granularity effect
 // behind the paper's small-page argument (§2.4).
-func (bp *Pool) LockX(p *sim.Proc, fr *Frame) {
+func (bp *Pool) LockX(p *sim.Proc, fr *Frame) { //simlint:allow hotalloc a frame's first latch creates it, once per frame of the slab
 	if fr.latch == nil {
 		fr.latch = sim.NewResource(bp.eng, 1)
 	}
@@ -316,6 +398,8 @@ func (bp *Pool) LockX(p *sim.Proc, fr *Frame) {
 func (bp *Pool) UnlockX(fr *Frame) { fr.latch.Release(1) }
 
 // MarkDirty records a modification to a pinned frame at the given LSN.
+//
+//simlint:hotpath
 func (bp *Pool) MarkDirty(fr *Frame, lsn uint64) {
 	if fr.pins <= 0 {
 		panic("buffer: MarkDirty on unpinned frame")
@@ -354,16 +438,20 @@ func (bp *Pool) cleaner(p *sim.Proc) {
 		if bp.closed {
 			return
 		}
-		victims := bp.collectDirtyTail(bp.cfg.CleanerBatch)
-		if len(victims) == 0 {
+		b := bp.collectDirtyTail(bp.cfg.CleanerBatch)
+		n := len(b.frames)
+		if n == 0 {
 			// Dirty pages are all pinned or busy; yield until state changes.
+			bp.batches = append(bp.batches, b)
 			bp.cleanerQ.Wait(p)
 			continue
 		}
-		if err := bp.writeBack(p, victims); err != nil {
+		err := bp.writeBack(p, b)
+		bp.batches = append(bp.batches, b)
+		if err != nil {
 			return
 		}
-		bp.stats.CleanerFlushes += int64(len(victims))
+		bp.stats.CleanerFlushes += int64(n)
 	}
 }
 
@@ -371,22 +459,25 @@ func (bp *Pool) overThreshold() bool {
 	return bp.dirty*100 >= bp.cfg.Frames*bp.cfg.CleanerDirtyPct
 }
 
-func (bp *Pool) collectDirtyTail(max int) []*Frame {
-	var victims []*Frame
-	for e := bp.lru.Back(); e != nil && len(victims) < max; e = e.Prev() {
-		fr := e.Value.(*Frame)
+// collectDirtyTail returns a batch holding up to max unpinned, idle dirty
+// frames from the LRU end. The caller returns it to bp.batches.
+func (bp *Pool) collectDirtyTail(max int) *batch {
+	b := bp.takeBatch()
+	for i := bp.oldest; i != none && len(b.frames) < max; i = bp.slab[i].newer {
+		fr := &bp.slab[i]
 		if fr.dirty && !fr.busy && fr.pins == 0 {
-			victims = append(victims, fr)
+			b.frames = append(b.frames, fr)
 		}
 	}
-	return victims
+	return b
 }
 
 // FlushAll writes every dirty page (checkpoint / clean shutdown).
 func (bp *Pool) FlushAll(p *sim.Proc) error {
 	for {
-		victims := bp.collectDirtyTail(bp.cfg.CleanerBatch)
-		if len(victims) == 0 {
+		b := bp.collectDirtyTail(bp.cfg.CleanerBatch)
+		if len(b.frames) == 0 {
+			bp.batches = append(bp.batches, b)
 			if bp.dirty == 0 {
 				return nil
 			}
@@ -394,7 +485,9 @@ func (bp *Pool) FlushAll(p *sim.Proc) error {
 			bp.flushers.Wait(p)
 			continue
 		}
-		if err := bp.writeBack(p, victims); err != nil {
+		err := bp.writeBack(p, b)
+		bp.batches = append(bp.batches, b)
+		if err != nil {
 			return err
 		}
 	}

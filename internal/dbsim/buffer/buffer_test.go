@@ -1,6 +1,9 @@
 package buffer
 
 import (
+	"container/list"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -236,5 +239,93 @@ func TestMissRatio(t *testing.T) {
 	eng.Run()
 	if got := bp.Stats().MissRatio(); got != 0.25 {
 		t.Fatalf("miss ratio = %v, want 0.25", got)
+	}
+}
+
+// TestLRUMatchesListModel drives a pool through a random Get/Unpin/MarkDirty
+// sequence beside a container/list model of the LRU policy it replaced —
+// front MRU, victim the unpinned frame nearest the back, a dirty one
+// written back first — and requires the same order after every step and
+// the same victim on every miss.
+func TestLRUMatchesListModel(t *testing.T) {
+	const frames, pageIDs, steps = 6, 24, 5_000
+	eng := sim.New()
+	defer eng.Close()
+	io := newFakeIO(eng)
+	bp, err := New(eng, Config{Frames: frames, PageBytes: 4096}, io, io)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lru := list.New() // front = MRU
+	elems := map[PageID]*list.Element{}
+	pins := map[PageID]int{}
+	var pinned []*Frame
+	rng := rand.New(rand.NewSource(7))
+	eng.Go("t", func(p *sim.Proc) {
+		for step := 0; step < steps; step++ {
+			switch r := rng.Intn(10); {
+			case r < 6 || len(pinned) == 0:
+				id := PageID(rng.Intn(pageIDs))
+				held := 0
+				for _, n := range pins {
+					held += min(n, 1)
+				}
+				if held == frames && pins[id] == 0 {
+					continue // a miss needs an unpinned victim, or it waits forever
+				}
+				victim := PageID(-1)
+				if e, ok := elems[id]; ok {
+					lru.MoveToFront(e)
+				} else {
+					if lru.Len() == frames {
+						for e := lru.Back(); e != nil; e = e.Prev() {
+							if v := e.Value.(PageID); pins[v] == 0 {
+								victim = v
+								lru.Remove(e)
+								delete(elems, v)
+								break
+							}
+						}
+					}
+					elems[id] = lru.PushFront(id)
+				}
+				fr, err := bp.Get(p, id)
+				if err != nil {
+					t.Errorf("step %d: Get(%d): %v", step, id, err)
+					return
+				}
+				if victim >= 0 {
+					if _, ok := bp.frames[victim]; ok {
+						t.Errorf("step %d: miss on %d kept page %d, the model's victim", step, id, victim)
+						return
+					}
+				}
+				pins[id]++
+				pinned = append(pinned, fr)
+			case r < 8:
+				bp.MarkDirty(pinned[rng.Intn(len(pinned))], uint64(step))
+			default:
+				i := rng.Intn(len(pinned))
+				fr := pinned[i]
+				pinned = append(pinned[:i], pinned[i+1:]...)
+				pins[fr.ID()]--
+				bp.Unpin(fr)
+			}
+			var got, want []PageID
+			for i := bp.newest; i != none; i = bp.slab[i].older {
+				got = append(got, bp.slab[i].id)
+			}
+			for e := lru.Front(); e != nil; e = e.Next() {
+				want = append(want, e.Value.(PageID))
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("step %d: LRU order %v, model %v", step, got, want)
+				return
+			}
+		}
+	})
+	eng.Run()
+	if st := bp.Stats(); st.Evictions == 0 || st.DirtyEvictions == 0 {
+		t.Fatalf("sequence never evicted a clean and a dirty victim: %+v", *st)
 	}
 }

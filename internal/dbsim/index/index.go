@@ -16,6 +16,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 
 	"durassd/internal/dbsim/buffer"
 )
@@ -128,20 +129,21 @@ func (t *Tree) pageAt(level int, idx int64) buffer.PageID {
 	return t.base + buffer.PageID(t.levelBase[level]+idx)
 }
 
-// SearchPath returns the root-to-leaf page IDs visited when looking up the
-// rank (leaf last).
-func (t *Tree) SearchPath(rank int64) []buffer.PageID {
+// SearchPath appends the root-to-leaf page IDs visited when looking up the
+// rank (leaf last) to dst and returns the extended slice. A path is Depth()
+// pages long, so a caller-owned array of a few entries holds it.
+func (t *Tree) SearchPath(dst []buffer.PageID, rank int64) []buffer.PageID {
 	if rank < 0 {
 		rank = 0
 	}
-	depth := t.Depth()
-	path := make([]buffer.PageID, depth)
+	start, depth := len(dst), t.Depth()
 	idx := rank / t.rowsPerLeaf
 	for level := 0; level < depth; level++ {
-		path[depth-1-level] = t.pageAt(level, idx)
+		dst = append(dst, t.pageAt(level, idx))
 		idx /= t.fanout
 	}
-	return path
+	slices.Reverse(dst[start:])
+	return dst
 }
 
 // LeafOf returns the leaf page holding the rank.
@@ -149,27 +151,27 @@ func (t *Tree) LeafOf(rank int64) buffer.PageID {
 	return t.pageAt(0, rank/t.rowsPerLeaf)
 }
 
-// ScanLeaves returns the leaf pages covering [startRank, startRank+n).
-func (t *Tree) ScanLeaves(startRank, n int64) []buffer.PageID {
+// ScanLeaves appends the leaf pages covering [startRank, startRank+n) to
+// dst and returns the extended slice; nothing when n <= 0.
+func (t *Tree) ScanLeaves(dst []buffer.PageID, startRank, n int64) []buffer.PageID {
 	if n <= 0 {
-		return nil
+		return dst
 	}
 	first := startRank / t.rowsPerLeaf
 	last := (startRank + n - 1) / t.rowsPerLeaf
-	pages := make([]buffer.PageID, 0, last-first+1)
 	for i := first; i <= last; i++ {
-		pages = append(pages, t.pageAt(0, i))
+		dst = append(dst, t.pageAt(0, i))
 	}
-	return pages
+	return dst
 }
 
-// Insert records an insert of the given rank and returns the pages the
-// insert dirties: always the leaf; on a (deterministic, amortized) split,
-// the parent as well, one extra level per fanout power.
-func (t *Tree) Insert(rank int64) []buffer.PageID {
+// Insert records an insert of the given rank and appends the pages the
+// insert dirties to dst: always the leaf; on a (deterministic, amortized)
+// split, the parent as well, one extra level per fanout power.
+func (t *Tree) Insert(dst []buffer.PageID, rank int64) []buffer.PageID {
 	t.rows++
 	t.inserts++
-	dirty := []buffer.PageID{t.LeafOf(rank)}
+	dst = append(dst, t.LeafOf(rank))
 	depth := t.Depth()
 	stride := t.rowsPerLeaf
 	idx := rank / t.rowsPerLeaf
@@ -178,17 +180,18 @@ func (t *Tree) Insert(rank int64) []buffer.PageID {
 			break
 		}
 		idx /= t.fanout
-		dirty = append(dirty, t.pageAt(level, idx))
+		dst = append(dst, t.pageAt(level, idx))
 		stride *= t.fanout
 	}
-	return dirty
+	return dst
 }
 
-// Delete records a delete; it dirties the leaf only (no rebalancing, like
-// InnoDB's purge in practice).
-func (t *Tree) Delete(rank int64) []buffer.PageID {
+// Delete records a delete and appends the one page it dirties, the leaf, to
+// dst (no rebalancing, like InnoDB's purge in practice).
+func (t *Tree) Delete(dst []buffer.PageID, rank int64) []buffer.PageID {
 	if t.rows > 0 {
 		t.rows--
 	}
-	return []buffer.PageID{t.LeafOf(rank)}
+	dst = append(dst, t.LeafOf(rank))
+	return dst
 }

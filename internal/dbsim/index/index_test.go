@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -42,12 +43,17 @@ func TestSmallerPagesMakeDeeperTrees(t *testing.T) {
 
 func TestSearchPathShape(t *testing.T) {
 	tr := newTree(t, 4*storage.KB, 1_000_000)
-	path := tr.SearchPath(123_456)
+	path := tr.SearchPath(nil, 123_456)
 	if len(path) != tr.Depth() {
 		t.Fatalf("path length %d != depth %d", len(path), tr.Depth())
 	}
 	if path[len(path)-1] != tr.LeafOf(123_456) {
 		t.Fatal("path does not end at the key's leaf")
+	}
+	// Appending keeps what dst held and adds the same path after it.
+	again := tr.SearchPath(path, 123_456)
+	if len(again) != 2*len(path) || !slices.Equal(again[len(path):], path) {
+		t.Fatalf("append onto a path gave %v, want %v twice", again, path)
 	}
 	// Same leaf for neighbors within one leaf's rows.
 	if tr.LeafOf(0) != tr.LeafOf(tr.RowsPerLeaf()-1) {
@@ -62,7 +68,7 @@ func TestPageIDsDisjointAcrossLevels(t *testing.T) {
 	tr := newTree(t, 4*storage.KB, 1_000_000)
 	seen := make(map[buffer.PageID]bool)
 	for _, rank := range []int64{0, 1, 999_999, 500_000} {
-		path := tr.SearchPath(rank)
+		path := tr.SearchPath(nil, rank)
 		for i := 0; i < len(path)-1; i++ {
 			for j := i + 1; j < len(path); j++ {
 				if path[i] == path[j] {
@@ -77,12 +83,12 @@ func TestPageIDsDisjointAcrossLevels(t *testing.T) {
 func TestScanLeavesCoverRange(t *testing.T) {
 	tr := newTree(t, 4*storage.KB, 100_000)
 	per := tr.RowsPerLeaf()
-	leaves := tr.ScanLeaves(0, per*3)
+	leaves := tr.ScanLeaves(nil, 0, per*3)
 	if len(leaves) < 3 || len(leaves) > 4 {
 		t.Fatalf("scan of 3 leaves' rows returned %d pages", len(leaves))
 	}
-	if tr.ScanLeaves(10, 0) != nil {
-		t.Fatal("empty scan returned pages")
+	if got := tr.ScanLeaves(leaves[:1], 10, 0); len(got) != 1 {
+		t.Fatalf("empty scan appended %d pages", len(got)-1)
 	}
 }
 
@@ -91,7 +97,7 @@ func TestInsertDirtiesLeafAndSometimesParent(t *testing.T) {
 	splits := 0
 	n := int(tr.RowsPerLeaf()) * 10
 	for i := 0; i < n; i++ {
-		dirty := tr.Insert(int64(i))
+		dirty := tr.Insert(nil, int64(i))
 		if len(dirty) == 0 || dirty[0] != tr.LeafOf(int64(i)) {
 			t.Fatal("insert did not dirty the leaf")
 		}
@@ -109,11 +115,11 @@ func TestInsertDirtiesLeafAndSometimesParent(t *testing.T) {
 
 func TestRowsTracked(t *testing.T) {
 	tr := newTree(t, 4*storage.KB, 10)
-	tr.Insert(11)
+	tr.Insert(nil, 11)
 	if tr.Rows() != 11 {
 		t.Fatalf("rows = %d", tr.Rows())
 	}
-	tr.Delete(5)
+	tr.Delete(nil, 5)
 	if tr.Rows() != 10 {
 		t.Fatalf("rows after delete = %d", tr.Rows())
 	}
@@ -129,7 +135,7 @@ func TestPagesWithinReservation(t *testing.T) {
 		tr.SetRows(rows)
 		// Every path page must fall inside the reserved range.
 		for _, rank := range []int64{0, rows / 2, rows - 1} {
-			for _, id := range tr.SearchPath(rank) {
+			for _, id := range tr.SearchPath(nil, rank) {
 				if int64(id) < 0 || int64(id) >= tr.Pages() {
 					return false
 				}

@@ -144,6 +144,7 @@ type Engine struct {
 	fpwLogged map[buffer.PageID]bool   // FPW: pages whose image is in the WAL since the last checkpoint
 	ckptBase  int64                    // BytesLogged at the last checkpoint
 	inCkpt    bool
+	dwbImages [][]byte // free list of double-write batch images (RealBytes)
 
 	// Stats
 	Commits     int64
@@ -254,6 +255,7 @@ func (e *Engine) writeData(p *sim.Proc, id buffer.PageID, data []byte) error {
 // WAL-before-data rule and the double-write buffer.
 type pageWriter Engine
 
+//simlint:hotpath
 func (w *pageWriter) WritePages(p *sim.Proc, pages []buffer.PageWrite) error {
 	e := (*Engine)(w)
 	// WAL rule: the log must be durable up to the newest LSN in the batch
@@ -281,13 +283,16 @@ func (w *pageWriter) WritePages(p *sim.Proc, pages []buffer.PageWrite) error {
 			// Phase 1: sequential batch into the double-write area + fsync.
 			var img []byte
 			if e.cfg.RealBytes {
-				img = make([]byte, len(batch)*e.cfg.PageBytes)
-				for i, pg := range batch {
-					copy(img[i*e.cfg.PageBytes:], pg.Data)
+				img = e.dwbImage()
+				for _, pg := range batch {
+					img = append(img, pg.Data...)
 				}
 			}
 			if err := e.dwbFile.WritePages(p, 0, len(batch)*e.perDB, img); err != nil {
 				return err
+			}
+			if img != nil {
+				e.dwbImages = append(e.dwbImages, img)
 			}
 			if err := e.syncData(p, e.dwbFile); err != nil {
 				return err
@@ -306,6 +311,18 @@ func (w *pageWriter) WritePages(p *sim.Proc, pages []buffer.PageWrite) error {
 		}
 	}
 	return nil
+}
+
+// dwbImage takes an empty double-write batch image from the free list. A
+// batch holds its image until the device has taken it, and the cleaner and
+// readers evicting dirty pages write batches at once, so each takes its own.
+func (e *Engine) dwbImage() []byte {
+	if n := len(e.dwbImages); n > 0 {
+		img := e.dwbImages[n-1]
+		e.dwbImages = e.dwbImages[:n-1]
+		return img[:0]
+	}
+	return make([]byte, 0, e.cfg.DWBBatch*e.cfg.PageBytes) //simlint:allow hotalloc free-list miss: one image per concurrent double-write batch, kept for reuse
 }
 
 // syncData fsyncs a data file unless the engine runs O_DSYNC (each write
@@ -368,17 +385,31 @@ type Tx struct {
 	e       *Engine
 	maxLSN  uint64
 	writes  int
-	touched map[buffer.PageID]uint64 // bytes mode: page -> version written
+	touched []PageVersion // bytes mode: the versions written, in order
+	// pages is the scratch the tree appends a search path, the leaves of a
+	// scan or the pages a change dirties to: each is used before the next
+	// is computed, and a path is the tree's depth, single digits.
+	pages [8]buffer.PageID
 }
 
-// Touched returns the page versions this transaction wrote (bytes mode);
-// crash harnesses record them after Commit to verify durability.
-func (tx *Tx) Touched() map[buffer.PageID]uint64 { return tx.touched }
+// PageVersion is one page version a transaction wrote.
+type PageVersion struct {
+	ID      buffer.PageID
+	Version uint64
+}
+
+// Touched returns the page versions this transaction wrote (bytes mode), in
+// the order it wrote them; a page written twice appears twice, its later
+// version last. Crash harnesses record them after Commit to verify
+// durability.
+func (tx *Tx) Touched() []PageVersion { return tx.touched }
 
 // Begin starts a transaction.
 func (e *Engine) Begin() *Tx { return &Tx{e: e} }
 
 // touch pins and unpins one page (read access).
+//
+//simlint:hotpath
 func (e *Engine) touch(p *sim.Proc, id buffer.PageID) error {
 	fr, err := e.pool.Get(p, id)
 	if err != nil {
@@ -394,6 +425,8 @@ func (e *Engine) touch(p *sim.Proc, id buffer.PageID) error {
 // last checkpoint when full-page writes are on — and dirties the frame.
 // Version assignment and logging happen under the latch, so concurrent
 // writers to the same page serialize correctly.
+//
+//simlint:hotpath
 func (e *Engine) touchWrite(p *sim.Proc, tx *Tx, id buffer.PageID) error {
 	fr, err := e.pool.Get(p, id)
 	if err != nil {
@@ -406,10 +439,7 @@ func (e *Engine) touchWrite(p *sim.Proc, tx *Tx, id buffer.PageID) error {
 		e.versions[id]++
 		ver = e.versions[id]
 		storage.BuildPageImage(fr.Data(), uint64(id), ver)
-		if tx.touched == nil {
-			tx.touched = make(map[buffer.PageID]uint64)
-		}
-		tx.touched[id] = ver
+		tx.touched = append(tx.touched, PageVersion{id, ver})
 	}
 	size := e.cfg.LogRecordBytes
 	fullImage := e.cfg.FullPageWrites && !e.fpwLogged[id]
@@ -437,8 +467,10 @@ func (e *Engine) touchWrite(p *sim.Proc, tx *Tx, id buffer.PageID) error {
 
 // descend reads the interior pages on the tree path to rank and returns
 // the leaf at its end, unread.
+//
+//simlint:hotpath
 func (tx *Tx) descend(p *sim.Proc, t *Table, rank int64) (buffer.PageID, error) {
-	path := t.tree.SearchPath(rank)
+	path := t.tree.SearchPath(tx.pages[:0], rank)
 	leaf := len(path) - 1
 	for _, id := range path[:leaf] {
 		if err := tx.e.touch(p, id); err != nil {
@@ -449,6 +481,8 @@ func (tx *Tx) descend(p *sim.Proc, t *Table, rank int64) (buffer.PageID, error) 
 }
 
 // Lookup reads the row at rank through the tree path.
+//
+//simlint:hotpath
 func (tx *Tx) Lookup(p *sim.Proc, t *Table, rank int64) error {
 	leaf, err := tx.descend(p, t, rank)
 	if err != nil {
@@ -458,13 +492,16 @@ func (tx *Tx) Lookup(p *sim.Proc, t *Table, rank int64) error {
 }
 
 // Scan reads n consecutive rows starting at rank (path to the first leaf,
-// then sibling leaves).
+// then sibling leaves). With n <= 0 it reads the path alone.
+//
+//simlint:hotpath
 func (tx *Tx) Scan(p *sim.Proc, t *Table, rank, n int64) error {
 	if err := tx.Lookup(p, t, rank); err != nil {
 		return err
 	}
-	for _, id := range t.tree.ScanLeaves(rank, n)[1:] {
-		if err := tx.e.touch(p, id); err != nil {
+	leaves := t.tree.ScanLeaves(tx.pages[:0], rank, n)
+	for i := 1; i < len(leaves); i++ {
+		if err := tx.e.touch(p, leaves[i]); err != nil {
 			return err
 		}
 	}
@@ -473,6 +510,8 @@ func (tx *Tx) Scan(p *sim.Proc, t *Table, rank, n int64) error {
 
 // Update modifies the row at rank: tree path read, leaf dirtied, redo
 // logged.
+//
+//simlint:hotpath
 func (tx *Tx) Update(p *sim.Proc, t *Table, rank int64) error {
 	leaf, err := tx.descend(p, t, rank)
 	if err != nil {
@@ -482,11 +521,13 @@ func (tx *Tx) Update(p *sim.Proc, t *Table, rank int64) error {
 }
 
 // Insert adds a row at rank; splits dirty parent pages amortizedly.
+//
+//simlint:hotpath
 func (tx *Tx) Insert(p *sim.Proc, t *Table, rank int64) error {
 	if _, err := tx.descend(p, t, rank); err != nil {
 		return err
 	}
-	for _, id := range t.tree.Insert(rank) {
+	for _, id := range t.tree.Insert(tx.pages[:0], rank) {
 		if err := tx.e.touchWrite(p, tx, id); err != nil {
 			return err
 		}
@@ -495,13 +536,14 @@ func (tx *Tx) Insert(p *sim.Proc, t *Table, rank int64) error {
 }
 
 // Delete removes the row at rank. (Not folded with Insert over a function
-// value: called directly, Tree.Delete inlines and its one-page result stays
-// on the stack.)
+// value: through one, the Tx's scratch would escape with it.)
+//
+//simlint:hotpath
 func (tx *Tx) Delete(p *sim.Proc, t *Table, rank int64) error {
 	if _, err := tx.descend(p, t, rank); err != nil {
 		return err
 	}
-	for _, id := range t.tree.Delete(rank) {
+	for _, id := range t.tree.Delete(tx.pages[:0], rank) {
 		if err := tx.e.touchWrite(p, tx, id); err != nil {
 			return err
 		}
@@ -514,6 +556,8 @@ func (tx *Tx) Delete(p *sim.Proc, t *Table, rank int64) error {
 // transaction flushes nothing. With a WAL budget (non-zero: the PostgreSQL
 // profile) every commit, read-only or not, checks it, as any backend may
 // be the one to start the checkpoint.
+//
+//simlint:hotpath
 func (tx *Tx) Commit(p *sim.Proc) error {
 	e := tx.e
 	if tx.writes > 0 {
@@ -535,9 +579,10 @@ func (e *Engine) Checkpoint(p *sim.Proc) error {
 		return nil // another backend is already checkpointing
 	}
 	e.inCkpt = true
-	defer func() { e.inCkpt = false }()
 	e.ckptBase = e.log.BytesLogged
-	if err := e.pool.FlushAll(p); err != nil {
+	err := e.pool.FlushAll(p)
+	e.inCkpt = false
+	if err != nil {
 		return err
 	}
 	clear(e.fpwLogged)

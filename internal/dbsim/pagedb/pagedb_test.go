@@ -167,8 +167,8 @@ func TestCrashRecoveryRedo(t *testing.T) {
 				t.Errorf("Commit: %v", err)
 				return
 			}
-			for id, v := range tx.Touched() {
-				wantPage, wantVer = id, v
+			for _, pv := range tx.Touched() {
+				wantPage, wantVer = pv.ID, pv.Version
 			}
 			// Crash without flushing the buffer pool.
 			r.dev.PowerFail()

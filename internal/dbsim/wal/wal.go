@@ -63,6 +63,8 @@ type Log struct {
 	writePos   int64 // next page offset in the current file
 	curFile    int
 	pending    []Record // unflushed records (RealBytes mode)
+	spare      []Record // the other pending buffer, swapped in while a flush writes one
+	block      []byte   // the log block a flush encodes each record into
 
 	flushing  bool
 	flushDone *sim.Queue
@@ -114,6 +116,8 @@ func Reopen(eng *sim.Engine, fs *host.FS, cfg Config) (*Log, error) {
 
 // Append adds a redo record of the given payload size and returns its LSN.
 // The record sits in the volatile log tail until a flush reaches it.
+//
+//simlint:hotpath
 func (l *Log) Append(sizeBytes int) uint64 {
 	l.nextLSN++
 	l.tailBytes += int64(sizeBytes)
@@ -124,6 +128,8 @@ func (l *Log) Append(sizeBytes int) uint64 {
 
 // AppendRecord adds a "page reached version" delta redo record (RealBytes
 // mode).
+//
+//simlint:hotpath
 func (l *Log) AppendRecord(page, version uint64, sizeBytes int) uint64 {
 	lsn := l.Append(sizeBytes)
 	if l.cfg.RealBytes {
@@ -134,6 +140,8 @@ func (l *Log) AppendRecord(page, version uint64, sizeBytes int) uint64 {
 
 // AppendFullImage adds a full-page-image record (PostgreSQL-style torn-page
 // protection): sizeBytes should be the page size plus record overhead.
+//
+//simlint:hotpath
 func (l *Log) AppendFullImage(page, version uint64, sizeBytes int) uint64 {
 	lsn := l.Append(sizeBytes)
 	if l.cfg.RealBytes {
@@ -150,6 +158,8 @@ func (l *Log) CurrentLSN() uint64 { return l.nextLSN }
 
 // Commit makes the log durable up to lsn and returns when it is. Multiple
 // committers share one flush (group commit).
+//
+//simlint:hotpath
 func (l *Log) Commit(p *sim.Proc, lsn uint64) error {
 	for l.durableLSN < lsn {
 		if l.flushing {
@@ -182,10 +192,7 @@ func (l *Log) Flush(p *sim.Proc) error {
 // flush writes the buffered tail sequentially and fdatasyncs it.
 func (l *Log) flush(p *sim.Proc) error {
 	l.flushing = true
-	defer func() {
-		l.flushing = false
-		l.flushDone.WakeAll()
-	}()
+	defer l.flushEnded()
 	target := l.nextLSN
 	bytes := l.tailBytes
 	l.tailBytes = 0
@@ -228,34 +235,50 @@ func (l *Log) flush(p *sim.Proc) error {
 	return nil
 }
 
+// flushEnded lets the committers that piggybacked on a flush re-check.
+func (l *Log) flushEnded() {
+	l.flushing = false
+	l.flushDone.WakeAll()
+}
+
 // flushRecords writes each pending record as one checksummed log block
 // (RealBytes mode).
+//
+// Commits append while the flush parks in the device, so they go to the
+// spare buffer, and the flushed one becomes the spare afterwards. Only one
+// flush runs at a time, so one block buffer serves all of them: the device
+// has taken each block when its write returns.
 func (l *Log) flushRecords(p *sim.Proc) error {
 	recs := l.pending
-	l.pending = nil
+	l.pending, l.spare = l.spare[:0], nil
 	if len(recs) == 0 {
-		recs = []Record{{}} // the flush still writes a padding block
+		recs = append(recs, Record{}) // the flush still writes a padding block
 	}
-	blockBytes := l.files[0].PageSize()
+	if l.block == nil {
+		l.block = make([]byte, l.files[0].PageSize()) //simlint:allow hotalloc slab first-use miss: the log's one block buffer
+	}
 	for _, rec := range recs {
 		if l.writePos >= l.cfg.FilePages {
 			l.curFile = (l.curFile + 1) % len(l.files)
 			l.writePos = 0
 		}
-		block := make([]byte, blockBytes)
-		encodeRecord(block, rec)
-		if err := l.files[l.curFile].WritePages(p, l.writePos, 1, block); err != nil {
+		encodeRecord(l.block, rec)
+		if err := l.files[l.curFile].WritePages(p, l.writePos, 1, l.block); err != nil {
 			return err
 		}
 		l.writePos++
 	}
+	l.spare = recs[:0]
 	return nil
 }
 
+// encodeRecord writes rec into the first bytes of block; the rest of the
+// block is left as it is.
 func encodeRecord(block []byte, rec Record) {
 	putU64(block[4:], rec.LSN)
 	putU64(block[12:], rec.Page)
 	putU64(block[20:], rec.Version)
+	block[28] = 0
 	if rec.FullImage {
 		block[28] = 1
 	}

@@ -82,7 +82,7 @@ func (h *harness) load(eng *sim.Engine, fs *host.FS) error {
 
 // update runs one committed single-row update and returns the page versions
 // the acknowledged transaction touched.
-func (h *harness) update(p *sim.Proc, rank int64) (map[buffer.PageID]uint64, error) {
+func (h *harness) update(p *sim.Proc, rank int64) ([]pagedb.PageVersion, error) {
 	tx := h.e.Begin()
 	if err := tx.Update(p, h.table, rank); err != nil {
 		return nil, err

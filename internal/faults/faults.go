@@ -271,9 +271,9 @@ func RunWith(s Scenario, o Options) (*Verdict, error) {
 					return // power failed mid-operation
 				}
 				// The commit was acknowledged: its versions must survive.
-				for id, ver := range touched {
-					if ver > acked[id] {
-						acked[id] = ver
+				for _, pv := range touched {
+					if pv.Version > acked[pv.ID] {
+						acked[pv.ID] = pv.Version
 					}
 				}
 				ackedCount++

@@ -199,8 +199,8 @@ func TestRecoveryIOOrderIsDeterministic(t *testing.T) {
 					if err != nil {
 						return // power failed
 					}
-					for id, ver := range touched {
-						acked[id] = max(acked[id], ver)
+					for _, pv := range touched {
+						acked[pv.ID] = max(acked[pv.ID], pv.Version)
 					}
 				}
 			})

@@ -129,6 +129,7 @@ type FTL struct {
 	liveSlots       int64
 
 	gcLocks []*sim.Resource // per-plane GC locks (concurrent GC across planes)
+	gcTemp  []gcScratch     // per-plane relocation scratch, used under the plane's GC lock
 	bgWake  *sim.Queue      // background collector wakeup (nil when disabled)
 
 	reserve   [][]int       // per-plane bad-block reserve pool
@@ -214,6 +215,12 @@ func (f *FTL) putSlotBuf(b []byte) {
 	f.slotPool = append(f.slotPool, b[:0])
 }
 
+// gcScratch is one plane's relocation scratch.
+type gcScratch struct {
+	batch []SlotWrite
+	live  []int
+}
+
 // recycleBatch returns the relocation buffers of a just-programmed batch
 // to the slot pool and truncates the batch for reuse.
 func (f *FTL) recycleBatch(batch []SlotWrite) []SlotWrite {
@@ -265,6 +272,7 @@ func New(a *nand.Array, cfg Config, reg *iotrace.Registry) (*FTL, error) {
 		stats:      reg.Stats(),
 	}
 	f.gcLocks = make([]*sim.Resource, planes)
+	f.gcTemp = make([]gcScratch, planes)
 	for i := range f.gcLocks {
 		f.gcLocks[i] = sim.NewResource(a.Engine(), 1)
 	}
@@ -733,13 +741,16 @@ func (f *FTL) gcOnce(p *sim.Proc, req iotrace.Req, pl int) error { //simlint:all
 		f.reg.Emit(iotrace.EvRetireStart, f.a.Engine().Now())
 	}
 
-	// Relocate live slots, pairing them into full pages. The scratch
-	// (live-slot indices, page image, batch) is per-call: concurrent GC on
-	// other planes uses its own.
-	batch := make([]SlotWrite, 0, f.cfg.SlotsPerPage)
-	live := make([]int, 0, f.cfg.SlotsPerPage)
+	// Relocate live slots, pairing them into full pages. The batch and the
+	// live-slot indices are the plane's scratch (GC on other planes uses
+	// theirs), the page image is pooled.
+	tmp := &f.gcTemp[pl]
+	batch, live := tmp.batch[:0], tmp.live[:0]
 	var page []byte
-	defer func() { f.putPage(page) }()
+	defer func() {
+		f.putPage(page)
+		tmp.batch, tmp.live = batch[:0], live[:0]
+	}()
 	ss := f.SlotSize()
 	first := f.a.PageOfBlock(victim)
 	for i := 0; i < ncfg.PagesPerBlock; i++ {
@@ -871,6 +882,9 @@ func (f *FTL) ClearMapDirty() { f.dirtyMapEntries = 0 }
 // preconditioning devices and bulk-loading databases before a measured run.
 func (f *FTL) LoadSlots(slots []SlotWrite) error {
 	ss := f.SlotSize()
+	// The array copies a program's tags and data, so one of each serves every page.
+	var tags []nand.SlotTag
+	var page []byte
 	for start := 0; start < len(slots); start += f.cfg.SlotsPerPage {
 		end := start + f.cfg.SlotsPerPage
 		if end > len(slots) {
@@ -885,15 +899,19 @@ func (f *FTL) LoadSlots(slots []SlotWrite) error {
 		if err != nil {
 			return err
 		}
-		tags := make([]nand.SlotTag, len(group))
+		tags = tags[:0]
 		var data []byte
-		for i, s := range group {
+		for _, s := range group {
 			if int64(s.LPN) >= f.logicalSlots {
 				return storage.ErrOutOfRange
 			}
-			tags[i] = nand.SlotTag{LPN: s.LPN}
+			tags = append(tags, nand.SlotTag{LPN: s.LPN})
 			if s.Data != nil && data == nil {
-				data = make([]byte, f.a.Config().PageSize)
+				if page == nil {
+					page = make([]byte, f.a.Config().PageSize)
+				}
+				data = page
+				clear(data)
 			}
 		}
 		if data != nil {

@@ -158,6 +158,22 @@ type Faults struct {
 	DumpTearAfter int
 }
 
+// blockSlabs holds what an erase block's pages store besides their state, in
+// slabs of one entry per page: the OOB records, the tags their Slots point
+// into (tagStride per page), the parity their Parity points into, and the
+// page images. A block gets its record and tag slabs on its first program,
+// its parity and image slabs on its first program with data. An erase
+// hands the slabs to the array's free list and the next block to be
+// programmed takes them, so program→erase→program cycles allocate nothing
+// once the array has had as many blocks programmed at once as it ever
+// will, and a timing-only array keeps no per-page image table at all.
+type blockSlabs struct {
+	oob    []OOB     // nil: no page of the block programmed since it was last erased
+	tags   []SlotTag // backs oob[i].Slots
+	parity []byte    // backs oob[i].Parity
+	data   [][]byte  // page images; nil for timing-only pages
+}
+
 // Array is a simulated NAND flash array.
 type Array struct {
 	cfg Config
@@ -167,22 +183,23 @@ type Array struct {
 	planes   []*sim.Resource // per-plane cell array
 
 	state  []PageState
-	oob    []*OOB   // per-page OOB; nil for never-programmed-since-erase
-	data   [][]byte // per-page bytes; nil for timing-only pages
-	erases []int64  // per-block erase count
+	blocks []blockSlabs // a page's record and image are valid while it is PageValid
+	spare  []blockSlabs // free list: the slabs of erased blocks
+	erases []int64      // per-block erase count
 	seq    uint64
 
-	// Erase recycling: an erase physically destroys the page contents, so
-	// the OOB structs and data buffers of erased pages return to these free
-	// lists and later programs reuse them — steady-state programs allocate
-	// nothing. (Stale Meta/Data references across an erase were always
-	// invalid; now they are visibly so.)
-	oobPool []*OOB
-	bufPool [][]byte
-	tagPool [][]SlotTag // recycled in-flight tag copies
+	// tagStride is the tag window each page's record owns in its block's
+	// tag slab: one tag per 4 KB mapping unit of a page.
+	tagStride int
 
-	inflight map[PPN][]SlotTag // programs racing a potential power cut
-	erasing  map[int]bool      // block erases racing a potential power cut
+	// Erase recycling: an erase physically destroys the page contents, so
+	// the data buffers of erased pages return to this free list and later
+	// programs reuse them. (Stale Meta/Data references across an erase were
+	// always invalid.)
+	bufPool [][]byte
+
+	inflight map[PPN]struct{} // programs racing a potential power cut; their tags are in their records
+	erasing  map[int]bool     // block erases racing a potential power cut
 	powered  bool
 
 	faults       Faults
@@ -211,17 +228,17 @@ func New(eng *sim.Engine, cfg Config, reg *iotrace.Registry) (*Array, error) {
 		reg = iotrace.NewRegistry()
 	}
 	a := &Array{
-		cfg:      cfg,
-		eng:      eng,
-		state:    make([]PageState, cfg.Pages()),
-		oob:      make([]*OOB, cfg.Pages()),
-		data:     make([][]byte, cfg.Pages()),
-		erases:   make([]int64, cfg.Blocks()),
-		inflight: make(map[PPN][]SlotTag),
-		erasing:  make(map[int]bool),
-		powered:  true,
-		reg:      reg,
-		stats:    reg.Stats(),
+		cfg:       cfg,
+		eng:       eng,
+		state:     make([]PageState, cfg.Pages()),
+		blocks:    make([]blockSlabs, cfg.Blocks()),
+		erases:    make([]int64, cfg.Blocks()),
+		tagStride: max(1, cfg.PageSize/(4*storage.KB)),
+		inflight:  make(map[PPN]struct{}),
+		erasing:   make(map[int]bool),
+		powered:   true,
+		reg:       reg,
+		stats:     reg.Stats(),
 	}
 	a.channels = make([]*sim.Resource, cfg.Channels)
 	for i := range a.channels {
@@ -268,12 +285,77 @@ func (a *Array) BlockOfPlane(pl, b int) int { return pl*a.cfg.BlocksPerPlane + b
 func (a *Array) State(ppn PPN) PageState { return a.state[ppn] }
 
 // Meta returns the OOB metadata of ppn (nil if never programmed since the
-// last erase).
-func (a *Array) Meta(ppn PPN) *OOB { return a.oob[ppn] }
+// last erase). The record lives in its block's slab, which the block gives
+// up when it is erased: a reference to it is valid only until then.
+func (a *Array) Meta(ppn PPN) *OOB {
+	if a.state[ppn] != PageValid {
+		return nil
+	}
+	return a.record(ppn)
+}
+
+// slabs returns ppn's block and ppn's index in it. A block without slabs
+// takes an erased block's from the free list, or allocates record and tag
+// slabs.
+func (a *Array) slabs(ppn PPN) (*blockSlabs, int) {
+	b := &a.blocks[a.BlockOf(ppn)]
+	if b.oob == nil {
+		if n := len(a.spare); n > 0 {
+			*b = a.spare[n-1]
+			a.spare = a.spare[:n-1]
+		} else {
+			b.oob = make([]OOB, a.cfg.PagesPerBlock)                  //simlint:allow hotalloc slab first-use miss: kept for reuse across erases
+			b.tags = make([]SlotTag, a.cfg.PagesPerBlock*a.tagStride) //simlint:allow hotalloc slab first-use miss: kept for reuse across erases
+		}
+	}
+	return b, int(ppn) % a.cfg.PagesPerBlock
+}
+
+// record returns ppn's OOB record.
+func (a *Array) record(ppn PPN) *OOB {
+	b, i := a.slabs(ppn)
+	return &b.oob[i]
+}
+
+// reset empties ppn's record: no tags, with Slots the page's window in its
+// block's tag slab (a program with more tags than the window holds appends
+// past it into a slice of its own), no parity, no sequence number.
+func (a *Array) reset(ppn PPN) *OOB {
+	b, i := a.slabs(ppn)
+	t := i * a.tagStride
+	b.oob[i] = OOB{Slots: b.tags[t : t : t+a.tagStride]}
+	return &b.oob[i]
+}
+
+// setData stores ppn's image, allocating its block's image slab on the
+// block's first image.
+func (a *Array) setData(ppn PPN, img []byte) {
+	b, i := a.slabs(ppn)
+	if b.data == nil {
+		b.data = make([][]byte, a.cfg.PagesPerBlock) //simlint:allow hotalloc slab first-use miss: kept for reuse across erases
+	}
+	b.data[i] = img
+}
+
+// tear marks every tag of m torn; a record without tags gets one unreadable
+// torn tag.
+func tear(m *OOB) {
+	for i := range m.Slots {
+		m.Slots[i].Torn = true
+	}
+	if len(m.Slots) == 0 {
+		m.Slots = append(m.Slots, SlotTag{LPN: InvalidLPN, Torn: true})
+	}
+}
 
 // Data returns the stored bytes of ppn, or nil if the page was programmed
 // in timing-only mode.
-func (a *Array) Data(ppn PPN) []byte { return a.data[ppn] }
+func (a *Array) Data(ppn PPN) []byte {
+	if d := a.blocks[a.BlockOf(ppn)].data; d != nil {
+		return d[int(ppn)%a.cfg.PagesPerBlock]
+	}
+	return nil
+}
 
 // EraseCount returns the wear counter of the global block index.
 func (a *Array) EraseCount(block int) int64 { return a.erases[block] }
@@ -337,8 +419,8 @@ func (a *Array) ReadPageRetry(p *sim.Proc, req iotrace.Req, ppn PPN, buf []byte,
 		return info, storage.ErrUncorrectable
 	}
 	if buf != nil {
-		d := a.data[ppn]
-		meta := a.oob[ppn]
+		d := a.Data(ppn)
+		meta := a.Meta(ppn)
 		switch {
 		case d == nil:
 			for i := range buf {
@@ -390,20 +472,22 @@ func (a *Array) ProgramPage(p *sim.Proc, req iotrace.Req, ppn PPN, slots []SlotT
 		return storage.ErrPowerFail
 	}
 
-	// The cell program is the window where a power cut tears the page.
-	a.inflight[ppn] = append(a.getTags(), slots...) //simlint:allow hotalloc appends into pooled tag capacity; grows only on first use
+	// The cell program is the window where a power cut tears the page. The
+	// page is free, so Meta hides its record while the tags wait there for
+	// PowerFail to tear them.
+	m := a.reset(ppn)
+	m.Slots = append(m.Slots, slots...)
+	a.inflight[ppn] = struct{}{}
 	a.reg.Emit(iotrace.EvProgram, a.eng.Now())
 	plane := a.planes[a.PlaneOf(ppn)]
 	plane.Acquire(p, 1)
 	p.Sleep(a.cfg.ProgramLatency)
 	plane.Release(1)
-	tags, ok := a.inflight[ppn]
-	if !ok {
+	if _, ok := a.inflight[ppn]; !ok {
 		// PowerFail removed us from inflight and recorded the torn page.
 		return storage.ErrPowerFail
 	}
 	delete(a.inflight, ppn)
-	a.putTags(tags)
 	if !a.powered {
 		return storage.ErrPowerFail
 	}
@@ -412,40 +496,37 @@ func (a *Array) ProgramPage(p *sim.Proc, req iotrace.Req, ppn PPN, slots []SlotT
 	return nil
 }
 
-// commitProgram installs the page image and OOB, drawing the OOB struct,
-// its slot/parity storage and the data buffer from the erase-recycling
-// pools. slots and data remain caller-owned (their contents are copied).
+// commitProgram installs the page image and OOB: the record and its tags
+// go into the block's slabs, the parity into its parity slab and the data
+// into a buffer from the erase-recycling pool. slots and data remain
+// caller-owned (their contents are copied).
+//
+//simlint:hotpath
 func (a *Array) commitProgram(ppn PPN, slots []SlotTag, data []byte, dump bool) {
 	a.seq++
-	meta := a.getOOB()
-	meta.Slots = append(meta.Slots, slots...)
-	meta.Seq = a.seq
-	meta.Dump = dump
+	m := a.reset(ppn)
+	m.Slots = append(m.Slots, slots...)
+	m.Seq = a.seq
+	m.Dump = dump
 	a.state[ppn] = PageValid
-	a.oob[ppn] = meta
-	if data != nil {
-		a.data[ppn] = append(a.getBuf(), data...) //simlint:allow hotalloc appends into pooled buffer capacity; grows only on first use
-		meta.Parity = ECCEncodeInto(meta.Parity, data)
-	} else {
-		meta.Parity = nil // timing-only pages carry no parity
+	if data != nil { // timing-only pages carry no parity
+		a.setData(ppn, append(a.getBuf(), data...)) //simlint:allow hotalloc appends into pooled buffer capacity; grows only on first use
+		m.Parity = ECCEncodeInto(a.parity(ppn), data)
 	}
 	a.progAt[ppn] = a.eng.Now()
 	a.stats.NANDPrograms++
 }
 
-// getOOB returns a recycled (emptied) or fresh OOB struct.
-func (a *Array) getOOB() *OOB {
-	if last := len(a.oobPool) - 1; last >= 0 {
-		m := a.oobPool[last]
-		a.oobPool[last] = nil
-		a.oobPool = a.oobPool[:last]
-		m.Slots = m.Slots[:0]
-		m.Parity = m.Parity[:0]
-		m.Seq = 0
-		m.Dump = false
-		return m
+// parity returns ppn's empty window in its block's parity slab, which is
+// allocated on the first program with data into a block whose slabs have
+// none.
+func (a *Array) parity(ppn PPN) []byte {
+	b, i := a.slabs(ppn)
+	n := ECCSize(a.cfg.PageSize)
+	if b.parity == nil {
+		b.parity = make([]byte, a.cfg.PagesPerBlock*n) //simlint:allow hotalloc slab first-use miss: kept for reuse across erases
 	}
-	return &OOB{} //simlint:allow hotalloc pool miss fallback; steady state recycles pooled OOB records
+	return b.parity[i*n : i*n : (i+1)*n]
 }
 
 // getBuf returns a recycled or fresh zero-length page data buffer.
@@ -457,24 +538,6 @@ func (a *Array) getBuf() []byte {
 		return b[:0]
 	}
 	return make([]byte, 0, a.cfg.PageSize) //simlint:allow hotalloc pool miss fallback; steady state recycles pooled buffers
-}
-
-// getTags returns a recycled or fresh zero-length in-flight tag slice.
-func (a *Array) getTags() []SlotTag {
-	if last := len(a.tagPool) - 1; last >= 0 {
-		t := a.tagPool[last]
-		a.tagPool[last] = nil
-		a.tagPool = a.tagPool[:last]
-		return t[:0]
-	}
-	return nil
-}
-
-func (a *Array) putTags(t []SlotTag) {
-	if cap(t) == 0 || len(a.tagPool) >= 64 {
-		return
-	}
-	a.tagPool = append(a.tagPool, t[:0])
 }
 
 // ErrProgramFailed reports a cell program that completed with bad status:
@@ -542,18 +605,20 @@ func (a *Array) EraseBlock(p *sim.Proc, req iotrace.Req, block int) error {
 func (a *Array) EraseBlockInstant(block int) { a.eraseNow(block) }
 
 func (a *Array) eraseNow(block int) {
+	if b := &a.blocks[block]; b.oob != nil {
+		for i, d := range b.data {
+			if d != nil {
+				b.data[i] = nil
+				a.bufPool = append(a.bufPool, d)
+			}
+		}
+		a.spare = append(a.spare, *b)
+		*b = blockSlabs{}
+	}
 	first := a.PageOfBlock(block)
 	for i := 0; i < a.cfg.PagesPerBlock; i++ {
 		ppn := first + PPN(i)
 		a.state[ppn] = PageFree
-		if m := a.oob[ppn]; m != nil {
-			a.oob[ppn] = nil
-			a.oobPool = append(a.oobPool, m)
-		}
-		if d := a.data[ppn]; d != nil {
-			a.data[ppn] = nil
-			a.bufPool = append(a.bufPool, d)
-		}
 		a.stuck[ppn] = 0
 		a.progAt[ppn] = 0
 	}
@@ -577,18 +642,13 @@ func (a *Array) PowerFail() {
 	}
 	a.powered = false
 	a.dumpPrograms = 0
-	for ppn, tags := range a.inflight {
+	for ppn := range a.inflight {
 		a.seq++
-		torn := make([]SlotTag, len(tags))
-		for i, tag := range tags {
-			torn[i] = SlotTag{LPN: tag.LPN, Torn: true}
-		}
-		if len(torn) == 0 {
-			torn = []SlotTag{{LPN: InvalidLPN, Torn: true}}
-		}
+		m := a.record(ppn) // holds the tags ProgramPage put there
+		tear(m)
+		m.Seq = a.seq
 		a.state[ppn] = PageValid
-		a.oob[ppn] = &OOB{Slots: torn, Seq: a.seq}
-		a.data[ppn] = tornImage(a.data[ppn], a.cfg.PageSize)
+		a.setData(ppn, tornImage(a.Data(ppn), a.cfg.PageSize))
 		a.progAt[ppn] = a.eng.Now()
 		a.stats.TornPages++
 		delete(a.inflight, ppn)
@@ -599,9 +659,11 @@ func (a *Array) PowerFail() {
 			for i := 0; i < a.cfg.PagesPerBlock; i++ {
 				ppn := first + PPN(i)
 				a.seq++
+				m := a.reset(ppn)
+				tear(m)
+				m.Seq = a.seq
 				a.state[ppn] = PageValid
-				a.oob[ppn] = &OOB{Slots: []SlotTag{{LPN: InvalidLPN, Torn: true}}, Seq: a.seq}
-				a.data[ppn] = tornImage(a.data[ppn], a.cfg.PageSize)
+				a.setData(ppn, tornImage(a.Data(ppn), a.cfg.PageSize))
 				a.progAt[ppn] = a.eng.Now()
 			}
 			a.stats.InterruptedErases++
@@ -618,16 +680,13 @@ func (a *Array) PowerOn() { a.powered = true }
 // Dump flag as issued so recovery scans see — and skip — the bad dump page.
 func (a *Array) tearPage(ppn PPN, slots []SlotTag, data []byte, dump bool) {
 	a.seq++
-	torn := make([]SlotTag, len(slots))
-	for i, tag := range slots {
-		torn[i] = SlotTag{LPN: tag.LPN, Torn: true}
-	}
-	if len(torn) == 0 {
-		torn = []SlotTag{{LPN: InvalidLPN, Torn: true}}
-	}
+	m := a.reset(ppn)
+	m.Slots = append(m.Slots, slots...)
+	tear(m)
+	m.Seq = a.seq
+	m.Dump = dump
 	a.state[ppn] = PageValid
-	a.oob[ppn] = &OOB{Slots: torn, Seq: a.seq, Dump: dump}
-	a.data[ppn] = tornImage(data, a.cfg.PageSize)
+	a.setData(ppn, tornImage(data, a.cfg.PageSize))
 	a.progAt[ppn] = a.eng.Now()
 	a.stats.TornPages++
 }

@@ -148,9 +148,9 @@ func crashOnce(t *testing.T, fpw bool, seed int64) (*RecoveryReport, int, int) {
 				if err := tx.Commit(p); err != nil {
 					return
 				}
-				for id, v := range tx.Touched() {
-					if v > acked[id] {
-						acked[id] = v
+				for _, pv := range tx.Touched() {
+					if pv.Version > acked[pv.ID] {
+						acked[pv.ID] = pv.Version
 					}
 				}
 				ackedN++
@@ -238,9 +238,9 @@ func TestDuraSSDMakesFPWRedundant(t *testing.T) {
 			if err := tx.Commit(p); err != nil {
 				return
 			}
-			for id, v := range tx.Touched() {
-				if v > acked[id] {
-					acked[id] = v
+			for _, pv := range tx.Touched() {
+				if pv.Version > acked[pv.ID] {
+					acked[pv.ID] = pv.Version
 				}
 			}
 		}
