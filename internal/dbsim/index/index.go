@@ -8,10 +8,6 @@
 // Keys are dense 64-bit ranks (0..N-1); the engines map their natural keys
 // onto ranks arithmetically. Page IDs are stable: each level owns a fixed
 // region sized for MaxRows, so the tree can grow without remapping.
-//
-// A byte-exact page-level B+-tree lives in internal/btree for the
-// correctness work; this package is the scalable twin used by the
-// benchmark-scale engines.
 package index
 
 import (

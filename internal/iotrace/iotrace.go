@@ -64,7 +64,7 @@ const (
 	OriginData               // database data pages
 	OriginRedo               // redo / write-ahead log (incl. full-page images)
 	OriginDoubleWrite        // InnoDB double-write buffer
-	OriginJournal            // rollback / append-only journal (SQLite, Couch)
+	OriginJournal            // append-only journal (Couch)
 	OriginMeta               // filesystem metadata (fsync journal commit)
 	NumOrigins
 )

@@ -66,12 +66,8 @@ func (c *LinkBenchConfig) defaults() {
 // and runs the benchmark.
 func RunLinkBench(cfg LinkBenchConfig) (*linkbench.Result, error) {
 	cfg.defaults()
-	res, _, err := runLinkBenchInner(cfg)
+	res, _, err := runLinkBenchInnerWithStats(cfg, nil, nil)
 	return res, err
-}
-
-func runLinkBenchInner(cfg LinkBenchConfig) (*linkbench.Result, *innodb.Engine, error) {
-	return runLinkBenchInnerWithStats(cfg, nil, nil)
 }
 
 // runLinkBenchInnerWithStats additionally publishes the data device's stats
@@ -290,20 +286,4 @@ func Table3(cfg LinkBenchConfig) (*Table3Result, error) {
 
 func ms(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
-}
-
-// RunLinkBenchDebug is RunLinkBench plus a pool/engine state dump for
-// calibration work.
-func RunLinkBenchDebug(cfg LinkBenchConfig) (*linkbench.Result, error) {
-	cfg.defaults()
-	cfg.Warmup = int(cfg.BufferBytes/int64(cfg.PageBytes)) * 2
-	res, e, err := runLinkBenchInner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	st := e.Pool().Stats()
-	fmt.Printf("  pool: frames=%d dirty=%d evict=%d dirtyEvict=%d cleaner=%d miss=%d commits=%d pw=%d dwb=%d logflush=%d grouped=%d\n",
-		e.Pool().Frames(), e.Pool().DirtyPages(), st.Evictions, st.DirtyEvictions, st.CleanerFlushes, st.Misses,
-		e.Commits, e.PageWrites, e.DWBWrites, e.Log().Flushes, e.Log().GroupedCount)
-	return res, nil
 }
