@@ -7,11 +7,12 @@
 //	go test -bench=. -benchmem -benchtime=1x
 //
 // (each iteration executes a complete scaled experiment; -benchtime=1x is
-// the intended way to run the heavier ones). The cmd/ tools run the same
+// the intended way to run the heavier ones). cmd/repro runs the same
 // experiments at larger scale with full output tables.
 package durassd_test
 
 import (
+	"fmt"
 	"testing"
 
 	"durassd/internal/dbsim/index"
@@ -27,37 +28,49 @@ import (
 	"durassd/internal/workload/linkbench"
 )
 
+// runExperiment runs one of the paper's experiments at the given sizes and
+// returns its metrics.
+func runExperiment(b *testing.B, name string, cfg repro.Config) map[string]float64 {
+	b.Helper()
+	e, err := repro.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := e.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Metrics
+}
+
 // BenchmarkTable1 regenerates Table 1: effect of fsync frequency and the
 // flush-cache command on 4 KB random-write IOPS across HDD, SSD-A, SSD-B
 // and DuraSSD.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := repro.Table1(repro.Table1Config{Scale: 32, OpsPerCell: 600, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
+		m := runExperiment(b, "table1", repro.Config{Scale: 32, Ops: 600, Seed: 1})
+		iops := func(row string, fsyncEvery int) float64 {
+			return m[fmt.Sprintf("table1/%s/fsync=%d", row, fsyncEvery)]
 		}
-		dura := res.IOPS["DuraSSD/ON"]
-		nb := res.IOPS["DuraSSD/ON(NoBarrier)"]
-		hdd := res.IOPS["HDD/ON"]
-		ssdA := res.IOPS["SSD-A/ON"]
 
 		// Paper shapes: SSDs gain >13x from eliminating per-write fsync,
 		// the disk <10x; NoBarrier flattens the sweep near its ceiling.
-		if gain := dura[0] / dura[1]; gain < 13 {
+		if gain := iops("DuraSSD/ON", 0) / iops("DuraSSD/ON", 1); gain < 13 {
 			b.Fatalf("DuraSSD fsync gain %.1fx, paper reports ~68x", gain)
 		}
-		if gain := ssdA[0] / ssdA[1]; gain < 10 {
+		if gain := iops("SSD-A/ON", 0) / iops("SSD-A/ON", 1); gain < 10 {
 			b.Fatalf("SSD-A fsync gain %.1fx, paper reports ~46x", gain)
 		}
-		if gain := hdd[0] / hdd[1]; gain > 12 {
+		if gain := iops("HDD/ON", 0) / iops("HDD/ON", 1); gain > 12 {
 			b.Fatalf("HDD fsync gain %.1fx, paper reports <7x", gain)
 		}
-		if nb[1] < 0.4*nb[0] {
-			b.Fatalf("NoBarrier row not flat: fsync-1 %.0f vs no-fsync %.0f", nb[1], nb[0])
+		nb0, nb1 := iops("DuraSSD/ON(NoBarrier)", 0), iops("DuraSSD/ON(NoBarrier)", 1)
+		if nb1 < 0.4*nb0 {
+			b.Fatalf("NoBarrier row not flat: fsync-1 %.0f vs no-fsync %.0f", nb1, nb0)
 		}
-		b.ReportMetric(dura[0], "dura_nofsync_iops")
-		b.ReportMetric(dura[1], "dura_fsync1_iops")
-		b.ReportMetric(nb[1], "dura_nobarrier_fsync1_iops")
+		b.ReportMetric(iops("DuraSSD/ON", 0), "dura_nofsync_iops")
+		b.ReportMetric(iops("DuraSSD/ON", 1), "dura_fsync1_iops")
+		b.ReportMetric(nb1, "dura_nobarrier_fsync1_iops")
 	}
 }
 
@@ -65,27 +78,25 @@ func BenchmarkTable1(b *testing.B) {
 // DuraSSD and the disk.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := repro.Table2(repro.Table2Config{Scale: 32, OpsPerCell: 2000, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
+		m := runExperiment(b, "table2", repro.Config{Scale: 32, Ops: 2000, Seed: 1})
+		iops := func(row string, pageBytes int) float64 {
+			return m[fmt.Sprintf("table2/%s/page=%d", row, pageBytes)]
 		}
-		ro := res.IOPS[repro.T2ReadOnly128]
-		nb := res.IOPS[repro.T2Write128NoBa]
-		hw := res.IOPS[repro.T2HDDWrite128]
+		ratio := func(row string) float64 { return iops(row, 4*storage.KB) / iops(row, 16*storage.KB) }
 		// 16 KB -> 4 KB roughly triples read IOPS (paper: 29.9k -> 89.1k).
-		if ratio := ro[4*storage.KB] / ro[16*storage.KB]; ratio < 2.0 {
-			b.Fatalf("read-only 4KB/16KB ratio %.2f, paper reports ~3x", ratio)
+		if r := ratio("Read-only (128 threads)"); r < 2.0 {
+			b.Fatalf("read-only 4KB/16KB ratio %.2f, paper reports ~3x", r)
 		}
 		// No-barrier writes gain >2x (paper: 13.4k -> 49k).
-		if ratio := nb[4*storage.KB] / nb[16*storage.KB]; ratio < 1.8 {
-			b.Fatalf("no-barrier write 4KB/16KB ratio %.2f, paper reports ~3.6x", ratio)
+		if r := ratio("Write-only (128 no-barrier)"); r < 1.8 {
+			b.Fatalf("no-barrier write 4KB/16KB ratio %.2f, paper reports ~3.6x", r)
 		}
 		// The disk barely notices page size (paper: 428 -> 444).
-		if ratio := hw[4*storage.KB] / hw[16*storage.KB]; ratio > 1.5 {
-			b.Fatalf("HDD write 4KB/16KB ratio %.2f, paper reports ~1.04x", ratio)
+		if r := ratio("HDD Write-only (128 threads)"); r > 1.5 {
+			b.Fatalf("HDD write 4KB/16KB ratio %.2f, paper reports ~1.04x", r)
 		}
-		b.ReportMetric(ro[4*storage.KB], "read4k_iops")
-		b.ReportMetric(nb[4*storage.KB], "nobarrier_write4k_iops")
+		b.ReportMetric(iops("Read-only (128 threads)", 4*storage.KB), "read4k_iops")
+		b.ReportMetric(iops("Write-only (128 no-barrier)", 4*storage.KB), "nobarrier_write4k_iops")
 	}
 }
 
@@ -93,31 +104,28 @@ func BenchmarkTable2(b *testing.B) {
 // barrier × double-write configurations and three page sizes.
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := repro.Fig5(repro.LinkBenchConfig{Scale: 512, Requests: 30_000, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
+		m := runExperiment(b, "fig5", repro.Config{Scale: 512, Ops: 30_000, Seed: 1})
+		tps := func(config string, pageBytes int) float64 {
+			return m[fmt.Sprintf("fig5/%s/page=%d", config, pageBytes)]
 		}
-		onon := res.TPS["ON/ON"]
-		onoff := res.TPS["ON/OFF"]
-		offoff := res.TPS["OFF/OFF"]
 		// Headline: best (OFF/OFF 4KB) vs worst (ON/ON 16KB) > 10x
 		// (paper: >20x).
-		headline := offoff[4*storage.KB] / onon[16*storage.KB]
+		headline := tps("OFF/OFF", 4*storage.KB) / tps("ON/ON", 16*storage.KB)
 		if headline < 10 {
 			b.Fatalf("best/worst = %.1fx, paper reports >20x", headline)
 		}
 		// Double-write off roughly doubles throughput when barriers are on.
-		if ratio := onoff[4*storage.KB] / onon[4*storage.KB]; ratio < 1.4 {
+		if ratio := tps("ON/OFF", 4*storage.KB) / tps("ON/ON", 4*storage.KB); ratio < 1.4 {
 			b.Fatalf("ON/OFF vs ON/ON = %.2fx, paper reports ~2x", ratio)
 		}
 		// With barriers off, smaller pages win.
-		if offoff[4*storage.KB] <= offoff[16*storage.KB] {
+		if tps("OFF/OFF", 4*storage.KB) <= tps("OFF/OFF", 16*storage.KB) {
 			b.Fatalf("OFF/OFF 4KB (%.0f) not above 16KB (%.0f)",
-				offoff[4*storage.KB], offoff[16*storage.KB])
+				tps("OFF/OFF", 4*storage.KB), tps("OFF/OFF", 16*storage.KB))
 		}
 		b.ReportMetric(headline, "best_vs_worst_x")
-		b.ReportMetric(offoff[4*storage.KB], "offoff_4k_tps")
-		b.ReportMetric(onon[16*storage.KB], "onon_16k_tps")
+		b.ReportMetric(tps("OFF/OFF", 4*storage.KB), "offoff_4k_tps")
+		b.ReportMetric(tps("ON/ON", 16*storage.KB), "onon_16k_tps")
 	}
 }
 
@@ -125,30 +133,32 @@ func BenchmarkFig5(b *testing.B) {
 // buffer pool size (OFF/OFF).
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := repro.Fig6(repro.LinkBenchConfig{Scale: 512, Requests: 25_000, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
+		m := runExperiment(b, "fig6", repro.Config{Scale: 512, Ops: 25_000, Seed: 1})
+		miss := func(pageBytes, bufferGB int) float64 {
+			return m[fmt.Sprintf("fig6/miss-pct/page=%d/buffer-gb=%d", pageBytes, bufferGB)]
 		}
-		m4 := res.Miss[4*storage.KB]
+		tps := func(pageBytes, bufferGB int) float64 {
+			return m[fmt.Sprintf("fig6/tps/page=%d/buffer-gb=%d", pageBytes, bufferGB)]
+		}
 		// Miss ratio falls as the pool grows, and 4 KB pages pollute less
 		// than 16 KB ones at the full pool.
-		if m4[10] >= m4[2] {
-			b.Fatalf("4KB miss ratio did not fall with pool size: %.1f%% -> %.1f%%", m4[2], m4[10])
+		if miss(4*storage.KB, 10) >= miss(4*storage.KB, 2) {
+			b.Fatalf("4KB miss ratio did not fall with pool size: %.1f%% -> %.1f%%",
+				miss(4*storage.KB, 2), miss(4*storage.KB, 10))
 		}
-		if res.Miss[4*storage.KB][10] >= res.Miss[16*storage.KB][10] {
+		if miss(4*storage.KB, 10) >= miss(16*storage.KB, 10) {
 			b.Fatalf("4KB miss (%.1f%%) not below 16KB (%.1f%%) at 10GB",
-				res.Miss[4*storage.KB][10], res.Miss[16*storage.KB][10])
+				miss(4*storage.KB, 10), miss(16*storage.KB, 10))
 		}
 		// TPS grows with the pool and 4 KB stays on top.
-		t4 := res.TPS[4*storage.KB]
-		if t4[10] <= t4[2]*0.95 {
-			b.Fatalf("4KB TPS did not grow with pool size: %.0f -> %.0f", t4[2], t4[10])
+		if tps(4*storage.KB, 10) <= tps(4*storage.KB, 2)*0.95 {
+			b.Fatalf("4KB TPS did not grow with pool size: %.0f -> %.0f", tps(4*storage.KB, 2), tps(4*storage.KB, 10))
 		}
-		if res.TPS[4*storage.KB][10] <= res.TPS[16*storage.KB][10] {
+		if tps(4*storage.KB, 10) <= tps(16*storage.KB, 10) {
 			b.Fatalf("4KB TPS not above 16KB at 10GB")
 		}
-		b.ReportMetric(m4[10], "miss4k_10gb_pct")
-		b.ReportMetric(t4[10], "tps4k_10gb")
+		b.ReportMetric(miss(4*storage.KB, 10), "miss4k_10gb_pct")
+		b.ReportMetric(tps(4*storage.KB, 10), "tps4k_10gb")
 	}
 }
 
@@ -156,21 +166,19 @@ func BenchmarkFig6(b *testing.B) {
 // under the MySQL default configuration versus the DuraSSD-optimal one.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := repro.Table3(repro.LinkBenchConfig{Scale: 512, Requests: 30_000, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		m := runExperiment(b, "table3", repro.Config{Scale: 512, Ops: 30_000, Seed: 1})
 		var worstP99Gain, meanGainMin = 0.0, 1e18
-		for _, op := range linkOps() {
-			d, bt := res.Default.Hist(op), res.Best.Hist(op)
-			if d.Count() == 0 || bt.Count() == 0 {
+		for _, op := range linkbench.OpTypes() {
+			// An operation that ran in only one configuration has no metrics.
+			d, ok := m["table3/default/"+op.String()+"/p99-ms"]
+			if !ok {
 				continue
 			}
-			p99Gain := float64(d.Percentile(99)) / float64(bt.Percentile(99))
+			p99Gain := d / m["table3/best/"+op.String()+"/p99-ms"]
 			if p99Gain > worstP99Gain {
 				worstP99Gain = p99Gain
 			}
-			meanGain := float64(d.Mean()) / float64(bt.Mean())
+			meanGain := m["table3/default/"+op.String()+"/mean-ms"] / m["table3/best/"+op.String()+"/mean-ms"]
 			if meanGain < meanGainMin {
 				meanGainMin = meanGain
 			}
@@ -192,23 +200,22 @@ func BenchmarkTable3(b *testing.B) {
 // across page sizes on the commercial-style engine.
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := repro.Table4(repro.TPCCConfig{Scale: 256, Requests: 25_000, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
+		m := runExperiment(b, "table4", repro.Config{Scale: 256, Ops: 25_000, Seed: 1})
+		tpmC := func(barrier string, pageBytes int) float64 {
+			return m[fmt.Sprintf("table4/barrier=%s/page=%d", barrier, pageBytes)]
 		}
-		on, off := res.TpmC["On"], res.TpmC["Off"]
 		// Barrier off gains >8x (paper: 15.3-22.8x).
-		for _, ps := range repro.PageSizes {
-			if gain := off[ps] / on[ps]; gain < 8 {
+		for _, ps := range []int{16 * storage.KB, 8 * storage.KB, 4 * storage.KB} {
+			if gain := tpmC("Off", ps) / tpmC("On", ps); gain < 8 {
 				b.Fatalf("%dKB barrier gain %.1fx, paper reports >15x", ps/storage.KB, gain)
 			}
 		}
 		// Smaller pages win when barriers are off (paper: 1.8-2.3x).
-		if ratio := off[4*storage.KB] / off[16*storage.KB]; ratio < 1.5 {
+		if ratio := tpmC("Off", 4*storage.KB) / tpmC("Off", 16*storage.KB); ratio < 1.5 {
 			b.Fatalf("barrier-off 4KB/16KB = %.2fx, paper reports ~2.3x", ratio)
 		}
-		b.ReportMetric(off[4*storage.KB], "tpmC_off_4k")
-		b.ReportMetric(on[16*storage.KB], "tpmC_on_16k")
+		b.ReportMetric(tpmC("Off", 4*storage.KB), "tpmC_off_4k")
+		b.ReportMetric(tpmC("On", 16*storage.KB), "tpmC_on_16k")
 	}
 }
 
@@ -216,26 +223,24 @@ func BenchmarkTable4(b *testing.B) {
 // versus fsync batch size, barriers on and off.
 func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := repro.Table5(repro.YCSBConfig{Operations: 30_000, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
+		m := runExperiment(b, "table5", repro.Config{Ops: 30_000, Seed: 1})
+		ops := func(barrier string, batch int) float64 {
+			return m[fmt.Sprintf("table5/barrier=%s/100/batch=%d", barrier, batch)]
 		}
-		on100 := res.OPS["On"]["100"]
-		off100 := res.OPS["Off"]["100"]
 		// Barriers on: batch-100 is >5x batch-1 (paper: >20x).
-		if gain := on100[100] / on100[1]; gain < 5 {
+		if gain := ops("On", 100) / ops("On", 1); gain < 5 {
 			b.Fatalf("barrier-on batch gain %.1fx, paper reports >20x", gain)
 		}
 		// Barriers off: the gap narrows to ~2x (paper: 2.1x).
-		if gain := off100[100] / off100[1]; gain < 1.3 || gain > 4 {
+		if gain := ops("Off", 100) / ops("Off", 1); gain < 1.3 || gain > 4 {
 			b.Fatalf("barrier-off batch gain %.1fx, paper reports ~2.1x", gain)
 		}
 		// At batch-1, turning barriers off is a ~10x win (paper: ~12x).
-		if gain := off100[1] / on100[1]; gain < 4 {
+		if gain := ops("Off", 1) / ops("On", 1); gain < 4 {
 			b.Fatalf("batch-1 barrier-off gain %.1fx, paper reports ~12x", gain)
 		}
-		b.ReportMetric(on100[1], "ops_on_batch1")
-		b.ReportMetric(off100[1], "ops_off_batch1")
+		b.ReportMetric(ops("On", 1), "ops_on_batch1")
+		b.ReportMetric(ops("Off", 1), "ops_off_batch1")
 	}
 }
 
@@ -319,8 +324,6 @@ func BenchmarkAblationFlushWorkers(b *testing.B) {
 		b.ReportMetric(wide, "iops_32workers")
 	}
 }
-
-func linkOps() []linkbench.OpType { return linkbench.OpTypes() }
 
 // BenchmarkAblationRedundantWrites compares the three torn-page-protection
 // strategies of paper §2.1 on the same update workload with write barriers

@@ -7,8 +7,8 @@
 // Usage:
 //
 //	go run ./cmd/simbench                          # run all scenarios, print a table
-//	go run ./cmd/simbench -json BENCH_7.json       # also write the report
-//	go run ./cmd/simbench -check BENCH_6.json      # regression gate vs a committed baseline
+//	go run ./cmd/simbench -json report.json       # also write the report
+//	go run ./cmd/simbench -check BENCH_18.json     # regression gate vs a committed baseline
 //	go run ./cmd/simbench -scenario fio-randwrite-durassd -cpuprofile cpu.pprof
 package main
 

@@ -20,7 +20,7 @@
 // Spans nest strictly (LIFO begin/end per request) and the registry stores
 // each span's *exclusive* time — its duration minus the time spent in child
 // spans — so a per-layer breakdown is additive: the layer columns of
-// `durabench -breakdown` sum to (approximately) the end-to-end latency.
+// `repro -run breakdown` sum to (approximately) the end-to-end latency.
 package iotrace
 
 import (

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"sort"
 
 	"durassd/internal/stats"
 )
@@ -87,18 +86,6 @@ func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	}
 	slices.Sort(keys)
 	return keys
-}
-
-// AddMetricMap records every entry of m under prefix/key.
-func (r *JSONReport) AddMetricMap(prefix string, m map[string]float64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		r.AddMetric(prefix+"/"+k, m[k])
-	}
 }
 
 // WriteFile marshals the report (indented, trailing newline) to path;

@@ -14,130 +14,83 @@ import (
 	"durassd/internal/workload/linkbench"
 )
 
-// LinkBenchConfig scales the paper's MySQL/LinkBench experiment: a 100 GB
+// lbCell is one run of the paper's MySQL/LinkBench experiment: a 100 GB
 // database (≈54 M nodes) and 10 GB buffer pool, shrunk by Scale with the
-// DB:buffer ratio preserved. Data and log live on two DuraSSD drives, as
-// in §4.2.
-type LinkBenchConfig struct {
-	Scale    int // divide paper-scale sizes (default 64)
-	Requests int // measured requests (paper: 6.4 M)
-	Warmup   int
-	Clients  int
-	Seed     int64
-
-	PageBytes   int   // database page size
-	BufferBytes int64 // buffer pool size (0 = 10 GB / Scale)
-	Barrier     bool  // filesystem write barriers
-	DoubleWrite bool  // InnoDB double-write buffer
-
-	onMeasureStart func() // internal: counter snapshot at warm-up end
+// DB:buffer ratio preserved, Ops measured requests from 128 clients. Data
+// and log live on two DuraSSD drives, as in §4.2.
+type lbCell struct {
+	Config
+	pageBytes   int   // database page size
+	bufferBytes int64 // buffer pool size (0 = 10 GB / Scale)
+	barrier     bool  // filesystem write barriers
+	doubleWrite bool  // InnoDB double-write buffer
 }
 
-func (c *LinkBenchConfig) defaults() {
-	if c.Scale <= 0 {
-		c.Scale = 256
-	}
-	if c.Requests <= 0 {
-		c.Requests = 160_000
-	}
-	if c.Clients <= 0 {
-		c.Clients = 128
-	}
-	if c.PageBytes <= 0 {
-		c.PageBytes = 16 * storage.KB
-	}
-	if c.BufferBytes <= 0 {
-		c.BufferBytes = 10 * storage.GB / int64(c.Scale)
-	}
-	if c.Warmup < 0 {
-		c.Warmup = 0
-	} else if c.Warmup == 0 {
-		// The paper warms for 600 s to fill the buffer pool; we warm until
-		// the pool has filled and the dirty fraction has reached steady
-		// state (≈ two requests per frame).
-		c.Warmup = 2 * int(c.BufferBytes/int64(c.PageBytes))
-		if min := c.Requests / 4; c.Warmup < min {
-			c.Warmup = min
-		}
-	}
+// lbRun is one cell's outcome.
+type lbRun struct {
+	*linkbench.Result
+	data     *ssd.Device // the data drive; its counters outlive the engine
+	warmNAND int64       // data-drive NAND programs when measurement began
 }
 
-// RunLinkBench builds the two-DuraSSD rig, loads the scaled social graph
+// runLinkBench builds the two-DuraSSD rig, loads the scaled social graph
 // and runs the benchmark.
-func RunLinkBench(cfg LinkBenchConfig) (*linkbench.Result, error) {
-	cfg.defaults()
-	res, _, err := runLinkBenchInnerWithStats(cfg, nil, nil)
-	return res, err
-}
-
-// runLinkBenchInnerWithStats additionally publishes the data device's stats
-// pointer and metrics registry before the run starts (for counter snapshots
-// in hooks and per-origin reporting).
-func runLinkBenchInnerWithStats(cfg LinkBenchConfig, stPtr **storage.Stats, regPtr **iotrace.Registry) (*linkbench.Result, *innodb.Engine, error) {
+func runLinkBench(c lbCell) (lbRun, error) {
+	if c.bufferBytes <= 0 {
+		c.bufferBytes = 10 * storage.GB / int64(c.Scale)
+	}
 	eng := sim.New()
 	defer eng.Close()
 	dataDev, err := ssd.New(eng, ssd.DuraSSD(2))
 	if err != nil {
-		return nil, nil, err
-	}
-	if stPtr != nil {
-		*stPtr = dataDev.Stats()
-	}
-	if regPtr != nil {
-		*regPtr = dataDev.Registry()
+		return lbRun{}, err
 	}
 	logDev, err := ssd.New(eng, ssd.DuraSSD(16))
 	if err != nil {
-		return nil, nil, err
+		return lbRun{}, err
 	}
-	dataFS := host.NewFS(dataDev, cfg.Barrier)
-	logFS := host.NewFS(logDev, cfg.Barrier)
+	dataFS := host.NewFS(dataDev, c.barrier)
+	logFS := host.NewFS(logDev, c.barrier)
 
-	dataPages := dataDev.Pages() * int64(dataDev.PageSize()) / int64(cfg.PageBytes) * 9 / 10
+	dataPages := dataDev.Pages() * int64(dataDev.PageSize()) / int64(c.pageBytes) * 9 / 10
 	e, err := innodb.Open(eng, dataFS, logFS, innodb.Config{
-		PageBytes:    cfg.PageBytes,
-		BufferBytes:  cfg.BufferBytes,
-		DoubleWrite:  cfg.DoubleWrite,
+		PageBytes:    c.pageBytes,
+		BufferBytes:  c.bufferBytes,
+		DoubleWrite:  c.doubleWrite,
 		DataPages:    dataPages,
 		LogFilePages: logDev.Pages() / 4,
 		LogFiles:     3,
 	})
 	if err != nil {
-		return nil, nil, err
+		return lbRun{}, err
 	}
 	defer e.Close()
 
-	nodes := int64(54_000_000) / int64(cfg.Scale)
+	run := lbRun{data: dataDev}
 	b, err := linkbench.Setup(eng, e, linkbench.Config{
-		Nodes:          nodes,
-		Clients:        cfg.Clients,
-		Requests:       cfg.Requests,
-		Warmup:         cfg.Warmup,
-		Seed:           cfg.Seed,
-		OnMeasureStart: cfg.onMeasureStart,
+		Nodes:    int64(54_000_000) / int64(c.Scale),
+		Clients:  128,
+		Requests: c.Ops,
+		// The paper warms for 600 s to fill the buffer pool; we warm until
+		// a default pool (10 GB / Scale of 16 KB pages) has filled and the
+		// dirty fraction has reached steady state (≈ two requests per
+		// frame), whatever the cell's own pool and page size.
+		Warmup:         max(2*int(10*storage.GB/int64(c.Scale)/(16*storage.KB)), c.Ops/4),
+		Seed:           c.Seed,
+		OnMeasureStart: func() { run.warmNAND = dataDev.Stats().NANDPrograms },
 	})
 	if err != nil {
-		return nil, nil, err
+		return lbRun{}, err
 	}
-	res, err := b.Run(eng)
-	return res, e, err
+	run.Result, err = b.Run(eng)
+	return run, err
 }
 
-// Fig5Result holds Figure 5's TPS grid: TPS[config][pageBytes], where
-// config is "barrier/doublewrite" ("ON/ON", "ON/OFF", "OFF/ON", "OFF/OFF").
-// Origins attributes the data device's write amplification per request
-// origin (data pages vs double-write buffer) for the 16 KB runs.
-type Fig5Result struct {
-	Table   *stats.Table
-	Origins *stats.Table
-	TPS     map[string]map[int]float64
-}
-
-// Fig5Configs lists the barrier/double-write combinations in paper order.
-var Fig5Configs = []struct {
-	Name        string
-	Barrier     bool
-	DoubleWrite bool
+// fig5Configs lists the barrier/double-write combinations in paper order.
+var fig5Configs = []struct {
+	name        string
+	barrier     bool
+	doubleWrite bool
 }{
 	{"ON/ON", true, true},
 	{"ON/OFF", true, false},
@@ -145,143 +98,116 @@ var Fig5Configs = []struct {
 	{"OFF/OFF", false, false},
 }
 
-// Fig5 reproduces Figure 5: LinkBench transaction throughput under the four
-// write-barrier × double-write configurations at three page sizes.
-func Fig5(cfg LinkBenchConfig) (*Fig5Result, error) {
-	cfg.defaults()
-	res := &Fig5Result{TPS: make(map[string]map[int]float64)}
+// fig5 reproduces Figure 5: LinkBench transaction throughput under the four
+// write-barrier × double-write configurations at three page sizes, plus the
+// data device's write amplification per request origin (data pages vs
+// double-write buffer) for the 16 KB runs. Metrics:
+// fig5/<barrier>/<doublewrite>/page=<bytes> (TPS).
+func fig5(cfg Config) (*Result, error) {
+	res := newResult()
 	tbl := stats.NewTable("Figure 5: LinkBench TPS (write-barrier / double-write-buffer)",
 		"Config", "16KB", "8KB", "4KB")
 	ot := stats.NewTable("Figure 5 addendum: data-device write amplification by origin (16KB pages)",
 		"Config", "Origin", "PagesWritten", "NANDSlots", "GCSlots", "WA")
-	for _, fc := range Fig5Configs {
-		cells := make(map[int]float64, len(PageSizes))
-		row := []any{fc.Name}
-		for _, ps := range PageSizes {
-			c := cfg
-			c.PageBytes = ps
-			c.Barrier = fc.Barrier
-			c.DoubleWrite = fc.DoubleWrite
-			var reg *iotrace.Registry
-			r, _, err := runLinkBenchInnerWithStats(c, nil, &reg)
+	for _, fc := range fig5Configs {
+		row := []any{fc.name}
+		for _, ps := range pageSizes {
+			r, err := runLinkBench(lbCell{Config: cfg, pageBytes: ps, barrier: fc.barrier, doubleWrite: fc.doubleWrite})
 			if err != nil {
-				return nil, fmt.Errorf("fig5 %s %dKB: %w", fc.Name, ps/storage.KB, err)
+				return nil, fmt.Errorf("fig5 %s %dKB: %w", fc.name, ps/storage.KB, err)
 			}
-			cells[ps] = r.TPS()
+			res.Metrics[fmt.Sprintf("fig5/%s/page=%d", fc.name, ps)] = r.TPS()
 			row = append(row, r.TPS())
 			if ps == 16*storage.KB {
+				reg := r.data.Registry()
 				for o := iotrace.Origin(0); o < iotrace.NumOrigins; o++ {
 					oc := reg.Origin(o)
 					if oc.PagesWritten == 0 && oc.NANDSlots == 0 {
 						continue
 					}
-					ot.AddRow(fc.Name, o.String(), oc.PagesWritten, oc.NANDSlots,
+					ot.AddRow(fc.name, o.String(), oc.PagesWritten, oc.NANDSlots,
 						oc.GCSlots, oc.WriteAmplification())
 				}
 			}
 		}
-		res.TPS[fc.Name] = cells
 		tbl.AddRow(row...)
 	}
 	ot.AddComment("WA: NAND slots programmed per host page written, per origin")
-	res.Table = tbl
-	res.Origins = ot
+	res.Tables = []*stats.Table{tbl, ot}
 	return res, nil
 }
 
-// Fig6Result holds Figure 6: miss ratio and TPS vs buffer pool size under
-// OFF/OFF, per page size. Keyed [pageBytes][bufferGB].
-type Fig6Result struct {
-	MissTable *stats.Table
-	TPSTable  *stats.Table
-	Miss      map[int]map[int]float64
-	TPS       map[int]map[int]float64
-}
+// fig6BufferGB is the paper's buffer-pool sweep in (pre-scale) gigabytes.
+var fig6BufferGB = []int{2, 4, 6, 8, 10}
 
-// Fig6BufferGB is the paper's buffer-pool sweep in (pre-scale) gigabytes.
-var Fig6BufferGB = []int{2, 4, 6, 8, 10}
-
-// Fig6 reproduces Figure 6: LinkBench buffer miss ratio (a) and TPS (b) as
+// fig6 reproduces Figure 6: LinkBench buffer miss ratio (a) and TPS (b) as
 // the buffer pool grows from 2 GB to 10 GB (scaled), OFF/OFF configuration.
-func Fig6(cfg LinkBenchConfig) (*Fig6Result, error) {
-	cfg.defaults()
-	res := &Fig6Result{
-		Miss: make(map[int]map[int]float64),
-		TPS:  make(map[int]map[int]float64),
-	}
+// Metrics: fig6/miss-pct/… and fig6/tps/page=<bytes>/buffer-gb=<gb>.
+func fig6(cfg Config) (*Result, error) {
+	res := newResult()
 	mt := stats.NewTable("Figure 6(a): LinkBench buffer miss ratio % (OFF/OFF)",
 		"Buffer(GB)", "16KB", "8KB", "4KB")
 	tt := stats.NewTable("Figure 6(b): LinkBench TPS (OFF/OFF)",
 		"Buffer(GB)", "16KB", "8KB", "4KB")
-	for _, ps := range PageSizes {
-		res.Miss[ps] = make(map[int]float64)
-		res.TPS[ps] = make(map[int]float64)
-	}
-	for _, gb := range Fig6BufferGB {
+	for _, gb := range fig6BufferGB {
 		mrow := []any{gb}
 		trow := []any{gb}
-		for _, ps := range PageSizes {
-			c := cfg
-			c.PageBytes = ps
-			c.Barrier = false
-			c.DoubleWrite = false
-			c.BufferBytes = int64(gb) * storage.GB / int64(c.Scale)
-			r, err := RunLinkBench(c)
+		for _, ps := range pageSizes {
+			r, err := runLinkBench(lbCell{Config: cfg, pageBytes: ps,
+				bufferBytes: int64(gb) * storage.GB / int64(cfg.Scale)})
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %dKB %dGB: %w", ps/storage.KB, gb, err)
 			}
-			res.Miss[ps][gb] = r.MissRatio * 100
-			res.TPS[ps][gb] = r.TPS()
+			cell := fmt.Sprintf("page=%d/buffer-gb=%d", ps, gb)
+			res.Metrics["fig6/miss-pct/"+cell] = r.MissRatio * 100
+			res.Metrics["fig6/tps/"+cell] = r.TPS()
 			mrow = append(mrow, r.MissRatio*100)
 			trow = append(trow, r.TPS())
 		}
 		mt.AddRow(mrow...)
 		tt.AddRow(trow...)
 	}
-	res.MissTable, res.TPSTable = mt, tt
+	res.Tables = []*stats.Table{mt, tt}
 	return res, nil
 }
 
-// Table3Result holds the latency distributions of the paper's Table 3.
-type Table3Result struct {
-	Table   *stats.Table
-	Default *linkbench.Result // ON/ON, 16 KB pages (MySQL defaults)
-	Best    *linkbench.Result // OFF/OFF, 4 KB pages (DuraSSD sweet spot)
-}
-
-// Table3 reproduces Table 3: per-operation latency distributions under the
-// MySQL default configuration versus the DuraSSD-optimal one.
-func Table3(cfg LinkBenchConfig) (*Table3Result, error) {
-	cfg.defaults()
-	def := cfg
-	def.PageBytes = 16 * storage.KB
-	def.Barrier = true
-	def.DoubleWrite = true
-	best := cfg
-	best.PageBytes = 4 * storage.KB
-	best.Barrier = false
-	best.DoubleWrite = false
-
-	defRes, err := RunLinkBench(def)
+// table3 reproduces Table 3: per-operation latency distributions under the
+// MySQL default configuration (ON/ON, 16 KB pages) versus the DuraSSD-optimal
+// one (OFF/OFF, 4 KB pages). Metrics: table3/{default,best}/<op>/{mean,p99}-ms
+// for every operation that ran in both.
+func table3(cfg Config) (*Result, error) {
+	def, err := runLinkBench(lbCell{Config: cfg, pageBytes: 16 * storage.KB, barrier: true, doubleWrite: true})
 	if err != nil {
 		return nil, fmt.Errorf("table3 default: %w", err)
 	}
-	bestRes, err := RunLinkBench(best)
+	best, err := runLinkBench(lbCell{Config: cfg, pageBytes: 4 * storage.KB})
 	if err != nil {
 		return nil, fmt.Errorf("table3 best: %w", err)
 	}
+	res := newResult()
 	tbl := stats.NewTable("Table 3: LinkBench latency (ms) — ON/ON 16KB vs OFF/OFF 4KB",
 		"Op", "Mean", "P25", "P50", "P75", "P99", "Max", "|", "Mean'", "P25'", "P50'", "P75'", "P99'", "Max'")
 	for _, op := range linkbench.OpTypes() {
-		d := defRes.Hist(op)
-		b := bestRes.Hist(op)
+		d := def.Hist(op)
+		b := best.Hist(op)
 		tbl.AddRow(op.String(),
 			ms(d.Mean()), ms(d.Percentile(25)), ms(d.Percentile(50)), ms(d.Percentile(75)), ms(d.Percentile(99)), ms(d.Max()),
 			"|",
 			ms(b.Mean()), ms(b.Percentile(25)), ms(b.Percentile(50)), ms(b.Percentile(75)), ms(b.Percentile(99)), ms(b.Max()))
+		if d.Count() == 0 || b.Count() == 0 {
+			continue
+		}
+		for _, side := range []struct {
+			name string
+			h    *stats.Hist
+		}{{"default", d}, {"best", b}} {
+			res.Metrics["table3/"+side.name+"/"+op.String()+"/mean-ms"] = ms(side.h.Mean())
+			res.Metrics["table3/"+side.name+"/"+op.String()+"/p99-ms"] = ms(side.h.Percentile(99))
+		}
 	}
 	tbl.AddComment("left: MySQL default (barriers on, double-write on, 16KB); right: DuraSSD best (off/off, 4KB)")
-	return &Table3Result{Table: tbl, Default: defRes, Best: bestRes}, nil
+	res.Tables = []*stats.Table{tbl}
+	return res, nil
 }
 
 func ms(d time.Duration) float64 {

@@ -13,52 +13,23 @@ import (
 	"durassd/internal/storage"
 )
 
-// MediaSweepConfig scales the media-reliability sweep.
-type MediaSweepConfig struct {
-	Scale int
-	// Pages is the cold working set (logical slots) audited at the end.
-	Pages int
-	// Rounds is the number of aging rounds before the audit; each round is
-	// ~2 ms of virtual retention time with one hot write to keep the flush
-	// worker (and thus the scrubber's idle wakeups) cycling.
-	Rounds int
-	Seed   int64
-}
+// The sweep's fixed size: the cold working set (logical slots) audited at
+// the end, and the aging rounds before the audit. Each round is ~2 ms of
+// virtual retention time with one hot write to keep the flush worker (and
+// thus the scrubber's idle wakeups) cycling.
+const (
+	mediaPages  = 16
+	mediaRounds = 120
+)
 
-func (c *MediaSweepConfig) defaults() {
-	if c.Scale <= 0 {
-		c.Scale = 16
-	}
-	if c.Pages <= 0 {
-		c.Pages = 16
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 120
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
-// MediaRates is the retention-loss sweep: expected soft bit errors per page
+// mediaRates is the retention-loss sweep: expected soft bit errors per page
 // per millisecond of virtual time. The ECC corrects 8 bits per page and the
 // DuraSSD profile retries reads 3 times (each retry halving the transient
 // errors), so a page is recoverable until ~72 accumulated soft errors. Over
 // the ~250 ms aging window the low rate needs at most one retry, the middle
 // rate leans on the full retry ladder, and the top rate sails past the
 // ceiling — unreadable unless the scrubber refreshed it first.
-var MediaRates = []float64{0.05, 0.15, 0.4}
-
-// MediaSweepResult holds the formatted table and the raw per-cell counters.
-type MediaSweepResult struct {
-	Table *stats.Table
-	// Uncorrectable[cell] counts audit reads that still failed after all
-	// retries; the paper-facing claim is that this stays zero with
-	// scrubbing on at every swept rate.
-	Uncorrectable map[string]float64
-	// Refreshes[cell] counts scrubber/read-triggered page rewrites.
-	Refreshes map[string]float64
-}
+var mediaRates = []float64{0.05, 0.15, 0.4}
 
 func mediaCell(rate float64, scrub bool) string {
 	s := "off"
@@ -68,7 +39,7 @@ func mediaCell(rate float64, scrub bool) string {
 	return fmt.Sprintf("rate=%g/scrub=%s", rate, s)
 }
 
-// MediaSweep crosses retention error rates with scrubbing on/off on a raw
+// media crosses retention error rates with scrubbing on/off on a raw
 // DuraSSD and counts uncorrectable host reads. It is the device-level
 // durability complement to the throughput sweeps: a durable write cache is
 // worthless if the flash behind it silently rots, so the firmware patrols
@@ -76,34 +47,34 @@ func mediaCell(rate float64, scrub bool) string {
 // sized to what one scrubber proc can actually sustain — a refresh program
 // costs 900 µs of virtual time, so patrol capacity is ~1.1 pages/ms and the
 // cold set is kept small enough that the top rate is still refreshable.
-func MediaSweep(cfg MediaSweepConfig) (*MediaSweepResult, error) {
-	cfg.defaults()
-	res := &MediaSweepResult{
-		Uncorrectable: make(map[string]float64),
-		Refreshes:     make(map[string]float64),
-	}
+// It has no op count. Metrics: media/uncorrectable/<cell> (audit reads still
+// failing after all retries; the paper-facing claim is that this stays zero
+// with scrubbing on at every swept rate) and media/refreshes/<cell>
+// (scrubber/read-triggered page rewrites).
+func media(cfg Config) (*Result, error) {
+	res := newResult()
 	tbl := stats.NewTable("Media sweep: retention error rate × scrubbing (DuraSSD, raw device)",
 		"Rate (bits/ms)", "Scrub", "Uncorrectable", "Retries", "Corrected bits", "Scrub passes", "Refreshes")
-	for _, rate := range MediaRates {
+	for _, rate := range mediaRates {
 		for _, scrub := range []bool{false, true} {
 			cell := mediaCell(rate, scrub)
 			uncorrectable, st, err := mediaCellRun(cfg, rate, scrub)
 			if err != nil {
 				return nil, fmt.Errorf("media sweep %s: %w", cell, err)
 			}
-			res.Uncorrectable[cell] = float64(uncorrectable)
-			res.Refreshes[cell] = float64(st.RefreshPrograms)
-			onOff := "off"
+			res.Metrics["media/uncorrectable/"+cell] = float64(uncorrectable)
+			res.Metrics["media/refreshes/"+cell] = float64(st.RefreshPrograms)
+			scrubbing := "off"
 			if scrub {
-				onOff = "on"
+				scrubbing = "on"
 			}
-			tbl.AddRow(rate, onOff, uncorrectable, st.ReadRetries, st.CorrectedBits,
+			tbl.AddRow(rate, scrubbing, uncorrectable, st.ReadRetries, st.CorrectedBits,
 				st.ScrubPasses, st.RefreshPrograms)
 		}
 	}
 	tbl.AddComment("uncorrectable: audit reads still failing after ECC + 3 read retries")
 	tbl.AddComment("scrub on keeps every swept rate readable by refreshing pages before retention outruns the ECC")
-	res.Table = tbl
+	res.Tables = []*stats.Table{tbl}
 	return res, nil
 }
 
@@ -111,7 +82,7 @@ func MediaSweep(cfg MediaSweepConfig) (*MediaSweepResult, error) {
 // while a trickle of hot writes keeps the device awake (idle windows are
 // what wake the scrubber), then audit-read every cold page and count
 // uncorrectable host reads.
-func mediaCellRun(cfg MediaSweepConfig, rate float64, scrub bool) (int64, *storage.Stats, error) {
+func mediaCellRun(cfg Config, rate float64, scrub bool) (int64, *storage.Stats, error) {
 	eng := sim.New()
 	defer eng.Close()
 	prof := ssd.DuraSSD(cfg.Scale)
@@ -119,7 +90,7 @@ func mediaCellRun(cfg MediaSweepConfig, rate float64, scrub bool) (int64, *stora
 	// A cache smaller than the cold set so audit reads actually reach the
 	// NAND instead of being served from DRAM, and no reserve pool: the
 	// sweep isolates patrol reads and refresh, not bad-block retirement.
-	prof.Cache.Frames = cfg.Pages / 2
+	prof.Cache.Frames = mediaPages / 2
 	prof.FTL.ReserveBlocks = 0
 	if scrub {
 		prof.FTL.ScrubInterval = 2 * time.Millisecond
@@ -143,7 +114,7 @@ func mediaCellRun(cfg MediaSweepConfig, rate float64, scrub bool) (int64, *stora
 			}
 			return true
 		}
-		for i := 0; i < cfg.Pages; i++ {
+		for i := 0; i < mediaPages; i++ {
 			if !write(storage.LPN(i)) {
 				return
 			}
@@ -158,15 +129,15 @@ func mediaCellRun(cfg MediaSweepConfig, rate float64, scrub bool) (int64, *stora
 		// Age the cold set. The hot-page writes keep the flush worker
 		// cycling, which is what wakes the scrubber between rounds (real
 		// firmware patrols in exactly these idle windows).
-		hot := storage.LPN(cfg.Pages)
-		for r := 0; r < cfg.Rounds; r++ {
+		hot := storage.LPN(mediaPages)
+		for r := 0; r < mediaRounds; r++ {
 			p.Sleep(2 * time.Millisecond)
 			if !write(hot + storage.LPN(r%4)) {
 				return
 			}
 		}
 		// Audit: every cold page must still be readable.
-		for i := 0; i < cfg.Pages; i++ {
+		for i := 0; i < mediaPages; i++ {
 			lpn := storage.LPN(i)
 			req := reg.NewReq(p, iotrace.OpRead, iotrace.OriginUnknown, uint64(lpn), 1)
 			err := dev.Read(p, req, lpn, 1, buf)

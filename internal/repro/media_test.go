@@ -9,26 +9,23 @@ import (
 // every swept retention rate fully readable, while without it the top rate
 // outruns ECC + read retries and the audit loses pages.
 func TestMediaSweepShapes(t *testing.T) {
-	res, err := MediaSweep(MediaSweepConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := MediaRates[len(MediaRates)-1]
-	for _, rate := range MediaRates {
+	m := mustRun(t, "media", Config{Seed: 1}).Metrics
+	top := mediaRates[len(mediaRates)-1]
+	for _, rate := range mediaRates {
 		on := mediaCell(rate, true)
-		if got := res.Uncorrectable[on]; got != 0 {
+		if got := m["media/uncorrectable/"+on]; got != 0 {
 			t.Errorf("%s: %v uncorrectable audit reads; scrubbing must keep the set readable", on, got)
 		}
-		if got := res.Refreshes[on]; got == 0 {
+		if got := m["media/refreshes/"+on]; got == 0 {
 			t.Errorf("%s: scrubber refreshed nothing", on)
 		}
 	}
 	offTop := mediaCell(top, false)
-	if got := res.Uncorrectable[offTop]; got == 0 {
+	if got := m["media/uncorrectable/"+offTop]; got == 0 {
 		t.Errorf("%s: expected audit losses without scrubbing at the top rate", offTop)
 	}
-	low := mediaCell(MediaRates[0], false)
-	if got := res.Uncorrectable[low]; got != 0 {
+	low := mediaCell(mediaRates[0], false)
+	if got := m["media/uncorrectable/"+low]; got != 0 {
 		t.Errorf("%s: low rate must stay readable on retries alone, lost %v", low, got)
 	}
 }
@@ -37,18 +34,9 @@ func TestMediaSweepShapes(t *testing.T) {
 // demands byte-identical counters: the media model's stochastic rounding is
 // seeded, so the whole campaign must replay exactly.
 func TestMediaSweepDeterministic(t *testing.T) {
-	a, err := MediaSweep(MediaSweepConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MediaSweep(MediaSweepConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Uncorrectable, b.Uncorrectable) {
-		t.Errorf("uncorrectable counters differ across identical runs:\n%v\n%v", a.Uncorrectable, b.Uncorrectable)
-	}
-	if !reflect.DeepEqual(a.Refreshes, b.Refreshes) {
-		t.Errorf("refresh counters differ across identical runs:\n%v\n%v", a.Refreshes, b.Refreshes)
+	a := mustRun(t, "media", Config{Seed: 1}).Metrics
+	b := mustRun(t, "media", Config{Seed: 1}).Metrics
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("uncorrectable and refresh counters differ across identical runs:\n%v\n%v", a, b)
 	}
 }

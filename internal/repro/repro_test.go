@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"strings"
 	"testing"
 
 	"durassd/internal/storage"
@@ -9,58 +10,82 @@ import (
 // These are fast smoke versions of the paper's experiments; the full-size
 // shape assertions live in the repository-root benchmark suite.
 
-func TestTable1SmokeShapes(t *testing.T) {
-	res, err := Table1(Table1Config{Scale: 32, OpsPerCell: 400, Seed: 1})
+// mustRun runs the named experiment at cfg's sizes.
+func mustRun(t testing.TB, name string, cfg Config) *Result {
+	t.Helper()
+	e, err := Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dura := res.IOPS["DuraSSD/ON"]
-	nb := res.IOPS["DuraSSD/ON(NoBarrier)"]
-	hddOff := res.IOPS["HDD/OFF"]
+	res, err := e.Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res
+}
+
+func TestLookupRejectsUnknownAndEmptyNames(t *testing.T) {
+	for _, name := range []string{"fig7", ""} {
+		_, err := Lookup(name)
+		if err == nil {
+			t.Fatalf("Lookup(%q) succeeded", name)
+		}
+		for _, e := range Experiments {
+			if !strings.Contains(err.Error(), e.Name) {
+				t.Errorf("Lookup(%q) error %q does not list %s", name, err, e.Name)
+			}
+		}
+	}
+	if len(Experiments) != 12 {
+		t.Errorf("%d experiments, want the paper's twelve", len(Experiments))
+	}
+	for _, e := range Experiments {
+		if got, err := Lookup(e.Name); err != nil || got.Name != e.Name {
+			t.Errorf("Lookup(%q) = %q, %v", e.Name, got.Name, err)
+		}
+	}
+}
+
+func TestTable1SmokeShapes(t *testing.T) {
+	m := mustRun(t, "table1", Config{Scale: 32, Ops: 400, Seed: 1}).Metrics
+	dura0, dura1 := m["table1/DuraSSD/ON/fsync=0"], m["table1/DuraSSD/ON/fsync=1"]
 	// fsync frequency dominates cache-on SSD throughput.
-	if dura[0] < 10*dura[1] {
-		t.Fatalf("DuraSSD ON: no-fsync %v not >> fsync-1 %v", dura[0], dura[1])
+	if dura0 < 10*dura1 {
+		t.Fatalf("DuraSSD ON: no-fsync %v not >> fsync-1 %v", dura0, dura1)
 	}
 	// NoBarrier is nearly flat and high.
-	if nb[1] < 3*dura[1] {
-		t.Fatalf("NoBarrier fsync-1 %v not much faster than barrier fsync-1 %v", nb[1], dura[1])
+	if nb1 := m["table1/DuraSSD/ON(NoBarrier)/fsync=1"]; nb1 < 3*dura1 {
+		t.Fatalf("NoBarrier fsync-1 %v not much faster than barrier fsync-1 %v", nb1, dura1)
 	}
 	// Disk gains little from batching compared with SSDs.
-	if gain := hddOff[0] / hddOff[1]; gain > 10 {
+	if gain := m["table1/HDD/OFF/fsync=0"] / m["table1/HDD/OFF/fsync=1"]; gain > 10 {
 		t.Fatalf("HDD OFF no-fsync/fsync-1 gain %v too large", gain)
 	}
 	// SSDs beat the disk outright with caches on and rare fsyncs.
-	if dura[0] < 5*res.IOPS["HDD/ON"][0] {
-		t.Fatalf("DuraSSD %v not >> HDD %v", dura[0], res.IOPS["HDD/ON"][0])
+	if hdd0 := m["table1/HDD/ON/fsync=0"]; dura0 < 5*hdd0 {
+		t.Fatalf("DuraSSD %v not >> HDD %v", dura0, hdd0)
 	}
 }
 
 func TestTable2SmokeShapes(t *testing.T) {
-	res, err := Table2(Table2Config{Scale: 32, OpsPerCell: 1500, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	m := mustRun(t, "table2", Config{Scale: 32, Ops: 1500, Seed: 1}).Metrics
+	ratio := func(row string) float64 {
+		return m["table2/"+row+"/page=4096"] / m["table2/"+row+"/page=16384"]
 	}
-	ro := res.IOPS[T2ReadOnly128]
-	if ro[4*storage.KB] < 2*ro[16*storage.KB] {
-		t.Fatalf("read-only 4KB %v not >> 16KB %v", ro[4*storage.KB], ro[16*storage.KB])
+	m4, m16 := m["table2/Read-only (128 threads)/page=4096"], m["table2/Read-only (128 threads)/page=16384"]
+	if m4 < 2*m16 {
+		t.Fatalf("read-only 4KB %v not >> 16KB %v", m4, m16)
 	}
-	w1 := res.IOPS[T2Write1Fsync]
-	ratio := w1[4*storage.KB] / w1[16*storage.KB]
-	if ratio < 0.7 || ratio > 2.0 {
-		t.Fatalf("write 1-fsync page-size ratio %v; should be nearly flat", ratio)
+	if r := ratio("Write-only (1-fsync)"); r < 0.7 || r > 2.0 {
+		t.Fatalf("write 1-fsync page-size ratio %v; should be nearly flat", r)
 	}
-	hr := res.IOPS[T2HDDRead128]
-	hratio := hr[4*storage.KB] / hr[16*storage.KB]
-	if hratio < 0.9 || hratio > 1.3 {
-		t.Fatalf("HDD read page-size ratio %v; disk should be insensitive", hratio)
+	if r := ratio("HDD Read-only (128 threads)"); r < 0.9 || r > 1.3 {
+		t.Fatalf("HDD read page-size ratio %v; disk should be insensitive", r)
 	}
 }
 
 func TestLinkBenchSmoke(t *testing.T) {
-	res, err := RunLinkBench(LinkBenchConfig{
-		Scale: 1024, Requests: 6_000, Warmup: 1_000, Clients: 32,
-		PageBytes: 4 * storage.KB, Barrier: false, DoubleWrite: false, Seed: 1,
-	})
+	res, err := runLinkBench(lbCell{Config: Config{Scale: 1024, Ops: 6_000, Seed: 1}, pageBytes: 4 * storage.KB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +95,7 @@ func TestLinkBenchSmoke(t *testing.T) {
 }
 
 func TestTPCCSmoke(t *testing.T) {
-	res, err := RunTPCC(TPCCConfig{
-		Scale: 256, Requests: 3_000, Warmup: 300, Clients: 16,
-		PageBytes: 4 * storage.KB, Barrier: false, Seed: 1,
-	})
+	res, err := runTPCC(tpccCell{Config: Config{Scale: 256, Ops: 3_000, Seed: 1}, pageBytes: 4 * storage.KB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +105,13 @@ func TestTPCCSmoke(t *testing.T) {
 }
 
 func TestYCSBSmoke(t *testing.T) {
-	on, err := RunYCSB(YCSBConfig{Docs: 200_000, Operations: 1_000, Barrier: true, BatchSize: 1, UpdatePct: 100, Seed: 1})
+	cell := ycsbCell{Config: Config{Ops: 1_000, Seed: 1}, barrier: true, batchSize: 1, updatePct: 100}
+	on, err := runYCSB(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := RunYCSB(YCSBConfig{Docs: 200_000, Operations: 1_000, Barrier: false, BatchSize: 1, UpdatePct: 100, Seed: 1})
+	cell.barrier = false
+	off, err := runYCSB(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,22 +121,16 @@ func TestYCSBSmoke(t *testing.T) {
 }
 
 func TestEnduranceReduction(t *testing.T) {
-	res, err := Endurance(LinkBenchConfig{Scale: 512, Requests: 20_000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reduction < 0.5 {
-		t.Fatalf("flash write reduction = %.0f%%, paper claims >50%%", res.Reduction*100)
+	m := mustRun(t, "endurance", Config{Scale: 512, Ops: 20_000, Seed: 1}).Metrics
+	if r := m["endurance/reduction"]; r < 0.5 {
+		t.Fatalf("flash write reduction = %.0f%%, paper claims >50%%", r*100)
 	}
 }
 
 func TestTailLatencyCollapsesWithoutBarriers(t *testing.T) {
-	res, err := TailLatency(TailLatencyConfig{Scale: 32, Ops: 8_000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, off := res.ReadP99[true], res.ReadP99[false]
+	m := mustRun(t, "tail", Config{Scale: 32, Ops: 8_000, Seed: 1}).Metrics
+	on, off := m["tail/barrier=On/read-p99-ms"], m["tail/barrier=Off/read-p99-ms"]
 	if on < 2*off {
-		t.Fatalf("read P99 with barriers (%v) not clearly above without (%v)", on, off)
+		t.Fatalf("read P99 with barriers (%vms) not clearly above without (%vms)", on, off)
 	}
 }

@@ -8,34 +8,18 @@ import (
 	"durassd/internal/storage"
 )
 
-// FsyncSweep is the paper's Table 1 x-axis: writes per fsync, with 0
+// fsyncSweep is the paper's Table 1 x-axis: writes per fsync, with 0
 // meaning no fsync at all.
-var FsyncSweep = []int{1, 4, 8, 16, 32, 64, 128, 256, 0}
+var fsyncSweep = []int{1, 4, 8, 16, 32, 64, 128, 256, 0}
 
-// Table1Config scales the Table 1 reproduction.
-type Table1Config struct {
-	Scale      int   // device capacity divisor (default 16)
-	OpsPerCell int   // operations per table cell (default 1200)
-	Seed       int64 // workload seed
-}
-
-func (c *Table1Config) defaults() {
-	if c.Scale <= 0 {
-		c.Scale = 16
-	}
-	if c.OpsPerCell <= 0 {
-		c.OpsPerCell = 1200
-	}
-}
-
-// Table1Row identifies one table row: a device and its cache mode.
-type Table1Row struct {
+// table1Row identifies one table row: a device and its cache mode.
+type table1Row struct {
 	Device    DeviceKind
 	CacheOn   bool
 	NoBarrier bool // DuraSSD's extra "ON (NoBarrier)" row
 }
 
-func (r Table1Row) String() string {
+func (r table1Row) String() string {
 	mode := "OFF"
 	if r.CacheOn {
 		mode = "ON"
@@ -46,8 +30,8 @@ func (r Table1Row) String() string {
 	return fmt.Sprintf("%s/%s", r.Device, mode)
 }
 
-// Table1Rows lists the paper's nine rows in order.
-var Table1Rows = []Table1Row{
+// table1Rows lists the paper's nine rows in order.
+var table1Rows = []table1Row{
 	{HDD, false, false},
 	{HDD, true, false},
 	{SSDA, false, false},
@@ -59,23 +43,16 @@ var Table1Rows = []Table1Row{
 	{DuraSSD, true, true},
 }
 
-// Table1Result holds the formatted table and raw IOPS per row and fsync
-// frequency (key 0 = no fsync).
-type Table1Result struct {
-	Table *stats.Table
-	IOPS  map[string]map[int]float64
-}
-
-// Table1 reproduces the paper's Table 1: the effect of fsync frequency and
+// table1 reproduces the paper's Table 1: the effect of fsync frequency and
 // the flush-cache command on 4 KB random-write IOPS, across the disk, two
-// volatile-cache SSDs and DuraSSD.
-func Table1(cfg Table1Config) (*Table1Result, error) {
-	cfg.defaults()
-	res := &Table1Result{IOPS: make(map[string]map[int]float64)}
+// volatile-cache SSDs and DuraSSD. Metrics: table1/<row>/fsync=<n> (n = 0
+// is no fsync).
+func table1(cfg Config) (*Result, error) {
+	res := newResult()
 	tbl := stats.NewTable("Table 1: effect of fsync and flush cache on 4KB random write IOPS",
 		append([]string{"Device", "Cache"}, fsyncHeaders()...)...)
 
-	runRow := func(row Table1Row) error {
+	runRow := func(row table1Row) error {
 		rig, err := NewRig(row.Device, cfg.Scale, !row.NoBarrier)
 		if err != nil {
 			return err
@@ -90,38 +67,36 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 		if err := file.Preload(0, filePages, nil); err != nil {
 			return err
 		}
-		cells := make(map[int]float64, len(FsyncSweep))
 		rowCells := []any{string(row.Device), cacheLabel(row)}
-		for _, every := range FsyncSweep {
+		for _, every := range fsyncSweep {
 			r, err := fio.RunFile(rig.Eng, file, fio.Job{
 				Name:       row.String(),
 				Threads:    1,
 				BlockBytes: 4 * storage.KB,
 				FsyncEvery: every,
-				Ops:        cfg.OpsPerCell,
+				Ops:        cfg.Ops,
 				Seed:       cfg.Seed + int64(every),
 			})
 			if err != nil {
 				return fmt.Errorf("table1 %s fsync=%d: %w", row, every, err)
 			}
-			cells[every] = r.IOPS()
+			res.Metrics[fmt.Sprintf("table1/%s/fsync=%d", row, every)] = r.IOPS()
 			rowCells = append(rowCells, r.IOPS())
 		}
-		res.IOPS[row.String()] = cells
 		tbl.AddRow(rowCells...)
 		return nil
 	}
-	for _, row := range Table1Rows {
+	for _, row := range table1Rows {
 		if err := runRow(row); err != nil {
 			return nil, err
 		}
 	}
 	tbl.AddComment("columns: writes per fsync; last column: no fsync")
-	res.Table = tbl
+	res.Tables = []*stats.Table{tbl}
 	return res, nil
 }
 
-func cacheLabel(r Table1Row) string {
+func cacheLabel(r table1Row) string {
 	switch {
 	case r.NoBarrier:
 		return "ON (NoBarrier)"
@@ -133,8 +108,8 @@ func cacheLabel(r Table1Row) string {
 }
 
 func fsyncHeaders() []string {
-	hs := make([]string, len(FsyncSweep))
-	for i, f := range FsyncSweep {
+	hs := make([]string, len(fsyncSweep))
+	for i, f := range fsyncSweep {
 		if f == 0 {
 			hs[i] = "no fsync"
 		} else {
@@ -144,48 +119,13 @@ func fsyncHeaders() []string {
 	return hs
 }
 
-// Table2Config scales the Table 2 reproduction.
-type Table2Config struct {
-	Scale      int
-	OpsPerCell int
-	Seed       int64
-}
+// pageSizes is the paper's page-size sweep (bytes), largest first.
+var pageSizes = []int{16 * storage.KB, 8 * storage.KB, 4 * storage.KB}
 
-func (c *Table2Config) defaults() {
-	if c.Scale <= 0 {
-		c.Scale = 16
-	}
-	if c.OpsPerCell <= 0 {
-		c.OpsPerCell = 4000
-	}
-}
-
-// PageSizes is the paper's page-size sweep (bytes), largest first.
-var PageSizes = []int{16 * storage.KB, 8 * storage.KB, 4 * storage.KB}
-
-// Table2Result holds the formatted tables and the raw IOPS:
-// IOPS[workload][pageBytes].
-type Table2Result struct {
-	DuraSSD *stats.Table
-	HDD     *stats.Table
-	IOPS    map[string]map[int]float64
-}
-
-// Table 2 workload row names.
-const (
-	T2ReadOnly128  = "Read-only (128 threads)"
-	T2Write1Fsync  = "Write-only (1-fsync)"
-	T2Write256     = "Write-only (256-fsync)"
-	T2Write128NoBa = "Write-only (128 no-barrier)"
-	T2HDDRead128   = "HDD Read-only (128 threads)"
-	T2HDDWrite128  = "HDD Write-only (128 threads)"
-)
-
-// Table2 reproduces the paper's Table 2: the effect of page size on IOPS
-// for DuraSSD (a) and the disk (b).
-func Table2(cfg Table2Config) (*Table2Result, error) {
-	cfg.defaults()
-	res := &Table2Result{IOPS: make(map[string]map[int]float64)}
+// table2 reproduces the paper's Table 2: the effect of page size on IOPS
+// for DuraSSD (a) and the disk (b). Metrics: table2/<row>/page=<bytes>.
+func table2(cfg Config) (*Result, error) {
+	res := newResult()
 
 	type rowSpec struct {
 		name    string
@@ -196,68 +136,59 @@ func Table2(cfg Table2Config) (*Table2Result, error) {
 		barrier bool
 	}
 	duraRows := []rowSpec{
-		{T2ReadOnly128, DuraSSD, 128, 100, 0, true},
-		{T2Write1Fsync, DuraSSD, 1, 0, 1, true},
-		{T2Write256, DuraSSD, 1, 0, 256, true},
-		{T2Write128NoBa, DuraSSD, 128, 0, 0, false},
+		{"Read-only (128 threads)", DuraSSD, 128, 100, 0, true},
+		{"Write-only (1-fsync)", DuraSSD, 1, 0, 1, true},
+		{"Write-only (256-fsync)", DuraSSD, 1, 0, 256, true},
+		{"Write-only (128 no-barrier)", DuraSSD, 128, 0, 0, false},
 	}
 	hddRows := []rowSpec{
-		{T2HDDRead128, HDD, 128, 100, 0, true},
-		{T2HDDWrite128, HDD, 128, 0, 0, true},
+		{"HDD Read-only (128 threads)", HDD, 128, 100, 0, true},
+		{"HDD Write-only (128 threads)", HDD, 128, 0, 0, true},
 	}
 
-	run := func(rows []rowSpec, title string) (*stats.Table, error) {
-		tbl := stats.NewTable(title, "Random IOPS", "16KB", "8KB", "4KB")
-		for _, row := range rows {
-			cells := make(map[int]float64, len(PageSizes))
+	runCell := func(row rowSpec, ps int) (float64, error) {
+		rig, err := NewRig(row.kind, cfg.Scale, row.barrier)
+		if err != nil {
+			return 0, err
+		}
+		defer rig.Close()
+		r, err := fio.Run(rig.Eng, rig.FS, fio.Job{
+			Name:       row.name,
+			Threads:    row.threads,
+			BlockBytes: ps,
+			ReadPct:    row.readPct,
+			FsyncEvery: row.fsync,
+			Ops:        cfg.Ops,
+			FilePages:  rig.Dev.Pages() * 11 / 20,
+			Preload:    true,
+			Seed:       cfg.Seed + int64(ps),
+		})
+		if err != nil {
+			return 0, fmt.Errorf("table2 %s page=%d: %w", row.name, ps, err)
+		}
+		return r.IOPS(), nil
+	}
+	for _, part := range []struct {
+		title string
+		rows  []rowSpec
+	}{
+		{"Table 2(a): effect of page size on IOPS — DuraSSD", duraRows},
+		{"Table 2(b): effect of page size on IOPS — HDD", hddRows},
+	} {
+		tbl := stats.NewTable(part.title, "Random IOPS", "16KB", "8KB", "4KB")
+		for _, row := range part.rows {
 			rowCells := []any{row.name}
-			runCell := func(ps int) error {
-				rig, err := NewRig(row.kind, cfg.Scale, row.barrier)
+			for _, ps := range pageSizes {
+				iops, err := runCell(row, ps)
 				if err != nil {
-					return err
-				}
-				defer rig.Close()
-				filePages := rig.Dev.Pages() * 11 / 20
-				file, err := rig.FS.Create("t2", filePages)
-				if err != nil {
-					return err
-				}
-				if err := file.Preload(0, filePages, nil); err != nil {
-					return err
-				}
-				r, err := fio.RunFile(rig.Eng, file, fio.Job{
-					Name:       row.name,
-					Threads:    row.threads,
-					BlockBytes: ps,
-					ReadPct:    row.readPct,
-					FsyncEvery: row.fsync,
-					Ops:        cfg.OpsPerCell,
-					Seed:       cfg.Seed + int64(ps),
-				})
-				if err != nil {
-					return fmt.Errorf("table2 %s page=%d: %w", row.name, ps, err)
-				}
-				cells[ps] = r.IOPS()
-				rowCells = append(rowCells, r.IOPS())
-				return nil
-			}
-			for _, ps := range PageSizes {
-				if err := runCell(ps); err != nil {
 					return nil, err
 				}
+				res.Metrics[fmt.Sprintf("table2/%s/page=%d", row.name, ps)] = iops
+				rowCells = append(rowCells, iops)
 			}
-			res.IOPS[row.name] = cells
 			tbl.AddRow(rowCells...)
 		}
-		return tbl, nil
-	}
-
-	var err error
-	if res.DuraSSD, err = run(duraRows, "Table 2(a): effect of page size on IOPS — DuraSSD"); err != nil {
-		return nil, err
-	}
-	if res.HDD, err = run(hddRows, "Table 2(b): effect of page size on IOPS — HDD"); err != nil {
-		return nil, err
+		res.Tables = append(res.Tables, tbl)
 	}
 	return res, nil
 }

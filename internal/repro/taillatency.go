@@ -1,49 +1,18 @@
 package repro
 
 import (
-	"time"
-
 	"durassd/internal/fio"
 	"durassd/internal/stats"
 	"durassd/internal/storage"
 )
 
-// TailLatencyConfig sizes the read-tail experiment.
-type TailLatencyConfig struct {
-	Scale int
-	Ops   int
-	Seed  int64
-}
-
-func (c *TailLatencyConfig) defaults() {
-	if c.Scale <= 0 {
-		c.Scale = 16
-	}
-	if c.Ops <= 0 {
-		c.Ops = 20_000
-	}
-}
-
-// TailLatencyResult captures read-latency percentiles for a mixed workload
-// under the two barrier settings.
-type TailLatencyResult struct {
-	Table *stats.Table
-	// ReadP99[barrier] in time units.
-	ReadP99 map[bool]time.Duration
-	ReadP50 map[bool]time.Duration
-}
-
-// TailLatency reproduces the paper's motivation (§1-2): under a mixed
-// read/write load with frequent fsyncs, read latency becomes hostage to
-// the write path — flush-cache storms and cache-full stalls push the read
-// tail orders of magnitude above the read median. Turning barriers off
-// (safe on DuraSSD) collapses the tail.
-func TailLatency(cfg TailLatencyConfig) (*TailLatencyResult, error) {
-	cfg.defaults()
-	res := &TailLatencyResult{
-		ReadP99: make(map[bool]time.Duration),
-		ReadP50: make(map[bool]time.Duration),
-	}
+// tail reproduces the paper's motivation (§1-2): under a mixed read/write
+// load with frequent fsyncs, read latency becomes hostage to the write path
+// — flush-cache storms and cache-full stalls push the read tail orders of
+// magnitude above the read median. Turning barriers off (safe on DuraSSD)
+// collapses the tail. Metrics: tail/barrier={On,Off}/read-{p50,p99}-ms.
+func tail(cfg Config) (*Result, error) {
+	res := newResult()
 	tbl := stats.NewTable("Read latency under a mixed 70/30 workload with per-8-writes fsync (DuraSSD)",
 		"Barriers", "Read P50", "Read P99", "Read max", "Write P99")
 	runRow := func(barrier bool) error {
@@ -66,8 +35,9 @@ func TailLatency(cfg TailLatencyConfig) (*TailLatencyResult, error) {
 		if err != nil {
 			return err
 		}
-		res.ReadP99[barrier] = r.ReadLat.Percentile(99)
-		res.ReadP50[barrier] = r.ReadLat.Percentile(50)
+		key := "tail/barrier=" + onOff(barrier)
+		res.Metrics[key+"/read-p50-ms"] = ms(r.ReadLat.Percentile(50))
+		res.Metrics[key+"/read-p99-ms"] = ms(r.ReadLat.Percentile(99))
 		name := "off"
 		if barrier {
 			name = "on"
@@ -82,6 +52,6 @@ func TailLatency(cfg TailLatencyConfig) (*TailLatencyResult, error) {
 		}
 	}
 	tbl.AddComment("barriers off is only safe on a durable cache — that is the paper")
-	res.Table = tbl
+	res.Tables = []*stats.Table{tbl}
 	return res, nil
 }

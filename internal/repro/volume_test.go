@@ -14,23 +14,20 @@ import (
 )
 
 func TestVolumeSweepShapes(t *testing.T) {
-	res, err := VolumeSweep(VolumeSweepConfig{Scale: 32, OpsPerCell: 1200, Threads: 32, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustRun(t, "volume", Config{Scale: 32, Ops: 1200, Seed: 1}).Metrics
 	// The durable cache lets the stripe scale: 4 members ≥ 3× one drive.
-	dura4 := VolumeRow{DuraSSD, VolumeSpec{Layout: Striped, Width: 4}, false, 0}
-	if s := res.Speedup(dura4); s < 3 {
+	dura4 := volumeRow{DuraSSD, "striped", 4, 0}
+	if s := speedup(m, dura4); s < 3 {
 		t.Fatalf("DuraSSD striped-4 speedup %.2f < 3 — stripe not scaling", s)
 	}
 	// fsync-every-write wastes the stripe on the volatile drive: < 1.5×.
-	ssda4 := VolumeRow{SSDA, VolumeSpec{Layout: Striped, Width: 4}, true, 1}
-	if s := res.Speedup(ssda4); s >= 1.5 {
+	ssda4 := volumeRow{SSDA, "striped", 4, 1}
+	if s := speedup(m, ssda4); s >= 1.5 {
 		t.Fatalf("SSD-A striped-4 under fsync-every-write speedup %.2f >= 1.5 — flush drain not modeled", s)
 	}
 	// The mirror writes everything twice; it must not beat a single drive.
-	mirror := VolumeRow{DuraSSD, VolumeSpec{Layout: Mirrored, Width: 2}, false, 0}
-	if s := res.Speedup(mirror); s > 1.2 {
+	mirror := volumeRow{DuraSSD, "mirror", 2, 0}
+	if s := speedup(m, mirror); s > 1.2 {
 		t.Fatalf("DuraSSD mirror-2 write speedup %.2f > 1.2 — mirror should not scale writes", s)
 	}
 }

@@ -32,7 +32,7 @@ func TestReportClusterStats(t *testing.T) {
 
 // TestSingleCoreAnnotation: reports produced on a one-CPU host must carry
 // "single_core": true, and hosts with real parallelism must not be tagged —
-// the BENCH_7.json caveat, mechanized.
+// the 1-CPU caveat, mechanized.
 func TestSingleCoreAnnotation(t *testing.T) {
 	rows := []ShardSweepRow{
 		{Workers: 1, Result: Result{Name: "shards-w1", Events: 1000, Wall: time.Millisecond}},

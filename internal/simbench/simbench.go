@@ -247,7 +247,7 @@ func MeasureBest(s Scenario, repeat int) (Result, error) {
 
 // annotateSingleCore marks reports produced on a single-CPU host: wall-clock
 // comparisons between parallel and sequential scenarios are meaningless
-// there (the BENCH_7.json caveat), and downstream tooling needs to know
+// there (the 1-CPU caveat: every lane shares the one CPU), and downstream tooling needs to know
 // without guessing from the numbers.
 func annotateSingleCore(rep *repro.JSONReport, numCPU int) {
 	if numCPU == 1 {
