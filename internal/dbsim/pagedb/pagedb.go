@@ -140,11 +140,12 @@ type Engine struct {
 	nextPage buffer.PageID
 	perDB    int // device pages per database page
 
-	versions  map[buffer.PageID]uint64 // bytes mode: current page versions
-	fpwLogged map[buffer.PageID]bool   // FPW: pages whose image is in the WAL since the last checkpoint
-	ckptBase  int64                    // BytesLogged at the last checkpoint
-	inCkpt    bool
-	dwbImages [][]byte // free list of double-write batch images (RealBytes)
+	versions   map[buffer.PageID]uint64 // bytes mode: current page versions
+	fpwLogged  map[buffer.PageID]bool   // FPW: pages whose image is in the WAL since the last checkpoint
+	ckptBase   int64                    // BytesLogged at the last checkpoint
+	inCkpt     bool
+	dwbImages  [][]byte // free list of double-write batch images (RealBytes)
+	auditPages [][]byte // free list of pages for PageVersionOnDisk
 
 	// Stats
 	Commits     int64

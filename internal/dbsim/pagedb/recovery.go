@@ -146,7 +146,8 @@ func isNonZero(b []byte) bool {
 // image version (0 if unreadable or never written). Crash harnesses use it
 // to verify durability claims.
 func (e *Engine) PageVersionOnDisk(p *sim.Proc, id buffer.PageID) (uint64, bool, error) {
-	buf := make([]byte, e.cfg.PageBytes)
+	buf := e.auditPage()
+	defer func() { e.auditPages = append(e.auditPages, buf) }()
 	if err := e.readData(p, id, buf); err != nil {
 		return 0, false, err
 	}
@@ -155,4 +156,16 @@ func (e *Engine) PageVersionOnDisk(p *sim.Proc, id buffer.PageID) (uint64, bool,
 		return 0, false, nil
 	}
 	return ver, true, nil
+}
+
+// auditPage takes a page buffer from the audit free list. Audit readers are
+// processes that may overlap on the device, so each holds its own page for
+// the length of its read.
+func (e *Engine) auditPage() []byte {
+	if n := len(e.auditPages); n > 0 {
+		buf := e.auditPages[n-1]
+		e.auditPages = e.auditPages[:n-1]
+		return buf
+	}
+	return make([]byte, e.cfg.PageBytes) //simlint:allow hotalloc free-list miss: one page per audit read in flight, kept for reuse
 }

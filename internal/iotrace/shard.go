@@ -1,10 +1,12 @@
 package iotrace
 
 import (
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"reflect"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -34,37 +36,42 @@ type ShardRecorder struct {
 	streams []shardStream
 }
 
-// shardEvent is what a stream keeps per captured event: 16 bytes. The
-// domain is the stream's index and the capture sequence is the event's
-// position, so neither is stored; a long run holds millions of these until
-// its final digest.
-type shardEvent struct {
-	at   time.Duration
-	kind EventKind
-}
+// A stream is encoded, not stored as records: a long run holds millions of
+// events until its final digest. Each event is the zigzag varint of its
+// instant minus the previous event's (the first is relative to zero),
+// followed by its kind byte. The domain is the stream's index and the
+// capture sequence the event's position, so neither is stored. A serving
+// domain's device events are tens to hundreds of microseconds apart, so an
+// event is typically four bytes.
+const (
+	chunkBytes    = 64 << 10                  // capacity of one stream chunk
+	maxEventBytes = binary.MaxVarintLen64 + 1 // the widest encoded event
+)
 
-// shardStream is one domain's events in capture order. A domain's clock
-// never runs backwards, so the stream is normally already in (At, Seq)
-// order and the merge reads it as it stands; unsorted notes the exception.
-// Sorting is the one thing that separates an event from its position, so
-// seqs exists only from a stream's first sort on.
+// shardStream is one domain's encoded events in capture order, appended to
+// fixed-size chunks so a growing stream never copies what it holds. An
+// event never straddles two chunks.
 type shardStream struct {
-	evs      []shardEvent
-	seqs     []uint64 // seqs[i] is evs[i]'s capture sequence; nil while that is i
-	unsorted bool     // an event was captured with an earlier At than its predecessor
+	chunks   [][]byte      // the last one is open for appends
+	n        int           // events captured
+	last     time.Duration // instant of the latest event: the next delta's base
+	unsorted bool          // an event was captured with an earlier At than its predecessor
 }
 
-// sort.Interface, ordering by (At, Seq); seqs must be materialised.
-func (s *shardStream) Len() int { return len(s.evs) }
-func (s *shardStream) Less(i, j int) bool {
-	if a, b := s.evs[i].at, s.evs[j].at; a != b {
-		return a < b
+func (s *shardStream) add(kind EventKind, at time.Duration) {
+	if s.n > 0 && at < s.last {
+		s.unsorted = true
 	}
-	return s.seqs[i] < s.seqs[j]
-}
-func (s *shardStream) Swap(i, j int) {
-	s.evs[i], s.evs[j] = s.evs[j], s.evs[i]
-	s.seqs[i], s.seqs[j] = s.seqs[j], s.seqs[i]
+	c := len(s.chunks) - 1
+	if c < 0 || cap(s.chunks[c])-len(s.chunks[c]) < maxEventBytes {
+		s.chunks = append(s.chunks, make([]byte, 0, chunkBytes)) //simlint:allow hotalloc chunk miss: one 64 KiB chunk per ~16 k events, kept until the digest
+		c++
+	}
+	// Durations wrap on overflow, and so does the decoder's sum, so any
+	// pair of instants round-trips.
+	s.chunks[c] = append(binary.AppendVarint(s.chunks[c], int64(at-s.last)), byte(kind))
+	s.last = at
+	s.n++
 }
 
 // NewShardRecorder returns a recorder for the given number of domains.
@@ -77,65 +84,95 @@ func NewShardRecorder(domains int) *ShardRecorder {
 // domain; their events interleave in emission order, which the engine's
 // dispatch order makes deterministic.
 func (r *ShardRecorder) Attach(domain int, reg *Registry) {
-	s := &r.streams[domain]
-	reg.SetEventFn(func(kind EventKind, at time.Duration) {
-		n := len(s.evs)
-		if n > 0 && at < s.evs[n-1].at {
-			s.unsorted = true
-		}
-		s.evs = append(s.evs, shardEvent{at: at, kind: kind})
-		if s.seqs != nil {
-			s.seqs = append(s.seqs, uint64(n))
-		}
-	})
+	reg.SetEventFn(r.streams[domain].add)
 }
 
 // Events returns the total number of captured events across all domains.
 func (r *ShardRecorder) Events() int {
 	n := 0
 	for i := range r.streams {
-		n += len(r.streams[i].evs)
+		n += r.streams[i].n
 	}
 	return n
 }
 
-// each calls fn on every captured record in (At, Domain, Seq) order: a
-// k-way merge over the per-domain streams. Records are built on the way out
-// and passed by value, so nothing is copied up front and nothing escapes.
-func (r *ShardRecorder) each(fn func(rec ShardRec)) {
-	for i := range r.streams {
-		if s := &r.streams[i]; s.unsorted {
-			if s.seqs == nil {
-				s.seqs = make([]uint64, len(s.evs))
-				for j := range s.seqs {
-					s.seqs[j] = uint64(j)
-				}
-			}
-			sort.Sort(s)
-			s.unsorted = false
+// mergeCursor yields one domain's records in (At, Seq) order.
+type mergeCursor struct {
+	rec    ShardRec // the stream's next record, valid while live
+	live   bool
+	sorted []ShardRec // a stream captured out of time order, decoded and stably sorted by At
+
+	// Decoding state, in capture order.
+	chunks     [][]byte
+	chunk, off int
+	at         time.Duration
+	seq        uint64 // capture sequence of the next event
+}
+
+func (c *mergeCursor) start(domain int, s *shardStream) {
+	*c = mergeCursor{rec: ShardRec{Domain: domain}, chunks: s.chunks}
+	if s.unsorted {
+		// The rare path: capture order is the sequence, so a stable sort by
+		// instant alone yields (At, Seq) order.
+		c.sorted = make([]ShardRec, s.n)
+		for i := range c.sorted {
+			c.sorted[i].Domain = domain
+			c.decode(&c.sorted[i])
 		}
+		slices.SortStableFunc(c.sorted, func(a, b ShardRec) int { return cmp.Compare(a.At, b.At) })
 	}
-	heads := make([]int, len(r.streams)) // next unread event per stream
+	c.advance()
+}
+
+// decode reads the stream's next event into rec's At, Seq and Kind; it
+// reports false at the end of the stream.
+func (c *mergeCursor) decode(rec *ShardRec) bool {
+	for c.chunk < len(c.chunks) && c.off == len(c.chunks[c.chunk]) {
+		c.chunk, c.off = c.chunk+1, 0
+	}
+	if c.chunk == len(c.chunks) {
+		return false
+	}
+	b := c.chunks[c.chunk][c.off:]
+	d, n := binary.Varint(b)
+	c.at += time.Duration(d)
+	c.off += n + 1
+	rec.At, rec.Seq, rec.Kind = c.at, c.seq, EventKind(b[n])
+	c.seq++
+	return true
+}
+
+func (c *mergeCursor) advance() {
+	if c.sorted == nil {
+		c.live = c.decode(&c.rec)
+	} else if c.live = len(c.sorted) > 0; c.live {
+		c.rec, c.sorted = c.sorted[0], c.sorted[1:]
+	}
+}
+
+// each calls fn on every captured record in (At, Domain, Seq) order: a
+// k-way merge that decodes the per-domain streams as it goes. Records are
+// built on the way out and passed by value, so nothing is held whole and
+// the streams themselves are left as captured.
+func (r *ShardRecorder) each(fn func(rec ShardRec)) {
+	curs := make([]mergeCursor, len(r.streams))
+	for d := range curs {
+		curs[d].start(d, &r.streams[d])
+	}
 	for {
-		// Streams are indexed by domain id, so taking the first of equal
+		// Cursors are indexed by domain id, so taking the first of equal
 		// instants breaks the tie the way the order requires.
 		best := -1
-		var at time.Duration
-		for d := range r.streams {
-			if evs := r.streams[d].evs; heads[d] < len(evs) && (best < 0 || evs[heads[d]].at < at) {
-				best, at = d, evs[heads[d]].at
+		for d := range curs {
+			if c := &curs[d]; c.live && (best < 0 || c.rec.At < curs[best].rec.At) {
+				best = d
 			}
 		}
 		if best < 0 {
 			return
 		}
-		s, i := &r.streams[best], heads[best]
-		seq := uint64(i)
-		if s.seqs != nil {
-			seq = s.seqs[i]
-		}
-		fn(ShardRec{At: at, Domain: best, Seq: seq, Kind: s.evs[i].kind})
-		heads[best]++
+		fn(curs[best].rec)
+		curs[best].advance()
 	}
 }
 

@@ -4,10 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestShardRecorderMergeOrder(t *testing.T) {
@@ -62,8 +65,8 @@ func TestShardRecorderDigestStable(t *testing.T) {
 }
 
 // refRecorder drives a ShardRecorder and keeps, beside it, the full record
-// of every event it emitted: the form the recorder used to store and the
-// reference its compact streams are checked against.
+// of every event it emitted: the reference its encoded streams are checked
+// against.
 type refRecorder struct {
 	rec  *ShardRecorder
 	regs []*Registry
@@ -127,17 +130,23 @@ func (r *refRecorder) check(t *testing.T, when string) {
 	}
 }
 
-// TestShardRecorderDigestMatchesFormatted pins the compact streams — 16
-// bytes an event, the domain implied by the stream and the sequence by the
-// position — to the full records and the formatted text they replaced. The
-// fixture has four domains (one empty), long runs from one domain, equal
-// instants across domains and within one, an unknown kind and the widest
-// timestamp a line can carry. It is checked three ways: with every stream
-// in time order (no sequence is ever materialised), with one domain that
-// captures out of time order, and with more events, in and out of order,
-// appended after a digest has sorted that domain.
+// TestShardRecorderDigestMatchesFormatted pins the encoded streams — a
+// zigzag varint delta of the instant and a kind byte an event, in 64 KiB
+// chunks, the domain implied by the stream and the sequence by the
+// position — to the full records and the formatted text the digest hashes.
+// The fixture has four domains (one empty), every event kind and two
+// unknown ones, long runs from one domain, equal instants across domains
+// and within one, and enough events to span several chunks. It is checked
+// with every stream in time order, with one domain that captures out of
+// time order, with more events, in and out of order, appended after a
+// digest, and with deltas up to 1<<62 and past the ends of the duration
+// range in both directions.
 func TestShardRecorderDigestMatchesFormatted(t *testing.T) {
-	kinds := []EventKind{EvWriteAck, EvFlushStart, EvFlushEnd, EvProgram, EvErase, EvRetireStart, EvRetireEnd, EventKind(99)}
+	var kinds []EventKind
+	for k := EventKind(0); k < NumEvents; k++ {
+		kinds = append(kinds, k)
+	}
+	kinds = append(kinds, EventKind(99), EventKind(255))
 	fill := func(r *refRecorder, from, to int, backwards bool) {
 		for i := from; i < to; i++ {
 			at := time.Duration(i/3) * time.Microsecond // three records an instant
@@ -158,13 +167,11 @@ func TestShardRecorderDigestMatchesFormatted(t *testing.T) {
 
 	t.Run("sorted", func(t *testing.T) {
 		r := newRefRecorder(4)
-		fill(r, 0, 3000, false)
+		fill(r, 0, 60000, false) // domain 0 fills more than one chunk
 		r.emit(3, EvErase, 1<<62)
 		r.check(t, "in time order")
-		for d := range r.rec.streams {
-			if r.rec.streams[d].seqs != nil {
-				t.Errorf("domain %d never captured out of order but materialised its sequence", d)
-			}
+		if n := len(r.rec.streams[0].chunks); n < 2 {
+			t.Fatalf("domain 0 used %d chunk(s); the fixture must span several", n)
 		}
 	})
 
@@ -172,17 +179,81 @@ func TestShardRecorderDigestMatchesFormatted(t *testing.T) {
 		r := newRefRecorder(4)
 		fill(r, 0, 3000, true)
 		r.check(t, "domain 1 backwards")
-		if r.rec.streams[1].seqs == nil || r.rec.streams[0].seqs != nil {
-			t.Errorf("want a sequence for the sorted domain 1 only")
-		}
-		// Domain 1 has been sorted; what it captures now must carry on from
-		// its capture count, not from its position in the sorted stream.
+		// A digest leaves the streams as captured: what domain 1 captures
+		// now must carry on from its capture count.
 		fill(r, 3000, 3600, false) // domain 1 resumes below its own maximum
 		r.check(t, "appended in order after a digest")
 		fill(r, 3600, 4200, true)
 		r.emit(3, EvErase, 1<<62) // widest timestamp the line can carry
 		r.check(t, "appended out of order after a digest")
 	})
+
+	t.Run("wide deltas", func(t *testing.T) {
+		r := newRefRecorder(3)
+		for _, at := range []time.Duration{0, 1 << 62, 1, 1 << 62, 1<<62 - 1, 0} {
+			r.emit(0, EvWriteAck, at)
+			r.emit(2, EvProgram, at)
+		}
+		r.check(t, "deltas of ±1<<62")
+		for _, at := range []time.Duration{math.MaxInt64, math.MinInt64, math.MaxInt64, 0} {
+			r.emit(1, EvFlushEnd, at) // deltas that overflow a duration
+		}
+		r.check(t, "deltas past the duration range")
+	})
+}
+
+// serveLikeEvents emits n events into reg, about 200 µs apart in virtual
+// time as a serving domain's device events are, with seeded kinds.
+func serveLikeEvents(reg *Registry, rng *rand.Rand, at *time.Duration, n int) {
+	for range n {
+		*at += time.Duration(100+rng.Intn(200)) * time.Microsecond
+		reg.Emit(EventKind(rng.Intn(int(NumEvents))), *at)
+	}
+}
+
+// TestShardRecorderBytesPerEvent bounds what a long run keeps until its
+// digest: a million serve-like events retain at most 6 bytes each, chunks
+// and the chunk list included.
+func TestShardRecorderBytesPerEvent(t *testing.T) {
+	const events = 1 << 20
+	r := NewShardRecorder(1)
+	reg := NewRegistry()
+	r.Attach(0, reg)
+	var at time.Duration
+	serveLikeEvents(reg, rand.New(rand.NewSource(1)), &at, events)
+
+	s := &r.streams[0]
+	retained := cap(s.chunks) * int(unsafe.Sizeof(s.chunks[0]))
+	for _, c := range s.chunks {
+		retained += cap(c)
+	}
+	if perEvent := float64(retained) / events; perEvent > 6 {
+		t.Fatalf("%d events retain %d B in %d chunks: %.2f B an event, want <= 6", events, retained, len(s.chunks), perEvent)
+	}
+	if r.Events() != events {
+		t.Fatalf("Events() = %d, want %d", r.Events(), events)
+	}
+}
+
+// TestShardRecorderAllocs checks that Attach's observer allocates only when
+// a chunk fills: nothing while the open chunk has room, and one chunk (plus
+// at most one regrowth of the chunk list) per chunk filled.
+func TestShardRecorderAllocs(t *testing.T) {
+	r := NewShardRecorder(1)
+	reg := NewRegistry()
+	r.Attach(0, reg)
+	rng := rand.New(rand.NewSource(1))
+	var at time.Duration
+	// A serve-like event encodes to 4 bytes, so a chunk holds about 16 k.
+	const perChunk = chunkBytes / 4
+	if allocs := testing.AllocsPerRun(perChunk/2, func() { serveLikeEvents(reg, rng, &at, 1) }); allocs != 0 {
+		t.Fatalf("an event that fits the open chunk allocates %v times, want 0", allocs)
+	}
+	const chunks = 8
+	allocs := testing.AllocsPerRun(1, func() { serveLikeEvents(reg, rng, &at, chunks*perChunk) })
+	if allocs > chunks+1 {
+		t.Fatalf("filling %d chunks allocates %v times, want at most %d", chunks, allocs, chunks+1)
+	}
 }
 
 func TestSumStats(t *testing.T) {

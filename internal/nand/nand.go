@@ -16,7 +16,9 @@ package nand
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"time"
 
 	"durassd/internal/iotrace"
@@ -642,7 +644,9 @@ func (a *Array) PowerFail() {
 	}
 	a.powered = false
 	a.dumpPrograms = 0
-	for ppn := range a.inflight {
+	// Torn pages take sequence numbers in PPN order, and erased blocks tear
+	// in block order, so the result never depends on map iteration.
+	for _, ppn := range slices.Sorted(maps.Keys(a.inflight)) {
 		a.seq++
 		m := a.record(ppn) // holds the tags ProgramPage put there
 		tear(m)
@@ -654,7 +658,7 @@ func (a *Array) PowerFail() {
 		delete(a.inflight, ppn)
 	}
 	if a.faults.InterruptedErase {
-		for block := range a.erasing {
+		for _, block := range slices.Sorted(maps.Keys(a.erasing)) {
 			first := a.PageOfBlock(block)
 			for i := 0; i < a.cfg.PagesPerBlock; i++ {
 				ppn := first + PPN(i)

@@ -202,6 +202,40 @@ func TestPowerFailTearsInflightProgram(t *testing.T) {
 	}
 }
 
+// TestPowerFailTearsInPPNOrder cuts two programs in flight on different
+// planes and checks that the torn pages take sequence numbers in PPN order,
+// not in map order: twenty cuts, each of which map iteration would get
+// wrong half the time.
+func TestPowerFailTearsInPPNOrder(t *testing.T) {
+	for cut := 0; cut < 20; cut++ {
+		eng := sim.New()
+		a := newTestArray(t, eng)
+		cfg := a.Config()
+		planesPerChannel := cfg.PackagesPerChannel * cfg.ChipsPerPackage * cfg.PlanesPerChip
+		ppns := []PPN{PPN(planesPerChannel * cfg.BlocksPerPlane * cfg.PagesPerBlock), 0} // higher PPN issued first
+		if a.PlaneOf(ppns[0]) == a.PlaneOf(ppns[1]) {
+			t.Fatal("the two pages share a plane")
+		}
+		for _, ppn := range ppns {
+			eng.Go("prog", func(p *sim.Proc) {
+				if err := a.ProgramPage(p, iotrace.Req{}, ppn, []SlotTag{{LPN: storage.LPN(ppn)}}, nil, false); err != storage.ErrPowerFail {
+					t.Errorf("program %d: %v, want ErrPowerFail", ppn, err)
+				}
+			})
+		}
+		eng.Schedule(200*time.Microsecond, func() { a.PowerFail() })
+		eng.Run()
+		lo, hi := a.Meta(ppns[1]), a.Meta(ppns[0])
+		if lo == nil || hi == nil || !lo.Slots[0].Torn || !hi.Slots[0].Torn {
+			t.Fatalf("cut %d: both pages must be torn: %+v, %+v", cut, lo, hi)
+		}
+		if lo.Seq >= hi.Seq {
+			t.Fatalf("cut %d: page %d has seq %d, page %d seq %d; want seq rising with PPN", cut, ppns[1], lo.Seq, ppns[0], hi.Seq)
+		}
+		eng.Close()
+	}
+}
+
 func TestPowerFailBeforeTransferReturnsOffline(t *testing.T) {
 	eng := sim.New()
 	a := newTestArray(t, eng)

@@ -170,6 +170,11 @@ func (st *Store) page() []byte {
 	if !st.real {
 		return nil
 	}
+	return st.scratchPage()
+}
+
+// scratchPage takes a page from the free list in either mode.
+func (st *Store) scratchPage() []byte {
 	if n := len(st.pages); n > 0 {
 		pg := st.pages[n-1]
 		st.pages = st.pages[:n-1]
@@ -327,7 +332,8 @@ func (st *Store) CrashRead(p *sim.Proc, key uint64) (version uint64, ok bool, er
 	if !present {
 		return 0, false, fmt.Errorf("serve: crash read of unknown key %d", key)
 	}
-	buf := make([]byte, st.file.PageSize())
+	buf := st.scratchPage()
+	defer st.donePage(buf)
 	if err := st.file.ReadPages(p, slot, 1, buf); err != nil {
 		return 0, false, err
 	}

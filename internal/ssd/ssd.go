@@ -434,11 +434,12 @@ func (d *Device) InjectReadErrors(lpn storage.LPN, bits int) bool {
 
 // PreloadPages installs n logical pages instantly starting at lpn, so that
 // random reads hit mapped data and GC behaves as on a used drive. data may
-// be nil (timing-only) or n*PageSize bytes.
+// be nil (timing-only) or n*PageSize bytes. The slots go to the FTL in
+// batches of at most 4,096, and a smaller preload sizes its batch to fit.
 func (d *Device) PreloadPages(lpn storage.LPN, n int64, data []byte) error {
 	const batch = 4096
 	ss := d.f.SlotSize()
-	slots := make([]ftl.SlotWrite, 0, batch)
+	slots := make([]ftl.SlotWrite, 0, min(max(n, 0), batch))
 	for i := int64(0); i < n; i++ {
 		sw := ftl.SlotWrite{LPN: lpn + storage.LPN(i)}
 		if data != nil {
