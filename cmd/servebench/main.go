@@ -8,6 +8,7 @@
 //	go run ./cmd/servebench                       # default 4-shard mix, print the table
 //	go run ./cmd/servebench -shards 8 -workers 4  # scale the box
 //	go run ./cmd/servebench -json report.json     # also write the JSON report
+//	go run ./cmd/servebench -json - | jq .        # report on stdout, table on stderr
 //	go run ./cmd/servebench -verify               # re-run at 1 vs N workers, require identical digests
 //	go run ./cmd/servebench -chaos                # replicated R=3 groups under the seeded fault schedule
 //
@@ -26,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"durassd/internal/repro"
@@ -46,11 +48,15 @@ func main() {
 	if *chaos {
 		cfg = serve.ChaosScenario(*workers, *seed)
 	}
+	out := os.Stdout
+	if *jsonPath == "-" {
+		out = os.Stderr
+	}
 	res, err := serve.RunScenario(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(res.Render())
+	fmt.Fprintln(out, res.Render())
 
 	if *verify {
 		vcfg := cfg
@@ -66,7 +72,7 @@ func main() {
 		if base.Render() != res.Render() {
 			log.Fatalf("report mismatch between workers=1 and workers=%d", *workers)
 		}
-		fmt.Printf("verify: workers=1 and workers=%d byte-identical (digest %s)\n",
+		fmt.Fprintf(out, "verify: workers=1 and workers=%d byte-identical (digest %s)\n",
 			*workers, res.Digest[:16])
 	}
 

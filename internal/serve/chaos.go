@@ -58,7 +58,7 @@ type ChaosSpec struct {
 }
 
 // DefaultChaos returns the canonical three-fault schedule used by
-// `servebench -chaos` and the serve-chaos simbench scenario: an early
+// `servebench -chaos` and the chaos tests of this package: an early
 // brownout on one replica, a mid-traffic power-fail-and-reboot on another,
 // and an overload burst in between. Instants assume the ChaosTenants
 // traffic shape (~150ms of virtual time).

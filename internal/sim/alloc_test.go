@@ -9,7 +9,7 @@ import (
 // free list recycle event slots, the heap reuses its backing array, and
 // parked coroutines are resumed in place. These guards pin the
 // 0 allocs/event acceptance criterion at the unit level, complementing the
-// whole-device allocs/event that cmd/simbench records in BENCH_<n>.json.
+// whole-device allocations per operation that cmd/bench reports and CI gates.
 
 // TestScheduleZeroAlloc covers the callback fast path: Schedule + dispatch
 // with a recycled arena slot.
