@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,6 +94,103 @@ func TestLoadRealPackage(t *testing.T) {
 	}
 	for _, f := range res.Findings {
 		t.Errorf("unexpected finding in clean package: %s", f)
+	}
+}
+
+// TestFactsFollowEveryImportEdge analyzes a scratch module in which one
+// allocating function, z.Scratch, is reached from //simlint:hotpath
+// functions across each kind of import edge the loader records: a plain
+// import (c), an in-package test file's import (a), and an external test
+// package's import (b_test, whose subject b also sits on the chain). Each
+// hot root must be attributed to z.Scratch, which is only possible if z's
+// summary facts were computed before every package that imports it.
+func TestFactsFollowEveryImportEdge(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(dir, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module edgetest\n\ngo 1.23\n")
+	write("z/z.go", `package z
+
+// Scratch builds a fresh buffer on every call.
+func Scratch() []byte {
+	return make([]byte, 64)
+}
+`)
+	write("a/a.go", "package a\n")
+	write("a/a_test.go", `package a
+
+import "edgetest/z"
+
+//simlint:hotpath
+func hotA() int {
+	return len(z.Scratch())
+}
+`)
+	write("b/b.go", `package b
+
+import "edgetest/z"
+
+// Fill is hot only through its callers.
+func Fill() int {
+	return len(z.Scratch())
+}
+`)
+	write("b/b_test.go", `package b_test
+
+import (
+	"edgetest/b"
+	"edgetest/z"
+)
+
+//simlint:hotpath
+func hotB() int {
+	return len(z.Scratch()) + b.Fill()
+}
+`)
+	write("c/c.go", `package c
+
+import "edgetest/z"
+
+//simlint:hotpath
+func Hot() int {
+	return len(z.Scratch())
+}
+`)
+
+	res, err := driver.Analyze(driver.Options{
+		Dir:       dir,
+		Patterns:  []string{"./..."},
+		Analyzers: []*analysis.Analyzer{hotalloc.Analyzer},
+		Tests:     true,
+		NoCache:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range res.Findings {
+		rel, err := filepath.Rel(dir, f.Position.Filename)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, fmt.Sprintf("%s:%d:%d: %s: %s", filepath.ToSlash(rel), f.Position.Line, f.Position.Column, f.Analyzer, f.Message))
+	}
+	want := []string{
+		"a/a_test.go:7:22: hotalloc: call on hot path reaches heap allocation: make allocates at z.go:5:9 (via edgetest/a.hotA → edgetest/z.Scratch)",
+		"b/b_test.go:10:22: hotalloc: call on hot path reaches heap allocation: make allocates at z.go:5:9 (via edgetest/b_test.hotB → edgetest/z.Scratch)",
+		"b/b_test.go:10:34: hotalloc: call on hot path reaches heap allocation: make allocates at z.go:5:9 (via edgetest/b_test.hotB → edgetest/b.Fill → edgetest/z.Scratch)",
+		"c/c.go:7:22: hotalloc: call on hot path reaches heap allocation: make allocates at z.go:5:9 (via edgetest/c.Hot → edgetest/z.Scratch)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
