@@ -28,12 +28,9 @@
 // through the unique *rand.Rand already in scope; deleting stale allow
 // directives). -json emits machine-readable diagnostics for CI artifacts.
 //
-// Packages are analyzed in parallel (dependency order, -workers bounds the
-// fan-out) and results are cached on disk keyed on the simlint binary, Go
-// version, analyzer set, source hashes and dependency export data — edit
-// any input and the affected packages re-analyze, touch nothing and the
-// run is instant. The cache lives under os.UserCacheDir()/durassd-simlint
-// (override with $SIMLINT_CACHE or -cachedir; bypass with -nocache).
+// Every matched package is loaded with its test files and type-checked,
+// then analyzed in dependency order, so summary facts flow along every
+// import edge. Nothing is cached between runs.
 package main
 
 import (
@@ -65,12 +62,8 @@ type jsonFinding struct {
 func run() int {
 	fix := flag.Bool("fix", false, "apply suggested fixes instead of reporting them")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	notests := flag.Bool("notests", false, "skip _test.go files")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
-	nocache := flag.Bool("nocache", false, "bypass the on-disk result cache")
-	cachedir := flag.String("cachedir", "", "result cache directory (default: $SIMLINT_CACHE or the user cache dir)")
-	workers := flag.Int("workers", 0, "max packages analyzed in parallel (default: GOMAXPROCS)")
 	flag.Parse()
 
 	if *list {
@@ -102,15 +95,12 @@ func run() int {
 		patterns = []string{"./..."}
 	}
 
-	res, err := driver.Analyze(driver.Options{
-		Patterns:  patterns,
-		Analyzers: analyzers,
-		Tests:     !*notests,
-		Fix:       *fix,
-		NoCache:   *nocache,
-		CacheDir:  *cachedir,
-		Workers:   *workers,
-	})
+	pkgs, err := driver.NewLoader("").Load(patterns...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
+		return 2
+	}
+	res, err := driver.Run(pkgs, analyzers, *fix)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		return 2
@@ -142,7 +132,7 @@ func run() int {
 	if res.Fixed > 0 {
 		fmt.Fprintf(os.Stderr, "simlint: applied %d fixes\n", res.Fixed)
 	}
-	fmt.Fprintf(os.Stderr, "simlint: %d packages analyzed (%d from cache)\n", res.Packages, res.CacheHits)
+	fmt.Fprintf(os.Stderr, "simlint: %d packages analyzed\n", len(pkgs))
 	if len(res.Findings) > 0 {
 		fmt.Fprintf(os.Stderr, "simlint: %d findings\n", len(res.Findings))
 		return 1

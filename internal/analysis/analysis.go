@@ -14,7 +14,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -37,12 +36,12 @@ type Analyzer struct {
 
 // PackageFacts is one package's exported facts for one analyzer: a map
 // from object key (conventionally types.Func.FullName of the summarized
-// function) to an opaque JSON-encoded summary. Facts are how analyzers see
-// across package boundaries: the driver analyzes packages in dependency
-// order, so by the time a package runs, the facts of everything it imports
-// are available — either computed this run or restored from the on-disk
-// result cache.
-type PackageFacts map[string]json.RawMessage
+// function) to the summary value the analyzer exported, which only that
+// analyzer interprets. Facts are how analyzers see across package
+// boundaries: the driver analyzes packages in dependency order, so by the
+// time a package runs, the facts of everything it imports, computed
+// earlier in the same run, are available.
+type PackageFacts map[string]any
 
 // Pass presents one package to an Analyzer.Run.
 type Pass struct {
@@ -90,20 +89,15 @@ func (p *Pass) ImportedFacts(pkgPath string) PackageFacts {
 	return p.imported(pkgPath)
 }
 
-// ExportFact records a fact for the current package under key, visible to
-// later passes of the same analyzer over packages that import this one.
-// The value must be JSON-serializable; facts survive process boundaries
-// through the driver's result cache.
-func (p *Pass) ExportFact(key string, value any) error {
-	raw, err := json.Marshal(value)
-	if err != nil {
-		return fmt.Errorf("%s: encoding fact %q: %w", p.Analyzer.Name, key, err)
-	}
+// ExportFact records value as a fact for the current package under key,
+// visible to later passes of the same analyzer over packages that import
+// this one. Importers receive the value itself, shared rather than copied,
+// so neither side may modify it afterwards.
+func (p *Pass) ExportFact(key string, value any) {
 	if p.exported == nil {
 		p.exported = make(PackageFacts)
 	}
-	p.exported[key] = raw
-	return nil
+	p.exported[key] = value
 }
 
 // ExportedFacts returns the facts recorded by ExportFact (nil when none).

@@ -138,13 +138,11 @@ func TestPassFactsAndAllows(t *testing.T) {
 		got = append(got, d)
 	})
 
-	// Facts round-trip through ExportFact and an imported-fact source.
+	// Facts pass through ExportFact and an imported-fact source.
 	if pass.ExportedFacts() != nil {
 		t.Error("fresh pass already has facts")
 	}
-	if err := pass.ExportFact("p.F", []int{1, 2}); err != nil {
-		t.Fatal(err)
-	}
+	pass.ExportFact("p.F", []int{1, 2})
 	if pass.ImportedFacts("dep") != nil {
 		t.Error("ImportedFacts must be nil without a fact source")
 	}
@@ -154,8 +152,8 @@ func TestPassFactsAndAllows(t *testing.T) {
 		}
 		return pass.ExportedFacts()
 	})
-	if raw := pass.ImportedFacts("dep")["p.F"]; string(raw) != "[1,2]" {
-		t.Errorf("fact round trip = %s", raw)
+	if v, _ := pass.ImportedFacts("dep")["p.F"].([]int); len(v) != 2 || v[0] != 1 || v[1] != 2 {
+		t.Errorf("imported fact = %v", pass.ImportedFacts("dep")["p.F"])
 	}
 
 	// Allowed is nil-safe and routes through the configured source with

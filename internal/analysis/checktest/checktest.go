@@ -21,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -60,7 +59,7 @@ func RunDirs(t *testing.T, pkgPaths []string, analyzers ...*analysis.Analyzer) {
 
 func runPkgs(t *testing.T, pkgPaths []string, analyzers []*analysis.Analyzer, fix bool) {
 	t.Helper()
-	loader := driver.NewLoader("", true)
+	loader := driver.NewLoader("")
 	var pkgs []*driver.Package
 	for _, pkgPath := range pkgPaths {
 		dir := filepath.Join("testdata", "src", filepath.FromSlash(pkgPath))
@@ -148,34 +147,15 @@ func parseWants(t *testing.T, fset *token.FileSet, files []*ast.File) []want {
 	return out
 }
 
-// verifyFixes applies the suggested fixes in memory and diffs the result
-// against <file>.golden.
+// verifyFixes applies the suggested fixes in memory through the same step
+// simlint -fix uses and diffs each touched file against <file>.golden.
 func verifyFixes(t *testing.T, fset *token.FileSet, res *driver.Result) {
 	t.Helper()
-	type edit struct {
-		start, end int
-		text       []byte
+	files, err := driver.Fixed(fset, res.Findings)
+	if err != nil {
+		t.Fatal(err)
 	}
-	byFile := map[string][]edit{}
-	for _, f := range res.Findings {
-		if len(f.SuggestedFixes) == 0 {
-			continue
-		}
-		for _, te := range f.SuggestedFixes[0].TextEdits {
-			p := fset.Position(te.Pos)
-			byFile[p.Filename] = append(byFile[p.Filename], edit{p.Offset, fset.Position(te.End).Offset, te.NewText})
-		}
-	}
-	for name, edits := range byFile {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Apply back to front so earlier offsets stay valid.
-		sort.Slice(edits, func(i, j int) bool { return edits[i].start > edits[j].start })
-		for _, e := range edits {
-			src = append(src[:e.start], append(append([]byte{}, e.text...), src[e.end:]...)...)
-		}
+	for name, src := range files {
 		goldenFile := name + ".golden"
 		golden, err := os.ReadFile(goldenFile)
 		if err != nil {
@@ -192,7 +172,7 @@ func verifyFixes(t *testing.T, fset *token.FileSet, res *driver.Result) {
 func Diagnostics(t *testing.T, pkgPath string, analyzers ...*analysis.Analyzer) []driver.Finding {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", filepath.FromSlash(pkgPath))
-	loader := driver.NewLoader("", true)
+	loader := driver.NewLoader("")
 	pkg, err := loader.LoadDir(pkgPath, dir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)

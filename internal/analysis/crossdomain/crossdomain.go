@@ -43,7 +43,6 @@
 package crossdomain
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -76,8 +75,8 @@ const (
 // shipsFact is the exported summary for functions that forward func-typed
 // parameters into Send (async) or Call (sync).
 type shipsFact struct {
-	Sends []int `json:"sends,omitempty"`
-	Calls []int `json:"calls,omitempty"`
+	Sends []int
+	Calls []int
 }
 
 // shipPoint describes where a given call expression ships closures:
@@ -93,9 +92,7 @@ func run(pass *analysis.Pass) error {
 
 	ships := inferShips(pass)
 	for name, f := range ships.export {
-		if err := pass.ExportFact(name, f); err != nil {
-			return err
-		}
+		pass.ExportFact(name, f)
 	}
 
 	for _, f := range pass.Files {
@@ -501,13 +498,7 @@ func (idx *shipsIndex) at(info *types.Info, call *ast.CallExpr) []shipPoint {
 	if f, ok := idx.local[callee]; ok {
 		fact = f
 	} else if pkg := callee.Pkg(); pkg != nil && pkg != idx.pass.Pkg {
-		raw := idx.pass.ImportedFacts(pkg.Path())[callee.FullName()]
-		if raw != nil {
-			var f shipsFact
-			if json.Unmarshal(raw, &f) == nil {
-				fact = &f
-			}
-		}
+		fact, _ = idx.pass.ImportedFacts(pkg.Path())[callee.FullName()].(*shipsFact)
 	}
 	if fact == nil {
 		return nil

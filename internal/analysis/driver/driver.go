@@ -5,14 +5,14 @@
 // check them against compiled export data, run every analyzer in
 // dependency order so per-function summary facts flow across package
 // boundaries, honor //simlint:allow directives, audit stale ones, and
-// optionally apply suggested fixes. Analyze adds parallel per-package
-// scheduling with an on-disk result cache keyed on source and export-data
-// hashes.
+// optionally apply suggested fixes. A run is two calls: Loader.Load, which
+// returns packages in dependency order, then Run.
 package driver
 
 import (
 	"fmt"
 	"go/token"
+	"os"
 	"sort"
 
 	"durassd/internal/analysis"
@@ -30,47 +30,51 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Position, f.Analyzer, f.Message)
 }
 
-// Result is the outcome of one Run or Analyze.
+// Result is the outcome of one Run.
 type Result struct {
 	Findings []Finding
 	// Fixed counts text edits applied (only when fixing was requested).
 	Fixed int
-	// Packages and CacheHits describe an Analyze run: how many packages
-	// were scheduled and how many were satisfied from the result cache.
-	Packages  int
-	CacheHits int
 }
 
 // Run applies analyzers to pkgs in the given order, threading exported
-// facts from earlier packages to later ones (callers pass dependencies
-// first; Load returns packages sorted by import path, which is dependency
-// order for the flat testdata trees the golden harness uses — Analyze
-// computes a true topological order). Diagnostics on lines carrying a
-// well-formed //simlint:allow directive for the same analyzer are
-// suppressed; malformed directives are themselves findings; when the
-// directiveaudit analyzer is in the set, well-formed directives that
-// suppressed nothing become findings with a deletion fix. When fix is
-// true, the first suggested fix of every surviving diagnostic is applied
-// to the source files on disk and the fixed diagnostics are dropped from
-// the result.
+// facts from earlier packages to later ones: callers pass dependencies
+// first, as Loader.Load returns them, and every package comes from one
+// Loader. Diagnostics on lines carrying a well-formed //simlint:allow
+// directive for the same analyzer are suppressed; malformed directives are
+// themselves findings; when the directiveaudit analyzer is in the set,
+// well-formed directives that suppressed nothing become findings with a
+// deletion fix. When fix is true, the first suggested fix of every
+// surviving diagnostic is applied to the source files on disk (see Fixed)
+// and the fixed diagnostics are dropped from the result.
 func Run(pkgs []*Package, analyzers []*analysis.Analyzer, fix bool) (*Result, error) {
 	res := &Result{}
-	store := NewFactStore()
-	fixer := newFixer()
+	facts := make(map[string]map[string]analysis.PackageFacts) // package path -> analyzer -> facts
+	var fixable []Finding
 	for _, pkg := range pkgs {
-		findings, facts, err := runPackage(pkg, analyzers, store, fixer, fix)
+		findings, err := runPackage(pkg, analyzers, facts)
 		if err != nil {
 			return nil, err
 		}
-		store.PutAll(pkg.ImportPath, facts)
-		res.Findings = append(res.Findings, findings...)
+		for _, f := range findings {
+			if fix && len(f.SuggestedFixes) > 0 {
+				fixable = append(fixable, f)
+				res.Fixed += len(f.SuggestedFixes[0].TextEdits)
+				continue
+			}
+			res.Findings = append(res.Findings, f)
+		}
 	}
-	if fix {
-		n, err := fixer.apply()
+	if len(fixable) > 0 {
+		files, err := Fixed(pkgs[0].Fset, fixable)
 		if err != nil {
 			return nil, err
 		}
-		res.Fixed = n
+		for name, src := range files {
+			if err := os.WriteFile(name, src, 0o644); err != nil {
+				return nil, err
+			}
+		}
 	}
 	sortFindings(res.Findings)
 	return res, nil
@@ -78,9 +82,9 @@ func Run(pkgs []*Package, analyzers []*analysis.Analyzer, fix bool) (*Result, er
 
 // runPackage runs the analyzer set over one loaded package: directive
 // handling, fact threading, and the stale-allow audit. It returns the
-// surviving findings and the facts each analyzer exported. Fixable
-// findings are absorbed into fixer when fix is true.
-func runPackage(pkg *Package, analyzers []*analysis.Analyzer, store *FactStore, fixer *fixer, fix bool) ([]Finding, map[string]analysis.PackageFacts, error) {
+// surviving findings and records the facts each analyzer exported in
+// facts.
+func runPackage(pkg *Package, analyzers []*analysis.Analyzer, facts map[string]map[string]analysis.PackageFacts) ([]Finding, error) {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
@@ -99,14 +103,11 @@ func runPackage(pkg *Package, analyzers []*analysis.Analyzer, store *FactStore, 
 	}
 
 	keep := func(d analysis.Diagnostic) {
-		if fix && len(d.SuggestedFixes) > 0 {
-			fixer.add(pkg.Fset, d.SuggestedFixes[0])
-			return
-		}
 		findings = append(findings, Finding{Diagnostic: d, Position: pkg.Fset.Position(d.Pos), Package: pkg.ImportPath})
 	}
 
-	facts := make(map[string]analysis.PackageFacts)
+	exported := make(map[string]analysis.PackageFacts)
+	facts[pkg.ImportPath] = exported
 	ran := make(map[string]bool, len(analyzers))
 	audit := false
 	for _, a := range analyzers {
@@ -122,14 +123,12 @@ func runPackage(pkg *Package, analyzers []*analysis.Analyzer, store *FactStore, 
 			diags = append(diags, d)
 		})
 		a := a
-		pass.SetFactSource(func(dep string) analysis.PackageFacts { return store.Get(dep, a.Name) })
+		pass.SetFactSource(func(dep string) analysis.PackageFacts { return facts[dep][a.Name] })
 		pass.SetAllowSource(func(name string, pos token.Pos) bool { return allows.Allows(pkg.Fset, name, pos) })
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("%s: %s: %w", pkg.ImportPath, a.Name, err)
+			return nil, fmt.Errorf("%s: %s: %w", pkg.ImportPath, a.Name, err)
 		}
-		if exported := pass.ExportedFacts(); len(exported) > 0 {
-			facts[a.Name] = exported
-		}
+		exported[a.Name] = pass.ExportedFacts()
 		for _, d := range diags {
 			if allows.Allows(pkg.Fset, d.Analyzer, d.Pos) {
 				continue
@@ -157,7 +156,7 @@ func runPackage(pkg *Package, analyzers []*analysis.Analyzer, store *FactStore, 
 			keep(staleAllowDiagnostic(a))
 		}
 	}
-	return findings, facts, nil
+	return findings, nil
 }
 
 // staleAllowDiagnostic builds the directiveaudit finding for one unused

@@ -66,7 +66,7 @@ func TestAllowRejected(t *testing.T) {
 // package (with its test files) and runs the full suite over it: the
 // engine package must come back type-checked and clean.
 func TestLoadRealPackage(t *testing.T) {
-	loader := driver.NewLoader("", true)
+	loader := driver.NewLoader("")
 	pkgs, err := loader.Load("durassd/internal/sim")
 	if err != nil {
 		t.Fatal(err)
@@ -165,13 +165,11 @@ func Hot() int {
 }
 `)
 
-	res, err := driver.Analyze(driver.Options{
-		Dir:       dir,
-		Patterns:  []string{"./..."},
-		Analyzers: []*analysis.Analyzer{hotalloc.Analyzer},
-		Tests:     true,
-		NoCache:   true,
-	})
+	pkgs, err := driver.NewLoader(dir).Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := driver.Run(pkgs, []*analysis.Analyzer{hotalloc.Analyzer}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,100 +189,5 @@ func Hot() int {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-}
-
-// TestFactsSurviveCache analyzes a two-package chain in a scratch module
-// through the on-disk result cache. Run 1 populates the cache and must
-// attribute the downstream hot-path finding to the upstream allocation.
-// Run 2 is pure cache hits with identical findings. Run 3 edits only the
-// downstream package: its re-analysis must still produce the same
-// cross-package finding, which is only possible if the upstream package's
-// summary facts were restored from the cache rather than recomputed.
-func TestFactsSurviveCache(t *testing.T) {
-	dir := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
-		path := filepath.Join(dir, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module cachetest\n\ngo 1.23\n")
-	write("a/a.go", `package a
-
-// Scratch builds a fresh buffer on every call.
-func Scratch() []byte {
-	return make([]byte, 64)
-}
-`)
-	write("b/b.go", `package b
-
-import "cachetest/a"
-
-//simlint:hotpath
-func Hot() int {
-	return len(a.Scratch())
-}
-`)
-
-	opts := driver.Options{
-		Dir:       dir,
-		Patterns:  []string{"./..."},
-		Analyzers: []*analysis.Analyzer{hotalloc.Analyzer},
-		CacheDir:  filepath.Join(dir, "cache"),
-	}
-	wantFinding := func(res *driver.Result, run string) string {
-		t.Helper()
-		if len(res.Findings) != 1 {
-			t.Fatalf("%s: want exactly one finding, got %v", run, res.Findings)
-		}
-		msg := res.Findings[0].String()
-		for _, sub := range []string{"make allocates at a.go", "cachetest/b.Hot → cachetest/a.Scratch"} {
-			if !strings.Contains(msg, sub) {
-				t.Errorf("%s: finding %q does not mention %q", run, msg, sub)
-			}
-		}
-		return msg
-	}
-
-	res1, err := driver.Analyze(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Packages != 2 || res1.CacheHits != 0 {
-		t.Errorf("run 1: want 2 packages, 0 cache hits; got %d, %d", res1.Packages, res1.CacheHits)
-	}
-	first := wantFinding(res1, "run 1")
-
-	res2, err := driver.Analyze(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.CacheHits != 2 {
-		t.Errorf("run 2: want 2 cache hits, got %d", res2.CacheHits)
-	}
-	if got := wantFinding(res2, "run 2"); got != first {
-		t.Errorf("run 2: cached finding %q != original %q", got, first)
-	}
-
-	// Invalidate only the downstream package.
-	src, err := os.ReadFile(filepath.Join(dir, "b", "b.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	write("b/b.go", string(src)+"\n// touched\n")
-	res3, err := driver.Analyze(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.CacheHits != 1 {
-		t.Errorf("run 3: want 1 cache hit (upstream only), got %d", res3.CacheHits)
-	}
-	if got := wantFinding(res3, "run 3"); got != first {
-		t.Errorf("run 3: finding %q != original %q; upstream facts did not survive the cache", got, first)
 	}
 }

@@ -6,65 +6,56 @@ import (
 	"go/token"
 	"os"
 	"sort"
-	"sync"
-
-	"durassd/internal/analysis"
 )
 
-// fixer accumulates text edits per file and applies them in one pass. add
-// is safe for concurrent use (Analyze feeds it from parallel packages).
-type fixer struct {
-	mu    sync.Mutex
-	edits map[string][]edit // file name -> edits
-}
-
+// edit is one text edit resolved to byte offsets in its file.
 type edit struct {
-	start, end int // byte offsets
+	start, end int
 	text       []byte
 }
 
-func newFixer() *fixer { return &fixer{edits: make(map[string][]edit)} }
-
-func (f *fixer) add(fset *token.FileSet, fix analysis.SuggestedFix) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, te := range fix.TextEdits {
-		p := fset.Position(te.Pos)
-		f.edits[p.Filename] = append(f.edits[p.Filename], edit{
-			start: p.Offset,
-			end:   fset.Position(te.End).Offset,
-			text:  te.NewText,
-		})
+// Fixed applies the first suggested fix of every finding that has one to
+// the source it edits, in memory, and returns the new contents of each
+// touched file keyed by file name. Edits apply largest offset first so
+// earlier ones stay valid; overlapping or out-of-range edits are an error.
+// Each result is gofmt-formatted when it parses. Run's fix mode writes what
+// Fixed returns; the golden harness compares it with .golden files.
+func Fixed(fset *token.FileSet, findings []Finding) (map[string][]byte, error) {
+	edits := make(map[string][]edit) // file name -> edits
+	for _, f := range findings {
+		if len(f.SuggestedFixes) == 0 {
+			continue
+		}
+		for _, te := range f.SuggestedFixes[0].TextEdits {
+			p := fset.Position(te.Pos)
+			edits[p.Filename] = append(edits[p.Filename], edit{
+				start: p.Offset,
+				end:   fset.Position(te.End).Offset,
+				text:  te.NewText,
+			})
+		}
 	}
-}
-
-// apply rewrites every touched file, largest offset first so earlier edits
-// stay valid, then re-formats it. Overlapping edits abort the fix run.
-func (f *fixer) apply() (int, error) {
-	n := 0
-	for name, edits := range f.edits {
+	out := make(map[string][]byte, len(edits))
+	for name, es := range edits {
 		src, err := os.ReadFile(name)
 		if err != nil {
-			return n, err
+			return nil, err
 		}
-		sort.Slice(edits, func(i, j int) bool { return edits[i].start > edits[j].start })
+		sort.Slice(es, func(i, j int) bool { return es[i].start > es[j].start })
 		prevStart := len(src) + 1
-		for _, e := range edits {
+		for _, e := range es {
 			if e.end > prevStart || e.start > e.end || e.end > len(src) {
-				return n, fmt.Errorf("simlint: overlapping or out-of-range fixes in %s", name)
+				return nil, fmt.Errorf("simlint: overlapping or out-of-range fixes in %s", name)
 			}
 			src = append(src[:e.start], append(append([]byte{}, e.text...), src[e.end:]...)...)
 			prevStart = e.start
-			n++
 		}
-		out, err := format.Source(src)
-		if err != nil {
-			// Leave the file formatted as edited rather than losing the fix.
-			out = src
+		// A file that no longer parses keeps its edits unformatted
+		// rather than losing the fix.
+		if formatted, err := format.Source(src); err == nil {
+			src = formatted
 		}
-		if err := os.WriteFile(name, out, 0o644); err != nil {
-			return n, err
-		}
+		out[name] = src
 	}
-	return n, nil
+	return out, nil
 }

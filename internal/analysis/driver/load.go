@@ -14,7 +14,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"sync"
 )
 
 // Package is one loaded, parsed and type-checked package, ready for
@@ -23,9 +22,9 @@ type Package struct {
 	ImportPath string
 	Dir        string
 	Fset       *token.FileSet
-	// Files holds the package's GoFiles plus, when tests are loaded,
-	// its in-package _test.go files. External (package foo_test) test
-	// files become their own Package with ImportPath suffixed "_test".
+	// Files holds the package's GoFiles plus its in-package _test.go
+	// files. External (package foo_test) test files become their own
+	// Package with ImportPath suffixed "_test".
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -42,7 +41,6 @@ type listedPkg struct {
 	Name         string
 	Export       string
 	Standard     bool
-	DepOnly      bool
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
@@ -60,38 +58,26 @@ type listedErr struct {
 
 // Loader loads packages for analysis using the go command for metadata and
 // compiled export data, and go/types for type checking. It is safe to load
-// several pattern sets through one Loader, and — for the Analyze pipeline —
-// to type-check several packages concurrently: the go/importer state and
-// the local source-package registry are mutex-guarded, and token.FileSet
-// is internally synchronized. Packages type-checked from source register
-// themselves and take precedence over export data for later imports, which
-// both gives external test packages visibility into in-package test
-// helpers and lets testdata trees form multi-package import chains without
-// any export data existing for them.
+// several pattern sets through one Loader. Packages type-checked from source
+// register themselves and take precedence over export data for later
+// imports, which both gives external test packages visibility into
+// in-package test helpers and lets testdata trees form multi-package import
+// chains without any export data existing for them.
 type Loader struct {
 	// Dir is the working directory for go command invocations; empty
 	// means the current directory. It must lie inside the target module.
 	Dir string
-	// Tests includes _test.go files in the returned packages.
-	Tests bool
 
-	fset *token.FileSet
-
-	// impMu serializes the gc importer (stateful, not concurrency-safe)
-	// and the local source-package registry; mu guards the export-data
-	// map, which lookup touches while impMu is held.
-	impMu   sync.Mutex
-	mu      sync.Mutex
+	fset    *token.FileSet
 	exports map[string]string // import path -> export data file
 	local   map[string]*types.Package
 	gc      types.Importer
 }
 
 // NewLoader returns a Loader rooted at dir.
-func NewLoader(dir string, tests bool) *Loader {
+func NewLoader(dir string) *Loader {
 	l := &Loader{
 		Dir:     dir,
-		Tests:   tests,
 		fset:    token.NewFileSet(),
 		exports: make(map[string]string),
 		local:   make(map[string]*types.Package),
@@ -104,52 +90,24 @@ func NewLoader(dir string, tests bool) *Loader {
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Import resolves an import for type checking: local source-checked
-// packages first, then gc export data. It serializes access to the gc
-// importer, which is not safe for concurrent use.
+// packages first, then gc export data.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	l.impMu.Lock()
-	defer l.impMu.Unlock()
 	if p := l.local[path]; p != nil {
 		return p, nil
 	}
 	return l.gc.Import(path)
 }
 
-// export returns the recorded export-data file for path.
-func (l *Loader) export(path string) (string, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	exp, ok := l.exports[path]
-	return exp, ok
-}
-
-// exportFile returns the compiled export data file for path, resolving it
-// on demand, or "" when the package has none.
-func (l *Loader) exportFile(path string) string {
-	if exp, ok := l.export(path); ok {
-		return exp
-	}
-	_ = l.goList(nil, "-export", "--", path)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// Cache the miss too, so repeated keys don't re-shell out.
-	if _, ok := l.exports[path]; !ok {
-		l.exports[path] = ""
-	}
-	return l.exports[path]
-}
-
-// lookup feeds compiled export data to the gc importer (it runs under
-// impMu, never mu).
+// lookup feeds compiled export data to the gc importer.
 func (l *Loader) lookup(path string) (io.ReadCloser, error) {
-	exp, ok := l.export(path)
+	exp, ok := l.exports[path]
 	if !ok {
-		// Test-only or testdata-only dependency not covered by the root
-		// `go list -deps` sweep: resolve it on demand.
+		// An import no root makes (a testdata tree's, say): resolve it
+		// on demand.
 		if err := l.goList(nil, "-export", "--", path); err != nil {
 			return nil, fmt.Errorf("resolving import %q: %w", path, err)
 		}
-		exp, _ = l.export(path)
+		exp = l.exports[path]
 	}
 	if exp == "" {
 		return nil, fmt.Errorf("no export data for %q", path)
@@ -158,11 +116,10 @@ func (l *Loader) lookup(path string) (io.ReadCloser, error) {
 }
 
 // goList runs `go list -json` with the given extra flags and arguments,
-// recording export data for every listed package and appending non-DepOnly
-// entries to roots (when roots is non-nil). It must be called without l.mu
-// held.
+// recording export data for every listed package and appending each to
+// roots (when roots is non-nil).
 func (l *Loader) goList(roots *[]*listedPkg, extra ...string) error {
-	args := []string{"list", "-e", "-json=Dir,ImportPath,Name,Export,Standard,DepOnly,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,XTestImports,Incomplete,Error,DepsErrors"}
+	args := []string{"list", "-e", "-json=Dir,ImportPath,Name,Export,Standard,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,XTestImports,Incomplete,Error,DepsErrors"}
 	args = append(args, extra...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.Dir
@@ -183,12 +140,10 @@ func (l *Loader) goList(roots *[]*listedPkg, extra ...string) error {
 		if p.Error != nil {
 			return fmt.Errorf("go list %s: %s", p.ImportPath, p.Error.Err)
 		}
-		l.mu.Lock()
 		if p.Export != "" {
 			l.exports[p.ImportPath] = p.Export
 		}
-		l.mu.Unlock()
-		if roots != nil && !p.DepOnly {
+		if roots != nil {
 			q := p
 			*roots = append(*roots, &q)
 		}
@@ -196,80 +151,121 @@ func (l *Loader) goList(roots *[]*listedPkg, extra ...string) error {
 	return nil
 }
 
-// list resolves patterns to root packages with export data for their
-// dependency closure, including test-only imports when tests are loaded.
+// list resolves patterns to root packages and records compiled export
+// data for every package a root imports, test files included, that is not
+// a root itself. Roots are type-checked from source, and export data is
+// self-contained, so nothing further down the import graph is read.
 func (l *Loader) list(patterns ...string) ([]*listedPkg, error) {
 	var roots []*listedPkg
-	if err := l.goList(&roots, append([]string{"-deps", "-export", "--"}, patterns...)...); err != nil {
+	if err := l.goList(&roots, append([]string{"--"}, patterns...)...); err != nil {
 		return nil, err
 	}
-	// Test-only imports are not covered by -deps (which follows only
-	// non-test edges); resolve them in one batched call up front.
-	if l.Tests {
-		missing := map[string]bool{}
-		l.mu.Lock()
-		for _, r := range roots {
-			for _, imp := range append(append([]string{}, r.TestImports...), r.XTestImports...) {
-				if _, ok := l.exports[imp]; !ok && imp != "C" && imp != "unsafe" {
-					missing[imp] = true
+	need := map[string]bool{}
+	for _, r := range roots {
+		for _, imps := range [][]string{r.Imports, r.TestImports, r.XTestImports} {
+			for _, imp := range imps {
+				if imp != "C" && imp != "unsafe" {
+					need[imp] = true
 				}
 			}
 		}
-		l.mu.Unlock()
-		if len(missing) > 0 {
-			paths := make([]string, 0, len(missing))
-			for p := range missing {
-				paths = append(paths, p)
-			}
-			sort.Strings(paths)
-			if err := l.goList(nil, append([]string{"-deps", "-export", "--"}, paths...)...); err != nil {
-				return nil, err
-			}
-		}
 	}
-	return roots, nil
+	for _, r := range roots {
+		delete(need, r.ImportPath)
+	}
+	if len(need) == 0 {
+		return roots, nil
+	}
+	paths := make([]string, 0, len(need))
+	for p := range need {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	return roots, l.goList(nil, append([]string{"-export", "--"}, paths...)...)
 }
 
-// Load lists patterns, type-checks every matched package, and returns them
-// sorted by import path.
+// Load lists patterns, then parses and type-checks every matched package,
+// with its in-package test files, and every external test package, and
+// returns them in dependency order: each package follows every loaded
+// package it imports, whether through its own files, its in-package test
+// files or, for an external test package, its subject. Run threads facts
+// along that order.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	roots, err := l.list(patterns...)
 	if err != nil {
 		return nil, err
 	}
 
-	var pkgs []*Package
+	// unit is one package to check: GoFiles plus TestGoFiles, or the
+	// XTestGoFiles of an external test package.
+	type unit struct {
+		path, dir      string
+		files, imports []string
+		state          int // 0 new, 1 visiting, 2 done
+	}
+	var units []*unit
+	byPath := make(map[string]*unit)
+	add := func(u *unit) {
+		if len(u.files) > 0 {
+			units = append(units, u)
+			byPath[u.path] = u
+		}
+	}
 	for _, r := range roots {
 		if r.Standard {
 			continue
 		}
-		files := append([]string{}, r.GoFiles...)
-		if l.Tests {
-			files = append(files, r.TestGoFiles...)
+		add(&unit{
+			path:    r.ImportPath,
+			dir:     r.Dir,
+			files:   append(append([]string{}, r.GoFiles...), r.TestGoFiles...),
+			imports: append(append([]string{}, r.Imports...), r.TestImports...),
+		})
+		add(&unit{
+			path:    r.ImportPath + "_test",
+			dir:     r.Dir,
+			files:   r.XTestGoFiles,
+			imports: append(append([]string{}, r.XTestImports...), r.ImportPath),
+		})
+	}
+
+	var pkgs []*Package
+	var visit func(u *unit) error
+	visit = func(u *unit) error {
+		switch u.state {
+		case 1:
+			return fmt.Errorf("import cycle through %s", u.path)
+		case 2:
+			return nil
 		}
-		if len(files) > 0 {
-			pkg, err := l.check(r.ImportPath, r.Dir, files)
-			if err != nil {
-				return nil, err
+		u.state = 1
+		for _, imp := range u.imports {
+			if dep := byPath[imp]; dep != nil && dep != u {
+				if err := visit(dep); err != nil {
+					return err
+				}
 			}
-			pkgs = append(pkgs, pkg)
 		}
-		if l.Tests && len(r.XTestGoFiles) > 0 {
-			pkg, err := l.check(r.ImportPath+"_test", r.Dir, r.XTestGoFiles)
-			if err != nil {
-				return nil, err
-			}
-			pkgs = append(pkgs, pkg)
+		u.state = 2
+		pkg, err := l.check(u.path, u.dir, u.files)
+		if err != nil {
+			return err
+		}
+		pkgs = append(pkgs, pkg)
+		return nil
+	}
+	for _, u := range units {
+		if err := visit(u); err != nil {
+			return nil, err
 		}
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 	return pkgs, nil
 }
 
 // LoadDir parses and type-checks the .go files of one directory outside the
 // go command's view (e.g. a testdata source tree), under the given import
-// path. Imports resolve through earlier LoadDir packages first, then the
-// shared export-data cache — so testdata trees can form multi-package
+// path. Imports resolve through earlier LoadDir packages first, then
+// compiled export data — so testdata trees can form multi-package
 // import chains.
 func (l *Loader) LoadDir(importPath, dir string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
@@ -303,9 +299,7 @@ func (l *Loader) check(importPath, dir string, fileNames []string) (*Package, er
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{
 		Importer: importerFunc(l.Import),
@@ -316,9 +310,7 @@ func (l *Loader) check(importPath, dir string, fileNames []string) (*Package, er
 		return nil, fmt.Errorf("type-checking %s: %v", importPath, err)
 	}
 	pkg.Types = tpkg
-	l.impMu.Lock()
 	l.local[importPath] = tpkg
-	l.impMu.Unlock()
 	return pkg, nil
 }
 
@@ -326,6 +318,3 @@ func (l *Loader) check(importPath, dir string, fileNames []string) (*Package, er
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// joinDir joins a package directory and a file name.
-func joinDir(dir, name string) string { return filepath.Join(dir, name) }

@@ -34,7 +34,6 @@
 package hotalloc
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -56,9 +55,9 @@ var Analyzer = &analysis.Analyzer{
 // allocEntry is one reachable allocation in a function's exported
 // summary fact.
 type allocEntry struct {
-	P string   `json:"p"`           // site position, file:line:col
-	W string   `json:"w"`           // what allocates
-	V []string `json:"v,omitempty"` // call chain from the summarized function to the site
+	P string   // site position, file:line:col
+	W string   // what allocates
+	V []string // call chain from the summarized function to the site
 }
 
 const (
@@ -114,14 +113,7 @@ func run(pass *analysis.Pass) error {
 		if pkg == nil || pkg == pass.Pkg {
 			return nil
 		}
-		raw := pass.ImportedFacts(pkg.Path())[callee.FullName()]
-		if raw == nil {
-			return nil
-		}
-		var entries []allocEntry
-		if json.Unmarshal(raw, &entries) != nil {
-			return nil
-		}
+		entries, _ := pass.ImportedFacts(pkg.Path())[callee.FullName()].([]allocEntry)
 		return entries
 	}
 	summarize = func(fn *types.Func) []allocEntry {
@@ -173,9 +165,7 @@ func run(pass *analysis.Pass) error {
 	}
 	for _, n := range graph.Nodes {
 		if entries := summarize(n.Func); len(entries) > 0 {
-			if err := pass.ExportFact(n.Func.FullName(), entries); err != nil {
-				return err
-			}
+			pass.ExportFact(n.Func.FullName(), entries)
 		}
 	}
 

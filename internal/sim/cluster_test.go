@@ -457,7 +457,7 @@ func TestClusterBlockedSorted(t *testing.T) {
 	defer c.Close()
 	// Register in an order that is neither sorted globally nor by domain:
 	// domain 2 gets "alpha" last, domain 0 gets "zeta" first.
-	block := func(p *Proc) { NewSignal(p.Engine()).Wait(p) }
+	block := func(p *Proc) { NewQueue(p.Engine()).Wait(p) }
 	c.Domain(0).Go("zeta", block)
 	c.Domain(1).Go("mid", block)
 	c.Domain(0).Go("beta", block)

@@ -272,34 +272,6 @@ func TestResourceMultiUnit(t *testing.T) {
 	}
 }
 
-func TestSignal(t *testing.T) {
-	e := New()
-	s := NewSignal(e)
-	var woke time.Duration
-	e.Go("waiter", func(p *Proc) {
-		s.Wait(p)
-		woke = p.Now()
-	})
-	e.Go("firer", func(p *Proc) {
-		p.Sleep(3 * time.Millisecond)
-		s.Fire()
-	})
-	e.Run()
-	if woke != 3*time.Millisecond {
-		t.Fatalf("waiter woke at %v, want 3ms", woke)
-	}
-	// Waiting on an already-fired signal returns immediately.
-	var immediate bool
-	e.Go("late", func(p *Proc) {
-		s.Wait(p)
-		immediate = true
-	})
-	e.Run()
-	if !immediate {
-		t.Fatal("late waiter did not pass fired signal")
-	}
-}
-
 func TestWaitGroup(t *testing.T) {
 	e := New()
 	wg := NewWaitGroup(e)

@@ -181,36 +181,6 @@ func (r *Resource) Use(p *Proc, d time.Duration) {
 	r.Release(1)
 }
 
-// Signal is a one-shot completion flag: processes Wait until Fire is called.
-// After Fire, Wait returns immediately. Useful for async I/O completions.
-type Signal struct {
-	fired bool
-	q     Queue
-}
-
-// NewSignal returns an unfired signal bound to eng.
-func NewSignal(eng *Engine) *Signal { return &Signal{q: Queue{eng: eng}} }
-
-// Fired reports whether Fire has been called.
-func (s *Signal) Fired() bool { return s.fired }
-
-// Fire marks the signal and wakes all waiters. Firing twice is a no-op.
-func (s *Signal) Fire() {
-	if s.fired {
-		return
-	}
-	s.fired = true
-	s.q.WakeAll()
-}
-
-// Wait blocks p until the signal fires (returns immediately if it already
-// has).
-func (s *Signal) Wait(p *Proc) {
-	for !s.fired {
-		s.q.Wait(p)
-	}
-}
-
 // WaitGroup counts outstanding work items within the simulation.
 type WaitGroup struct {
 	n int
