@@ -60,15 +60,15 @@ func (d *dumpArea) programSlots(slots []ftl.SlotWrite) bool {
 		return false
 	}
 	tags := make([]nand.SlotTag, len(slots))
+	ss := d.f.SlotSize()
 	var data []byte
 	for i, s := range slots {
 		tags[i] = nand.SlotTag{LPN: s.LPN}
 		if s.Data != nil && data == nil {
-			data = make([]byte, d.a.Config().PageSize)
+			data = make([]byte, len(slots)*ss) // a short page image: the array zero-fills the rest
 		}
 	}
 	if data != nil {
-		ss := d.f.SlotSize()
 		for i, s := range slots {
 			if s.Data != nil {
 				copy(data[i*ss:(i+1)*ss], s.Data)

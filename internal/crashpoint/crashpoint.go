@@ -16,6 +16,12 @@
 // same schedule digest and the same verdicts; the digest is part of the
 // result so harnesses can assert it.
 //
+// The replays are independent simulations, so they run concurrently, on as
+// many goroutines as GOMAXPROCS allows (one: serially, on the caller's).
+// Each goroutine builds, runs and closes its own rigs, and shares nothing
+// else with the others; outcomes land by point index and are tallied in
+// point order, so the result does not depend on the core count.
+//
 // There is one harness. Explore — probe, derive, sample, add the subject's
 // own points, sort, digest, replay and tally — is written once over a
 // subject (subject.go), and there are two of those: a database engine on a
@@ -30,8 +36,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"durassd/internal/faults"
@@ -242,7 +251,8 @@ type event struct {
 
 // Explore runs the campaign on its subject: one probe run to record the
 // schedule, the points derived from it plus the subject's own, then one
-// deterministic replay per point.
+// deterministic replay per point, the replays side by side (see the package
+// doc).
 func Explore(c Campaign) (*Result, error) {
 	if c.MaxPoints <= 0 {
 		c.MaxPoints = 24
@@ -250,35 +260,38 @@ func Explore(c Campaign) (*Result, error) {
 	if c.DumpTears == 0 {
 		c.DumpTears = 3
 	}
-	sub := newSubject(c)
+	return explore(c.Name(), newSubject(c), c.MaxPoints)
+}
+
+// explore is Explore over any subject.
+func explore(name string, sub subject, maxPoints int) (*Result, error) {
 	events, err := sub.probe()
 	if err != nil {
-		return nil, fmt.Errorf("crashpoint: %s probe run: %w", c.Name(), err)
+		return nil, fmt.Errorf("crashpoint: %s probe run: %w", name, err)
 	}
 	if len(events) == 0 {
-		return nil, fmt.Errorf("crashpoint: %s probe run recorded no device events", c.Name())
+		return nil, fmt.Errorf("crashpoint: %s probe run recorded no device events", name)
 	}
 	prof, err := sub.profile()
 	if err != nil {
 		return nil, err
 	}
-	points := samplePoints(derivePoints(events, prof.NAND.ProgramLatency, prof.NAND.EraseLatency), c.MaxPoints)
+	points := samplePoints(derivePoints(events, prof.NAND.ProgramLatency, prof.NAND.EraseLatency), maxPoints)
 	extra, err := sub.extraPoints(events, prof)
 	if err != nil {
-		return nil, fmt.Errorf("crashpoint: %s: %w", c.Name(), err)
+		return nil, fmt.Errorf("crashpoint: %s: %w", name, err)
 	}
 	points = append(points, extra...)
 	sortPoints(points)
 	points = slices.Compact(points)
 
-	res := &Result{Name: c.Name(), Points: points, Digest: digest(sub.header(), len(events), points)}
-	for i, pt := range points {
-		o, err := sub.replay(i, pt)
-		if err != nil {
-			return nil, fmt.Errorf("crashpoint: %s %s at %v: %w", c.Name(), pt.Kind, pt.At, err)
-		}
-		o.Point = pt
-		res.Outcomes = append(res.Outcomes, o)
+	outcomes, failed, err := replayAll(sub, points)
+	if err != nil {
+		pt := points[failed]
+		return nil, fmt.Errorf("crashpoint: %s %s at %v: %w", name, pt.Kind, pt.At, err)
+	}
+	res := &Result{Name: name, Points: points, Digest: digest(sub.header(), len(events), points), Outcomes: outcomes}
+	for _, o := range outcomes {
 		if !o.Verdict.Safe() {
 			res.Unsafe++
 		}
@@ -290,6 +303,62 @@ func Explore(c Campaign) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// replayAll replays every point on min(GOMAXPROCS, points) workers, the
+// caller's goroutine one of them, and returns the outcomes indexed by
+// point. Workers take points in index order and stop taking them after the
+// first failure, so every point below a failed one has been replayed: the
+// failure reported — an error returned, or a panic re-raised here once
+// every worker has stopped — is the lowest-indexed one, as a serial loop
+// would report it.
+func replayAll(sub subject, points []Point) (outcomes []Outcome, failed int, err error) {
+	outcomes = make([]Outcome, len(points))
+	errs := make([]error, len(points))
+	panics := make([]any, len(points))
+	var next atomic.Int64
+	var stop atomic.Bool
+	work := func() {
+		for !stop.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= len(points) {
+				return
+			}
+			func() {
+				defer func() {
+					if v := recover(); v != nil {
+						panics[i] = v
+						stop.Store(true)
+					}
+				}()
+				outcomes[i], errs[i] = sub.replay(i, points[i])
+				outcomes[i].Point = points[i]
+			}()
+			if errs[i] != nil {
+				stop.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(points)) - 1 {
+		wg.Add(1)
+		//simlint:allow simproc each worker builds, runs and closes its own rigs; nothing simulated crosses goroutines and outcomes are tallied in point order
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for i := range points {
+		if panics[i] != nil {
+			panic(panics[i])
+		}
+		if errs[i] != nil {
+			return nil, i, errs[i]
+		}
+	}
+	return outcomes, 0, nil
 }
 
 // ackSpan returns the cut instants right after the earliest and the latest

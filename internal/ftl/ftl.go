@@ -13,6 +13,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"durassd/internal/iotrace"
@@ -25,7 +26,15 @@ import (
 // index. It is the value stored in the mapping table.
 type SPN uint64
 
-const invalidSPN = SPN(1<<64 - 1)
+// The mapping table stores SPNs in 32 bits (New rejects a geometry with
+// more physical slots), with unmapped marking an LPN that has none. It has
+// two levels: LPN/mapChunk picks a chunk of mapChunk entries, allocated on
+// the first mapping into it, so a host that touches a few regions of the
+// device keeps a few chunks rather than a table of its whole capacity.
+const (
+	unmapped = ^uint32(0)
+	mapChunk = 1024
+)
 
 // ErrNoSpace reports that garbage collection could not reclaim a block.
 var ErrNoSpace = errors.New("ftl: out of space")
@@ -115,12 +124,12 @@ type FTL struct {
 	a   *nand.Array
 	cfg Config
 
-	mapTab     []SPN   // LPN -> SPN
-	validCount []int   // live slots per global block
-	planeFree  [][]int // erased block ids per plane
-	active     []int   // active (partially written) block per plane, -1 if none
-	writePtr   []int   // next page index within the active block
-	nextPlane  int     // round-robin program cursor
+	mapTab     []*[mapChunk]uint32 // LPN -> SPN, or unmapped; nil chunk: all unmapped
+	validCount []int               // live slots per global block
+	planeFree  [][]int             // erased block ids per plane
+	active     []int               // active (partially written) block per plane, -1 if none
+	writePtr   []int               // next page index within the active block
+	nextPlane  int                 // round-robin program cursor
 
 	dumpBlocks      []int
 	dumpSet         map[int]bool
@@ -246,6 +255,9 @@ func New(a *nand.Array, cfg Config, reg *iotrace.Registry) (*FTL, error) {
 	if cfg.MapEntryBytes <= 0 {
 		cfg.MapEntryBytes = 4
 	}
+	if slots := ncfg.Pages() * int64(cfg.SlotsPerPage); slots > math.MaxUint32 {
+		return nil, fmt.Errorf("ftl: %d physical slots overflow the 32-bit mapping table", slots)
+	}
 	planes := ncfg.Planes()
 	if cfg.DumpBlocks >= planes*(ncfg.BlocksPerPlane-cfg.GCThresholdBlocks-1) {
 		return nil, fmt.Errorf("ftl: DumpBlocks %d leaves no usable space", cfg.DumpBlocks)
@@ -304,10 +316,7 @@ func New(a *nand.Array, cfg Config, reg *iotrace.Registry) (*FTL, error) {
 	totalSlots := (int64(ncfg.Blocks()) - int64(cfg.DumpBlocks) - int64(planes*cfg.ReserveBlocks)) *
 		int64(ncfg.PagesPerBlock) * int64(cfg.SlotsPerPage)
 	f.logicalSlots = totalSlots * int64(100-cfg.OverProvisionPct) / 100
-	f.mapTab = make([]SPN, f.logicalSlots)
-	for i := range f.mapTab {
-		f.mapTab[i] = invalidSPN
-	}
+	f.mapTab = make([]*[mapChunk]uint32, (f.logicalSlots+mapChunk-1)/mapChunk)
 	return f, nil
 }
 
@@ -347,8 +356,26 @@ func (f *FTL) spnOf(lpn storage.LPN) (SPN, bool) {
 	if int64(lpn) >= f.logicalSlots {
 		return 0, false
 	}
-	spn := f.mapTab[lpn]
-	return spn, spn != invalidSPN
+	c := f.mapTab[lpn/mapChunk]
+	if c == nil {
+		return 0, false
+	}
+	spn := c[lpn%mapChunk]
+	return SPN(spn), spn != unmapped
+}
+
+// mapEntry returns lpn's mapping-table entry, allocating its chunk on the
+// chunk's first mapping.
+func (f *FTL) mapEntry(lpn storage.LPN) *uint32 {
+	c := f.mapTab[lpn/mapChunk]
+	if c == nil {
+		c = new([mapChunk]uint32) //simlint:allow hotalloc first mapping into a chunk of the table; kept for the device's life
+		for i := range c {
+			c[i] = unmapped
+		}
+		f.mapTab[lpn/mapChunk] = c
+	}
+	return &c[lpn%mapChunk]
 }
 
 // Mapped reports whether lpn currently has a physical location.
@@ -530,7 +557,7 @@ func (f *FTL) programAt(p *sim.Proc, req iotrace.Req, slots []SlotWrite, pl int,
 				zero(dst) // timing-only slot sharing a page with real bytes
 			}
 		}
-		zero(data[len(slots)*ss:]) // unfilled tail of a short batch
+		data = data[:len(slots)*ss] // a short batch programs a short image
 	}
 	if f.cfg.EagerMapping {
 		f.commitMapping(ppn, slots)
@@ -561,13 +588,13 @@ func (f *FTL) programAt(p *sim.Proc, req iotrace.Req, slots []SlotWrite, pl int,
 func (f *FTL) commitMapping(ppn nand.PPN, slots []SlotWrite) {
 	blk := f.a.BlockOf(ppn)
 	for i, s := range slots {
-		old := f.mapTab[s.LPN]
-		if old != invalidSPN {
-			f.validCount[int(old/SPN(f.cfg.SlotsPerPage))/f.a.Config().PagesPerBlock]--
+		e := f.mapEntry(s.LPN)
+		if old := *e; old != unmapped {
+			f.validCount[int(old)/f.cfg.SlotsPerPage/f.a.Config().PagesPerBlock]--
 		} else {
 			f.liveSlots++
 		}
-		f.mapTab[s.LPN] = SPN(uint64(ppn)*uint64(f.cfg.SlotsPerPage) + uint64(i))
+		*e = uint32(uint64(ppn)*uint64(f.cfg.SlotsPerPage) + uint64(i))
 		f.validCount[blk]++
 		f.dirtyMapEntries++
 	}
@@ -910,7 +937,7 @@ func (f *FTL) LoadSlots(slots []SlotWrite) error {
 				if page == nil {
 					page = make([]byte, f.a.Config().PageSize)
 				}
-				data = page
+				data = page[:len(group)*ss]
 				clear(data)
 			}
 		}
@@ -936,8 +963,8 @@ func (f *FTL) CheckInvariants() error {
 	recount := make([]int, ncfg.Blocks())
 	var live int64
 	for lpn := int64(0); lpn < f.logicalSlots; lpn++ {
-		spn := f.mapTab[lpn]
-		if spn == invalidSPN {
+		spn, ok := f.spnOf(storage.LPN(lpn))
+		if !ok {
 			continue
 		}
 		live++

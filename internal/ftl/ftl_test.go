@@ -3,6 +3,7 @@ package ftl
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -468,5 +469,68 @@ func TestBackgroundGCReducesForegroundStalls(t *testing.T) {
 	withBG := run(6)
 	if withBG == 0 {
 		t.Fatal("background GC never relocated anything")
+	}
+}
+
+// TestNewRejectsMapOverflow: mapping-table entries are 32 bits, so a device
+// with 2^32 physical slots or more is refused instead of wrapping entries
+// onto the wrong pages.
+func TestNewRejectsMapOverflow(t *testing.T) {
+	ncfg := nand.EnterpriseConfig(16)
+	ncfg.Channels, ncfg.PackagesPerChannel, ncfg.ChipsPerPackage, ncfg.PlanesPerChip = 1, 1, 1, 1
+	ncfg.BlocksPerPlane, ncfg.PagesPerBlock = 1024, 64 // 2^16 pages
+	ncfg.PageSize = 1 << 20
+	a, err := nand.New(sim.New(), ncfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(ncfg.PageSize)
+	cfg.SlotsPerPage = 1 << 16 // 2^32 physical slots: one past the last 32-bit SPN
+	if _, err := New(a, cfg, nil); err == nil || !strings.Contains(err.Error(), "32-bit") {
+		t.Fatalf("New over 2^32 physical slots: err = %v, want a 32-bit overflow error", err)
+	}
+	cfg.SlotsPerPage = 1 << 4
+	if _, err := New(a, cfg, nil); err != nil {
+		t.Fatalf("New over 2^20 physical slots: %v", err)
+	}
+}
+
+// TestShortBatchProgramsShortImage: a program of fewer slots than a page
+// holds stores only those slots' bytes, from the timed path and the bulk
+// load alike, and reads of every slot come back whole.
+func TestShortBatchProgramsShortImage(t *testing.T) {
+	eng := sim.New()
+	defer eng.Close()
+	f := newTestFTL(t, eng, defaultTestConfig())
+	ss := f.SlotSize()
+	if err := f.LoadSlots([]SlotWrite{{LPN: 1, Data: bytes.Repeat([]byte{1}, ss)}}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Go("io", func(p *sim.Proc) {
+		if err := f.Program(p, iotrace.Req{}, []SlotWrite{{LPN: 2, Data: bytes.Repeat([]byte{2}, ss)}}); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Run()
+	for lpn := storage.LPN(1); lpn <= 2; lpn++ {
+		spn, ok := f.spnOf(lpn)
+		if !ok {
+			t.Fatalf("lpn %d unmapped", lpn)
+		}
+		if got := len(f.a.Data(nand.PPN(spn / SPN(f.cfg.SlotsPerPage)))); got != ss {
+			t.Errorf("lpn %d: stored image is %d bytes, want one slot's %d", lpn, got, ss)
+		}
+	}
+	eng.Go("io", func(p *sim.Proc) {
+		buf := make([]byte, ss)
+		for lpn := storage.LPN(1); lpn <= 2; lpn++ {
+			if err := f.ReadSlot(p, iotrace.Req{}, lpn, buf); err != nil || !bytes.Equal(buf, bytes.Repeat([]byte{byte(lpn)}, ss)) {
+				t.Errorf("lpn %d reads back wrong (err=%v)", lpn, err)
+			}
+		}
+	})
+	eng.Run()
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,8 +7,10 @@ import (
 )
 
 // ECC codec: per-codeword SEC-DED Hamming parity with a whole-page CRC-32C
-// backstop, stored in the OOB metadata of every page programmed with real
-// bytes.
+// backstop over the image of every page programmed with real bytes. The
+// array does not store it: a read that finds media damage encodes the page
+// image as programmed, which yields the parity the program would have
+// stored, because stored images never change.
 //
 // Each page is split into 512-byte codewords. Per codeword the encoder
 // stores a 13-bit syndrome — the XOR of (bit position | synMark) over every
@@ -92,7 +94,7 @@ func ECCEncode(page []byte) []byte {
 // truncated to zero length first), reusing dst's capacity when possible.
 func ECCEncodeInto(dst, page []byte) []byte {
 	n := eccCodewords(len(page))
-	size := 2*n + 4
+	size := ECCSize(len(page))
 	if cap(dst) >= size {
 		dst = dst[:size]
 	} else {
@@ -116,7 +118,7 @@ func ECCEncodeInto(dst, page []byte) []byte {
 // undefined and must not be used.
 func ECCDecode(page, parity []byte) (corrected int, ok bool) {
 	n := eccCodewords(len(page))
-	if len(parity) != 2*n+4 {
+	if len(parity) != ECCSize(len(page)) {
 		return 0, false
 	}
 	for c := 0; c < n; c++ {

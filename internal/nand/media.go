@@ -54,8 +54,6 @@ func (a *Array) initMedia(m MediaConfig) {
 		a.eccBits = cw
 	}
 	a.mediaRng = rand.New(rand.NewSource(m.Seed))
-	a.progAt = make([]time.Duration, a.cfg.Pages())
-	a.stuck = make([]int32, a.cfg.Pages())
 	a.blockReads = make([]int64, a.cfg.Blocks())
 }
 
@@ -63,8 +61,13 @@ func (a *Array) initMedia(m MediaConfig) {
 func (a *Array) ECCBits() int { return a.eccBits }
 
 // ProgrammedAt returns the virtual time ppn was last programmed (the
-// scrubber's retention-age gate).
-func (a *Array) ProgrammedAt(ppn PPN) time.Duration { return a.progAt[ppn] }
+// scrubber's retention-age gate), 0 for a page that is not programmed.
+func (a *Array) ProgrammedAt(ppn PPN) time.Duration {
+	if m := a.Meta(ppn); m != nil {
+		return m.at
+	}
+	return 0
+}
 
 // InjectBitErrors adds n stuck bit errors to the stored image of ppn —
 // damage that read retries cannot shift away, cleared only by erasing the
@@ -73,7 +76,7 @@ func (a *Array) InjectBitErrors(ppn PPN, n int) bool {
 	if int64(ppn) >= a.cfg.Pages() || a.state[ppn] != PageValid {
 		return false
 	}
-	a.stuck[ppn] += int32(n)
+	a.Meta(ppn).stuck += int32(n)
 	return true
 }
 
@@ -92,7 +95,7 @@ func (a *Array) softBits(ppn PPN) int {
 		return 0
 	}
 	block := a.BlockOf(ppn)
-	age := float64(a.eng.Now()-a.progAt[ppn]) / float64(time.Millisecond)
+	age := float64(a.eng.Now()-a.Meta(ppn).at) / float64(time.Millisecond)
 	x := m.RetentionPerMs*age + m.DisturbPerKRead*float64(a.blockReads[block])/1000
 	x *= 1 + m.WearFactor*float64(a.erases[block])
 	n := int(x)
@@ -110,7 +113,7 @@ func (a *Array) errorBits(ppn PPN, attempt int) int {
 	if attempt > 0 {
 		soft >>= uint(attempt)
 	}
-	return int(a.stuck[ppn]) + soft
+	return int(a.Meta(ppn).stuck) + soft
 }
 
 // corruptPage flips n bits of page in place at deterministic positions,

@@ -7,7 +7,11 @@
 // gap between page reads and page programs, erase-before-rewrite semantics,
 // and per-block wear. Page contents and out-of-band (OOB) metadata are
 // stored so higher layers can implement recovery scans and torn-write
-// detection with real bytes.
+// detection with real bytes. A page stores only the bytes its program
+// carried — a program whose slots fill part of a page keeps a short image,
+// and reads zero-fill the rest — and its ECC parity is not stored at all:
+// stored images never change, so a read that finds media damage encodes the
+// zero-extended image then, and gets the parity the program would have.
 //
 // An Array is the durable object in a power-failure experiment: SSD
 // controllers are discarded and rebuilt across power cycles, the Array
@@ -126,10 +130,16 @@ type OOB struct {
 	Slots []SlotTag
 	Seq   uint64 // monotonically increasing program sequence number
 	Dump  bool   // page belongs to a power-failure dump, not the main map
-	// Parity is the ECC blob (per-codeword SEC-DED syndromes + page CRC)
-	// computed when the page was programmed with real bytes; nil for
-	// timing-only or torn pages.
-	Parity []byte
+
+	// coded reports a page programmed with real bytes: a read that finds
+	// media damage decodes it through the ECC codec (parity computed from
+	// the image at read time). Timing-only and torn pages are not coded.
+	coded bool
+	// stuck and at are the page's media state (media.go): injected stuck
+	// bits and the last program time. Both are zero in the record of every
+	// page that is not PageValid, so a recycled slab starts clean.
+	stuck int32
+	at    time.Duration
 }
 
 // InvalidLPN marks an unused OOB slot.
@@ -161,19 +171,18 @@ type Faults struct {
 }
 
 // blockSlabs holds what an erase block's pages store besides their state, in
-// slabs of one entry per page: the OOB records, the tags their Slots point
-// into (tagStride per page), the parity their Parity points into, and the
-// page images. A block gets its record and tag slabs on its first program,
-// its parity and image slabs on its first program with data. An erase
-// hands the slabs to the array's free list and the next block to be
-// programmed takes them, so program→erase→program cycles allocate nothing
-// once the array has had as many blocks programmed at once as it ever
-// will, and a timing-only array keeps no per-page image table at all.
+// slabs of one entry per page: the OOB records (media state included), the
+// tags their Slots point into (tagStride per page), and the page images. A
+// block gets its record and tag slabs on its first program, its image slab
+// on its first program with data. An erase clears the records, hands the
+// slabs to the array's free list and the next block to be programmed takes
+// them, so program→erase→program cycles allocate nothing once the array has
+// had as many blocks programmed at once as it ever will, and a timing-only
+// array keeps no per-page image table at all.
 type blockSlabs struct {
-	oob    []OOB     // nil: no page of the block programmed since it was last erased
-	tags   []SlotTag // backs oob[i].Slots
-	parity []byte    // backs oob[i].Parity
-	data   [][]byte  // page images; nil for timing-only pages
+	oob  []OOB     // nil: no page of the block programmed since it was last erased
+	tags []SlotTag // backs oob[i].Slots
+	data [][]byte  // page images; nil for timing-only pages
 }
 
 // Array is a simulated NAND flash array.
@@ -195,10 +204,17 @@ type Array struct {
 	tagStride int
 
 	// Erase recycling: an erase physically destroys the page contents, so
-	// the data buffers of erased pages return to this free list and later
+	// the data buffers of erased pages return to these free lists and later
 	// programs reuse them. (Stale Meta/Data references across an erase were
-	// always invalid.)
-	bufPool [][]byte
+	// always invalid.) Images are as long as their program's data, so the
+	// buffers come in size classes of bufUnit bytes: class c holds buffers
+	// of capacity (c+1)·bufUnit, one class per tag of a page.
+	bufPool [][][]byte
+	bufUnit int
+
+	// Scratch for the media-damage decode path: the zero-extended page
+	// image and its parity.
+	img, parity []byte
 
 	inflight map[PPN]struct{} // programs racing a potential power cut; their tags are in their records
 	erasing  map[int]bool     // block erases racing a potential power cut
@@ -209,11 +225,9 @@ type Array struct {
 
 	// Bit-error model state (see media.go).
 	media      MediaConfig
-	eccBits    int             // effective correction threshold per page
-	mediaRng   *rand.Rand      // seeded: stochastic rounding of error counts
-	progAt     []time.Duration // per-page last program time (retention age)
-	stuck      []int32         // per-page injected stuck bits (cleared by erase)
-	blockReads []int64         // per-block reads since erase (read disturb)
+	eccBits    int        // effective correction threshold per page
+	mediaRng   *rand.Rand // seeded: stochastic rounding of error counts
+	blockReads []int64    // per-block reads since erase (read disturb)
 
 	reg   *iotrace.Registry
 	stats *storage.Stats
@@ -250,6 +264,8 @@ func New(eng *sim.Engine, cfg Config, reg *iotrace.Registry) (*Array, error) {
 	for i := range a.planes {
 		a.planes[i] = sim.NewResource(eng, 1)
 	}
+	a.bufPool = make([][][]byte, a.tagStride)
+	a.bufUnit = cfg.PageSize / a.tagStride
 	a.initMedia(cfg.Media)
 	return a, nil
 }
@@ -321,7 +337,7 @@ func (a *Array) record(ppn PPN) *OOB {
 
 // reset empties ppn's record: no tags, with Slots the page's window in its
 // block's tag slab (a program with more tags than the window holds appends
-// past it into a slice of its own), no parity, no sequence number.
+// past it into a slice of its own), no sequence number, no media state.
 func (a *Array) reset(ppn PPN) *OOB {
 	b, i := a.slabs(ppn)
 	t := i * a.tagStride
@@ -351,7 +367,9 @@ func tear(m *OOB) {
 }
 
 // Data returns the stored bytes of ppn, or nil if the page was programmed
-// in timing-only mode.
+// in timing-only mode. The image is as long as the data its program
+// carried, which may be shorter than a page: the rest of the page reads as
+// zeros. Stored images are copies, never written again until an erase.
 func (a *Array) Data(ppn PPN) []byte {
 	if d := a.blocks[a.BlockOf(ppn)].data; d != nil {
 		return d[int(ppn)%a.cfg.PagesPerBlock]
@@ -377,7 +395,8 @@ func (a *Array) xferTime(bytes int) time.Duration {
 
 // ReadPage reads the physical page ppn, occupying its plane for the cell
 // read and its channel for the data transfer. If buf is non-nil the stored
-// bytes are copied into it (zero-filled when the page was timing-only).
+// bytes are copied into it, zero-filled past a short image (wholly when the
+// page was timing-only).
 // Media bit errors within the ECC threshold are corrected transparently;
 // beyond it the read fails with storage.ErrUncorrectable.
 //
@@ -422,26 +441,25 @@ func (a *Array) ReadPageRetry(p *sim.Proc, req iotrace.Req, ppn PPN, buf []byte,
 	}
 	if buf != nil {
 		d := a.Data(ppn)
-		meta := a.Meta(ppn)
-		switch {
-		case d == nil:
-			for i := range buf {
-				buf[i] = 0
-			}
-		case errBits > 0 && meta != nil && meta.Parity != nil:
-			// Real-bytes path: corrupt a copy of the stored image and run
-			// the actual codec, so the returned bytes demonstrably survive
-			// the modeled damage (not just the model's verdict).
-			img := append([]byte(nil), d...) //simlint:allow hotalloc media-damage decode path copies the page before ECC repair
-			corruptPage(img, ppn, errBits, a.eccBits)
-			n, ok := ECCDecode(img, meta.Parity)
+		if errBits > 0 && a.Meta(ppn).coded {
+			// Real-bytes path: encode the page image as programmed, corrupt
+			// a copy and run the actual codec, so the returned bytes
+			// demonstrably survive the modeled damage (not just the
+			// model's verdict).
+			d = a.pageImage(d)
+			a.parity = ECCEncodeInto(a.parity, d)
+			corruptPage(d, ppn, errBits, a.eccBits)
+			n, ok := ECCDecode(d, a.parity)
 			if !ok {
 				return info, storage.ErrUncorrectable
 			}
 			errBits = n
-			copy(buf, img)
-		default:
-			copy(buf, d)
+		}
+		n := copy(buf, d)
+		if d == nil {
+			clear(buf)
+		} else if end := min(len(buf), a.cfg.PageSize); n < end {
+			clear(buf[n:end])
 		}
 	}
 	if errBits > 0 {
@@ -499,9 +517,9 @@ func (a *Array) ProgramPage(p *sim.Proc, req iotrace.Req, ppn PPN, slots []SlotT
 }
 
 // commitProgram installs the page image and OOB: the record and its tags
-// go into the block's slabs, the parity into its parity slab and the data
-// into a buffer from the erase-recycling pool. slots and data remain
-// caller-owned (their contents are copied).
+// go into the block's slabs and the data into a buffer of its size class
+// from the erase-recycling pool. slots and data remain caller-owned (their
+// contents are copied).
 //
 //simlint:hotpath
 func (a *Array) commitProgram(ppn PPN, slots []SlotTag, data []byte, dump bool) {
@@ -510,36 +528,50 @@ func (a *Array) commitProgram(ppn PPN, slots []SlotTag, data []byte, dump bool) 
 	m.Slots = append(m.Slots, slots...)
 	m.Seq = a.seq
 	m.Dump = dump
+	m.at = a.eng.Now()
 	a.state[ppn] = PageValid
-	if data != nil { // timing-only pages carry no parity
-		a.setData(ppn, append(a.getBuf(), data...)) //simlint:allow hotalloc appends into pooled buffer capacity; grows only on first use
-		m.Parity = ECCEncodeInto(a.parity(ppn), data)
+	if data != nil { // timing-only pages carry no bytes to protect
+		a.setData(ppn, append(a.getBuf(len(data)), data...)) //simlint:allow hotalloc appends into pooled buffer capacity; grows only past a page
+		m.coded = true
 	}
-	a.progAt[ppn] = a.eng.Now()
 	a.stats.NANDPrograms++
 }
 
-// parity returns ppn's empty window in its block's parity slab, which is
-// allocated on the first program with data into a block whose slabs have
-// none.
-func (a *Array) parity(ppn PPN) []byte {
-	b, i := a.slabs(ppn)
-	n := ECCSize(a.cfg.PageSize)
-	if b.parity == nil {
-		b.parity = make([]byte, a.cfg.PagesPerBlock*n) //simlint:allow hotalloc slab first-use miss: kept for reuse across erases
+// pageImage returns d zero-extended to a whole page in the array's decode
+// scratch: the image the page's program protected.
+func (a *Array) pageImage(d []byte) []byte {
+	n := max(len(d), a.cfg.PageSize)
+	if cap(a.img) < n {
+		a.img = make([]byte, n) //simlint:allow hotalloc decode scratch first-use miss: kept for the array's later damaged reads
 	}
-	return b.parity[i*n : i*n : (i+1)*n]
+	img := a.img[:n]
+	clear(img[copy(img, d):])
+	return img
 }
 
-// getBuf returns a recycled or fresh zero-length page data buffer.
-func (a *Array) getBuf() []byte {
-	if last := len(a.bufPool) - 1; last >= 0 {
-		b := a.bufPool[last]
-		a.bufPool[last] = nil
-		a.bufPool = a.bufPool[:last]
+// bufClass returns the size class of an image buffer of n bytes.
+func (a *Array) bufClass(n int) int {
+	return min(max((n+a.bufUnit-1)/a.bufUnit, 1), len(a.bufPool)) - 1
+}
+
+// getBuf returns a recycled or fresh zero-length image buffer with room for
+// n bytes (up to a page).
+func (a *Array) getBuf(n int) []byte {
+	c := a.bufClass(n)
+	pool := a.bufPool[c]
+	if last := len(pool) - 1; last >= 0 {
+		b := pool[last]
+		pool[last] = nil
+		a.bufPool[c] = pool[:last]
 		return b[:0]
 	}
-	return make([]byte, 0, a.cfg.PageSize) //simlint:allow hotalloc pool miss fallback; steady state recycles pooled buffers
+	return make([]byte, 0, (c+1)*a.bufUnit) //simlint:allow hotalloc pool miss fallback; steady state recycles pooled buffers
+}
+
+// putBuf returns an erased page's image buffer to the pool of its class.
+func (a *Array) putBuf(b []byte) {
+	c := a.bufClass(cap(b) - cap(b)%a.bufUnit)
+	a.bufPool[c] = append(a.bufPool[c], b)
 }
 
 // ErrProgramFailed reports a cell program that completed with bad status:
@@ -611,18 +643,16 @@ func (a *Array) eraseNow(block int) {
 		for i, d := range b.data {
 			if d != nil {
 				b.data[i] = nil
-				a.bufPool = append(a.bufPool, d)
+				a.putBuf(d)
 			}
 		}
+		clear(b.oob) // an erased page has no stuck bits and no program time
 		a.spare = append(a.spare, *b)
 		*b = blockSlabs{}
 	}
 	first := a.PageOfBlock(block)
 	for i := 0; i < a.cfg.PagesPerBlock; i++ {
-		ppn := first + PPN(i)
-		a.state[ppn] = PageFree
-		a.stuck[ppn] = 0
-		a.progAt[ppn] = 0
+		a.state[first+PPN(i)] = PageFree
 	}
 	a.blockReads[block] = 0
 	a.erases[block]++
@@ -651,9 +681,9 @@ func (a *Array) PowerFail() {
 		m := a.record(ppn) // holds the tags ProgramPage put there
 		tear(m)
 		m.Seq = a.seq
+		m.at = a.eng.Now()
 		a.state[ppn] = PageValid
 		a.setData(ppn, tornImage(a.Data(ppn), a.cfg.PageSize))
-		a.progAt[ppn] = a.eng.Now()
 		a.stats.TornPages++
 		delete(a.inflight, ppn)
 	}
@@ -663,12 +693,14 @@ func (a *Array) PowerFail() {
 			for i := 0; i < a.cfg.PagesPerBlock; i++ {
 				ppn := first + PPN(i)
 				a.seq++
+				stuck := a.record(ppn).stuck // the erase never reached the cells
 				m := a.reset(ppn)
 				tear(m)
 				m.Seq = a.seq
+				m.stuck = stuck
+				m.at = a.eng.Now()
 				a.state[ppn] = PageValid
 				a.setData(ppn, tornImage(a.Data(ppn), a.cfg.PageSize))
-				a.progAt[ppn] = a.eng.Now()
 			}
 			a.stats.InterruptedErases++
 			delete(a.erasing, block)
@@ -689,9 +721,9 @@ func (a *Array) tearPage(ppn PPN, slots []SlotTag, data []byte, dump bool) {
 	tear(m)
 	m.Seq = a.seq
 	m.Dump = dump
+	m.at = a.eng.Now()
 	a.state[ppn] = PageValid
 	a.setData(ppn, tornImage(data, a.cfg.PageSize))
-	a.progAt[ppn] = a.eng.Now()
 	a.stats.TornPages++
 }
 

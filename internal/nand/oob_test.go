@@ -13,7 +13,8 @@ import (
 
 // TestOOBRecordStates pins what Meta reports for a page in every state the
 // array can leave it in. Records live in per-block slabs that erases keep,
-// so a page must never show an earlier program's tags, parity or flags.
+// so a page must never show an earlier program's tags, ECC coding, flags or
+// media state.
 func TestOOBRecordStates(t *testing.T) {
 	const ppn = PPN(1) // block 0
 	tags := func(lpns ...storage.LPN) []SlotTag {
@@ -24,10 +25,10 @@ func TestOOBRecordStates(t *testing.T) {
 		return out
 	}
 	type want struct {
-		lpns   []storage.LPN // nil: Meta is nil
-		torn   bool
-		dump   bool
-		parity bool
+		lpns  []storage.LPN // nil: Meta is nil
+		torn  bool
+		dump  bool
+		coded bool
 	}
 	cases := []struct {
 		name string
@@ -37,7 +38,7 @@ func TestOOBRecordStates(t *testing.T) {
 		{"never programmed", func(*testing.T, *sim.Engine, *Array, []byte) {}, want{}},
 		{"programmed with data", func(t *testing.T, _ *sim.Engine, a *Array, data []byte) {
 			instant(t, a, ppn, tags(7, 8), data, false)
-		}, want{lpns: []storage.LPN{7, 8}, parity: true}},
+		}, want{lpns: []storage.LPN{7, 8}, coded: true}},
 		{"programmed timing-only", func(t *testing.T, _ *sim.Engine, a *Array, _ []byte) {
 			instant(t, a, ppn, tags(7), nil, false)
 		}, want{lpns: []storage.LPN{7}}},
@@ -72,7 +73,7 @@ func TestOOBRecordStates(t *testing.T) {
 		{"dump program", func(t *testing.T, _ *sim.Engine, a *Array, data []byte) {
 			a.PowerFail()
 			instant(t, a, ppn, tags(5), data, true)
-		}, want{lpns: []storage.LPN{5}, dump: true, parity: true}},
+		}, want{lpns: []storage.LPN{5}, dump: true, coded: true}},
 		{"dump tear", func(t *testing.T, _ *sim.Engine, a *Array, data []byte) {
 			a.SetFaults(Faults{DumpTearAfter: 1})
 			a.PowerFail()
@@ -128,8 +129,8 @@ func TestOOBRecordStates(t *testing.T) {
 			if !slices.Equal(lpns, c.want.lpns) {
 				t.Errorf("tags hold LPNs %v, want %v", lpns, c.want.lpns)
 			}
-			if m.Dump != c.want.dump || (m.Parity != nil) != c.want.parity || m.Seq == 0 {
-				t.Errorf("record %+v: want dump %v, parity %v, a sequence number", m, c.want.dump, c.want.parity)
+			if m.Dump != c.want.dump || m.coded != c.want.coded || m.Seq == 0 {
+				t.Errorf("record %+v: want dump %v, coded %v, a sequence number", m, c.want.dump, c.want.coded)
 			}
 		})
 	}

@@ -115,13 +115,14 @@ func OpenStore(dom *sim.Domain, dev storage.Device, keys []uint64, cfg StoreConf
 }
 
 // preload installs the initial version-0 image of every key instantly
-// (virtual time does not advance), in chunks to bound the staging buffer.
+// (virtual time does not advance), in chunks to bound the staging buffer,
+// which is no larger than the key set needs.
 func (st *Store) preload(sorted []uint64) error {
 	const chunk = 256
 	ps := st.file.PageSize()
 	var buf []byte
 	if st.real {
-		buf = make([]byte, chunk*ps)
+		buf = make([]byte, min(len(sorted), chunk)*ps)
 	}
 	for off := 0; off < len(sorted); off += chunk {
 		n := len(sorted) - off
