@@ -75,7 +75,7 @@ type Store struct {
 	pagesPerUpd  int
 	updatesTotal int64
 	fsyncsTotal  int64
-	wraps        int64 // compaction cycles (log wrap-arounds)
+	wraps        int64 // log wrap-arounds, each standing in for a compaction
 }
 
 // Open creates the store's append log on fs, sized to most of the device,
@@ -141,8 +141,8 @@ func (s *Store) Update(p *sim.Proc, key int64) error {
 	}
 	p.Sleep(s.cfg.OpCPU)
 	if s.appendPos+int64(s.pagesPerUpd) > s.filePages {
-		// The append log wrapped: compaction reclaimed the head (modeled
-		// as a free wrap; compaction I/O runs in Compact).
+		// The append log wrapped: compaction reclaimed the head. It is
+		// modeled as a free wrap; no compaction I/O is simulated.
 		s.appendPos = 0
 		s.wraps++
 	}
@@ -181,33 +181,4 @@ func (s *Store) Read(p *sim.Proc, key int64, cached bool) error {
 	n := (s.cfg.DocBytes + devPage - 1) / devPage
 	off := (key * int64(n)) % (s.filePages - int64(n))
 	return s.file.ReadPages(p, off, n, nil)
-}
-
-// Compact rewrites the live data sequentially (a full compaction pass),
-// returning the bytes rewritten. Offered as an extension; the paper's runs
-// don't trigger it.
-func (s *Store) Compact(p *sim.Proc) (int64, error) {
-	devPage := s.file.PageSize()
-	docPages := int64((s.cfg.DocBytes + devPage - 1) / devPage)
-	live := s.cfg.Docs * docPages
-	if live > s.filePages {
-		live = s.filePages
-	}
-	const chunk = 256
-	for off := int64(0); off < live; off += chunk {
-		n := int64(chunk)
-		if off+n > live {
-			n = live - off
-		}
-		if err := s.file.ReadPages(p, off, int(n), nil); err != nil {
-			return 0, err
-		}
-		if err := s.file.WritePages(p, off, int(n), nil); err != nil {
-			return 0, err
-		}
-	}
-	if err := s.fsync(p); err != nil {
-		return 0, err
-	}
-	return live * int64(devPage), nil
 }

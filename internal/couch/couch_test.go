@@ -144,18 +144,3 @@ func TestAppendLogWraps(t *testing.T) {
 		t.Fatal("append log never wrapped")
 	}
 }
-
-func TestCompactRewritesLiveData(t *testing.T) {
-	eng, st, _ := newStore(t, false, 10)
-	eng.Go("t", func(p *sim.Proc) {
-		rewritten, err := st.Compact(p)
-		if err != nil {
-			t.Errorf("Compact: %v", err)
-			return
-		}
-		if rewritten <= 0 {
-			t.Error("compaction rewrote nothing")
-		}
-	})
-	eng.Run()
-}

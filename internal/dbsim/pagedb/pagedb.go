@@ -361,14 +361,6 @@ func (e *Engine) CreateTable(name string, cfg index.Config) (*Table, error) {
 	return t, nil
 }
 
-// AdoptTable re-registers a table layout after Reopen (same parameters as
-// the original CreateTable, so page ranges line up).
-func (e *Engine) AdoptTable(name string, t *Table) {
-	t.e = e
-	e.tables[name] = t
-	e.nextPage = max(e.nextPage, t.tree.LeafOf(0)+buffer.PageID(t.tree.Pages()))
-}
-
 // Tree exposes the table's index topology.
 func (t *Table) Tree() *index.Tree { return t.tree }
 

@@ -203,24 +203,3 @@ func TestCrashRecoveryRedo(t *testing.T) {
 		r.eng.Run()
 	})
 }
-
-func TestAdoptTableRestoresLayout(t *testing.T) {
-	eachProfile(t, func(t *testing.T, pr profile) {
-		r := newRig(t, pr, false, false, true)
-		r.e.Close()
-
-		e2, err := pr.reopen(r.eng, r.fs, r.fs, r.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e2.AdoptTable("t", r.tbl)
-		r.eng.Go("t", func(p *sim.Proc) {
-			tx := e2.Begin()
-			if err := tx.Lookup(p, r.tbl, 123); err != nil {
-				t.Errorf("Lookup after adopt: %v", err)
-			}
-		})
-		r.eng.Run()
-		e2.Close()
-	})
-}

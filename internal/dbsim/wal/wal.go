@@ -175,20 +175,6 @@ func (l *Log) Commit(p *sim.Proc, lsn uint64) error {
 	return nil
 }
 
-// Flush forces the whole tail to storage regardless of LSN.
-func (l *Log) Flush(p *sim.Proc) error {
-	for l.durableLSN < l.nextLSN {
-		if l.flushing {
-			l.flushDone.Wait(p)
-			continue
-		}
-		if err := l.flush(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // flush writes the buffered tail sequentially and fdatasyncs it.
 func (l *Log) flush(p *sim.Proc) error {
 	l.flushing = true

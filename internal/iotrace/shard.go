@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"reflect"
 	"slices"
 	"strconv"
 	"time"
@@ -206,20 +205,4 @@ func (r *ShardRecorder) Digest() string {
 	})
 	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// SumStats returns the field-wise sum of the registries' cumulative
-// counters: one report for a device array that spans domains. Stats is all
-// int64 counters; the field walk is in declaration order, so the result is
-// deterministic (and new counters are picked up automatically).
-func SumStats(regs ...*Registry) Stats {
-	var total Stats
-	tv := reflect.ValueOf(&total).Elem()
-	for _, reg := range regs {
-		sv := reflect.ValueOf(reg.Stats()).Elem()
-		for i := 0; i < sv.NumField(); i++ {
-			tv.Field(i).SetInt(tv.Field(i).Int() + sv.Field(i).Int())
-		}
-	}
-	return total
 }

@@ -255,18 +255,3 @@ func TestShardRecorderAllocs(t *testing.T) {
 		t.Fatalf("filling %d chunks allocates %v times, want at most %d", chunks, allocs, chunks+1)
 	}
 }
-
-func TestSumStats(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Stats().PagesWritten = 10
-	a.Stats().NANDPrograms = 25
-	b.Stats().PagesWritten = 5
-	b.Stats().FlushCommands = 3
-	sum := SumStats(a, b)
-	if sum.PagesWritten != 15 || sum.NANDPrograms != 25 || sum.FlushCommands != 3 {
-		t.Fatalf("SumStats = %+v", sum)
-	}
-	if got := sum.WriteAmplification(); got != 25.0/15.0 {
-		t.Fatalf("summed WA = %v", got)
-	}
-}

@@ -107,14 +107,6 @@ func (c *Cache) Update(key uint64, version uint64) {
 // Len returns the number of resident entries.
 func (c *Cache) Len() int { return len(c.entries) }
 
-// HitRatio returns hits / lookups, or 0 before the first lookup.
-func (c *Cache) HitRatio() float64 {
-	if c.hits+c.misses == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(c.hits+c.misses)
-}
-
 // Counters returns the cumulative hit/miss/admit/reject/eviction tallies.
 func (c *Cache) Counters() (hits, misses, admits, rejects, evictions int64) {
 	return c.hits, c.misses, c.admits, c.rejects, c.evictions

@@ -89,20 +89,6 @@ type Server struct {
 	unavailable *int64
 }
 
-// New builds a gateway in domain front over the given shard stores, each an
-// unreplicated (R=1) group — the original single-copy layout. Shard i of
-// the ring is stores[i]; the caller built each store in its own domain. The
-// per-shard bloom filters are built here, over each shard's full key space
-// — the only property the read path relies on is that a present key is
-// never reported absent.
-func New(front *sim.Domain, stores []*Store, cfg Config) (*Server, error) {
-	groups := make([][]*Store, len(stores))
-	for i, st := range stores {
-		groups[i] = []*Store{st}
-	}
-	return NewReplicated(front, groups, cfg)
-}
-
 // NewReplicated builds a gateway whose shard i is a replica group over
 // storesByShard[i] (every group the same size R; cfg.Group.Quorum is W).
 // Replica 0 of each group holds the shard's key space; its peers must be
@@ -140,9 +126,9 @@ func NewReplicated(front *sim.Domain, storesByShard [][]*Store, cfg Config) (*Se
 	return s, nil
 }
 
-// BuildFilters (re)builds the per-shard negative-lookup filters from the
-// stores' key spaces. New calls it; it is exposed so conformance tests can
-// exercise rebuild-after-load.
+// BuildFilters (re)builds the per-shard negative-lookup filters from each
+// shard's full key space, after NewReplicated. The read path relies only on
+// a present key never being reported absent.
 func (s *Server) BuildFilters(keysByShard [][]uint64) {
 	for i := range s.neg {
 		b := NewBloom(len(keysByShard[i]))

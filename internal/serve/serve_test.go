@@ -30,31 +30,44 @@ func openTestStore(t *testing.T, keys []uint64, barrier bool) (*sim.Cluster, *St
 	return cluster, st
 }
 
-// TestStoreRoundtrip: versions increment per key, reads see the latest
-// acknowledged version, keys in the shard's key space exist from the start
-// (at version 0, the preloaded image), and keys outside it are a definitive
-// not-found — the contract the bloom filter's false positives lean on.
+// TestStoreRoundtrip: PutVersion writes caller-assigned versions, reads see
+// the latest acknowledged version, keys in the shard's key space exist from
+// the start (at version 0, the preloaded image), and keys outside it are a
+// definitive not-found — the contract the bloom filter's false positives
+// lean on. A version at or below the durable one is acknowledged without
+// device traffic and never regresses the key.
 func TestStoreRoundtrip(t *testing.T) {
 	cluster, st := openTestStore(t, []uint64{10, 20, 30}, false)
 	st.Domain().Go("roundtrip", func(p *sim.Proc) {
-		for want := uint64(1); want <= 3; want++ {
-			ver, err := st.Put(p, 20)
-			if err != nil {
-				t.Errorf("Put: %v", err)
+		for ver := uint64(1); ver <= 3; ver++ {
+			if err := st.PutVersion(p, 20, ver); err != nil {
+				t.Errorf("PutVersion(20, %d): %v", ver, err)
 				return
-			}
-			if ver != want {
-				t.Errorf("Put version = %d, want %d", ver, want)
 			}
 		}
 		if ver, found, err := st.Get(p, 20); err != nil || !found || ver != 3 {
 			t.Errorf("Get(20) = (%d, %t, %v), want (3, true, nil)", ver, found, err)
+		}
+		puts, _, syncs := st.Counters()
+		for _, stale := range []uint64{3, 2} {
+			if err := st.PutVersion(p, 20, stale); err != nil {
+				t.Errorf("PutVersion(20, %d) after 3: %v", stale, err)
+			}
+		}
+		if p2, _, s2 := st.Counters(); p2 != puts || s2 != syncs {
+			t.Errorf("stale PutVersion moved counters: puts %d -> %d, syncs %d -> %d", puts, p2, syncs, s2)
+		}
+		if ver, found, err := st.Get(p, 20); err != nil || !found || ver != 3 {
+			t.Errorf("Get(20) after stale PutVersion = (%d, %t, %v), want (3, true, nil)", ver, found, err)
 		}
 		if ver, found, err := st.Get(p, 10); err != nil || !found || ver != 0 {
 			t.Errorf("Get(10) never written = (%d, %t, %v), want (0, true, nil)", ver, found, err)
 		}
 		if _, found, err := st.Get(p, 999); err != nil || found {
 			t.Errorf("Get(unknown) = (found=%t, err=%v), want (false, nil)", found, err)
+		}
+		if err := st.PutVersion(p, 999, 1); err == nil {
+			t.Error("PutVersion(unknown) = nil, want an error")
 		}
 	})
 	cluster.Run()
@@ -77,9 +90,8 @@ func TestStoreGroupCommit(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		w := w
 		st.Domain().Go(fmt.Sprintf("writer-%d", w), func(p *sim.Proc) {
-			for r := 0; r < rounds; r++ {
-				ver, err := st.Put(p, keys[w])
-				if err != nil {
+			for ver := uint64(1); ver <= rounds; ver++ {
+				if err := st.PutVersion(p, keys[w], ver); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -109,8 +121,8 @@ func TestStoreGroupCommit(t *testing.T) {
 	cluster.Run()
 }
 
-// buildTestServer assembles a 2-shard serving box in timing mode and returns
-// the cluster, server, and the partitioned key sets.
+// buildTestServer assembles a 2-shard serving box in timing mode, each shard
+// a replica group of one store, and returns the cluster and server.
 func buildTestServer(t *testing.T, keys []uint64, cfg Config) (*sim.Cluster, *Server) {
 	t.Helper()
 	const shards = 2
@@ -119,19 +131,20 @@ func buildTestServer(t *testing.T, keys []uint64, cfg Config) (*sim.Cluster, *Se
 	front := cluster.Domain(0)
 	ring := NewRing(shards)
 	parts := PartitionKeys(ring, keys)
-	stores := make([]*Store, shards)
-	for i := range stores {
+	groups := make([][]*Store, shards)
+	for i := range groups {
 		dom := cluster.Domain(i + 1)
 		dev, err := ssd.New(dom.Engine(), ssd.DuraSSD(16))
 		if err != nil {
 			t.Fatal(err)
 		}
-		stores[i], err = OpenStore(dom, dev, parts[i], StoreConfig{Barrier: false})
+		st, err := OpenStore(dom, dev, parts[i], StoreConfig{Barrier: false})
 		if err != nil {
 			t.Fatal(err)
 		}
+		groups[i] = []*Store{st}
 	}
-	srv, err := New(front, stores, cfg)
+	srv, err := NewReplicated(front, groups, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,14 @@ import (
 )
 
 // Store is one shard's durable document store: a fixed key space laid out
-// one key per device page behind a host.FS file. A Put writes the key's
-// canonical page image (storage.BuildPageImage: id, version, CRC) and group-
-// commits an fdatasync before acknowledging, so "Put returned nil" means
-// exactly what a database commit ack means — and whether that ack survives
-// a power cut is decided by the device underneath, which is the paper's
-// whole argument: with barriers off, fdatasync never flushes the device
-// cache, so a DuraSSD shard keeps every acked write while a volatile-cache
-// shard loses whatever had not drained.
+// one key per device page behind a host.FS file. A PutVersion writes the
+// key's canonical page image (storage.BuildPageImage: id, version, CRC) and
+// group-commits an fdatasync before acknowledging, so "PutVersion returned
+// nil" means exactly what a database commit ack means — and whether that ack
+// survives a power cut is decided by the device underneath, which is the
+// paper's whole argument: with barriers off, fdatasync never flushes the
+// device cache, so a DuraSSD shard keeps every acked write while a
+// volatile-cache shard loses whatever had not drained.
 //
 // A Store is confined to its shard's domain: every method taking a
 // *sim.Proc must run on that domain's engine (the Server ships operations
@@ -36,7 +36,7 @@ type Store struct {
 	// the chaos plane's replica brownout. Zero in normal operation.
 	slowdown time.Duration
 
-	// Striped write locks: Puts to the same key serialize, so a later ack
+	// Striped write locks: writes to the same key serialize, so a later ack
 	// always means a later (or equal) on-media version — the property the
 	// crash audit's "max acked version per key" bookkeeping relies on.
 	stripes []*sim.Resource
@@ -188,30 +188,6 @@ func (st *Store) donePage(pg []byte) {
 	if pg != nil {
 		st.pages = append(st.pages, pg)
 	}
-}
-
-// Put durably writes the next version of key and returns it. The version
-// is assigned under the key's stripe lock, so concurrent Puts to one key
-// serialize and versions land on media in ascending order. The returned
-// version is acknowledged: the write and its covering fdatasync completed.
-//
-//simlint:hotpath
-func (st *Store) Put(p *sim.Proc, key uint64) (uint64, error) {
-	slot, ok := st.slots[key]
-	if !ok {
-		return 0, fmt.Errorf("serve: put of unknown key %d", key) //simlint:allow hotalloc the key is outside the shard: a routing bug, not a serving path
-	}
-	lock := st.stripes[mix64(key)%storeStripes]
-	lock.Acquire(p, 1)
-	defer lock.Release(1)
-	if st.slowdown > 0 {
-		p.Sleep(st.slowdown)
-	}
-	version := st.vers[key] + 1
-	if err := st.writeLocked(p, key, slot, version); err != nil {
-		return 0, err
-	}
-	return version, nil
 }
 
 // PutVersion durably writes key at a caller-assigned version — the replica

@@ -235,22 +235,6 @@ func TestResourceFIFOFairness(t *testing.T) {
 		}
 	}
 }
-
-func TestResourceTryAcquire(t *testing.T) {
-	e := New()
-	r := NewResource(e, 2)
-	if !r.TryAcquire(2) {
-		t.Fatal("TryAcquire(2) on empty resource failed")
-	}
-	if r.TryAcquire(1) {
-		t.Fatal("TryAcquire(1) on full resource succeeded")
-	}
-	r.Release(1)
-	if !r.TryAcquire(1) {
-		t.Fatal("TryAcquire(1) after release failed")
-	}
-}
-
 func TestResourceMultiUnit(t *testing.T) {
 	e := New()
 	r := NewResource(e, 3)

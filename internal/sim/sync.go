@@ -144,15 +144,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	p.park()
 }
 
-// TryAcquire obtains n units without blocking and reports success.
-func (r *Resource) TryAcquire(n int) bool {
-	if r.waiters.n == 0 && r.inUse+n <= r.capacity {
-		r.inUse += n
-		return true
-	}
-	return false
-}
-
 // Release returns n units (n > 0) and admits queued waiters in FIFO order.
 func (r *Resource) Release(n int) {
 	if n <= 0 {

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -277,9 +276,4 @@ func (t *Table) String() string {
 		fmt.Fprintf(&b, "# %s\n", c)
 	}
 	return b.String()
-}
-
-// SortRowsBy sorts rows by the given column (string order).
-func (t *Table) SortRowsBy(col int) {
-	sort.SliceStable(t.rows, func(i, j int) bool { return t.rows[i][col] < t.rows[j][col] })
 }

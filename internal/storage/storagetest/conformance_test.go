@@ -2,7 +2,6 @@ package storagetest_test
 
 import (
 	"testing"
-	"time"
 
 	"durassd/internal/hdd"
 	"durassd/internal/sim"
@@ -37,30 +36,6 @@ func members(t *testing.T, eng *sim.Engine, n int) []storage.Device {
 	return ms
 }
 
-// spanFactory builds a striped-4 volume whose members are DuraSSDs in four
-// separate cluster domains, fronted by a fifth domain.
-func spanFactory(workers int) storagetest.Factory {
-	return func(t *testing.T) storagetest.Harness {
-		t.Helper()
-		c := sim.NewCluster(5, 10*time.Microsecond, workers)
-		t.Cleanup(c.Close)
-		sm := make([]vol.SpanMember, 4)
-		for i := range sm {
-			dom := c.Domain(i + 1)
-			d, err := ssd.New(dom.Engine(), ssd.DuraSSD(16))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sm[i] = vol.SpanMember{Dev: d, Dom: dom}
-		}
-		v, err := vol.NewStripedSpan(c.Domain(0), sm, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return storagetest.Harness{Eng: c.Domain(0).Engine(), Dev: v, Cluster: c}
-	}
-}
-
 func TestConformance(t *testing.T) {
 	suites := []struct {
 		name string
@@ -93,20 +68,6 @@ func TestConformance(t *testing.T) {
 			}
 			return storagetest.Harness{Eng: eng, Dev: v}
 		}},
-		{"Concat", func(t *testing.T) storagetest.Harness {
-			eng := sim.New()
-			v, err := vol.NewConcat(eng, members(t, eng, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return storagetest.Harness{Eng: eng, Dev: v}
-		}},
-		// A striped volume whose four members each live in their own cluster
-		// domain, with the volume front in a fifth: every conformance case —
-		// including the power cut during a queued flush — crosses the domain
-		// boundary through the virtual-time merge, under parallel workers.
-		{"StripedSpan4", spanFactory(1)},
-		{"StripedSpan4Parallel", spanFactory(4)},
 	}
 	for _, s := range suites {
 		t.Run(s.name, func(t *testing.T) { storagetest.Run(t, s.f) })

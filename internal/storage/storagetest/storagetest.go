@@ -27,34 +27,17 @@ import (
 	"durassd/internal/storage"
 )
 
-// Harness bundles one fresh device on its own engine. For a device that
-// spans cluster domains, Eng is the front domain's engine (where host
-// processes run) and Cluster is the owning cluster: the suite then drives
-// the simulation through Cluster.Run, since a domain-owned engine refuses
-// direct Run calls. The factory is responsible for Cluster cleanup
-// (typically t.Cleanup(c.Close)); a single engine is closed by Run.
+// Harness bundles one fresh device on its own engine.
 type Harness struct {
-	Eng     *sim.Engine
-	Dev     storage.Device
-	Cluster *sim.Cluster
-}
-
-// run drains the simulation: the whole cluster when the device spans
-// domains, the single engine otherwise.
-func (h Harness) run() {
-	if h.Cluster != nil {
-		h.Cluster.Run()
-		return
-	}
-	h.Eng.Run()
+	Eng *sim.Engine
+	Dev storage.Device
 }
 
 // Factory builds a fresh powered-on device for one subtest.
 type Factory func(t *testing.T) Harness
 
 // Run executes the full conformance suite against devices built by f. Each
-// subtest closes its harness's engine when it is done (a cluster harness is
-// closed by its factory's cleanup instead).
+// subtest closes its harness's engine when it is done.
 func Run(t *testing.T, f Factory) {
 	for _, tc := range []struct {
 		name string
@@ -71,9 +54,7 @@ func Run(t *testing.T, f Factory) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := f(t)
-			if h.Cluster == nil {
-				defer h.Eng.Close()
-			}
+			defer h.Eng.Close()
 			tc.test(t, h)
 		})
 	}
@@ -83,7 +64,7 @@ func Run(t *testing.T, f Factory) {
 func drive(t *testing.T, h Harness, fn func(p *sim.Proc)) {
 	t.Helper()
 	h.Eng.Go("storagetest", fn)
-	h.run()
+	h.Eng.Run()
 }
 
 // testBounds: commands with zero/negative length, starting past the end,
@@ -254,7 +235,7 @@ func testPowerCycleDuringQueuedFlush(t *testing.T, h Harness) {
 		flushDone = true
 	})
 	h.Eng.Schedule(100*time.Microsecond, func() { pc.PowerFail() })
-	h.run()
+	h.Eng.Run()
 	if !flushDone {
 		t.Fatal("flush proc never returned after the power cut")
 	}

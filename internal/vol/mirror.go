@@ -21,12 +21,17 @@ import (
 // mode in which all reads are served from member 0 (the primary) and, when
 // the read carries real bytes, the primary's image is re-written onto the
 // secondaries ("read-repair"). Once every page of a range has been
-// repaired, reads of that range resume round-robin fan-out.
+// repaired, reads of that range resume round-robin fan-out. A repair and a
+// write of the same page exclude each other: otherwise a write landing
+// between the repair's primary read and its secondary write would be
+// overwritten on the secondaries by the older image.
 type Mirror struct {
 	volume
 	next     int // round-robin read cursor
 	degraded bool
 	repaired map[storage.LPN]bool // pages reconciled since the last reboot
+	inflight map[storage.LPN]int  // per page: writes (> 0) or repairs (< 0) in flight
+	settled  *sim.Queue           // woken when an inflight count drops
 }
 
 // NewMirror builds a RAID-1 volume over members; member 0 is the primary
@@ -64,16 +69,17 @@ func (v *Mirror) Write(p *sim.Proc, req iotrace.Req, lpn storage.LPN, n int, dat
 	if err := devfront.CheckBuf("vol: mirror write", data, n, v.pageSize); err != nil {
 		return err
 	}
+	if v.degraded || len(v.inflight) > 0 { // a repair may be in flight
+		defer v.unhold(v.hold(p, 1, lpn, n), 1, lpn, n)
+	}
 	err := v.fanout(p, v.writeSegs(lpn, n), func(q *sim.Proc, s segment) error {
 		return v.members[s.member].Write(q, child(req, s), s.lpn, s.n, data)
 	})
 	if err != nil {
 		return err
 	}
-	if v.degraded {
-		// A fresh write overwrites any divergence on all copies at once.
-		v.markRepaired(lpn, n)
-	}
+	// A fresh write overwrites any divergence on all copies at once.
+	v.markRepaired(lpn, n)
 	v.front.CompleteWrite(req, n)
 	return nil
 }
@@ -114,6 +120,9 @@ func (v *Mirror) Read(p *sim.Proc, req iotrace.Req, lpn storage.LPN, n int, buf 
 // so the copies reconverge. Timing-only reads (nil buf) cannot repair —
 // there are no bytes to copy — so they leave the range degraded.
 func (v *Mirror) readRepair(p *sim.Proc, req iotrace.Req, lpn storage.LPN, n int, buf []byte) error {
+	if buf != nil {
+		defer v.unhold(v.hold(p, -1, lpn, n), -1, lpn, n)
+	}
 	err := v.members[0].Read(p, req, lpn, n, buf)
 	if errors.Is(err, storage.ErrUncorrectable) {
 		// Even the primary can hit unreadable media; fall back to the
@@ -139,6 +148,32 @@ func (v *Mirror) readRepair(p *sim.Proc, req iotrace.Req, lpn storage.LPN, n int
 	}
 	v.markRepaired(lpn, n)
 	return nil
+}
+
+// hold waits until no page of the range has an operation of the other kind
+// (1 for a write, -1 for a repair) in flight, then counts this one in the
+// table it returns for unhold; a reboot in between starts a fresh table.
+func (v *Mirror) hold(p *sim.Proc, kind int, lpn storage.LPN, n int) map[storage.LPN]int {
+	for i := 0; i < n; i++ {
+		if v.inflight[lpn+storage.LPN(i)]*kind < 0 {
+			v.settled.Wait(p)
+			i = -1 // re-check the whole range
+		}
+	}
+	for i := 0; i < n; i++ {
+		v.inflight[lpn+storage.LPN(i)] += kind
+	}
+	return v.inflight
+}
+
+func (v *Mirror) unhold(held map[storage.LPN]int, kind int, lpn storage.LPN, n int) {
+	for i := 0; i < n; i++ {
+		k := lpn + storage.LPN(i)
+		if held[k] -= kind; held[k] == 0 {
+			delete(held, k)
+		}
+	}
+	v.settled.WakeAll()
 }
 
 // repairFrom serves lpn..lpn+n from the first replica that still reads
@@ -170,6 +205,9 @@ func (v *Mirror) repairFrom(p *sim.Proc, req iotrace.Req, bad int, lpn storage.L
 }
 
 func (v *Mirror) markRepaired(lpn storage.LPN, n int) {
+	if !v.degraded {
+		return // a write or another repair reconciled the last page first
+	}
 	for i := 0; i < n; i++ {
 		v.repaired[lpn+storage.LPN(i)] = true
 	}
@@ -218,6 +256,10 @@ func (v *Mirror) Reboot(p *sim.Proc) error {
 	}
 	v.degraded = true
 	v.repaired = make(map[storage.LPN]bool)
+	v.inflight = make(map[storage.LPN]int)
+	if v.settled == nil {
+		v.settled = sim.NewQueue(v.eng)
+	}
 	v.front.PowerOn()
 	return nil
 }

@@ -41,9 +41,6 @@ func NewStriped(eng *sim.Engine, members []storage.Device, chunkPages int) (*Str
 	return &Striped{volume: base, chunk: chunk, memberPages: usable}, nil
 }
 
-// ChunkPages returns the stripe unit in pages.
-func (v *Striped) ChunkPages() int { return int(v.chunk) }
-
 // Pages returns the volume capacity in pages.
 func (v *Striped) Pages() int64 { return v.memberPages * int64(len(v.members)) }
 

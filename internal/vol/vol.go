@@ -1,6 +1,6 @@
 // Package vol composes multiple storage.Devices into one: striped (RAID-0)
-// volumes with a configurable chunk size, mirrored (RAID-1) volumes with
-// read fan-out and post-recovery read-repair, and simple concatenation.
+// volumes with a configurable chunk size, and mirrored (RAID-1) volumes with
+// read fan-out and post-recovery read-repair.
 // Every volume implements storage.Device, storage.PowerCycler and the host
 // layer's Preloader, so a database engine mounts a volume exactly like a
 // single drive.

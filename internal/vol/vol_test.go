@@ -227,39 +227,75 @@ func TestMirrorCrashRepair(t *testing.T) {
 	})
 }
 
-func TestConcatMappingAndRoundTrip(t *testing.T) {
-	eng := sim.New()
-	members := newMembers(t, eng, ssd.DuraSSD, 2)
-	v, err := NewConcat(eng, members)
-	if err != nil {
-		t.Fatal(err)
+// TestMirrorReadRepairRaces: after a power cycle, two operations on one
+// page run side by side while every other page is already reconciled, so the
+// first to finish takes the mirror out of degraded mode. A read-repair
+// copies the primary's image onto the secondary; it must not land the
+// pre-write image over a concurrent write, or the clean mirror would later
+// serve the stale copy round-robin. A second repair of the same page must
+// not mark a mirror that already left degraded mode.
+func TestMirrorReadRepairRaces(t *testing.T) {
+	const lpn, before, written = 7, 0x11, 0x22
+	for _, tc := range []struct {
+		name   string
+		writes []bool // per operation: write the new image, or read
+		want   byte   // every member's image of lpn afterwards, repeated
+	}{
+		{"ReadThenWrite", []bool{false, true}, written},
+		{"TwoReads", []bool{false, false}, before},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New()
+			defer eng.Close()
+			v, err := NewMirror(eng, newMembers(t, eng, ssd.DuraSSD, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			image := func(b byte) []byte { return bytes.Repeat([]byte{b}, v.PageSize()) }
+			run(t, eng, func(p *sim.Proc) {
+				if err := v.Write(p, iotrace.Req{}, lpn, 1, image(before)); err != nil {
+					t.Errorf("Write: %v", err)
+					return
+				}
+				v.PowerFail()
+				if err := v.Reboot(p); err != nil {
+					t.Errorf("Reboot: %v", err)
+				}
+			})
+			for i := storage.LPN(0); i < storage.LPN(v.Pages()); i++ {
+				if i != lpn {
+					v.repaired[i] = true
+				}
+			}
+			for _, write := range tc.writes {
+				eng.Go("op", func(p *sim.Proc) {
+					var err error
+					if write {
+						err = v.Write(p, iotrace.Req{}, lpn, 1, image(written))
+					} else {
+						err = v.Read(p, iotrace.Req{}, lpn, 1, make([]byte, v.PageSize()))
+					}
+					if err != nil {
+						t.Errorf("degraded op (write %t): %v", write, err)
+					}
+				})
+			}
+			eng.Run()
+			if v.Degraded() {
+				t.Error("mirror still degraded after every page was repaired")
+			}
+			run(t, eng, func(p *sim.Proc) {
+				for i, m := range v.Members() {
+					buf := make([]byte, v.PageSize())
+					if err := m.Read(p, iotrace.Req{}, lpn, 1, buf); err != nil {
+						t.Errorf("member %d Read: %v", i, err)
+					} else if !bytes.Equal(buf, image(tc.want)) {
+						t.Errorf("member %d holds %#x..., want %#x...", i, buf[0], tc.want)
+					}
+				}
+			})
+		})
 	}
-	if v.Pages() != members[0].Pages()+members[1].Pages() {
-		t.Fatalf("concat capacity %d != member sum", v.Pages())
-	}
-	boundary := storage.LPN(members[0].Pages())
-	segs := v.mapRange(boundary-1, 2)
-	if len(segs) != 2 || segs[0].member != 0 || segs[1].member != 1 || segs[1].lpn != 0 {
-		t.Fatalf("boundary map = %+v", segs)
-	}
-	data := make([]byte, 2*v.PageSize())
-	for i := range data {
-		data[i] = byte(i % 249)
-	}
-	run(t, eng, func(p *sim.Proc) {
-		if err := v.Write(p, iotrace.Req{}, boundary-1, 2, data); err != nil {
-			t.Errorf("Write: %v", err)
-			return
-		}
-		buf := make([]byte, 2*v.PageSize())
-		if err := v.Read(p, iotrace.Req{}, boundary-1, 2, buf); err != nil {
-			t.Errorf("Read: %v", err)
-			return
-		}
-		if !bytes.Equal(buf, data) {
-			t.Error("concat boundary round trip mismatch")
-		}
-	})
 }
 
 func TestVolumeBounds(t *testing.T) {
