@@ -120,6 +120,26 @@ func TestPgSQLDuraSSDFastConfigIsSafe(t *testing.T) {
 	}
 }
 
+// TestWearRetirementKeepsAckedCommit pins one cut of the pgsql wear-out
+// campaign: the scrubber's retirement copies a slot of page 39 while a
+// commit rewrites it, and the copy used to land last and roll the commit
+// back (key 39 acked v2, found v0, torn).
+func TestWearRetirementKeepsAckedCommit(t *testing.T) {
+	v, err := RunWith(Scenario{
+		Device: DuraSSD, Engine: EnginePgSQL, Clients: 4, Updates: 240, Seed: 2,
+		WearOut: true, CutAfter: 36892689 * time.Nanosecond,
+	}, Options{InterruptedErase: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Err != nil {
+		t.Fatalf("audit: %v", v.Err)
+	}
+	if v.AckedCommits == 0 || v.LostCommits != 0 || v.TornPages != 0 {
+		t.Fatalf("acked %d, lost %d, torn %d: %+v", v.AckedCommits, v.LostCommits, v.TornPages, v.Losses)
+	}
+}
+
 func TestPgSQLVolatileSSDFastConfigLosesData(t *testing.T) {
 	lost, _, acked := runTrials(t, Scenario{
 		Device: SSDA, Engine: EnginePgSQL, Barrier: false, DoubleWrite: false,
