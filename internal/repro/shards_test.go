@@ -37,7 +37,7 @@ const shardsDomains = 4
 
 // shardsSchedule is the 1-worker fingerprint of the shards program: the
 // merged device schedule, then the totals and the cluster's merge counters.
-const shardsSchedule = "5496d9221920c6211c99c3b986baa553da0270a00d79b090a9de85b93c4390cf events=427746 written=41760 epochs=1 messages=0"
+const shardsSchedule = "18e70a0b86183179f5037656e4ec49b3eb6acd7523e1ce80dad5ed6f914f2ca9 events=428036 written=41760 epochs=1 messages=0"
 
 // shardsRig is the built-but-not-run program: call run to drive it.
 type shardsRig struct {
