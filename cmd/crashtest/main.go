@@ -4,16 +4,13 @@
 //
 // Usage:
 //
-//	crashtest [-trials N] [-seed N]
-//	crashtest -explore [-points N] [-updates N] [-seed N]
+//	crashtest [-points N] [-updates N] [-seed N]
 //
-// The default mode cuts power at random instants. With -explore, the
-// systematic mode runs instead: for each engine × device × configuration
-// cell, a probe run records the device command schedule, crash points are
-// derived from it (after every sampled ack, mid program, mid erase, mid
-// flush drain, mid capacitor dump), and each point is replayed as its own
-// deterministic trial. The schedule digest printed per cell is reproducible
-// across runs with the same seed.
+// For each engine × device × configuration cell, a probe run records the
+// device command schedule, crash points are derived from it (after every
+// sampled ack, mid program, mid erase, mid flush drain, mid capacitor dump),
+// and each point is replayed as its own deterministic trial. The schedule
+// digest printed per cell is reproducible across runs with the same seed.
 //
 // Expected output: DuraSSD is safe in every configuration (including
 // barriers off + double-write off, the fast one); the volatile-cache SSD-A
@@ -28,15 +25,13 @@
 // the R=1 volatile control loses acked writes, reported under VolLost.
 //
 // Exit status. Failing trials are collected and reported together on stderr
-// at the end, and any of them makes the process exit 1. In -explore mode a
-// row fails when it contradicts what it was built to show
-// (crashpoint.Problems): a durable row (DuraSSD engines, SSD-A with barriers
-// on, MidBurst's DuraSSD shards, ReplicaLoss R=3) with an unsafe crash point
-// — each such point is listed with its ordinal, kind, instant and the first
-// pages or keys it lost — or a volatile control row that lost nothing, which
-// means the audit stopped seeing what it exists to see. The random mode
-// fails only when a trial cannot run or audit; its verdict column is the
-// report.
+// at the end, and any of them makes the process exit 1. A row fails when it
+// contradicts what it was built to show (crashpoint.Problems): a durable row
+// (DuraSSD engines, SSD-A with barriers on, MidBurst's DuraSSD shards,
+// ReplicaLoss R=3) with an unsafe crash point — each such point is listed
+// with its ordinal, kind, instant and the first pages or keys it lost — or a
+// volatile control row that lost nothing, which means the audit stopped
+// seeing what it exists to see.
 package main
 
 import (
@@ -46,26 +41,17 @@ import (
 	"os"
 
 	"durassd/internal/crashpoint"
-	"durassd/internal/faults"
-	"durassd/internal/iotrace"
 	"durassd/internal/stats"
 )
 
 func main() {
 	log.SetFlags(0)
-	trials := flag.Int("trials", 10, "power cuts per configuration (random mode)")
 	seed := flag.Int64("seed", 1, "base seed")
-	explore := flag.Bool("explore", false, "systematic crash-point exploration instead of random cuts")
-	points := flag.Int("points", 12, "max crash points per configuration (-explore)")
-	updates := flag.Int("updates", 160, "updates per workload (-explore)")
+	points := flag.Int("points", 12, "max crash points per configuration")
+	updates := flag.Int("updates", 160, "updates per workload")
 	flag.Parse()
 
-	var failures []string
-	if *explore {
-		failures = exploreCampaign(*points, *updates, *seed)
-	} else {
-		failures = randomCampaign(*trials, *seed)
-	}
+	failures := exploreCampaign(*points, *updates, *seed)
 	if len(failures) > 0 {
 		log.Printf("%d failing trial(s):", len(failures))
 		for _, f := range failures {
@@ -73,69 +59,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// randomCampaign is the classic mode: N random-instant cuts per
-// configuration. Returns descriptions of failing trials.
-func randomCampaign(trials int, seed int64) []string {
-	var failures []string
-	tbl := stats.NewTable("Power-fault campaign: acked-commit durability and page atomicity",
-		"Config", "Trials", "Acked", "LostCommits", "TornPages", "Verdict")
-	wa := stats.NewTable("Per-origin write amplification (summed over trials)",
-		"Config", "Origin", "PagesWritten", "NANDSlots", "GCSlots", "WA")
-	for _, sc := range []faults.Scenario{
-		{Device: faults.DuraSSD, Barrier: false, DoubleWrite: false},
-		{Device: faults.DuraSSD, Barrier: true, DoubleWrite: false},
-		{Device: faults.DuraSSD, Barrier: true, DoubleWrite: true},
-		{Device: faults.SSDA, Barrier: false, DoubleWrite: false},
-		{Device: faults.SSDA, Barrier: false, DoubleWrite: true},
-		{Device: faults.SSDA, Barrier: true, DoubleWrite: true},
-		{Device: faults.DuraSSD, Layout: faults.Striped, Width: 4, Barrier: false, DoubleWrite: false},
-		{Device: faults.DuraSSD, Layout: faults.Mirror, Width: 2, Barrier: false, DoubleWrite: false},
-		{Device: faults.SSDA, Layout: faults.Mirror, Width: 2, Barrier: false, DoubleWrite: false},
-	} {
-		var acked, lost, torn int
-		var origins [iotrace.NumOrigins]iotrace.OriginCounters
-		for i := 0; i < trials; i++ {
-			sc.Seed = seed + int64(i)
-			v, err := faults.Run(sc)
-			if err != nil {
-				failures = append(failures, fmt.Sprintf("%s trial %d: %v", sc.Name(), i, err))
-				continue
-			}
-			if v.Err != nil {
-				failures = append(failures, fmt.Sprintf("%s trial %d audit: %v", sc.Name(), i, v.Err))
-				continue
-			}
-			acked += v.AckedCommits
-			lost += v.LostCommits
-			torn += v.TornPages
-			for o := range v.Origins {
-				origins[o].PagesWritten += v.Origins[o].PagesWritten
-				origins[o].PagesRead += v.Origins[o].PagesRead
-				origins[o].NANDSlots += v.Origins[o].NANDSlots
-				origins[o].GCSlots += v.Origins[o].GCSlots
-			}
-		}
-		verdict := "SAFE"
-		if lost > 0 || torn > 0 {
-			verdict = "UNSAFE"
-		}
-		tbl.AddRow(sc.Name(), trials, acked, lost, torn, verdict)
-		for o := range origins {
-			c := &origins[o]
-			if c.PagesWritten == 0 && c.NANDSlots == 0 {
-				continue
-			}
-			wa.AddRow(sc.Name(), iotrace.Origin(o).String(),
-				c.PagesWritten, c.NANDSlots, c.GCSlots, c.WriteAmplification())
-		}
-	}
-	tbl.AddComment("LostCommits: acknowledged transactions missing after recovery")
-	tbl.AddComment("TornPages: pages failing checksum validation with no double-write copy")
-	fmt.Println(tbl)
-	fmt.Println(wa)
-	return failures
 }
 
 // exploreCampaign runs the systematic crash-point matrix: both engines,

@@ -13,13 +13,13 @@
 //
 // A scenario runs a database engine (InnoDB or PostgreSQL) in RealBytes
 // mode (checksummed page images, real redo records) on a simulated device,
-// cuts power at a chosen or random instant under load, reboots the device
+// cuts power at the scenario's instant under load, reboots the device
 // (running its firmware recovery), reopens the engine, runs torn-page +
 // redo recovery, and then audits every acknowledged transaction.
 //
-// RunWith extends Run with the knobs crash-point exploration needs: an
-// event recorder for the command schedule, NAND-level fault injection
-// (partial dump, interrupted erase), and probe runs without a cut.
+// RunWith's options are the knobs crash-point exploration needs: an event
+// recorder for the command schedule, NAND-level fault injection (partial
+// dump, interrupted erase), and probe runs without a cut.
 package faults
 
 import (
@@ -69,7 +69,7 @@ type Scenario struct {
 	DoubleWrite bool // InnoDB double-write buffer / PostgreSQL full-page writes
 	Clients     int
 	Updates     int           // updates attempted before/while power fails
-	CutAfter    time.Duration // power-cut instant; 0 = random in [1ms, 30ms]
+	CutAfter    time.Duration // power-cut instant; must be positive unless the run has no cut
 	Seed        int64
 	// WearOut arms the media wear-out story: the device gets a bad-block
 	// reserve pool and a patrol scrubber, a cold filler region is preloaded
@@ -137,10 +137,6 @@ type Options struct {
 	// DumpTearAfter arms the partial-dump fault on member 0: the Nth
 	// capacitor-powered dump program tears its page (see nand.Faults).
 	DumpTearAfter int
-	// EngineHook, when set, receives the scenario's freshly created engine
-	// before the workload starts. Benchmark harnesses use it to read the
-	// processed-event counter after the run; it must not drive the engine.
-	EngineHook func(*sim.Engine)
 	// InterruptedErase arms the interrupted-erase fault on every member.
 	InterruptedErase bool
 }
@@ -159,11 +155,6 @@ type Verdict struct {
 	// (Member, Key) order.
 	Losses []Loss
 	Err    error
-
-	// Origins snapshots the device's per-origin traffic counters at the
-	// end of the run, attributing write amplification to the database
-	// mechanism (redo log, double-write, data pages) that caused it.
-	Origins [iotrace.NumOrigins]iotrace.OriginCounters
 }
 
 // Loss is one thing the audit found wrong: page Key reads back below its
@@ -197,19 +188,16 @@ func Profile(k DeviceKind) (ssd.Profile, error) {
 	return ssd.Profile{}, fmt.Errorf("faults: unknown device %q", k)
 }
 
-// Run executes the scenario and audits the aftermath.
-func Run(s Scenario) (*Verdict, error) { return RunWith(s, Options{}) }
-
 // RunWith executes the scenario with exploration options and audits the
 // aftermath.
 func RunWith(s Scenario, o Options) (*Verdict, error) {
+	if s.CutAfter <= 0 && !o.NoCut {
+		return nil, fmt.Errorf("faults: cut instant %v is not positive", s.CutAfter)
+	}
 	s.defaults()
 	v := &Verdict{Scenario: s}
 	eng := sim.New()
 	defer eng.Close() // the rig's service loops and cut-off writers park for ever
-	if o.EngineHook != nil {
-		o.EngineHook(eng)
-	}
 
 	prof, err := Profile(s.Device)
 	if err != nil {
@@ -283,12 +271,7 @@ func RunWith(s Scenario, o Options) (*Verdict, error) {
 
 	cycler := dev.(storage.PowerCycler)
 	if !o.NoCut {
-		cut := s.CutAfter
-		if cut == 0 {
-			rng := rand.New(rand.NewSource(s.Seed ^ 0x5eed))
-			cut = time.Duration(1+rng.Intn(29)) * time.Millisecond
-		}
-		eng.Schedule(cut, func() { cycler.PowerFail() })
+		eng.Schedule(s.CutAfter, func() { cycler.PowerFail() })
 	}
 	eng.Run()
 	h.e.Close() // stops the pre-crash engine's background procs
@@ -321,19 +304,9 @@ func RunWith(s Scenario, o Options) (*Verdict, error) {
 		auditErr = h.audit(p, acked, v)
 	})
 	eng.Run()
-	for _, m := range members {
-		for o := iotrace.Origin(0); o < iotrace.NumOrigins; o++ {
-			c := m.Registry().Origin(o)
-			v.Origins[o].PagesWritten += c.PagesWritten
-			v.Origins[o].PagesRead += c.PagesRead
-			v.Origins[o].NANDSlots += c.NANDSlots
-			v.Origins[o].GCSlots += c.GCSlots
-		}
-	}
 	if auditErr != nil {
 		v.Err = auditErr
 		v.TornPages, v.RedoApplied = 0, 0
-		return v, nil
 	}
 	return v, nil
 }
@@ -392,7 +365,7 @@ func buildDevice(eng *sim.Engine, prof ssd.Profile, s Scenario) (storage.Device,
 
 // memberDevices returns the physical drives behind dev: the volume members
 // when dev is composed, dev itself otherwise. Firmware-level counters
-// (dump pages, lost pages, per-origin NAND traffic) live on the members.
+// (dump pages, lost pages) live on the members.
 func memberDevices(dev storage.Device) []storage.Device {
 	if m, ok := dev.(interface{ Members() []storage.Device }); ok {
 		return m.Members()
