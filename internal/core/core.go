@@ -443,7 +443,7 @@ func (c *Controller) flushWorker(p *sim.Proc) {
 		}
 		batch = c.takeBatch(batch[:0])
 		if len(batch) == 0 {
-			c.f.NotifyIdle() // idle device: let background GC run
+			c.f.NotifyIdle() // idle device: let the scrubber patrol
 			c.hasDirty.Wait(p)
 			continue
 		}

@@ -26,10 +26,6 @@ type Config struct {
 	NodeBytes int   // B+-tree node size (default 4 KB)
 	BatchSize int   // fsync every BatchSize updates (>=1)
 
-	// CacheDocs is the fraction (percent) of reads served from Couchbase's
-	// managed object cache without touching storage.
-	CacheDocsPct int
-
 	// OpCPU is the per-operation server CPU (single-threaded appends).
 	OpCPU time.Duration
 	// FsyncCPU is the host-side cost of an fsync call even without write
@@ -49,9 +45,6 @@ func (c *Config) defaults() error {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 1
-	}
-	if c.CacheDocsPct < 0 || c.CacheDocsPct > 100 {
-		return fmt.Errorf("couch: CacheDocsPct out of range")
 	}
 	if c.OpCPU == 0 {
 		c.OpCPU = 150 * time.Microsecond
@@ -167,8 +160,8 @@ func (s *Store) fsync(p *sim.Proc) error {
 	return s.file.Fdatasync(p)
 }
 
-// Read fetches one document. A CacheDocsPct fraction is served from the
-// managed cache; the rest reads the document from the log.
+// Read fetches one document. A cached read is served from the managed
+// cache; the rest read the document from the log.
 func (s *Store) Read(p *sim.Proc, key int64, cached bool) error {
 	if key < 0 || key >= s.cfg.Docs {
 		return fmt.Errorf("couch: key %d out of range", key)

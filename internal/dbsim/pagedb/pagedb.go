@@ -72,10 +72,7 @@ type Config struct {
 	ODSync bool
 
 	CleanerInterval time.Duration
-	CleanerBatch    int
-	DWBBatch        int // double-write batch capacity in pages
 
-	LogRecordBytes int // redo record payload per row change
 	// WriteHoldCPU is the time a row change holds the leaf page's
 	// exclusive latch (0 = derive from the page size).
 	WriteHoldCPU time.Duration
@@ -106,9 +103,6 @@ func (c *Config) defaults(pr *Profile) error {
 	orDefault(&c.LogFiles, pr.Defaults.LogFiles)
 	orDefault(&c.LogFilePages, pr.Defaults.LogFilePages)
 	orDefault(&c.CheckpointWALBytes, pr.Defaults.CheckpointWALBytes)
-	orDefault(&c.CleanerBatch, 64)
-	orDefault(&c.DWBBatch, 128)
-	orDefault(&c.LogRecordBytes, 128)
 	if c.CleanerInterval == 0 {
 		c.CleanerInterval = 5 * time.Millisecond
 	}
@@ -119,6 +113,12 @@ func (c *Config) defaults(pr *Profile) error {
 	}
 	return nil
 }
+
+// Fixed engine parameters.
+const (
+	dwbBatch       = 128 // double-write batch capacity in pages
+	logRecordBytes = 128 // redo record payload per row change
+)
 
 // orDefault gives an unset (zero or negative) field its default.
 func orDefault[T int | int64](v *T, d T) {
@@ -196,7 +196,7 @@ func (pr Profile) open(eng *sim.Engine, dataFS, logFS *host.FS, cfg Config, reop
 	e.dataFile.SetODSync(cfg.ODSync)
 	e.dataFile.SetOrigin(iotrace.OriginData)
 	if pr.DWBFile != "" {
-		if e.dwbFile, err = file(pr.DWBFile, int64(cfg.DWBBatch*e.perDB)); err != nil {
+		if e.dwbFile, err = file(pr.DWBFile, int64(dwbBatch*e.perDB)); err != nil {
 			return nil, err
 		}
 		e.dwbFile.SetOrigin(iotrace.OriginDoubleWrite)
@@ -209,7 +209,6 @@ func (pr Profile) open(eng *sim.Engine, dataFS, logFS *host.FS, cfg Config, reop
 		PageBytes:       cfg.PageBytes,
 		RealBytes:       cfg.RealBytes,
 		CleanerInterval: cfg.CleanerInterval,
-		CleanerBatch:    cfg.CleanerBatch,
 	}, (*pageReader)(e), (*pageWriter)(e))
 	if err != nil {
 		return nil, err
@@ -275,7 +274,7 @@ func (w *pageWriter) WritePages(p *sim.Proc, pages []buffer.PageWrite) error {
 	// per page and one fsync.
 	chunk := len(pages)
 	if e.cfg.DoubleWrite {
-		chunk = e.cfg.DWBBatch
+		chunk = dwbBatch
 	}
 	for len(pages) > 0 {
 		batch := pages[:min(chunk, len(pages))]
@@ -323,7 +322,7 @@ func (e *Engine) dwbImage() []byte {
 		e.dwbImages = e.dwbImages[:n-1]
 		return img[:0]
 	}
-	return make([]byte, 0, e.cfg.DWBBatch*e.cfg.PageBytes) //simlint:allow hotalloc free-list miss: one image per concurrent double-write batch, kept for reuse
+	return make([]byte, 0, dwbBatch*e.cfg.PageBytes) //simlint:allow hotalloc free-list miss: one image per concurrent double-write batch, kept for reuse
 }
 
 // syncData fsyncs a data file unless the engine runs O_DSYNC (each write
@@ -434,7 +433,7 @@ func (e *Engine) touchWrite(p *sim.Proc, tx *Tx, id buffer.PageID) error {
 		storage.BuildPageImage(fr.Data(), uint64(id), ver)
 		tx.touched = append(tx.touched, PageVersion{id, ver})
 	}
-	size := e.cfg.LogRecordBytes
+	size := logRecordBytes
 	fullImage := e.cfg.FullPageWrites && !e.fpwLogged[id]
 	if fullImage {
 		e.fpwLogged[id] = true

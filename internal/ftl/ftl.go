@@ -57,14 +57,6 @@ type Config struct {
 	// MapEntryBytes is the size of one mapping entry in the on-flash
 	// journal (4 bytes in the paper for a 480 GB drive).
 	MapEntryBytes int
-	// WearAware makes block allocation pick the least-erased free block of
-	// a plane instead of FIFO, spreading erases (the wear-leveling the
-	// paper's §3.1.1 buffer pool scheduler considers).
-	WearAware bool
-	// BackgroundGCBlocks, when > GCThresholdBlocks, enables an idle-time
-	// collector that tops planes up to this free-block watermark before
-	// foreground writes ever stall on the hard threshold. Zero disables.
-	BackgroundGCBlocks int
 	// EagerMapping updates the mapping table before the cell program
 	// completes, the behaviour of the commercial volatile-cache SSDs in the
 	// FAST'13 power-fault study the paper cites: a power cut mid-program
@@ -86,13 +78,10 @@ type Config struct {
 	// to correct at least this many bits (0 disables).
 	RefreshThreshold int
 	// ReserveBlocks withholds this many blocks per plane as the bad-block
-	// reserve pool. Retired blocks (wear-out or uncorrectable pages) are
-	// replaced from the reserve; when it runs dry the device degrades to
-	// read-only instead of risking data loss. Zero disables retirement.
+	// reserve pool. Retired blocks (uncorrectable pages) are replaced from
+	// the reserve; when it runs dry the device degrades to read-only
+	// instead of risking data loss. Zero disables retirement.
 	ReserveBlocks int
-	// EnduranceLimit retires a block once its erase count reaches this
-	// value (checked at GC erase time; 0 = unlimited endurance).
-	EnduranceLimit int64
 	// ScrubInterval enables the background scrubber: a patrol pass over
 	// pages older than the interval runs at most once per interval,
 	// refreshing high-error pages before they decay past the ECC limit.
@@ -140,10 +129,9 @@ type FTL struct {
 
 	gcLocks []*sim.Resource // per-plane GC locks (concurrent GC across planes)
 	gcTemp  []gcScratch     // per-plane relocation scratch, used under the plane's GC lock
-	bgWake  *sim.Queue      // background collector wakeup (nil when disabled)
 
 	reserve   [][]int       // per-plane bad-block reserve pool
-	retired   map[int]bool  // blocks removed from service (wear / media damage)
+	retired   map[int]bool  // blocks removed from service (media damage)
 	readOnly  bool          // reserve pool exhausted: degraded to read-only
 	scrubWake *sim.Queue    // scrubber wakeup (nil when disabled)
 	lastScrub time.Duration // virtual time the last patrol pass started
@@ -621,8 +609,7 @@ func (f *FTL) pickPlane() int {
 }
 
 // nextPage returns the next erased page of the plane's active block,
-// opening a new block from the free list when needed. With WearAware set,
-// the least-erased free block is opened first.
+// opening the oldest block of the free list when needed.
 func (f *FTL) nextPage(pl int) (nand.PPN, error) {
 	ncfg := f.a.Config()
 	if f.active[pl] == -1 || f.writePtr[pl] >= ncfg.PagesPerBlock {
@@ -630,16 +617,8 @@ func (f *FTL) nextPage(pl int) (nand.PPN, error) {
 		if len(free) == 0 {
 			return 0, ErrNoSpace
 		}
-		pick := 0
-		if f.cfg.WearAware {
-			for i := 1; i < len(free); i++ {
-				if f.a.EraseCount(free[i]) < f.a.EraseCount(free[pick]) {
-					pick = i
-				}
-			}
-		}
-		f.active[pl] = free[pick]
-		f.planeFree[pl] = append(free[:pick], free[pick+1:]...) //simlint:allow hotalloc removes one element in place; capacity never grows
+		f.active[pl] = free[0]
+		f.planeFree[pl] = append(free[:0], free[1:]...) //simlint:allow hotalloc removes one element in place; capacity never grows
 		f.writePtr[pl] = 0
 	}
 	ppn := f.a.PageOfBlock(f.active[pl]) + nand.PPN(f.writePtr[pl])
@@ -647,72 +626,11 @@ func (f *FTL) nextPage(pl int) (nand.PPN, error) {
 	return ppn, nil
 }
 
-// WearSpread returns (min, max) erase counts over all non-dump blocks —
-// the wear-leveling quality metric.
-func (f *FTL) WearSpread() (min, max int64) {
-	first := true
-	for blk := 0; blk < f.a.Config().Blocks(); blk++ {
-		if f.dumpSet[blk] {
-			continue
-		}
-		e := f.a.EraseCount(blk)
-		if first {
-			min, max, first = e, e, false
-			continue
-		}
-		if e < min {
-			min = e
-		}
-		if e > max {
-			max = e
-		}
-	}
-	return min, max
-}
-
-// StartBackgroundGC launches the idle-time collector (no-op unless
-// BackgroundGCBlocks is configured above the hard threshold). Call once.
-func (f *FTL) StartBackgroundGC() {
-	if f.cfg.BackgroundGCBlocks <= f.cfg.GCThresholdBlocks || f.bgWake != nil {
-		return
-	}
-	f.bgWake = sim.NewQueue(f.a.Engine())
-	f.a.Engine().Go("bg-gc", f.backgroundGC) //simlint:allow procbudget long-lived singleton collector, spawned once per FTL lifetime
-}
-
-// NotifyIdle wakes the background collector and the media scrubber
-// (devices call it when their write queues drain).
+// NotifyIdle wakes the media scrubber (devices call it when their write
+// queues drain).
 func (f *FTL) NotifyIdle() {
-	if f.bgWake != nil {
-		f.bgWake.WakeOne()
-	}
 	if f.scrubWake != nil {
 		f.scrubWake.WakeOne()
-	}
-}
-
-func (f *FTL) backgroundGC(p *sim.Proc) {
-	for {
-		worked := false
-		for pl := range f.planeFree {
-			if len(f.planeFree[pl]) >= f.cfg.BackgroundGCBlocks {
-				continue
-			}
-			f.gcLocks[pl].Acquire(p, 1)
-			var err error
-			if len(f.planeFree[pl]) < f.cfg.BackgroundGCBlocks {
-				req := f.reg.NewReq(p, iotrace.OpGC, iotrace.OriginUnknown, 0, 0)
-				err = f.gcOnce(p, req, pl)
-				req.Finish(p)
-			}
-			f.gcLocks[pl].Release(1)
-			if err == nil {
-				worked = true
-			}
-		}
-		if !worked {
-			f.bgWake.Wait(p)
-		}
 	}
 }
 
@@ -771,16 +689,6 @@ func (f *FTL) gcOnce(p *sim.Proc, req iotrace.Req, pl int) error {
 		return ErrNoSpace // no reclaimable space anywhere in this plane
 	}
 
-	// Will the erase at the end push this block past its endurance limit?
-	// If so, the relocation below is the retirement's live-data migration:
-	// bracket it with retire events so the crash-point explorer can cut
-	// power mid-migration.
-	willRetire := f.cfg.ReserveBlocks > 0 && f.cfg.EnduranceLimit > 0 &&
-		f.a.EraseCount(victim)+1 >= f.cfg.EnduranceLimit
-	if willRetire {
-		f.reg.Emit(iotrace.EvRetireStart, f.a.Engine().Now())
-	}
-
 	unreadable, err := f.relocate(p, req, victim, pl)
 	if err != nil {
 		return err
@@ -788,9 +696,7 @@ func (f *FTL) gcOnce(p *sim.Proc, req iotrace.Req, pl int) error {
 	if unreadable {
 		// Erasing the victim would turn a typed media error into silent
 		// data loss: retire it in place instead.
-		if !willRetire {
-			f.reg.Emit(iotrace.EvRetireStart, f.a.Engine().Now())
-		}
+		f.reg.Emit(iotrace.EvRetireStart, f.a.Engine().Now())
 		f.retireBlock(pl, victim)
 		f.reg.Emit(iotrace.EvRetireEnd, f.a.Engine().Now())
 		return nil
@@ -799,12 +705,7 @@ func (f *FTL) gcOnce(p *sim.Proc, req iotrace.Req, pl int) error {
 		return err
 	}
 	f.validCount[victim] = 0
-	if willRetire {
-		f.retireBlock(pl, victim)
-		f.reg.Emit(iotrace.EvRetireEnd, f.a.Engine().Now())
-	} else {
-		f.planeFree[pl] = append(f.planeFree[pl], victim)
-	}
+	f.planeFree[pl] = append(f.planeFree[pl], victim)
 	return nil
 }
 

@@ -414,85 +414,6 @@ func TestRandomOpsInvariant(t *testing.T) {
 	}
 }
 
-func TestWearAwareAllocationBalancesErases(t *testing.T) {
-	run := func(wearAware bool) int64 {
-		eng := sim.New()
-		cfg := defaultTestConfig()
-		cfg.OverProvisionPct = 30
-		cfg.WearAware = wearAware
-		ncfg := nand.EnterpriseConfig(16)
-		a, _ := nand.New(eng, ncfg, nil)
-		f, err := New(a, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hot := f.LogicalSlots() / 8
-		rng := rand.New(rand.NewSource(9))
-		eng.Go("hammer", func(p *sim.Proc) {
-			for i := 0; i < int(f.LogicalSlots())*4; i++ {
-				if err := f.Program(p, iotrace.Req{}, []SlotWrite{
-					{LPN: storage.LPN(rng.Int63n(hot))},
-					{LPN: storage.LPN(hot + rng.Int63n(hot))},
-				}); err != nil {
-					t.Errorf("write: %v", err)
-					return
-				}
-			}
-		})
-		eng.Run()
-		min, max := f.WearSpread()
-		return max - min
-	}
-	spreadAware := run(true)
-	spreadFIFO := run(false)
-	if spreadAware > spreadFIFO {
-		t.Fatalf("wear-aware spread %d worse than FIFO %d", spreadAware, spreadFIFO)
-	}
-}
-
-func TestBackgroundGCReducesForegroundStalls(t *testing.T) {
-	run := func(bg int) (gcPrograms int64) {
-		eng := sim.New()
-		cfg := defaultTestConfig()
-		cfg.OverProvisionPct = 25
-		cfg.BackgroundGCBlocks = bg
-		ncfg := nand.EnterpriseConfig(16)
-		reg := iotrace.NewRegistry()
-		stats := reg.Stats()
-		a, _ := nand.New(eng, ncfg, reg)
-		f, err := New(a, cfg, reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.StartBackgroundGC()
-		hot := f.LogicalSlots() / 4
-		rng := rand.New(rand.NewSource(4))
-		eng.Go("w", func(p *sim.Proc) {
-			for i := 0; i < int(f.LogicalSlots())*2; i++ {
-				if err := f.Program(p, iotrace.Req{}, []SlotWrite{{LPN: storage.LPN(rng.Int63n(hot))}}); err != nil {
-					t.Errorf("write: %v", err)
-					return
-				}
-				if i%64 == 0 {
-					f.NotifyIdle()
-					p.Sleep(2 * time.Millisecond) // idle window for the collector
-				}
-			}
-		})
-		eng.Run()
-		if err := f.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		// Count free headroom at the end: background GC should keep planes
-		// above the hard threshold more often.
-		return stats.GCPrograms
-	}
-	withBG := run(6)
-	if withBG == 0 {
-		t.Fatal("background GC never relocated anything")
-	}
-}
-
 // TestNewRejectsMapOverflow: mapping-table entries are 32 bits, so a device
 // with 2^32 physical slots or more is refused instead of wrapping entries
 // onto the wrong pages.

@@ -3,7 +3,6 @@ package ftl
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -286,41 +285,6 @@ func TestScrubberPreventsUncorrectableHostReads(t *testing.T) {
 	}
 	if unscrubbed := run(false); unscrubbed.Uncorrectable == 0 {
 		t.Fatal("control run without scrubbing lost no reads — campaign too gentle to prove anything")
-	}
-}
-
-func TestEnduranceRetirementDuringGC(t *testing.T) {
-	eng := sim.New()
-	cfg := defaultTestConfig()
-	cfg.OverProvisionPct = 25
-	cfg.EnduranceLimit = 3
-	cfg.ReserveBlocks = 2
-	f := newMediaFTL(t, eng, cfg, nand.MediaConfig{})
-	writes := int(f.LogicalSlots()) * 4
-	hot := int64(f.LogicalSlots() / 4)
-	rng := rand.New(rand.NewSource(2))
-	eng.Go("hammer", func(p *sim.Proc) {
-		for i := 0; i < writes; i++ {
-			lpn := storage.LPN(rng.Int63n(hot))
-			err := f.Program(p, iotrace.Req{}, []SlotWrite{{LPN: lpn}})
-			if errors.Is(err, storage.ErrReadOnly) {
-				return // reserve ran dry under the hammering: valid endgame
-			}
-			if err != nil {
-				t.Errorf("write %d: %v", i, err)
-				return
-			}
-		}
-	})
-	eng.Run()
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if f.RetiredBlocks() == 0 {
-		t.Fatal("endurance limit never retired a block")
-	}
-	if f.ReadOnly() && f.stats.DegradedTransitions != 1 {
-		t.Fatalf("read-only without exactly one degraded transition: %d", f.stats.DegradedTransitions)
 	}
 }
 

@@ -5,15 +5,15 @@ import (
 	"time"
 )
 
-// DefaultECCBits is the per-page correction capability assumed when
-// MediaConfig.ECCBits is zero.
-const DefaultECCBits = 8
+// eccBits is the per-page correction capability, clamped to the number of
+// ECC codewords per page.
+const eccBits = 8
 
 // MediaConfig parameterizes the seeded, deterministic bit-error model.
-// The zero value is ideal media: no retention loss, no read disturb, no
-// wear sensitivity — reads behave exactly as before the model existed.
-// Stuck-bit injection (InjectBitErrors) and the ECC threshold are active
-// regardless, so fault-injection tests work on any configuration.
+// The zero value is ideal media: no retention loss — reads behave exactly
+// as before the model existed. Stuck-bit injection (InjectBitErrors) and
+// the ECC threshold are active regardless, so fault-injection tests work
+// on any configuration.
 type MediaConfig struct {
 	// Seed drives the stochastic rounding of fractional expected error
 	// counts. Same seed + same read schedule = identical error outcomes.
@@ -21,20 +21,6 @@ type MediaConfig struct {
 	// RetentionPerMs is the expected number of soft bit errors per page per
 	// millisecond of (virtual) time since the page was programmed.
 	RetentionPerMs float64
-	// DisturbPerKRead is the expected number of soft bit errors per page
-	// per thousand physical reads of any page in its block.
-	DisturbPerKRead float64
-	// WearFactor scales both rates by (1 + WearFactor × block erase count),
-	// modeling cell degradation with program/erase cycles.
-	WearFactor float64
-	// ECCBits is the correctable-bit threshold per page (0 = DefaultECCBits).
-	// It is clamped to the number of ECC codewords per page.
-	ECCBits int
-}
-
-// active reports whether the time/read-dependent error rates are armed.
-func (m MediaConfig) active() bool {
-	return m.RetentionPerMs > 0 || m.DisturbPerKRead > 0
 }
 
 // ReadInfo reports the media-level detail of one successful page read.
@@ -46,15 +32,8 @@ type ReadInfo struct {
 // initMedia sets up the error-model state (called from New).
 func (a *Array) initMedia(m MediaConfig) {
 	a.media = m
-	a.eccBits = m.ECCBits
-	if a.eccBits <= 0 {
-		a.eccBits = DefaultECCBits
-	}
-	if cw := eccCodewords(a.cfg.PageSize); a.eccBits > cw {
-		a.eccBits = cw
-	}
+	a.eccBits = min(eccBits, eccCodewords(a.cfg.PageSize))
 	a.mediaRng = rand.New(rand.NewSource(m.Seed))
-	a.blockReads = make([]int64, a.cfg.Blocks())
 }
 
 // ECCBits returns the effective per-page correction threshold.
@@ -80,24 +59,15 @@ func (a *Array) InjectBitErrors(ppn PPN, n int) bool {
 	return true
 }
 
-// SetWear overrides the erase counter of the global block index (campaign
-// hook: pre-age specific blocks so wear-out retirement triggers on a
-// schedule instead of after thousands of simulated erases).
-func (a *Array) SetWear(block int, erases int64) { a.erases[block] = erases }
-
 // softBits returns the model's transient (retry-recoverable) bit-error
-// count for a read of ppn right now: retention age and accumulated block
-// read disturb, scaled by wear, with seeded stochastic rounding of the
-// fractional part.
+// count for a read of ppn right now: retention age, with seeded stochastic
+// rounding of the fractional part.
 func (a *Array) softBits(ppn PPN) int {
-	m := a.media
-	if !m.active() {
+	if a.media.RetentionPerMs <= 0 {
 		return 0
 	}
-	block := a.BlockOf(ppn)
 	age := float64(a.eng.Now()-a.Meta(ppn).at) / float64(time.Millisecond)
-	x := m.RetentionPerMs*age + m.DisturbPerKRead*float64(a.blockReads[block])/1000
-	x *= 1 + m.WearFactor*float64(a.erases[block])
+	x := a.media.RetentionPerMs * age
 	n := int(x)
 	if frac := x - float64(n); frac > 0 && a.mediaRng.Float64() < frac {
 		n++

@@ -152,26 +152,3 @@ func TestEraseClearsStuckBitsAndAge(t *testing.T) {
 	})
 	eng.Run()
 }
-
-func TestWearScalesErrorRates(t *testing.T) {
-	eng := sim.New()
-	a, err := New(eng, mediaConfig(MediaConfig{Seed: 6, RetentionPerMs: 0.5, WearFactor: 1}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := testPage(a.Config().PageSize, 11)
-	// Page 0 sits in a fresh block; a heavily-cycled block sees the same
-	// retention age amplified past the ECC threshold.
-	if err := a.ProgramPageInstant(0, []SlotTag{{LPN: 1}}, data, false); err != nil {
-		t.Fatal(err)
-	}
-	a.SetWear(0, 50) // 4ms * 0.5/ms * (1+50) ≈ 102 expected errors
-	eng.Go("io", func(p *sim.Proc) {
-		p.Sleep(4 * time.Millisecond)
-		buf := make([]byte, len(data))
-		if _, err := a.ReadPageRetry(p, iotrace.Req{}, 0, buf, 0); !errors.Is(err, storage.ErrUncorrectable) {
-			t.Errorf("worn-block read = %v, want ErrUncorrectable", err)
-		}
-	})
-	eng.Run()
-}

@@ -44,19 +44,10 @@ type BurstSpec struct {
 	// Volatile lists the shard indices built on volatile-cache SSD-A
 	// drives; the rest are DuraSSD. Default: every odd shard.
 	Volatile []int
-	// Tenants is the number of writer tenants (default 3), Clients the
-	// writer processes per tenant (default 2).
-	Tenants int
-	Clients int
 	// Updates is the total number of Put attempts across all writers
 	// (default 240).
 	Updates int
-	// Keys is the per-tenant key-space size (default 64).
-	Keys int
-	Seed int64
-	// CutAfter is the power-cut instant; every shard loses power at the
-	// same virtual time. Zero with NoCut unset means 5ms.
-	CutAfter time.Duration
+	Seed    int64
 }
 
 func (sp *BurstSpec) defaults() {
@@ -68,17 +59,8 @@ func (sp *BurstSpec) defaults() {
 			sp.Volatile = append(sp.Volatile, i)
 		}
 	}
-	if sp.Tenants <= 0 {
-		sp.Tenants = 3
-	}
-	if sp.Clients <= 0 {
-		sp.Clients = 2
-	}
 	if sp.Updates <= 0 {
 		sp.Updates = 240
-	}
-	if sp.Keys <= 0 {
-		sp.Keys = 64
 	}
 }
 
@@ -88,13 +70,15 @@ func (sp BurstSpec) Name() string {
 	return fmt.Sprintf("serve midburst shards=%d volatile=%d barrier=off", sp.Shards, len(sp.Volatile))
 }
 
-// Replicated lowers the burst to the spec the rig runs.
+// Replicated lowers the burst to the spec the rig runs: three writer
+// tenants of two processes each over 64 keys apiece, and every shard loses
+// power at the same instant, 5ms in.
 func (sp BurstSpec) Replicated() ReplicaSpec {
 	sp.defaults()
 	return ReplicaSpec{
 		Groups: sp.Shards, Replicas: 1, Quorum: 1, VolatileGroups: sp.Volatile,
-		Tenants: sp.Tenants, Writers: sp.Clients, Updates: sp.Updates, Keys: sp.Keys,
-		Seed: sp.Seed, CutAfter: sp.CutAfter,
+		Tenants: 3, Writers: 2, Updates: sp.Updates, Keys: 64,
+		Seed: sp.Seed, CutAfter: 5 * time.Millisecond,
 	}
 }
 

@@ -67,13 +67,11 @@ type Group struct {
 	attempts []*attempt // attempt records nobody refers to any more, for reuse
 	weights  []uint64   // readCandidates scratch: weights of the ranked replicas
 
-	hedges       int64
-	deadlines    int64
-	retries      int64
-	unavailable  int64
-	catchupKeys  int64
-	staleServed  int64
-	rebuildScans int64
+	hedges      int64
+	deadlines   int64
+	retries     int64
+	unavailable int64
+	catchupKeys int64
 }
 
 // replica is the front-domain view of one group member.

@@ -213,8 +213,7 @@ func New(eng *sim.Engine, prof Profile) (*Device, error) {
 		cacheOn: true,
 	}
 	d.ctrl = core.NewController(f, prof.Cache, reg)
-	f.StartBackgroundGC() // no-op unless the profile configures a watermark
-	f.StartScrubber()     // no-op unless the profile configures ScrubInterval
+	f.StartScrubber() // no-op unless the profile configures ScrubInterval
 	return d, nil
 }
 
