@@ -239,19 +239,31 @@ func TestShardRecorderBytesPerEvent(t *testing.T) {
 // a chunk fills: nothing while the open chunk has room, and one chunk (plus
 // at most one regrowth of the chunk list) per chunk filled.
 func TestShardRecorderAllocs(t *testing.T) {
-	r := NewShardRecorder(1)
-	reg := NewRegistry()
-	r.Attach(0, reg)
-	rng := rand.New(rand.NewSource(1))
-	var at time.Duration
 	// A serve-like event encodes to 4 bytes, so a chunk holds about 16 k.
 	const perChunk = chunkBytes / 4
-	if allocs := testing.AllocsPerRun(perChunk/2, func() { serveLikeEvents(reg, rng, &at, 1) }); allocs != 0 {
-		t.Fatalf("an event that fits the open chunk allocates %v times, want 0", allocs)
-	}
 	const chunks = 8
-	allocs := testing.AllocsPerRun(1, func() { serveLikeEvents(reg, rng, &at, chunks*perChunk) })
-	if allocs > chunks+1 {
-		t.Fatalf("filling %d chunks allocates %v times, want at most %d", chunks, allocs, chunks+1)
+	// fill counts the allocations of filling chunks chunks on a fresh
+	// recorder whose first chunk is half full, so every call measures the
+	// same 8 chunk opens and the same one regrowth of the chunk list.
+	fill := func() float64 {
+		r := NewShardRecorder(1)
+		reg := NewRegistry()
+		r.Attach(0, reg)
+		rng := rand.New(rand.NewSource(1))
+		var at time.Duration
+		if allocs := testing.AllocsPerRun(perChunk/2, func() { serveLikeEvents(reg, rng, &at, 1) }); allocs != 0 {
+			t.Fatalf("an event that fits the open chunk allocates %v times, want 0", allocs)
+		}
+		return testing.AllocsPerRun(1, func() { serveLikeEvents(reg, rng, &at, chunks*perChunk) })
+	}
+	// AllocsPerRun counts every malloc in the process, so one made on
+	// another goroutine can land in a measurement. The fill's own count is
+	// fixed: it exceeds the bound only if all three measurements do.
+	fewest := fill()
+	for range 2 {
+		fewest = min(fewest, fill())
+	}
+	if fewest > chunks+1 {
+		t.Fatalf("filling %d chunks allocates %v times, want at most %d", chunks, fewest, chunks+1)
 	}
 }
