@@ -7,7 +7,7 @@ import (
 )
 
 // TestMatrixDigestSetDeterminism is the double-run regression the simlint
-// suite exists to keep true: the full `crashtest -explore` campaign matrix
+// suite exists to keep true: the full `crashtest` campaign matrix
 // (both engines, all three host configurations), run twice in-process with
 // the same seed, must produce a byte-identical set of schedule digests and
 // identical safety tallies. Any wall-clock read, global-rand draw, raw

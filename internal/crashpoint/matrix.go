@@ -6,7 +6,7 @@ import (
 )
 
 // Matrix returns the canonical exploration campaign set that
-// `crashtest -explore` runs, one row per campaign.
+// `crashtest` runs, one row per campaign.
 //
 // Rows 1–8 cross both engines with the three host configurations the paper
 // contrasts — DuraSSD in the fast configuration (barriers off, torn-page

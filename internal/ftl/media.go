@@ -154,14 +154,14 @@ func (f *FTL) maybeRefresh(p *sim.Proc, req iotrace.Req, ppn nand.PPN, info nand
 // triggered the refresh already succeeded, and a failed rewrite (power cut,
 // read-only degradation, out of space) leaves the old page mapped and
 // readable — the refresh simply happens again on a later read.
-func (f *FTL) refreshBestEffort(p *sim.Proc, req iotrace.Req, ppn nand.PPN) { //simlint:allow hotalloc cold read-disturb refresh; rare by construction (RefreshThreshold)
+func (f *FTL) refreshBestEffort(p *sim.Proc, req iotrace.Req, ppn nand.PPN) { //simlint:allow hotalloc cold refresh; rare by construction (RefreshThreshold)
 	_ = f.refreshPage(p, req, ppn)
 }
 
 // refreshPage relocates ppn's live slots to a fresh location, resetting
-// their retention age and escaping accumulated read disturb. The rewrite
-// uses the stored image, which is identical to the ECC-corrected read
-// (error accumulation is modeled at read time over pristine storage).
+// their retention age. The rewrite uses the stored image, which is
+// identical to the ECC-corrected read (error accumulation is modeled at
+// read time over pristine storage).
 func (f *FTL) refreshPage(p *sim.Proc, req iotrace.Req, ppn nand.PPN) error {
 	if f.readOnly {
 		return storage.ErrReadOnly
