@@ -28,6 +28,7 @@ import (
 	"errors"
 	"time"
 
+	"durassd/internal/freelist"
 	"durassd/internal/ftl"
 	"durassd/internal/iotrace"
 	"durassd/internal/sim"
@@ -131,6 +132,10 @@ type frame struct {
 	readers int32          // parked readers holding a reference (not poolable)
 }
 
+// spareFrames holds the frame buffers of released controllers (see Release)
+// for controllers in the process to take on a local miss.
+var spareFrames = freelist.New[[]byte](256)
+
 // Controller is the device cache controller described above.
 type Controller struct {
 	eng *sim.Engine
@@ -146,6 +151,8 @@ type Controller struct {
 	queued    int      // entries in dirtyq
 	inFlush   int      // slots currently being programmed
 	flushed   int64    // slots ever written back (flush-cache epoch counter)
+
+	cutFrames map[storage.LPN]*frame // the frames at power failure, kept only for Release
 
 	hasDirty *sim.Queue // flusher workers wait here
 	space    *sim.Queue // writers stalled on a full cache
@@ -296,6 +303,9 @@ func (c *Controller) stage(s ftl.SlotWrite) {
 			// fresh buffer and let the old one go with the batch.
 			fr.data = append([]byte(nil), s.Data...) //simlint:allow hotalloc busy-frame aliasing copy; only taken when a flush races the same LPN
 		} else {
+			if cap(fr.data) < len(s.Data) {
+				fr.data = spareFrame(len(s.Data))
+			}
 			fr.data = append(fr.data[:0], s.Data...)
 		}
 	} else {
@@ -337,6 +347,37 @@ func (c *Controller) getFrame(lpn storage.LPN) *frame {
 		return fr
 	}
 	return &frame{lpn: lpn} //simlint:allow hotalloc pool miss fallback; steady state recycles pooled frames
+}
+
+// spareFrame returns a released controller's frame buffer with room for n
+// bytes, or nil when there is none.
+func spareFrame(n int) []byte {
+	if b, ok := spareFrames.Get(); ok && cap(b) >= n {
+		return b
+	}
+	return nil
+}
+
+// Release hands the buffers of the controller's frames — resident, pooled,
+// and those it held when power failed — to the process-wide free list,
+// where a controller built later takes them on a local miss. Call it only
+// once the engine is closed: the controller must not be used again.
+func (c *Controller) Release() {
+	put := func(fr *frame) {
+		if cap(fr.data) > 0 { // timing-only frames hold no buffer
+			spareFrames.Put(fr.data[:0])
+		}
+	}
+	for _, fr := range c.frames {
+		put(fr)
+	}
+	for _, fr := range c.cutFrames {
+		put(fr)
+	}
+	for _, fr := range c.framePool {
+		put(fr)
+	}
+	c.frames, c.cutFrames, c.framePool = nil, nil, nil
 }
 
 // evictClean drops the oldest clean frame. Callers guarantee one exists.
@@ -552,7 +593,7 @@ func (c *Controller) PowerFail() {
 				c.stats.LostPages++
 			}
 		}
-		c.frames = nil
+		c.frames, c.cutFrames = nil, c.frames
 		return
 	}
 	c.dump()
@@ -657,7 +698,7 @@ func (c *Controller) dump() {
 		}
 		c.stats.LostPages += int64(len(pending))
 	}
-	c.frames = nil
+	c.frames, c.cutFrames = nil, c.frames
 }
 
 func sortLPNs(lpns []storage.LPN) {

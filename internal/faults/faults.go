@@ -197,7 +197,13 @@ func RunWith(s Scenario, o Options) (*Verdict, error) {
 	s.defaults()
 	v := &Verdict{Scenario: s}
 	eng := sim.New()
-	defer eng.Close() // the rig's service loops and cut-off writers park for ever
+	var members []storage.Device
+	defer func() {
+		eng.Close() // the rig's service loops and cut-off writers park for ever
+		for _, m := range members {
+			m.(*ssd.Device).Release() // the next rig takes its memory
+		}
+	}()
 
 	prof, err := Profile(s.Device)
 	if err != nil {
@@ -218,7 +224,7 @@ func RunWith(s Scenario, o Options) (*Verdict, error) {
 			return nil, err
 		}
 	}
-	members := memberDevices(dev)
+	members = memberDevices(dev)
 	for i, m := range members {
 		arr, hasArr := m.(interface{ Array() *nand.Array })
 		if hasArr {

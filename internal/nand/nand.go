@@ -25,6 +25,7 @@ import (
 	"slices"
 	"time"
 
+	"durassd/internal/freelist"
 	"durassd/internal/iotrace"
 	"durassd/internal/sim"
 	"durassd/internal/storage"
@@ -185,6 +186,19 @@ type blockSlabs struct {
 	data [][]byte  // page images; nil for timing-only pages
 }
 
+// Process-wide spares (package freelist): a released array hands its block
+// slabs and page images here, and an array that misses its own free lists
+// takes from them before it allocates. Slab sets are keyed by their
+// geometry, images by capacity.
+var (
+	spareSlabs  = freelist.NewClasses[slabGeometry, blockSlabs](64)
+	spareImages = freelist.NewClasses[int, []byte](256)
+)
+
+// slabGeometry is the shape of a block's slabs: pages per block and tags per
+// page.
+type slabGeometry struct{ pages, tagStride int }
+
 // Array is a simulated NAND flash array.
 type Array struct {
 	cfg Config
@@ -211,6 +225,11 @@ type Array struct {
 	// of capacity (c+1)·bufUnit, one class per tag of a page.
 	bufPool [][][]byte
 	bufUnit int
+
+	// The process-wide lists this array's misses fall back on: its slab
+	// geometry's, and one per image size class.
+	sharedSlabs  *freelist.List[blockSlabs]
+	sharedImages []*freelist.List[[]byte]
 
 	// Scratch for the media-damage decode path: the zero-extended page
 	// image and its parity.
@@ -265,6 +284,11 @@ func New(eng *sim.Engine, cfg Config, reg *iotrace.Registry) (*Array, error) {
 	}
 	a.bufPool = make([][][]byte, a.tagStride)
 	a.bufUnit = cfg.PageSize / a.tagStride
+	a.sharedSlabs = spareSlabs.Of(slabGeometry{cfg.PagesPerBlock, a.tagStride})
+	a.sharedImages = make([]*freelist.List[[]byte], a.tagStride)
+	for c := range a.sharedImages {
+		a.sharedImages[c] = spareImages.Of((c + 1) * a.bufUnit)
+	}
 	a.initMedia(cfg.Media)
 	return a, nil
 }
@@ -312,14 +336,16 @@ func (a *Array) Meta(ppn PPN) *OOB {
 }
 
 // slabs returns ppn's block and ppn's index in it. A block without slabs
-// takes an erased block's from the free list, or allocates record and tag
-// slabs.
+// takes an erased block's from the free list, then a released array's, or
+// allocates record and tag slabs.
 func (a *Array) slabs(ppn PPN) (*blockSlabs, int) {
 	b := &a.blocks[a.BlockOf(ppn)]
 	if b.oob == nil {
 		if n := len(a.spare); n > 0 {
 			*b = a.spare[n-1]
 			a.spare = a.spare[:n-1]
+		} else if s, ok := a.sharedSlabs.Get(); ok {
+			*b = s
 		} else {
 			b.oob = make([]OOB, a.cfg.PagesPerBlock)                  //simlint:allow hotalloc slab first-use miss: kept for reuse across erases
 			b.tags = make([]SlotTag, a.cfg.PagesPerBlock*a.tagStride) //simlint:allow hotalloc slab first-use miss: kept for reuse across erases
@@ -553,7 +579,7 @@ func (a *Array) bufClass(n int) int {
 }
 
 // getBuf returns a recycled or fresh zero-length image buffer with room for
-// n bytes (up to a page).
+// n bytes (up to a page): an erased page's, then a released array's.
 func (a *Array) getBuf(n int) []byte {
 	c := a.bufClass(n)
 	pool := a.bufPool[c]
@@ -561,6 +587,9 @@ func (a *Array) getBuf(n int) []byte {
 		b := pool[last]
 		pool[last] = nil
 		a.bufPool[c] = pool[:last]
+		return b[:0]
+	}
+	if b, ok := a.sharedImages[c].Get(); ok {
 		return b[:0]
 	}
 	return make([]byte, 0, (c+1)*a.bufUnit) //simlint:allow hotalloc pool miss fallback; steady state recycles pooled buffers
@@ -637,23 +666,51 @@ func (a *Array) EraseBlock(p *sim.Proc, req iotrace.Req, block int) error {
 func (a *Array) EraseBlockInstant(block int) { a.eraseNow(block) }
 
 func (a *Array) eraseNow(block int) {
-	if b := &a.blocks[block]; b.oob != nil {
-		for i, d := range b.data {
-			if d != nil {
-				b.data[i] = nil
-				a.putBuf(d)
-			}
-		}
-		clear(b.oob) // an erased page has no stuck bits and no program time
-		a.spare = append(a.spare, *b)
-		*b = blockSlabs{}
-	}
+	a.freeSlabs(block)
 	first := a.PageOfBlock(block)
 	for i := 0; i < a.cfg.PagesPerBlock; i++ {
 		a.state[first+PPN(i)] = PageFree
 	}
 	a.erases[block]++
 	a.stats.NANDErases++
+}
+
+// freeSlabs hands block's images and cleared slabs to the array's free
+// lists.
+func (a *Array) freeSlabs(block int) {
+	b := &a.blocks[block]
+	if b.oob == nil {
+		return
+	}
+	for i, d := range b.data {
+		if d != nil {
+			b.data[i] = nil
+			a.putBuf(d)
+		}
+	}
+	clear(b.oob) // an erased page has no stuck bits and no program time
+	a.spare = append(a.spare, *b)
+	*b = blockSlabs{}
+}
+
+// Release hands every page image and block slab the array holds to the
+// process-wide free lists, as if each block were erased, so the next array
+// built in the process takes them instead of allocating. Call it only once
+// the engine the array is attached to is closed: the array must not be used
+// again, and every page reference it handed out (Data, Meta) is invalid.
+func (a *Array) Release() {
+	for block := range a.blocks {
+		a.freeSlabs(block)
+	}
+	for _, s := range a.spare {
+		a.sharedSlabs.Put(s)
+	}
+	for c, pool := range a.bufPool {
+		for _, b := range pool {
+			a.sharedImages[c].Put(b)
+		}
+	}
+	a.blocks, a.spare, a.bufPool = nil, nil, nil
 }
 
 // PowerFail cuts power to the array. Every in-flight cell program tears its

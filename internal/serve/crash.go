@@ -258,7 +258,16 @@ func RunCrash(sp ReplicaSpec, o CrashOptions) (*CrashVerdict, error) {
 	// One worker: the campaign replays need determinism of the recorded
 	// schedule, not wall-clock speed (the digest sweeps cover parallelism).
 	cluster := sim.NewCluster(1+sp.Groups*R, burstLatency, 1)
-	defer cluster.Close()
+	// Member m = g*R + r is replica r of group g, on cluster domain 1 + m.
+	devs := make([]*ssd.Device, sp.Groups*R)
+	defer func() {
+		cluster.Close()
+		for _, dev := range devs {
+			if dev != nil {
+				dev.Release() // the next rig takes its memory
+			}
+		}
+	}()
 	front := cluster.Domain(0)
 
 	ring := NewRing(sp.Groups)
@@ -270,8 +279,6 @@ func RunCrash(sp ReplicaSpec, o CrashOptions) (*CrashVerdict, error) {
 	}
 	parts := PartitionKeys(ring, keys)
 
-	// Member m = g*R + r is replica r of group g, on cluster domain 1 + m.
-	devs := make([]*ssd.Device, sp.Groups*R)
 	stores := make([]*Store, sp.Groups*R)
 	groups := make([][]*Store, sp.Groups)
 	for m := range stores {

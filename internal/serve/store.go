@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"durassd/internal/freelist"
 	"durassd/internal/host"
 	"durassd/internal/sim"
 	"durassd/internal/storage"
@@ -114,15 +115,28 @@ func OpenStore(dom *sim.Domain, dev storage.Device, keys []uint64, cfg StoreConf
 	return st, nil
 }
 
+// preloadBufs keeps preload's staging buffers for the next store opened in
+// the process: a crash campaign opens a store per replica for every point,
+// and the device copies the images out before preload returns.
+var preloadBufs = freelist.New[[]byte](4)
+
 // preload installs the initial version-0 image of every key instantly
 // (virtual time does not advance), in chunks to bound the staging buffer,
-// which is no larger than the key set needs.
+// which is no larger than the key set needs. Every staged byte is written
+// before the device sees it, so a recycled buffer stages what a fresh one
+// would.
 func (st *Store) preload(sorted []uint64) error {
 	const chunk = 256
 	ps := st.file.PageSize()
 	var buf []byte
 	if st.real {
-		buf = make([]byte, min(len(sorted), chunk)*ps)
+		n := min(len(sorted), chunk) * ps
+		if b, ok := preloadBufs.Get(); ok && cap(b) >= n {
+			buf = b[:n]
+		} else {
+			buf = make([]byte, n)
+		}
+		defer preloadBufs.Put(buf)
 	}
 	for off := 0; off < len(sorted); off += chunk {
 		n := len(sorted) - off

@@ -125,6 +125,7 @@ type Device struct {
 	arr   *nand.Array
 	f     *ftl.FTL
 	ctrl  *core.Controller
+	cut   *core.Controller // the controller the last reboot replaced, kept only for Release
 	front *devfront.Front
 	reg   *iotrace.Registry
 	stats *storage.Stats
@@ -410,9 +411,25 @@ func (d *Device) Reboot(p *sim.Proc) error {
 	}
 	// Fresh controller over the same FTL: the old cache state died with
 	// the power (its content, if durable, was replayed above).
+	d.cut = d.ctrl
 	d.ctrl = core.NewController(d.f, d.prof.Cache, d.reg)
 	d.front.PowerOn()
 	return nil
+}
+
+// Release hands the device's page-sized memory — the NAND array's page
+// images and block slabs, and the frame buffers of its cache controllers,
+// the current one and the one the last reboot replaced — to process-wide
+// free lists, where the next device built in the process takes it instead
+// of allocating. Crash rigs, which build a device for every crash point,
+// call it as they tear a point's rig down. Call it only once the engine the
+// device runs on is closed: the device must not be used again.
+func (d *Device) Release() {
+	d.ctrl.Release()
+	if d.cut != nil {
+		d.cut.Release()
+	}
+	d.arr.Release()
 }
 
 // InjectReadErrors plants bits stuck bit errors on the physical page
