@@ -46,23 +46,32 @@ func Matrix(points, updates int, seed int64) []Campaign {
 			DumpTears: 2,
 		}
 	}
-	return []Campaign{
-		engine(faults.EngineInnoDB, faults.DuraSSD, false, false),
-		engine(faults.EngineInnoDB, faults.SSDA, false, false),
-		engine(faults.EngineInnoDB, faults.SSDA, true, false),
-		engine(faults.EngineInnoDB, faults.DuraSSD, false, true),
-		engine(faults.EnginePgSQL, faults.DuraSSD, false, false),
-		engine(faults.EnginePgSQL, faults.SSDA, false, false),
-		engine(faults.EnginePgSQL, faults.SSDA, true, false),
-		engine(faults.EnginePgSQL, faults.DuraSSD, false, true),
-		{MaxPoints: points, Burst: &serve.BurstSpec{
-			Shards: 4, Volatile: []int{1, 3}, Updates: updates, Seed: seed,
-		}},
-		{MaxPoints: points, Replica: &serve.ReplicaSpec{
-			Groups: 2, Replicas: 3, Quorum: 2, Updates: updates, Seed: seed,
-		}},
-		{MaxPoints: points, Replica: &serve.ReplicaSpec{
-			Groups: 2, Replicas: 1, Quorum: 1, Volatile: true, Updates: updates, Seed: seed,
-		}},
+	// One allocation holds the specs the serving rows point at and the
+	// eleven rows, which the appends below fill in place.
+	m := new(struct {
+		rows     [11]Campaign
+		burst    serve.BurstSpec
+		volatile [2]int
+		replica  [2]serve.ReplicaSpec
+	})
+	m.volatile = [2]int{1, 3}
+	m.burst = serve.BurstSpec{Shards: 4, Volatile: m.volatile[:], Updates: updates, Seed: seed}
+	m.replica = [2]serve.ReplicaSpec{
+		{Groups: 2, Replicas: 3, Quorum: 2, Updates: updates, Seed: seed},
+		{Groups: 2, Replicas: 1, Quorum: 1, Volatile: true, Updates: updates, Seed: seed},
 	}
+	rows := m.rows[:0]
+	for _, eng := range []faults.EngineKind{faults.EngineInnoDB, faults.EnginePgSQL} {
+		rows = append(rows,
+			engine(eng, faults.DuraSSD, false, false),
+			engine(eng, faults.SSDA, false, false),
+			engine(eng, faults.SSDA, true, false),
+			engine(eng, faults.DuraSSD, false, true),
+		)
+	}
+	return append(rows,
+		Campaign{MaxPoints: points, Burst: &m.burst},
+		Campaign{MaxPoints: points, Replica: &m.replica[0]},
+		Campaign{MaxPoints: points, Replica: &m.replica[1]},
+	)
 }
