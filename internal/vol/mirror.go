@@ -21,10 +21,11 @@ import (
 // mode in which all reads are served from member 0 (the primary) and, when
 // the read carries real bytes, the primary's image is re-written onto the
 // secondaries ("read-repair"). Once every page of a range has been
-// repaired, reads of that range resume round-robin fan-out. A repair and a
-// write of the same page exclude each other: otherwise a write landing
-// between the repair's primary read and its secondary write would be
-// overwritten on the secondaries by the older image.
+// repaired, reads of that range resume round-robin fan-out. A repair —
+// this one, or the media repair of a clean mirror's unreadable copy — and
+// a write of the same page exclude each other: otherwise a write landing
+// between the repair's read and its rewrite would be overwritten by the
+// older image.
 type Mirror struct {
 	volume
 	next     int // round-robin read cursor
@@ -41,7 +42,11 @@ func NewMirror(eng *sim.Engine, members []storage.Device) (*Mirror, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mirror{volume: base}, nil
+	return &Mirror{
+		volume:   base,
+		inflight: make(map[storage.LPN]int),
+		settled:  sim.NewQueue(eng),
+	}, nil
 }
 
 // Pages returns the volume capacity: the smallest member's.
@@ -69,9 +74,9 @@ func (v *Mirror) Write(p *sim.Proc, req iotrace.Req, lpn storage.LPN, n int, dat
 	if err := devfront.CheckBuf("vol: mirror write", data, n, v.pageSize); err != nil {
 		return err
 	}
-	if v.degraded || len(v.inflight) > 0 { // a repair may be in flight
-		defer v.unhold(v.hold(p, 1, lpn, n), 1, lpn, n)
-	}
+	// Count the write in even when no repair is in flight: one that starts
+	// while this write is landing must wait for it.
+	defer v.unhold(v.hold(p, 1, lpn, n), 1, lpn, n)
 	err := v.fanout(p, v.writeSegs(lpn, n), func(q *sim.Proc, s segment) error {
 		return v.members[s.member].Write(q, child(req, s), s.lpn, s.n, data)
 	})
@@ -105,7 +110,9 @@ func (v *Mirror) Read(p *sim.Proc, req iotrace.Req, lpn storage.LPN, n int, buf 
 			// The selected copy has an unreadable page: serve the data from a
 			// healthy replica and rewrite the damaged one (read-repair during
 			// normal operation, not just post-crash reconciliation).
+			held := v.hold(p, -1, lpn, n)
 			err = v.repairFrom(p, req, m, lpn, n, buf)
+			v.unhold(held, -1, lpn, n)
 		}
 		if err != nil {
 			return err
@@ -257,9 +264,6 @@ func (v *Mirror) Reboot(p *sim.Proc) error {
 	v.degraded = true
 	v.repaired = make(map[storage.LPN]bool)
 	v.inflight = make(map[storage.LPN]int)
-	if v.settled == nil {
-		v.settled = sim.NewQueue(v.eng)
-	}
 	v.front.PowerOn()
 	return nil
 }

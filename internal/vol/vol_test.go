@@ -407,3 +407,57 @@ func TestMirrorMediaReadRepair(t *testing.T) {
 		}
 	})
 }
+
+// TestMirrorMediaRepairHoldsItsRange: on a clean mirror a read that finds
+// member 0's copy of a page unreadable serves it from member 1 and rewrites
+// member 0 with that image. A write of the page started at any instant
+// during the repair must not be undone by it: every member ends with the
+// written image, not the one the repair read before the write landed.
+func TestMirrorMediaRepairHoldsItsRange(t *testing.T) {
+	const lpn, before, written = 7, 0x11, 0x22
+	for delay := time.Duration(0); delay <= 2*time.Millisecond; delay += 10 * time.Microsecond {
+		eng := sim.New()
+		v, err := NewMirror(eng, newMembers(t, eng, ssd.DuraSSD, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		image := func(b byte) []byte { return bytes.Repeat([]byte{b}, v.PageSize()) }
+		run(t, eng, func(p *sim.Proc) {
+			if err := v.Write(p, iotrace.Req{}, lpn, 1, image(before)); err != nil {
+				t.Errorf("Write: %v", err)
+			}
+			if err := v.Flush(p, iotrace.Req{}); err != nil {
+				t.Errorf("Flush: %v", err)
+			}
+		})
+		if !v.Members()[0].(storage.MediaFaulter).InjectReadErrors(lpn, 1000) {
+			t.Fatal("member 0 refused the damage")
+		}
+		eng.Go("read", func(p *sim.Proc) {
+			if err := v.Read(p, iotrace.Req{}, lpn, 1, make([]byte, v.PageSize())); err != nil {
+				t.Errorf("Read: %v", err)
+			}
+		})
+		eng.Go("write", func(p *sim.Proc) {
+			p.Sleep(delay)
+			if err := v.Write(p, iotrace.Req{}, lpn, 1, image(written)); err != nil {
+				t.Errorf("Write: %v", err)
+			}
+		})
+		eng.Run()
+		if v.front.Stats().ReadRepairs != 1 {
+			t.Fatalf("write after %v: %d read-repairs, want the read to repair member 0", delay, v.front.Stats().ReadRepairs)
+		}
+		run(t, eng, func(p *sim.Proc) {
+			for i, m := range v.Members() {
+				buf := make([]byte, v.PageSize())
+				if err := m.Read(p, iotrace.Req{}, lpn, 1, buf); err != nil {
+					t.Errorf("write after %v: member %d Read: %v", delay, i, err)
+				} else if !bytes.Equal(buf, image(written)) {
+					t.Errorf("write after %v: member %d holds %#x..., want %#x...", delay, i, buf[0], written)
+				}
+			}
+		})
+		eng.Close()
+	}
+}
