@@ -62,38 +62,43 @@ func TestAllowRejected(t *testing.T) {
 	}
 }
 
-// TestLoadRealPackage drives the go-list loader against a real repository
-// package (with its test files) and runs the full suite over it: the
-// engine package must come back type-checked and clean.
+// TestLoadRealPackage drives the go-list loader against real repository
+// packages (with their test files) and runs the full suite over them:
+// each set must come back type-checked and clean. Partial patterns are
+// the point: every module package a pattern reaches is checked from
+// source, so a type imported along two paths exists once.
 func TestLoadRealPackage(t *testing.T) {
-	loader := driver.NewLoader("")
-	pkgs, err := loader.Load("durassd/internal/sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("no packages loaded")
-	}
-	sawTestFile := false
-	for _, p := range pkgs {
-		if len(p.TypeErrors) > 0 {
-			t.Fatalf("%s: type errors: %v", p.ImportPath, p.TypeErrors)
+	for _, patterns := range [][]string{
+		{"durassd/internal/sim"},
+		{"durassd/internal/dbsim/pagedb"},
+		{"durassd/internal/sim", "durassd/internal/ftl"},
+	} {
+		loader := driver.NewLoader("")
+		pkgs, err := loader.Load(patterns...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, f := range p.Files {
-			if strings.HasSuffix(loader.Fset().Position(f.Pos()).Filename, "_test.go") {
-				sawTestFile = true
+		sawTestFile := false
+		for _, p := range pkgs {
+			for _, e := range p.TypeErrors {
+				t.Errorf("%v: %s: type error: %v", patterns, p.ImportPath, e)
+			}
+			for _, f := range p.Files {
+				if strings.HasSuffix(loader.Fset().Position(f.Pos()).Filename, "_test.go") {
+					sawTestFile = true
+				}
 			}
 		}
-	}
-	if !sawTestFile {
-		t.Error("loader did not include _test.go files; simlint would miss test-side determinism violations")
-	}
-	res, err := driver.Run(pkgs, all.Analyzers, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range res.Findings {
-		t.Errorf("unexpected finding in clean package: %s", f)
+		if !sawTestFile {
+			t.Errorf("%v: loader did not include _test.go files; simlint would miss test-side determinism violations", patterns)
+		}
+		res, err := driver.Run(pkgs, all.Analyzers, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range res.Findings {
+			t.Errorf("%v: unexpected finding in clean package: %s", patterns, f)
+		}
 	}
 }
 
@@ -103,7 +108,11 @@ func TestLoadRealPackage(t *testing.T) {
 // import (c), an in-package test file's import (a), and an external test
 // package's import (b_test, whose subject b also sits on the chain). Each
 // hot root must be attributed to z.Scratch, which is only possible if z's
-// summary facts were computed before every package that imports it.
+// summary facts were computed before every package that imports it —
+// also when the pattern matches c alone and z is only its dependency. A
+// second pair, x and y, has x's external test import y while y imports
+// x: linting x alone must check y against the same x, not report a type
+// mismatch.
 func TestFactsFollowEveryImportEdge(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, content string) {
@@ -165,29 +174,68 @@ func Hot() int {
 }
 `)
 
-	pkgs, err := driver.NewLoader(dir).Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := driver.Run(pkgs, []*analysis.Analyzer{hotalloc.Analyzer}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, f := range res.Findings {
-		rel, err := filepath.Rel(dir, f.Position.Filename)
+	write("x/x.go", `package x
+
+// T is the type both of x's importers name.
+type T struct{ N int }
+`)
+	write("y/y.go", `package y
+
+import "edgetest/x"
+
+// Make builds an x.T.
+func Make() x.T { return x.T{N: 1} }
+`)
+	write("x/x_test.go", `package x_test
+
+import (
+	"edgetest/x"
+	"edgetest/y"
+)
+
+var _ x.T = y.Make()
+`)
+
+	lint := func(patterns ...string) []string {
+		t.Helper()
+		pkgs, err := driver.NewLoader(dir).Load(patterns...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, fmt.Sprintf("%s:%d:%d: %s: %s", filepath.ToSlash(rel), f.Position.Line, f.Position.Column, f.Analyzer, f.Message))
+		res, err := driver.Run(pkgs, []*analysis.Analyzer{hotalloc.Analyzer}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, f := range res.Findings {
+			if f.Position.Filename == "" {
+				got = append(got, f.String())
+				continue
+			}
+			rel, err := filepath.Rel(dir, f.Position.Filename)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, fmt.Sprintf("%s:%d:%d: %s: %s", filepath.ToSlash(rel), f.Position.Line, f.Position.Column, f.Analyzer, f.Message))
+		}
+		return got
 	}
-	want := []string{
-		"a/a_test.go:7:22: hotalloc: call on hot path reaches heap allocation: make allocates at z.go:5:9 (via edgetest/a.hotA → edgetest/z.Scratch)",
-		"b/b_test.go:10:22: hotalloc: call on hot path reaches heap allocation: make allocates at z.go:5:9 (via edgetest/b_test.hotB → edgetest/z.Scratch)",
-		"b/b_test.go:10:34: hotalloc: call on hot path reaches heap allocation: make allocates at z.go:5:9 (via edgetest/b_test.hotB → edgetest/b.Fill → edgetest/z.Scratch)",
-		"c/c.go:7:22: hotalloc: call on hot path reaches heap allocation: make allocates at z.go:5:9 (via edgetest/c.Hot → edgetest/z.Scratch)",
-	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	hotC := "c/c.go:7:22: hotalloc: call on hot path reaches heap allocation: make allocates at z.go:5:9 (via edgetest/c.Hot → edgetest/z.Scratch)"
+	for _, tc := range []struct {
+		pattern string
+		want    []string
+	}{
+		{"./...", []string{
+			"a/a_test.go:7:22: hotalloc: call on hot path reaches heap allocation: make allocates at z.go:5:9 (via edgetest/a.hotA → edgetest/z.Scratch)",
+			"b/b_test.go:10:22: hotalloc: call on hot path reaches heap allocation: make allocates at z.go:5:9 (via edgetest/b_test.hotB → edgetest/z.Scratch)",
+			"b/b_test.go:10:34: hotalloc: call on hot path reaches heap allocation: make allocates at z.go:5:9 (via edgetest/b_test.hotB → edgetest/b.Fill → edgetest/z.Scratch)",
+			hotC,
+		}},
+		{"./c", []string{hotC}},
+		{"./x", nil},
+	} {
+		if got := lint(tc.pattern); strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("%s findings:\n%s\nwant:\n%s", tc.pattern, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+		}
 	}
 }
