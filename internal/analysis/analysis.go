@@ -7,10 +7,11 @@
 // internal/analysis/driver and an analysistest-style golden harness in
 // internal/analysis/checktest.
 //
-// The analyzers themselves live in sibling packages (nowalltime,
-// seededrand, simproc, maporder, devcheck) and mechanically enforce the
-// determinism and crash-safety invariants the simulation's guarantees rest
-// on; see each package's doc comment for the invariant it protects.
+// The nine analyzers themselves live in sibling packages (crossdomain,
+// devcheck, directiveaudit, hotalloc, maporder, nowalltime, procbudget,
+// seededrand, simproc; package all lists them) and mechanically enforce
+// the determinism and crash-safety invariants the simulation's guarantees
+// rest on; see each package's doc comment for the invariant it protects.
 package analysis
 
 import (

@@ -1,5 +1,5 @@
-// Package callgraph builds the static, package-level call graph the
-// interprocedural simlint analyzers (hotalloc, crossdomain) walk. Edges
+// Package callgraph builds the static, package-level call graph hotalloc
+// walks, and resolves the static callee crossdomain matches. Edges
 // are the statically resolvable calls only: package functions, methods on
 // concrete receivers, and qualified imports. Calls through interface
 // values, function-typed variables, and function parameters have no
@@ -105,30 +105,4 @@ func recvType(sel *types.Selection) types.Type {
 		t = p.Elem()
 	}
 	return t
-}
-
-// Reachable returns the set of local functions reachable from roots over
-// g's edges, including the roots themselves.
-func (g *Graph) Reachable(roots []*types.Func) map[*types.Func]bool {
-	seen := make(map[*types.Func]bool)
-	var walk func(fn *types.Func)
-	walk = func(fn *types.Func) {
-		if seen[fn] {
-			return
-		}
-		seen[fn] = true
-		n := g.Nodes[fn]
-		if n == nil {
-			return
-		}
-		for _, c := range n.Calls {
-			if _, ok := g.Nodes[c.Callee]; ok {
-				walk(c.Callee)
-			}
-		}
-	}
-	for _, r := range roots {
-		walk(r)
-	}
-	return seen
 }

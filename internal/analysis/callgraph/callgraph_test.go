@@ -31,8 +31,6 @@ func root(t *T, i I, f func()) {
 }
 
 func cleanup() { helper() }
-
-func island() {}
 `
 
 func load(t *testing.T) (*types.Info, []*ast.File, *types.Package) {
@@ -102,26 +100,5 @@ func TestBuild(t *testing.T) {
 		if c.Callee.Name() == "cleanup" {
 			t.Error("skip did not prune the deferred call")
 		}
-	}
-}
-
-// TestReachable: the closure from root includes concrete-method and
-// function callees transitively, and excludes islands.
-func TestReachable(t *testing.T) {
-	info, files, pkg := load(t)
-	g := callgraph.Build(info, files, nil)
-
-	root := fn(t, pkg, "root")
-	seen := g.Reachable([]*types.Func{root})
-	for _, name := range []string{"root", "helper", "cleanup"} {
-		if !seen[fn(t, pkg, name)] {
-			t.Errorf("%s not reachable from root", name)
-		}
-	}
-	if seen[fn(t, pkg, "island")] {
-		t.Error("island must not be reachable")
-	}
-	if len(seen) != 4 { // root, helper, cleanup, (*T).M
-		t.Errorf("reachable set has %d functions, want 4: %v", len(seen), seen)
 	}
 }

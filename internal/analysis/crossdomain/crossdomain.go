@@ -36,10 +36,19 @@
 // outer variable. After the call returns, the remote domain would mutate
 // the caller's memory with no barrier in sight.
 //
-// Wrappers that forward a func-typed parameter into Send or Call export a
-// summary fact ({"sends":[i]} / {"calls":[j]}), so call sites of e.g. a
-// span-proxy helper in another package get the same scrutiny as direct
-// sends.
+// What only this check catches: a write the epoch barrier orders. When
+// chaos.go's reboot notification was made to capture a slice that the
+// sending domain then wrote 50 times, simlint flagged the Send, while
+// `servebench -chaos -race -workers 4 -verify` reported no race and the
+// unchanged digest 5ea8e34d4685d56d.
+//
+// What it cannot see: only direct calls of Domain.Send and Domain.Call
+// are checked, and only when the shipped value is a function literal or
+// a method value. A func-valued field or variable is not inspected —
+// putRPC's g.front.Send(c.dst, c.fwd) followed by c.ver = 0 gives no
+// finding, where the literal form is flagged. The replica RPC records
+// (rpcCall.fwd and .back in internal/serve, sim's pooled call) rely on
+// the ownership protocol documented in internal/serve/group.go instead.
 package crossdomain
 
 import (
@@ -72,29 +81,17 @@ const (
 	kindCall
 )
 
-// shipsFact is the exported summary for functions that forward func-typed
-// parameters into Send (async) or Call (sync).
-type shipsFact struct {
-	Sends []int
-	Calls []int
-}
-
-// shipPoint describes where a given call expression ships closures:
-// which argument indices, and with which delivery semantics.
+// shipPoint describes where a call expression ships a closure: which
+// argument, to which destination argument, and with which delivery
+// semantics.
 type shipPoint struct {
 	kind int
 	arg  int
-	dst  int // argument index of the destination *Domain, or -1
+	dst  int // argument index of the destination *Domain
 }
 
 func run(pass *analysis.Pass) error {
 	info := pass.TypesInfo
-
-	ships := inferShips(pass)
-	for name, f := range ships.export {
-		pass.ExportFact(name, f)
-	}
-
 	for _, f := range pass.Files {
 		var stack []ast.Node
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -107,15 +104,11 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			for _, sp := range ships.at(info, call) {
-				if sp.arg >= len(call.Args) {
-					continue
-				}
-				if sp.dst >= 0 && sp.dst < len(call.Args) && isSelfSend(call, sp.dst) {
-					continue
-				}
-				checkShipment(pass, call, call.Args[sp.arg], sp.kind, append([]ast.Node(nil), stack...))
+			sp, ok := shipAt(info, call)
+			if !ok || sp.arg >= len(call.Args) || isSelfSend(call, sp.dst) {
+				return true
 			}
+			checkShipment(pass, call, call.Args[sp.arg], sp.kind, append([]ast.Node(nil), stack...))
 			return true
 		})
 	}
@@ -391,126 +384,20 @@ func writeTargets(info *types.Info, node ast.Node, pred func(*types.Var) bool, r
 	return false
 }
 
-// inferShips computes, to a local fixpoint, which functions forward a
-// func-typed parameter into Send (async) or Call (sync) — directly as the
-// shipped argument, possibly through another local or imported shipper.
-type shipsIndex struct {
-	pass   *analysis.Pass
-	local  map[*types.Func]*shipsFact
-	export map[string]*shipsFact
-}
-
-func inferShips(pass *analysis.Pass) *shipsIndex {
-	info := pass.TypesInfo
-	idx := &shipsIndex{pass: pass, local: map[*types.Func]*shipsFact{}, export: map[string]*shipsFact{}}
-
-	type declInfo struct {
-		fn     *types.Func
-		decl   *ast.FuncDecl
-		params map[*types.Var]int
-	}
-	var decls []declInfo
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			params := map[*types.Var]int{}
-			sig := fn.Type().(*types.Signature)
-			for i := 0; i < sig.Params().Len(); i++ {
-				p := sig.Params().At(i)
-				if _, isFunc := p.Type().Underlying().(*types.Signature); isFunc {
-					params[p] = i
-				}
-			}
-			decls = append(decls, declInfo{fn, fd, params})
-		}
-	}
-
-	for changed := true; changed; {
-		changed = false
-		for _, di := range decls {
-			ast.Inspect(di.decl.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				for _, sp := range idx.at(info, call) {
-					if sp.arg >= len(call.Args) {
-						continue
-					}
-					id, ok := ast.Unparen(call.Args[sp.arg]).(*ast.Ident)
-					if !ok {
-						continue
-					}
-					v, ok := info.Uses[id].(*types.Var)
-					if !ok {
-						continue
-					}
-					pi, isParam := di.params[v]
-					if !isParam {
-						continue
-					}
-					f := idx.local[di.fn]
-					if f == nil {
-						f = &shipsFact{}
-						idx.local[di.fn] = f
-					}
-					if sp.kind == kindSend && !hasInt(f.Sends, pi) {
-						f.Sends = append(f.Sends, pi)
-						changed = true
-					}
-					if sp.kind == kindCall && !hasInt(f.Calls, pi) {
-						f.Calls = append(f.Calls, pi)
-						changed = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	for fn, f := range idx.local {
-		idx.export[fn.FullName()] = f
-	}
-	return idx
-}
-
-// at classifies one call expression's shipping behavior: the intrinsic
-// Domain.Send / Domain.Call entry points, or any function carrying a
-// ships fact (local or imported).
-func (idx *shipsIndex) at(info *types.Info, call *ast.CallExpr) []shipPoint {
+// shipAt classifies one call expression: the Domain.Send and Domain.Call
+// entry points ship a closure, nothing else does.
+func shipAt(info *types.Info, call *ast.CallExpr) (shipPoint, bool) {
 	callee := callgraph.StaticCallee(info, call)
 	if callee == nil {
-		return nil
+		return shipPoint{}, false
 	}
 	switch callee.FullName() {
 	case sendFullName:
-		return []shipPoint{{kind: kindSend, arg: 1, dst: 0}}
+		return shipPoint{kind: kindSend, arg: 1, dst: 0}, true
 	case callFullName:
-		return []shipPoint{{kind: kindCall, arg: 3, dst: 1}}
+		return shipPoint{kind: kindCall, arg: 3, dst: 1}, true
 	}
-	var fact *shipsFact
-	if f, ok := idx.local[callee]; ok {
-		fact = f
-	} else if pkg := callee.Pkg(); pkg != nil && pkg != idx.pass.Pkg {
-		fact, _ = idx.pass.ImportedFacts(pkg.Path())[callee.FullName()].(*shipsFact)
-	}
-	if fact == nil {
-		return nil
-	}
-	var out []shipPoint
-	for _, i := range fact.Sends {
-		out = append(out, shipPoint{kind: kindSend, arg: i, dst: -1})
-	}
-	for _, i := range fact.Calls {
-		out = append(out, shipPoint{kind: kindCall, arg: i, dst: -1})
-	}
-	return out
+	return shipPoint{}, false
 }
 
 // capturedVars lists the variables a function literal closes over (same
@@ -621,22 +508,6 @@ func rootIdent(e ast.Expr) (*ast.Ident, bool) {
 			return nil, false
 		}
 	}
-}
-
-func hasInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // posString renders a position compactly for diagnostics.

@@ -10,10 +10,3 @@ import (
 func TestCrossdomain(t *testing.T) {
 	checktest.Run(t, "crossdomain", crossdomain.Analyzer)
 }
-
-// TestCrossdomainFacts runs a two-package chain: dep exports a ships
-// fact for its forwarding wrapper, and a call site in use must be
-// scrutinized exactly like a direct Send.
-func TestCrossdomainFacts(t *testing.T) {
-	checktest.RunDirs(t, []string{"crossdomain/dep", "crossdomain/use"}, crossdomain.Analyzer)
-}

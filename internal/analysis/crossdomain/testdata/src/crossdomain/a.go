@@ -87,16 +87,3 @@ func retainVia(p *sim.Proc, d, remote *sim.Domain, c *cache, buf []byte) {
 		c.last = &buf // want `closure run in another domain via Call stores a reference to caller memory \(&buf\) into c\.last; the remote domain would retain caller state beyond the call`
 	})
 }
-
-// shipVia forwards its func parameter into Send: call sites get the same
-// scrutiny as direct sends, via the inferred ships fact.
-func shipVia(d, remote *sim.Domain, fn func()) {
-	d.Send(remote, fn)
-}
-
-func useWrapper(d, remote *sim.Domain, buf []byte) byte {
-	shipVia(d, remote, func() { // want `variable buf is captured by a closure sent to another domain but still used by the sender`
-		buf[0] = 2
-	})
-	return buf[0]
-}

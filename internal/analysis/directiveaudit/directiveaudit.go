@@ -5,11 +5,8 @@
 // directives were actually consulted, so the driver implements the check
 // (see internal/analysis/driver.runPackage) and reports under this
 // analyzer's name. -fix deletes the stale directive, whole line included
-// when it stands alone.
-//
-// A directive can be kept deliberately — e.g. one guarding a finding that
-// only appears on another platform — by vouching for it with
-// //simlint:allow directiveaudit <reason> on the same or preceding line.
+// when it stands alone. No directive can allow a directiveaudit finding:
+// //simlint:allow directiveaudit is an unknown-analyzer finding.
 package directiveaudit
 
 import "durassd/internal/analysis"

@@ -11,7 +11,7 @@ import (
 // TestDirectiveAudit covers the audit's full round trip with -fix: a used
 // allow survives untouched, stale trailing and own-line allows are
 // findings whose fixes splice them out (compared against a.go.golden),
-// and a directiveaudit voucher keeps a deliberately retained directive.
+// and an allow naming directiveaudit is an unknown-analyzer finding.
 func TestDirectiveAudit(t *testing.T) {
 	checktest.RunFix(t, "directiveaudit", nowalltime.Analyzer, directiveaudit.Analyzer)
 }

@@ -1,7 +1,6 @@
 // Package directiveaudit is testdata for the driver-implemented stale
 // directive audit: used allows survive, stale ones become findings whose
-// fix deletes them cleanly, and a directiveaudit allow can vouch for a
-// deliberately kept directive.
+// fix deletes them cleanly, and no allow can name the audit itself.
 package directiveaudit
 
 import "time"
@@ -19,12 +18,7 @@ func staleOwnLine() time.Duration {
 	return time.Duration(0)
 }
 
-func vouched() time.Duration {
-	//simlint:allow directiveaudit kept deliberately: fires only under -race instrumentation
-	return time.Duration(1) //simlint:allow nowalltime fires only under -race instrumentation
-}
-
-func staleVoucher() time.Duration {
-	//simlint:allow directiveaudit vouches for nothing // want `stale //simlint:allow directiveaudit directive suppresses no finding; delete it`
-	return time.Duration(2)
+func noVouch() time.Duration {
+	//simlint:allow directiveaudit nothing vouches for a stale directive // want `unknown analyzer directiveaudit in //simlint:allow directive`
+	return time.Duration(1)
 }

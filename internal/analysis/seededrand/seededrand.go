@@ -13,6 +13,11 @@
 //
 // and thread the *rand.Rand through. When a *rand.Rand is already in
 // scope, `simlint -fix` mechanically rewrites the global call to use it.
+//
+// What only this check catches: a global rand.Int63n planted in serve's
+// Group.backoff passed `go test ./internal/serve ./internal/crashpoint
+// ./internal/repro`, and both servebench digests (bdaed922f7ffb3e4 and,
+// with -chaos, 5ea8e34d4685d56d) stayed the same.
 package seededrand
 
 import (
