@@ -23,15 +23,17 @@ import (
 type Config struct {
 	Docs      int64 // number of documents
 	DocBytes  int   // document size (YCSB: ~1 KB)
-	NodeBytes int   // B+-tree node size (default 4 KB)
 	BatchSize int   // fsync every BatchSize updates (>=1)
-
-	// OpCPU is the per-operation server CPU (single-threaded appends).
-	OpCPU time.Duration
-	// FsyncCPU is the host-side cost of an fsync call even without write
-	// barriers (journal bookkeeping).
-	FsyncCPU time.Duration
 }
+
+const (
+	nodeBytes = 4 * storage.KB // B+-tree node size
+	// opCPU is the per-operation server CPU (single-threaded appends).
+	opCPU = 150 * time.Microsecond
+	// fsyncCPU is the host-side cost of an fsync call even without write
+	// barriers (journal bookkeeping).
+	fsyncCPU = 200 * time.Microsecond
+)
 
 func (c *Config) defaults() error {
 	if c.Docs <= 0 {
@@ -40,17 +42,8 @@ func (c *Config) defaults() error {
 	if c.DocBytes <= 0 {
 		c.DocBytes = 1 * storage.KB
 	}
-	if c.NodeBytes <= 0 {
-		c.NodeBytes = 4 * storage.KB
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 1
-	}
-	if c.OpCPU == 0 {
-		c.OpCPU = 150 * time.Microsecond
-	}
-	if c.FsyncCPU == 0 {
-		c.FsyncCPU = 200 * time.Microsecond
 	}
 	return nil
 }
@@ -87,7 +80,7 @@ func Open(eng *sim.Engine, fs *host.FS, cfg Config) (*Store, error) {
 	}
 	file.SetOrigin(iotrace.OriginJournal)
 	tree, err := index.New(index.Config{
-		PageBytes: cfg.NodeBytes,
+		PageBytes: nodeBytes,
 		RowBytes:  64, // key + file offset per entry
 		KeyBytes:  16,
 		MaxRows:   cfg.Docs * 2,
@@ -101,7 +94,7 @@ func Open(eng *sim.Engine, fs *host.FS, cfg Config) (*Store, error) {
 	// Update unit: root-to-leaf node path + the document, rounded to
 	// device pages ("the size of each update was about 20KB").
 	devPage := fs.Device().PageSize()
-	updBytes := tree.Depth()*cfg.NodeBytes + cfg.DocBytes
+	updBytes := tree.Depth()*nodeBytes + cfg.DocBytes
 	st.pagesPerUpd = (updBytes + devPage - 1) / devPage
 
 	// Preload the initial documents (timing-free bulk load).
@@ -132,7 +125,7 @@ func (s *Store) Update(p *sim.Proc, key int64) error {
 	if key < 0 || key >= s.cfg.Docs {
 		return fmt.Errorf("couch: key %d out of range", key)
 	}
-	p.Sleep(s.cfg.OpCPU)
+	p.Sleep(opCPU)
 	if s.appendPos+int64(s.pagesPerUpd) > s.filePages {
 		// The append log wrapped: compaction reclaimed the head. It is
 		// modeled as a free wrap; no compaction I/O is simulated.
@@ -155,7 +148,7 @@ func (s *Store) Update(p *sim.Proc, key int64) error {
 }
 
 func (s *Store) fsync(p *sim.Proc) error {
-	p.Sleep(s.cfg.FsyncCPU)
+	p.Sleep(fsyncCPU)
 	s.fsyncsTotal++
 	return s.file.Fdatasync(p)
 }
@@ -166,7 +159,7 @@ func (s *Store) Read(p *sim.Proc, key int64, cached bool) error {
 	if key < 0 || key >= s.cfg.Docs {
 		return fmt.Errorf("couch: key %d out of range", key)
 	}
-	p.Sleep(s.cfg.OpCPU)
+	p.Sleep(opCPU)
 	if cached {
 		return nil
 	}

@@ -47,21 +47,15 @@ type Config struct {
 	// CleanerInterval is the background page-cleaner period; 0 disables
 	// the cleaner (every write-back then happens on the eviction path).
 	CleanerInterval time.Duration
-	// CleanerBatch is the number of dirty pages flushed per cleaner round.
-	CleanerBatch int
-	// CleanerDirtyPct triggers cleaning when dirty pages exceed this
-	// fraction of the pool (percent).
-	CleanerDirtyPct int
 }
 
-func (c *Config) defaults() {
-	if c.CleanerBatch <= 0 {
-		c.CleanerBatch = 64
-	}
-	if c.CleanerDirtyPct <= 0 {
-		c.CleanerDirtyPct = 50
-	}
-}
+const (
+	// cleanerBatch is the number of dirty pages flushed per cleaner round.
+	cleanerBatch = 64
+	// cleanerDirtyPct triggers cleaning when dirty pages exceed this
+	// fraction of the pool (percent).
+	cleanerDirtyPct = 50
+)
 
 // Stats counts pool activity.
 type Stats struct {
@@ -149,7 +143,6 @@ type batch struct {
 // New builds a pool of cfg.Frames frames over the given reader/writer and
 // starts the background cleaner (if configured).
 func New(eng *sim.Engine, cfg Config, reader PageReader, writer PageWriter) (*Pool, error) {
-	cfg.defaults()
 	if cfg.Frames <= 0 {
 		return nil, fmt.Errorf("buffer: pool needs at least one frame")
 	}
@@ -438,7 +431,7 @@ func (bp *Pool) cleaner(p *sim.Proc) {
 		if bp.closed {
 			return
 		}
-		b := bp.collectDirtyTail(bp.cfg.CleanerBatch)
+		b := bp.collectDirtyTail(cleanerBatch)
 		n := len(b.frames)
 		if n == 0 {
 			// Dirty pages are all pinned or busy; yield until state changes.
@@ -456,7 +449,7 @@ func (bp *Pool) cleaner(p *sim.Proc) {
 }
 
 func (bp *Pool) overThreshold() bool {
-	return bp.dirty*100 >= bp.cfg.Frames*bp.cfg.CleanerDirtyPct
+	return bp.dirty*100 >= bp.cfg.Frames*cleanerDirtyPct
 }
 
 // collectDirtyTail returns a batch holding up to max unpinned, idle dirty
@@ -475,7 +468,7 @@ func (bp *Pool) collectDirtyTail(max int) *batch {
 // FlushAll writes every dirty page (checkpoint / clean shutdown).
 func (bp *Pool) FlushAll(p *sim.Proc) error {
 	for {
-		b := bp.collectDirtyTail(bp.cfg.CleanerBatch)
+		b := bp.collectDirtyTail(cleanerBatch)
 		if len(b.frames) == 0 {
 			bp.batches = append(bp.batches, b)
 			if bp.dirty == 0 {

@@ -157,7 +157,7 @@ func TestCleanerFlushesAboveThreshold(t *testing.T) {
 	io := newFakeIO(eng)
 	bp, err := New(eng, Config{
 		Frames: 10, PageBytes: 4096,
-		CleanerInterval: 100 * time.Microsecond, CleanerBatch: 4, CleanerDirtyPct: 40,
+		CleanerInterval: 100 * time.Microsecond,
 	}, io, io)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestCleanerFlushesAboveThreshold(t *testing.T) {
 			bp.MarkDirty(fr, uint64(i+1))
 			bp.Unpin(fr)
 		}
-		p.Sleep(5 * time.Millisecond) // let the cleaner run
+		p.Sleep(5 * time.Millisecond) // 8 of 10 dirty is above the 50 % threshold
 	})
 	eng.Run()
 	if bp.Stats().CleanerFlushes == 0 {

@@ -19,17 +19,16 @@ import (
 
 // Config describes one tree.
 type Config struct {
-	PageBytes  int     // database page size
-	RowBytes   int     // leaf record size (including row overhead)
-	KeyBytes   int     // internal node entry size (key + child pointer)
-	FillFactor float64 // steady-state page fill (default 0.70)
-	MaxRows    int64   // capacity to reserve page IDs for
+	PageBytes int   // database page size
+	RowBytes  int   // leaf record size (including row overhead)
+	KeyBytes  int   // internal node entry size (key + child pointer)
+	MaxRows   int64 // capacity to reserve page IDs for
 }
 
+// fillFactor is the steady-state page fill.
+const fillFactor = 0.70
+
 func (c *Config) defaults() error {
-	if c.FillFactor <= 0 || c.FillFactor > 1 {
-		c.FillFactor = 0.70
-	}
 	if c.KeyBytes <= 0 {
 		c.KeyBytes = 16
 	}
@@ -64,11 +63,11 @@ func New(cfg Config, base buffer.PageID) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{cfg: cfg, base: base}
-	t.rowsPerLeaf = int64(float64(cfg.PageBytes) / float64(cfg.RowBytes) * cfg.FillFactor)
+	t.rowsPerLeaf = int64(float64(cfg.PageBytes) / float64(cfg.RowBytes) * fillFactor)
 	if t.rowsPerLeaf < 1 {
 		t.rowsPerLeaf = 1
 	}
-	t.fanout = int64(float64(cfg.PageBytes) / float64(cfg.KeyBytes) * cfg.FillFactor)
+	t.fanout = int64(float64(cfg.PageBytes) / float64(cfg.KeyBytes) * fillFactor)
 	if t.fanout < 2 {
 		t.fanout = 2
 	}

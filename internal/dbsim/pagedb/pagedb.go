@@ -72,10 +72,6 @@ type Config struct {
 	ODSync bool
 
 	CleanerInterval time.Duration
-
-	// WriteHoldCPU is the time a row change holds the leaf page's
-	// exclusive latch (0 = derive from the page size).
-	WriteHoldCPU time.Duration
 }
 
 // Profile is what tells one engine of the family from another: its name
@@ -106,11 +102,6 @@ func (c *Config) defaults(pr *Profile) error {
 	if c.CleanerInterval == 0 {
 		c.CleanerInterval = 5 * time.Millisecond
 	}
-	if c.WriteHoldCPU == 0 {
-		// Row-change CPU while holding the leaf's exclusive latch; scales
-		// mildly with page size (bigger pages: longer searches and copies).
-		c.WriteHoldCPU = 100*time.Microsecond + 4*time.Microsecond*time.Duration(c.PageBytes/1024)
-	}
 	return nil
 }
 
@@ -139,6 +130,10 @@ type Engine struct {
 	tables   map[string]*Table
 	nextPage buffer.PageID
 	perDB    int // device pages per database page
+	// writeHold is the row-change CPU while holding the leaf's exclusive
+	// latch; it scales mildly with page size (bigger pages: longer
+	// searches and copies).
+	writeHold time.Duration
 
 	versions   map[buffer.PageID]uint64 // bytes mode: current page versions
 	fpwLogged  map[buffer.PageID]bool   // FPW: pages whose image is in the WAL since the last checkpoint
@@ -181,6 +176,7 @@ func (pr Profile) open(eng *sim.Engine, dataFS, logFS *host.FS, cfg Config, reop
 		cfg:       cfg,
 		tables:    make(map[string]*Table),
 		perDB:     cfg.PageBytes / devPage,
+		writeHold: 100*time.Microsecond + 4*time.Microsecond*time.Duration(cfg.PageBytes/1024),
 		versions:  make(map[buffer.PageID]uint64),
 		fpwLogged: make(map[buffer.PageID]bool),
 	}
@@ -425,7 +421,7 @@ func (e *Engine) touchWrite(p *sim.Proc, tx *Tx, id buffer.PageID) error {
 		return err
 	}
 	e.pool.LockX(p, fr)
-	p.Sleep(e.cfg.WriteHoldCPU)
+	p.Sleep(e.writeHold)
 	var ver uint64
 	if e.cfg.RealBytes {
 		e.versions[id]++

@@ -3,21 +3,20 @@ package serve
 import "time"
 
 // Breaker is a per-replica circuit breaker on the virtual clock. It opens
-// after Threshold consecutive hard failures (deadline blowouts, power
-// failures, read-only degradation), swallowing further traffic to a replica
-// that is evidently down instead of burning a deadline on every request.
-// After Cooldown of virtual time the breaker goes half-open: exactly one
-// probe request is let through, and its outcome decides between closing
-// (replica recovered) and re-opening for another cooldown.
+// after breakerThreshold consecutive hard failures (deadline blowouts,
+// power failures, read-only degradation), swallowing further traffic to a
+// replica that is evidently down instead of burning a deadline on every
+// request. After breakerCooldown of virtual time the breaker goes
+// half-open: exactly one probe request is let through, and its outcome
+// decides between closing (replica recovered) and re-opening for another
+// cooldown.
 //
 // The breaker is passive state queried on the request path — no timers, so
 // an idle breaker never keeps the cluster alive. It lives in the gateway
 // domain and is only touched by that domain's processes, so it needs no
-// locks and its transitions land in deterministic virtual-time order.
+// locks and its transitions land in deterministic virtual-time order. The
+// zero Breaker is closed.
 type Breaker struct {
-	threshold int           // consecutive failures that open the breaker
-	cooldown  time.Duration // open duration before a half-open probe
-
 	fails    int           // consecutive failures while closed
 	open     bool          // true in both open and half-open
 	openedAt time.Duration // virtual instant the breaker (re)opened
@@ -26,16 +25,10 @@ type Breaker struct {
 	opens int64 // cumulative open transitions (reporting)
 }
 
-// NewBreaker returns a closed breaker (minimums: threshold 1, cooldown 1ns).
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	if cooldown < 1 {
-		cooldown = 1
-	}
-	return &Breaker{threshold: threshold, cooldown: cooldown}
-}
+const (
+	breakerThreshold = 4                     // consecutive failures that open the breaker
+	breakerCooldown  = 15 * time.Millisecond // open duration before a half-open probe
+)
 
 // Allow reports whether a request may be sent at virtual time now. Closed:
 // always. Open: only once the cooldown elapsed, and then exactly one probe
@@ -44,7 +37,7 @@ func (b *Breaker) Allow(now time.Duration) bool {
 	if !b.open {
 		return true
 	}
-	if b.probing || now < b.openedAt+b.cooldown {
+	if b.probing || now < b.openedAt+breakerCooldown {
 		return false
 	}
 	b.probing = true
@@ -71,7 +64,7 @@ func (b *Breaker) Failure(now time.Duration) {
 		return
 	}
 	b.fails++
-	if b.fails >= b.threshold {
+	if b.fails >= breakerThreshold {
 		b.open = true
 		b.probing = false
 		b.openedAt = now

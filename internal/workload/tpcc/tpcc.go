@@ -57,11 +57,6 @@ type Config struct {
 	Requests   int // measured transactions
 	Warmup     int
 	Seed       int64
-
-	Cores    int
-	BaseCPU  time.Duration
-	PageCPU  time.Duration
-	WriteCPU time.Duration
 }
 
 func (c *Config) defaults() {
@@ -73,18 +68,6 @@ func (c *Config) defaults() {
 	}
 	if c.Requests <= 0 {
 		c.Requests = 40_000
-	}
-	if c.Cores <= 0 {
-		c.Cores = 32
-	}
-	if c.BaseCPU == 0 {
-		c.BaseCPU = 300 * time.Microsecond
-	}
-	if c.PageCPU == 0 {
-		c.PageCPU = 40 * time.Microsecond
-	}
-	if c.WriteCPU == 0 {
-		c.WriteCPU = 200 * time.Microsecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -98,6 +81,15 @@ const (
 	stockPerW     = 100_000
 	items         = 100_000
 	linesPerOrder = 10
+)
+
+// Host CPU model: 32 cores, CPU per transaction, per page access and per
+// page write.
+const (
+	cores    = 32
+	baseCPU  = 300 * time.Microsecond
+	pageCPU  = 40 * time.Microsecond
+	writeCPU = 200 * time.Microsecond
 )
 
 // Bench is one TPC-C database.
@@ -136,7 +128,7 @@ func (r *Result) TPS() float64 { return stats.Throughput(r.Total, r.Elapsed) }
 // Setup creates and loads the TPC-C schema.
 func Setup(eng *sim.Engine, e *pagedb.Engine, cfg Config) (*Bench, error) {
 	cfg.defaults()
-	b := &Bench{cfg: cfg, e: e, cpu: sim.NewResource(eng, cfg.Cores)}
+	b := &Bench{cfg: cfg, e: e, cpu: sim.NewResource(eng, cores)}
 	w := int64(cfg.Warehouses)
 	create := func(name string, rows int64, rowBytes int, headroom int64) (*pagedb.Table, error) {
 		t, err := e.CreateTable(name, index.Config{RowBytes: rowBytes, MaxRows: rows*headroom + 1})
@@ -263,7 +255,7 @@ func nonUniform(rng *rand.Rand, a, x int64) int64 {
 }
 
 func (b *Bench) burnCPU(p *sim.Proc, pages int, writes int) {
-	d := b.cfg.BaseCPU + time.Duration(pages)*b.cfg.PageCPU + time.Duration(writes)*b.cfg.WriteCPU
+	d := baseCPU + time.Duration(pages)*pageCPU + time.Duration(writes)*writeCPU
 	b.cpu.Acquire(p, 1)
 	p.Sleep(d)
 	b.cpu.Release(1)

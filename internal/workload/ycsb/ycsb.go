@@ -20,9 +20,13 @@ type Config struct {
 	UpdatePct  int // 50 for workload-A, 100 for the update-only variant
 	Threads    int // paper: single thread
 	Seed       int64
-	ZipfS      float64
-	ZipfV      float64
 }
+
+// The zipfian key skew: exponent and plateau.
+const (
+	zipfS = 1.01
+	zipfV = 50
+)
 
 func (c *Config) defaults() {
 	if c.Operations <= 0 {
@@ -33,12 +37,6 @@ func (c *Config) defaults() {
 	}
 	if c.Threads <= 0 {
 		c.Threads = 1
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.01
-	}
-	if c.ZipfV == 0 {
-		c.ZipfV = 50
 	}
 }
 
@@ -94,7 +92,7 @@ func Start(eng *sim.Engine, st *couch.Store, docs int64, cfg Config) *Pending {
 	pd := &Pending{eng: eng, res: res, firstErr: &firstErr, start: eng.Now()}
 	for t := 0; t < cfg.Threads; t++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*22695477))
-		zipf := rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(docs-1))
+		zipf := rand.NewZipf(rng, zipfS, zipfV, uint64(docs-1))
 		eng.Go(fmt.Sprintf("ycsb-%d", t), func(p *sim.Proc) {
 			for i := 0; i < perThread; i++ {
 				key := int64(zipf.Uint64())
