@@ -57,8 +57,8 @@ func Matrix(points, updates int, seed int64) []Campaign {
 	m.volatile = [2]int{1, 3}
 	m.burst = serve.BurstSpec{Shards: 4, Volatile: m.volatile[:], Updates: updates, Seed: seed}
 	m.replica = [2]serve.ReplicaSpec{
-		{Groups: 2, Replicas: 3, Quorum: 2, Updates: updates, Seed: seed},
-		{Groups: 2, Replicas: 1, Quorum: 1, Volatile: true, Updates: updates, Seed: seed},
+		{Groups: 2, Replicas: 3, Updates: updates, Seed: seed},
+		{Groups: 2, Replicas: 1, Volatile: true, Updates: updates, Seed: seed},
 	}
 	rows := m.rows[:0]
 	for _, eng := range []faults.EngineKind{faults.EngineInnoDB, faults.EnginePgSQL} {

@@ -72,7 +72,7 @@ func TestExploreReplicaQuorumSafeAtEveryPoint(t *testing.T) {
 	}
 	res, err := Explore(Campaign{
 		Replica: &serve.ReplicaSpec{
-			Groups: 2, Replicas: 3, Quorum: 2,
+			Groups: 2, Replicas: 3,
 			Updates: 60, Seed: 11,
 		},
 		MaxPoints: 4,
@@ -122,7 +122,7 @@ func TestExploreReplicaVolatileControlLoses(t *testing.T) {
 	}
 	res, err := Explore(Campaign{
 		Replica: &serve.ReplicaSpec{
-			Groups: 2, Replicas: 1, Quorum: 1, Volatile: true,
+			Groups: 2, Replicas: 1, Volatile: true,
 			Updates: 60, Seed: 11,
 		},
 		MaxPoints: 4,
@@ -154,7 +154,7 @@ func TestExploreReplicaDeterminism(t *testing.T) {
 	run := func() *Result {
 		res, err := Explore(Campaign{
 			Replica: &serve.ReplicaSpec{
-				Groups: 2, Replicas: 3, Quorum: 2,
+				Groups: 2, Replicas: 3,
 				Updates: 60, Seed: 7,
 			},
 			MaxPoints: 3,

@@ -39,7 +39,7 @@ func TestExploreFreesRigs(t *testing.T) {
 			DumpTears: 1,
 		},
 		{
-			Replica:   &serve.ReplicaSpec{Groups: 2, Replicas: 3, Quorum: 2, Updates: 60, Seed: 11},
+			Replica:   &serve.ReplicaSpec{Groups: 2, Replicas: 3, Updates: 60, Seed: 11},
 			MaxPoints: 4,
 		},
 	} {

@@ -158,7 +158,7 @@ func buildTestServer(t *testing.T, keys []uint64, cfg Config) (*sim.Cluster, *Se
 // served by the host cache.
 func TestServerGatewayContract(t *testing.T) {
 	keys := []uint64{1, 2, 3, 4, 5}
-	cluster, srv := buildTestServer(t, keys, Config{})
+	cluster, srv := buildTestServer(t, keys, Config{Concurrency: 8, QueueDepth: 16, CacheSize: 1024})
 	acct := NewTenantAccount("t0", 1_000_000, 64)
 	cluster.Domain(0).Go("contract", func(p *sim.Proc) {
 		if _, err := srv.Get(p, acct, 404); !errors.Is(err, ErrNotFound) {
@@ -205,7 +205,7 @@ func TestServerGatewayContract(t *testing.T) {
 // must still answer the surviving requests.
 func TestServerOverloadSheds(t *testing.T) {
 	keys := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	cluster, srv := buildTestServer(t, keys, Config{Concurrency: 1, QueueDepth: 1})
+	cluster, srv := buildTestServer(t, keys, Config{Concurrency: 1, QueueDepth: 1, CacheSize: 1024})
 	acct := NewTenantAccount("stampede", 1_000_000, 1024)
 	const clients, opsPer = 16, 10
 	var served int64
