@@ -376,7 +376,7 @@ func BenchmarkAblationRedundantWrites(b *testing.B) {
 					return err
 				}
 			}
-			return e.FlushAll(p)
+			return e.Checkpoint(p)
 		}
 		var rerr error
 		start := eng.Now()

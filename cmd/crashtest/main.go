@@ -15,10 +15,11 @@
 // Expected output: DuraSSD is safe in every configuration (including
 // barriers off + double-write off, the fast one); the volatile-cache SSD-A
 // is only safe in the slow barriers-on + double-write-on configuration.
-// The volume scenarios extend the claim to arrays: striped and mirrored
-// DuraSSD volumes stay safe in the fast configuration, while a mirror of
-// volatile-cache drives is NOT safe — the power cut hits both copies at
-// the same instant, so redundancy cannot stand in for a durable cache.
+// The volume rows are not in this matrix: striped and mirrored DuraSSD
+// volumes staying safe in the fast configuration, and a mirror of
+// volatile-cache drives that is NOT safe (the power cut hits both copies at
+// the same instant), run under `go test -run TestRandomCutVerdicts
+// ./internal/faults`.
 // The ReplicaLoss exploration rows extend it to replicated shard groups:
 // quorum-acked writes over R=3 DuraSSD replicas survive cutting any single
 // replica at every derived instant (plus a second cut mid catch-up), while
@@ -66,25 +67,31 @@ func main() {
 // campaigns. Returns what each row got wrong.
 func exploreCampaign(points, updates int, seed int64) []string {
 	var failures []string
-	tbl := stats.NewTable("Systematic crash-point exploration (engine × device × config)",
-		"Config", "Points", "AfterAck", "MidProg", "MidDump", "MidMigr", "MidCatch", "Lost", "Torn", "VolLost", "Unsafe", "Digest")
+	// One column per crash-point kind, so the kind columns sum to Points.
+	header := []string{"Config", "Points"}
+	for k := range (&crashpoint.Result{}).KindCounts() {
+		header = append(header, crashpoint.Kind(k).String())
+	}
+	header = append(header, "Lost", "Torn", "VolLost", "Unsafe", "Digest")
+	tbl := stats.NewTable("Systematic crash-point exploration (engine × device × config)", header...)
 	for _, c := range crashpoint.Matrix(points, updates, seed) {
 		res, err := crashpoint.Explore(c)
 		if err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", c.Name(), err))
 			continue
 		}
-		counts := res.KindCounts()
-		tbl.AddRow(c.Name(), len(res.Points),
-			counts[crashpoint.AfterAck], counts[crashpoint.MidProgram], counts[crashpoint.MidDump],
-			counts[crashpoint.MidMigration], counts[crashpoint.MidCatchup],
-			res.Lost, res.Torn, res.VolatileLost, res.Unsafe, res.Digest[:12])
+		row := []any{c.Name(), len(res.Points)}
+		for _, n := range res.KindCounts() {
+			row = append(row, n)
+		}
+		row = append(row, res.Lost, res.Torn, res.VolatileLost, res.Unsafe, res.Digest[:12])
+		tbl.AddRow(row...)
 		failures = append(failures, crashpoint.Problems(c, res)...)
 	}
 	tbl.AddComment("Each point is one deterministic replay with the cut pinned to that instant")
 	tbl.AddComment("Digest: SHA-256 prefix of the canonical schedule (same seed => same digest)")
 	tbl.AddComment("VolLost: expected losses on volatile-cache members (MidBurst shards, ReplicaLoss R=1 control)")
-	tbl.AddComment("ReplicaLoss rows cut one replica per point (victim rotating), MidCatch adds a second cut mid catch-up")
+	tbl.AddComment("ReplicaLoss rows cut one replica per point (victim rotating), mid-catchup adds a second cut mid catch-up")
 	fmt.Println(tbl)
 	return failures
 }

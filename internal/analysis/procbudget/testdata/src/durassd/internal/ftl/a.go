@@ -8,8 +8,8 @@ func perRequest(eng *sim.Engine) {
 	eng.Go("per-request", func(p *sim.Proc) {}) // want `sim\.Engine\.Go in device hot-path package`
 }
 
-func viaProc(p *sim.Proc) {
-	p.Engine().Go("nested", func(q *sim.Proc) {}) // want `sim\.Engine\.Go in device hot-path package`
+func viaDomainEngine(d *sim.Domain) {
+	d.Engine().Go("nested", func(q *sim.Proc) {}) // want `sim\.Engine\.Go in device hot-path package`
 }
 
 func allowedSingleton(eng *sim.Engine) {

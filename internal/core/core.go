@@ -66,20 +66,6 @@ type Config struct {
 	RebootRecharge time.Duration
 }
 
-// DefaultConfig returns the paper's DuraSSD cache configuration for the
-// given FTL: a write buffer of a few thousand frames, one flush worker per
-// plane, and a dump budget matching the dump area.
-func DefaultConfig(f *ftl.FTL) Config {
-	return Config{
-		Frames:         4096, // 16 MB of 4 KB frames
-		Durable:        true,
-		FlushWorkers:   f.Array().Config().Planes(),
-		SlotAccess:     2 * time.Microsecond,
-		FlushAck:       20 * time.Microsecond,
-		RebootRecharge: 100 * time.Millisecond,
-	}
-}
-
 // lpnQueue is a FIFO of LPNs with a compacting head index: popping advances
 // head instead of reslicing, so the backing array is reused instead of
 // leaking capacity at the front (which made append reallocate on every
@@ -159,7 +145,6 @@ type Controller struct {
 	drained  *sim.Queue // flush-cache commands wait here
 
 	dead     bool
-	closed   bool
 	readOnly bool // FTL degraded: writes fail typed, reads keep working
 
 	reg   *iotrace.Registry
@@ -196,13 +181,6 @@ func NewController(f *ftl.FTL, cfg Config, reg *iotrace.Registry) *Controller {
 	return c
 }
 
-// Durable reports whether the cache is capacitor-backed.
-func (c *Controller) Durable() bool { return c.cfg.Durable }
-
-// ReadOnly reports whether the device degraded to read-only (FTL reserve
-// pool exhausted by bad-block retirement).
-func (c *Controller) ReadOnly() bool { return c.readOnly }
-
 // DropClean evicts lpn's frame if it is resident and clean, so the next
 // read is served from flash. Returns false while the frame is dirty or
 // busy (dropping it would lose acknowledged data). Fault-injection hook.
@@ -217,13 +195,6 @@ func (c *Controller) DropClean(lpn storage.LPN) bool {
 	delete(c.frames, lpn)
 	return true
 }
-
-// DirtySlots returns the number of slots awaiting write-back (queued or in
-// flight).
-func (c *Controller) DirtySlots() int { return c.queued + c.inFlush }
-
-// CachedSlots returns the number of resident frames.
-func (c *Controller) CachedSlots() int { return len(c.frames) }
 
 // Write stages a write command's slots into the cache and returns once the
 // command is complete (the DuraSSD durability point). The staging step
@@ -479,7 +450,7 @@ func (c *Controller) flushWorker(p *sim.Proc) {
 	var batch []*frame
 	var slots []ftl.SlotWrite
 	for {
-		if c.closed || c.dead {
+		if c.dead {
 			return
 		}
 		batch = c.takeBatch(batch[:0])
@@ -567,12 +538,6 @@ func (c *Controller) completeBatch(batch []*frame, ok bool) {
 		c.space.WakeAll()
 		c.drained.WakeAll()
 	}
-}
-
-// Close stops the flush workers once the queue is idle (test hygiene).
-func (c *Controller) Close() {
-	c.closed = true
-	c.hasDirty.WakeAll()
 }
 
 // PowerFail is called by the device on power-off detection. For a durable

@@ -40,7 +40,7 @@ func newRig(t *testing.T, durable bool, frames int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(f)
+	cfg := testConfig(f)
 	cfg.Durable = durable
 	if frames > 0 {
 		cfg.Frames = frames
@@ -69,7 +69,7 @@ func TestWriteAcksFromCache(t *testing.T) {
 	if r.stats.NANDPrograms == 0 {
 		t.Fatal("flusher never programmed the page")
 	}
-	if r.c.DirtySlots() != 0 {
+	if (r.c.queued + r.c.inFlush) != 0 {
 		t.Fatal("dirty slots remain after drain")
 	}
 }
@@ -155,7 +155,7 @@ func TestDurableFlushCacheDrainsButSkipsMapJournal(t *testing.T) {
 		if err := r.c.FlushCache(p, iotrace.Req{}); err != nil {
 			t.Errorf("FlushCache: %v", err)
 		}
-		if r.c.DirtySlots() != 0 {
+		if (r.c.queued + r.c.inFlush) != 0 {
 			t.Error("flush-cache did not drain the durable cache")
 		}
 	})
@@ -179,7 +179,7 @@ func TestVolatileFlushCacheDrains(t *testing.T) {
 			t.Errorf("FlushCache: %v", err)
 		}
 		flushTime = p.Now() - start
-		if r.c.DirtySlots() != 0 {
+		if (r.c.queued + r.c.inFlush) != 0 {
 			t.Error("dirty slots remain after flush-cache")
 		}
 	})
@@ -342,7 +342,7 @@ func TestCapacitorBudgetTooSmall(t *testing.T) {
 	fcfg := ftl.DefaultConfig(a.Config().PageSize)
 	fcfg.DumpBlocks = 16
 	f, _ := ftl.New(a, fcfg, reg)
-	cfg := DefaultConfig(f)
+	cfg := testConfig(f)
 	cfg.DumpBudgetPages = 2 // can only save ~4 slots
 	cfg.FlushWorkers = 1    // keep lots of data in cache
 	c := NewController(f, cfg, reg)
@@ -396,7 +396,7 @@ func TestAtomicWriterRollsBackIncompleteCommand(t *testing.T) {
 			t.Errorf("Recover: %v", err)
 		}
 		for i := 0; i < 32; i++ {
-			if r.f.Mapped(storage.LPN(100 + i)) {
+			if _, ok := r.f.PhysPageOf(storage.LPN(100 + i)); ok {
 				t.Errorf("slot %d from rolled-back command is visible", 100+i)
 				return
 			}
@@ -424,7 +424,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 		}
 	})
 	r.eng.Run()
-	if !r.f.Mapped(7) && r.stats.DumpPages > 0 {
+	if _, ok := r.f.PhysPageOf(7); !ok && r.stats.DumpPages > 0 {
 		t.Fatal("recovered page lost")
 	}
 }
@@ -441,7 +441,7 @@ func TestRandomPowerCutsNeverLoseAckedWrites(t *testing.T) {
 		fcfg := ftl.DefaultConfig(a.Config().PageSize)
 		fcfg.DumpBlocks = 16
 		f, _ := ftl.New(a, fcfg, reg)
-		c := NewController(f, DefaultConfig(f), reg)
+		c := NewController(f, testConfig(f), reg)
 
 		acked := make(map[storage.LPN]byte)
 		ss := f.SlotSize()
@@ -548,5 +548,35 @@ func TestDumpRetriesTornDumpProgram(t *testing.T) {
 	}
 	if err := r.f.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// NeedsRecovery reports whether the dump area holds a power-failure dump
+// (the paper's "emergent shutdown" flag: the dump's existence is the flag).
+func NeedsRecovery(f *ftl.FTL) bool {
+	a := f.Array()
+	ppb := a.Config().PagesPerBlock
+	for _, blk := range f.DumpBlockIDs() {
+		first := a.PageOfBlock(blk)
+		for i := 0; i < ppb; i++ {
+			if m := a.Meta(first + nand.PPN(i)); m != nil && m.Dump {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// testConfig is the durable cache these tests run over f: 4,096 frames and
+// one flush worker per plane. Its 20 µs FlushAck is a test value; the
+// device every tool runs is ssd.DuraSSD's profile.
+func testConfig(f *ftl.FTL) Config {
+	return Config{
+		Frames:         4096, // 16 MB of 4 KB frames
+		Durable:        true,
+		FlushWorkers:   f.Array().Config().Planes(),
+		SlotAccess:     2 * time.Microsecond,
+		FlushAck:       20 * time.Microsecond,
+		RebootRecharge: 100 * time.Millisecond,
 	}
 }

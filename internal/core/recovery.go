@@ -78,22 +78,6 @@ func (d *dumpArea) programSlots(slots []ftl.SlotWrite) bool {
 	return d.a.ProgramPageInstant(ppn, tags, data, true) == nil
 }
 
-// NeedsRecovery reports whether the dump area holds a power-failure dump
-// (the paper's "emergent shutdown" flag: the dump's existence is the flag).
-func NeedsRecovery(f *ftl.FTL) bool {
-	a := f.Array()
-	ppb := a.Config().PagesPerBlock
-	for _, blk := range f.DumpBlockIDs() {
-		first := a.PageOfBlock(blk)
-		for i := 0; i < ppb; i++ {
-			if m := a.Meta(first + nand.PPN(i)); m != nil && m.Dump {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Recover implements the reboot path of the recovery manager (paper §3.4.2):
 // recharge the capacitors, replay the write-backs stored in the dump area
 // through the normal program path (reflecting them in the mapping table),

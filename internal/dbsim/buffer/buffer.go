@@ -67,14 +67,6 @@ type Stats struct {
 	CleanerFlushes int64
 }
 
-// MissRatio returns misses / gets (Figure 6a's metric).
-func (s *Stats) MissRatio() float64 {
-	if s.Gets == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Gets)
-}
-
 // none marks the end of the LRU list.
 const none = -1
 
@@ -94,17 +86,8 @@ type Frame struct {
 	latch              *sim.Resource // exclusive page latch (created on first use)
 }
 
-// ID returns the page held by the frame.
-func (f *Frame) ID() PageID { return f.id }
-
 // Data returns the page image (nil in timing-only pools).
 func (f *Frame) Data() []byte { return f.data }
-
-// LSN returns the frame's recovery LSN.
-func (f *Frame) LSN() uint64 { return f.lsn }
-
-// Dirty reports whether the frame has unflushed changes.
-func (f *Frame) Dirty() bool { return f.dirty }
 
 // Pool is the buffer pool.
 type Pool struct {
@@ -176,12 +159,6 @@ func New(eng *sim.Engine, cfg Config, reader PageReader, writer PageWriter) (*Po
 
 // Stats returns the live counters.
 func (bp *Pool) Stats() *Stats { return &bp.stats }
-
-// Frames returns the configured pool size.
-func (bp *Pool) Frames() int { return bp.cfg.Frames }
-
-// DirtyPages returns the current number of dirty frames.
-func (bp *Pool) DirtyPages() int { return bp.dirty }
 
 // pushNewest puts fr at the MRU end of the LRU list.
 func (bp *Pool) pushNewest(fr *Frame) {

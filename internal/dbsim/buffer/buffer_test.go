@@ -189,8 +189,8 @@ func TestFlushAllDrains(t *testing.T) {
 		if err := bp.FlushAll(p); err != nil {
 			t.Errorf("FlushAll: %v", err)
 		}
-		if bp.DirtyPages() != 0 {
-			t.Errorf("dirty pages = %d after FlushAll", bp.DirtyPages())
+		if bp.dirty != 0 {
+			t.Errorf("dirty pages = %d after FlushAll", bp.dirty)
 		}
 	})
 	eng.Run()
@@ -237,8 +237,8 @@ func TestMissRatio(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if got := bp.Stats().MissRatio(); got != 0.25 {
-		t.Fatalf("miss ratio = %v, want 0.25", got)
+	if st := bp.Stats(); st.Gets != 16 || st.Misses != 4 {
+		t.Fatalf("%d misses in %d gets, want 4 in 16 (miss ratio 0.25)", st.Misses, st.Gets)
 	}
 }
 
@@ -308,7 +308,7 @@ func TestLRUMatchesListModel(t *testing.T) {
 				i := rng.Intn(len(pinned))
 				fr := pinned[i]
 				pinned = append(pinned[:i], pinned[i+1:]...)
-				pins[fr.ID()]--
+				pins[fr.id]--
 				bp.Unpin(fr)
 			}
 			var got, want []PageID

@@ -97,12 +97,6 @@ func (t *Tree) Rows() int64 { return t.rows }
 // SetRows installs the row count after a bulk load.
 func (t *Tree) SetRows(n int64) { t.rows = n }
 
-// RowsPerLeaf returns the steady-state records per leaf page.
-func (t *Tree) RowsPerLeaf() int64 { return t.rowsPerLeaf }
-
-// Fanout returns the internal-node fanout.
-func (t *Tree) Fanout() int64 { return t.fanout }
-
 // Depth returns the number of pages on a root-to-leaf path for the current
 // row count: deeper for smaller pages, shallower for larger ones.
 func (t *Tree) Depth() int {

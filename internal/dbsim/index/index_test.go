@@ -56,10 +56,10 @@ func TestSearchPathShape(t *testing.T) {
 		t.Fatalf("append onto a path gave %v, want %v twice", again, path)
 	}
 	// Same leaf for neighbors within one leaf's rows.
-	if tr.LeafOf(0) != tr.LeafOf(tr.RowsPerLeaf()-1) {
+	if tr.LeafOf(0) != tr.LeafOf(tr.rowsPerLeaf-1) {
 		t.Fatal("neighbors in one leaf map to different pages")
 	}
-	if tr.LeafOf(0) == tr.LeafOf(tr.RowsPerLeaf()) {
+	if tr.LeafOf(0) == tr.LeafOf(tr.rowsPerLeaf) {
 		t.Fatal("different leaves map to the same page")
 	}
 }
@@ -82,7 +82,7 @@ func TestPageIDsDisjointAcrossLevels(t *testing.T) {
 
 func TestScanLeavesCoverRange(t *testing.T) {
 	tr := newTree(t, 4*storage.KB, 100_000)
-	per := tr.RowsPerLeaf()
+	per := tr.rowsPerLeaf
 	leaves := tr.ScanLeaves(nil, 0, per*3)
 	if len(leaves) < 3 || len(leaves) > 4 {
 		t.Fatalf("scan of 3 leaves' rows returned %d pages", len(leaves))
@@ -95,7 +95,7 @@ func TestScanLeavesCoverRange(t *testing.T) {
 func TestInsertDirtiesLeafAndSometimesParent(t *testing.T) {
 	tr := newTree(t, 4*storage.KB, 1000)
 	splits := 0
-	n := int(tr.RowsPerLeaf()) * 10
+	n := int(tr.rowsPerLeaf) * 10
 	for i := 0; i < n; i++ {
 		dirty := tr.Insert(nil, int64(i))
 		if len(dirty) == 0 || dirty[0] != tr.LeafOf(int64(i)) {
@@ -108,7 +108,7 @@ func TestInsertDirtiesLeafAndSometimesParent(t *testing.T) {
 	if splits == 0 {
 		t.Fatal("no amortized splits over many inserts")
 	}
-	if splits > n/int(tr.RowsPerLeaf())+1 {
+	if splits > n/int(tr.rowsPerLeaf)+1 {
 		t.Fatalf("too many splits: %d", splits)
 	}
 }

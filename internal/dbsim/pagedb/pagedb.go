@@ -578,9 +578,5 @@ func (e *Engine) Checkpoint(p *sim.Proc) error {
 	return nil
 }
 
-// FlushAll is Checkpoint under InnoDB's name for it: with full-page writes
-// off and no WAL budget it is the buffer-pool flush alone.
-func (e *Engine) FlushAll(p *sim.Proc) error { return e.Checkpoint(p) }
-
 // Close stops background workers.
 func (e *Engine) Close() { e.pool.Close() }

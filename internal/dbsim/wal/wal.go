@@ -150,12 +150,6 @@ func (l *Log) AppendFullImage(page, version uint64, sizeBytes int) uint64 {
 	return lsn
 }
 
-// DurableLSN returns the highest LSN known to be on storage.
-func (l *Log) DurableLSN() uint64 { return l.durableLSN }
-
-// CurrentLSN returns the latest assigned LSN.
-func (l *Log) CurrentLSN() uint64 { return l.nextLSN }
-
 // Commit makes the log durable up to lsn and returns when it is. Multiple
 // committers share one flush (group commit).
 //

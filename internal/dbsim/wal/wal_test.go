@@ -28,13 +28,13 @@ func TestCommitAdvancesDurableLSN(t *testing.T) {
 	eng, l, _ := newLog(t, true, false)
 	eng.Go("t", func(p *sim.Proc) {
 		lsn := l.Append(100)
-		if l.DurableLSN() != 0 {
+		if l.durableLSN != 0 {
 			t.Error("durable before commit")
 		}
 		if err := l.Commit(p, lsn); err != nil {
 			t.Errorf("Commit: %v", err)
 		}
-		if l.DurableLSN() < lsn {
+		if l.durableLSN < lsn {
 			t.Error("commit did not advance durable LSN")
 		}
 	})

@@ -83,9 +83,6 @@ func (f *Front) Registry() *iotrace.Registry { return f.reg }
 // Stats returns the device's live counters.
 func (f *Front) Stats() *storage.Stats { return f.stats }
 
-// Depth returns the native command queue depth (0 = unqueued device).
-func (f *Front) Depth() int { return f.cfg.Depth }
-
 // Offline reports whether the device is powered off.
 func (f *Front) Offline() bool { return f.offline }
 

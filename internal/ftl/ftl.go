@@ -320,13 +320,6 @@ func (f *FTL) SlotsPerPage() int { return f.cfg.SlotsPerPage }
 // LogicalSlots returns the exported capacity in mapping units.
 func (f *FTL) LogicalSlots() int64 { return f.logicalSlots }
 
-// LiveSlots returns the number of currently mapped logical slots.
-func (f *FTL) LiveSlots() int64 { return f.liveSlots }
-
-// DirtyMapEntries returns mapping entries modified since the last journal
-// flush.
-func (f *FTL) DirtyMapEntries() int64 { return f.dirtyMapEntries }
-
 // MapJournalPages returns how many physical pages the dirty mapping entries
 // occupy when journaled or dumped.
 func (f *FTL) MapJournalPages() int {
@@ -372,12 +365,6 @@ func (f *FTL) mapEntry(lpn storage.LPN) *uint32 {
 		f.mapTab[lpn/mapChunk] = c
 	}
 	return &c[lpn%mapChunk]
-}
-
-// Mapped reports whether lpn currently has a physical location.
-func (f *FTL) Mapped(lpn storage.LPN) bool {
-	_, ok := f.spnOf(lpn)
-	return ok
 }
 
 // ReadSlot reads the 4 KB slot of lpn. If buf is non-nil it must be

@@ -120,8 +120,8 @@ func TestOverwriteRemapsAndInvalidates(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if f.LiveSlots() != 1 {
-		t.Fatalf("live slots = %d, want 1", f.LiveSlots())
+	if f.liveSlots != 1 {
+		t.Fatalf("live slots = %d, want 1", f.liveSlots)
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -242,13 +242,13 @@ func TestMapJournalFlush(t *testing.T) {
 				t.Errorf("write: %v", err)
 			}
 		}
-		if f.DirtyMapEntries() != 10 {
-			t.Errorf("dirty entries = %d, want 10", f.DirtyMapEntries())
+		if f.dirtyMapEntries != 10 {
+			t.Errorf("dirty entries = %d, want 10", f.dirtyMapEntries)
 		}
 		if err := f.FlushMapJournal(p, iotrace.Req{}); err != nil {
 			t.Errorf("flush: %v", err)
 		}
-		if f.DirtyMapEntries() != 0 {
+		if f.dirtyMapEntries != 0 {
 			t.Error("dirty entries not cleared")
 		}
 	})
@@ -314,8 +314,8 @@ func TestLoadSlotsInstant(t *testing.T) {
 	if eng.Now() != 0 {
 		t.Fatal("bulk load consumed virtual time")
 	}
-	if f.LiveSlots() != 100 {
-		t.Fatalf("live slots = %d, want 100", f.LiveSlots())
+	if f.liveSlots != 100 {
+		t.Fatalf("live slots = %d, want 100", f.liveSlots)
 	}
 	eng.Go("io", func(p *sim.Proc) {
 		buf := make([]byte, ss)
@@ -519,11 +519,7 @@ func TestRelocationLosesToConcurrentHostWrite(t *testing.T) {
 			}
 		})
 		eng.Run()
-		var stale int64
-		if c := f.reg.Counter("reloc_stale"); c != nil {
-			stale = *c
-		}
-		if stale != 2 {
+		if stale := *f.relocStale; stale != 2 {
 			t.Errorf("eager=%v: reloc_stale = %d, want both copies dropped", eager, stale)
 		}
 		if err := f.CheckInvariants(); err != nil {

@@ -17,21 +17,6 @@ import (
 // runs dry the FTL degrades to read-only (storage.ErrReadOnly) instead of
 // risking silent corruption.
 
-// ReadOnly reports whether the FTL has degraded to read-only mode.
-func (f *FTL) ReadOnly() bool { return f.readOnly }
-
-// RetiredBlocks returns the number of blocks removed from service.
-func (f *FTL) RetiredBlocks() int { return len(f.retired) }
-
-// ReserveFree returns the total blocks remaining in the reserve pool.
-func (f *FTL) ReserveFree() int {
-	n := 0
-	for _, r := range f.reserve {
-		n += len(r)
-	}
-	return n
-}
-
 // PhysPageOf returns the physical page currently holding lpn (fault
 // injection and white-box tests). ok is false for unmapped slots.
 func (f *FTL) PhysPageOf(lpn storage.LPN) (nand.PPN, bool) {

@@ -70,8 +70,8 @@ func TestRetirementMigratesLiveDataAndPinsDamage(t *testing.T) {
 		if err := f.ReadSlot(p, iotrace.Req{}, 0, buf); !errors.Is(err, storage.ErrUncorrectable) {
 			t.Errorf("damaged read = %v, want ErrUncorrectable", err)
 		}
-		if f.RetiredBlocks() != 1 {
-			t.Errorf("RetiredBlocks = %d, want 1", f.RetiredBlocks())
+		if len(f.retired) != 1 {
+			t.Errorf("RetiredBlocks = %d, want 1", len(f.retired))
 		}
 		if got, want := f.ReserveFree(), planes*cfg.ReserveBlocks-1; got != want {
 			t.Errorf("ReserveFree = %d, want %d", got, want)
@@ -154,7 +154,7 @@ func TestReserveExhaustionDegradesToReadOnly(t *testing.T) {
 			}
 		}
 		damage(second)
-		if !f.ReadOnly() {
+		if !f.readOnly {
 			t.Error("reserve exhausted but FTL not read-only")
 		}
 		if err := f.Program(p, iotrace.Req{}, []SlotWrite{{LPN: 9}}); !errors.Is(err, storage.ErrReadOnly) {
@@ -311,7 +311,7 @@ func TestGCRetiresVictimWithUnreadablePage(t *testing.T) {
 			t.Errorf("cannot damage LPN %d at ppn %d", damaged, ppn)
 			return
 		}
-		erases := f.a.EraseCount(victim)
+		erases := f.a.Registry().Stats().NANDErases
 		f.gcLocks[0].Acquire(p, 1)
 		err := f.gcOnce(p, iotrace.Req{}, 0)
 		f.gcLocks[0].Release(1)
@@ -319,8 +319,8 @@ func TestGCRetiresVictimWithUnreadablePage(t *testing.T) {
 			t.Errorf("gcOnce: %v", err)
 			return
 		}
-		if !f.retired[victim] || f.isFree(0, victim) || f.a.EraseCount(victim) != erases || f.a.State(ppn) != nand.PageValid {
-			t.Errorf("victim not retired in place: retired=%v free=%v erases %d→%d", f.retired[victim], f.isFree(0, victim), erases, f.a.EraseCount(victim))
+		if after := f.a.Registry().Stats().NANDErases; !f.retired[victim] || f.isFree(0, victim) || after != erases || f.a.State(ppn) != nand.PageValid {
+			t.Errorf("victim not retired in place: retired=%v free=%v erases %d→%d", f.retired[victim], f.isFree(0, victim), erases, after)
 		}
 		buf := make([]byte, ss)
 		for lpn := 0; lpn < perBlock; lpn++ {
@@ -347,4 +347,13 @@ func TestGCRetiresVictimWithUnreadablePage(t *testing.T) {
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ReserveFree returns the total blocks remaining in the reserve pool.
+func (f *FTL) ReserveFree() int {
+	n := 0
+	for _, r := range f.reserve {
+		n += len(r)
+	}
+	return n
 }

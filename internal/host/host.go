@@ -41,12 +41,6 @@ func NewFS(dev storage.Device, barrier bool) *FS {
 	}
 }
 
-// SetBarrier switches write barriers on or off (mount -o nobarrier).
-func (fs *FS) SetBarrier(on bool) { fs.barrier = on }
-
-// Barrier reports whether write barriers are enabled.
-func (fs *FS) Barrier() bool { return fs.barrier }
-
 // Device returns the underlying device.
 func (fs *FS) Device() storage.Device { return fs.dev }
 

@@ -64,8 +64,8 @@ func TestDoubleWriteDoublesPageWrites(t *testing.T) {
 					return
 				}
 			}
-			if err := r.e.FlushAll(p); err != nil {
-				t.Errorf("FlushAll: %v", err)
+			if err := r.e.Checkpoint(p); err != nil {
+				t.Errorf("Checkpoint: %v", err)
 			}
 		})
 		r.eng.Run()
@@ -148,8 +148,8 @@ func TestRealBytesTornDetection(t *testing.T) {
 			t.Errorf("Commit: %v", err)
 			return
 		}
-		if err := r.e.FlushAll(p); err != nil {
-			t.Errorf("FlushAll: %v", err)
+		if err := r.e.Checkpoint(p); err != nil {
+			t.Errorf("Checkpoint: %v", err)
 		}
 	})
 	r.eng.Run()
@@ -170,7 +170,11 @@ func TestScanTouchesConsecutiveLeaves(t *testing.T) {
 	r := newRig(t, false, false, false)
 	r.eng.Go("t", func(p *sim.Proc) {
 		tx := r.e.Begin()
-		rows := r.tbl.Tree().RowsPerLeaf() * 3
+		// The rows before the fourth leaf fill the first three.
+		tree, rows := r.tbl.Tree(), int64(0)
+		for tree.LeafOf(rows) != tree.LeafOf(0)+3 {
+			rows++
+		}
 		if err := tx.Scan(p, r.tbl, 0, rows); err != nil {
 			t.Errorf("Scan: %v", err)
 		}
@@ -210,8 +214,8 @@ func TestODSyncSkipsBatchFsync(t *testing.T) {
 			t.Errorf("Commit: %v", err)
 			return
 		}
-		if err := e.FlushAll(p); err != nil {
-			t.Errorf("FlushAll: %v", err)
+		if err := e.Checkpoint(p); err != nil {
+			t.Errorf("Checkpoint: %v", err)
 		}
 	})
 	eng.Run()

@@ -142,9 +142,6 @@ type trace struct {
 	bad   bool // begin/end mis-nesting detected
 }
 
-// Traced reports whether this request records spans.
-func (r Req) Traced() bool { return r.tr != nil }
-
 // Begin opens a span for layer l at the current virtual time. Every Begin
 // must be matched by an End before the enclosing span (or the request)
 // ends; spans are strictly nested.
@@ -198,16 +195,3 @@ func (r Req) Finish(p *sim.Proc) {
 	}
 	t.reg.finish(r, p.Now()-t.start)
 }
-
-// Spans returns the spans recorded so far (tests and sinks; nil when
-// untraced).
-func (r Req) Spans() []SpanRec {
-	if r.tr == nil {
-		return nil
-	}
-	return r.tr.spans
-}
-
-// WellNested reports whether the request's begin/end calls were properly
-// paired so far.
-func (r Req) WellNested() bool { return r.tr == nil || !r.tr.bad }

@@ -1,22 +1,24 @@
 package iotrace
 
 import (
+	"sort"
 	"testing"
 	"time"
 
 	"durassd/internal/sim"
+	"durassd/internal/stats"
 )
 
 func TestZeroValueReqIsInertNoops(t *testing.T) {
 	var q Req
-	if q.Traced() {
+	if q.tr != nil {
 		t.Fatal("zero Req claims to be traced")
 	}
 	// Nil proc everywhere: the disabled path must never touch it.
 	sp := q.Begin(nil, LayerNAND)
 	sp.End(nil)
 	q.Finish(nil)
-	if q.Spans() != nil {
+	if q.tr != nil {
 		t.Fatal("untraced request recorded spans")
 	}
 	if !q.WellNested() {
@@ -39,7 +41,7 @@ func TestSpanExclusiveTime(t *testing.T) {
 		outer.End(p)
 		q.Finish(p)
 
-		spans := q.Spans()
+		spans := q.tr.spans
 		if len(spans) != 2 {
 			t.Fatalf("got %d spans", len(spans))
 		}
@@ -118,7 +120,7 @@ func TestDisabledNewReqNeverTouchesProc(t *testing.T) {
 	reg := NewRegistry()
 	// A nil proc would panic if the disabled path read the clock.
 	q := reg.NewReq(nil, OpWrite, OriginData, 7, 2)
-	if q.Traced() {
+	if q.tr != nil {
 		t.Fatal("request traced while tracing disabled")
 	}
 	if q.LPN != 7 || q.N != 2 || q.Op != OpWrite || q.Origin != OriginData {
@@ -133,10 +135,10 @@ func TestTracingTogglePerRequest(t *testing.T) {
 		off := reg.NewReq(p, OpWrite, OriginData, 0, 1)
 		reg.EnableTracing(true)
 		on := reg.NewReq(p, OpWrite, OriginData, 0, 1)
-		if off.Traced() {
+		if off.tr != nil {
 			t.Error("request created before enable is traced")
 		}
-		if !on.Traced() {
+		if on.tr == nil {
 			t.Error("request created after enable is untraced")
 		}
 		on.Finish(p)
@@ -151,8 +153,8 @@ func TestNamedCounters(t *testing.T) {
 	if len(names) != 28 {
 		t.Fatalf("%d counter names", len(names))
 	}
-	c := reg.Counter("nand_programs")
-	if reg.Counter("scrub_passes") == nil {
+	c := reg.named["nand_programs"]
+	if reg.named["scrub_passes"] == nil {
 		t.Fatal("scrub_passes not registered")
 	}
 	if c == nil {
@@ -162,14 +164,14 @@ func TestNamedCounters(t *testing.T) {
 	if reg.Stats().NANDPrograms != 9 {
 		t.Fatal("named counter not aliased to Stats field")
 	}
-	if reg.Counter("no_such") != nil {
+	if reg.named["no_such"] != nil {
 		t.Fatal("unknown counter name resolved")
 	}
 }
 
 func TestOriginCountersAndWA(t *testing.T) {
 	reg := NewRegistry()
-	if reg.OriginWriteAmplification(OriginRedo) != 0 {
+	if reg.Origin(OriginRedo).WriteAmplification() != 0 {
 		t.Fatal("WA of idle origin not 0")
 	}
 	reg.AddOriginWrite(OriginRedo, 10)
@@ -180,7 +182,7 @@ func TestOriginCountersAndWA(t *testing.T) {
 	if c.PagesWritten != 10 || c.NANDSlots != 25 || c.GCSlots != 5 || c.PagesRead != 3 {
 		t.Fatalf("counters = %+v", c)
 	}
-	if got := reg.OriginWriteAmplification(OriginRedo); got != 2.5 {
+	if got := reg.Origin(OriginRedo).WriteAmplification(); got != 2.5 {
 		t.Fatalf("WA = %v", got)
 	}
 }
@@ -201,4 +203,21 @@ func TestEnumStrings(t *testing.T) {
 			t.Fatalf("layer %d unnamed", l)
 		}
 	}
+}
+
+// WellNested reports whether the request's begin/end calls were properly
+// paired so far.
+func (r Req) WellNested() bool { return r.tr == nil || !r.tr.bad }
+
+// OpLatency returns the end-to-end latency histogram for op kind o.
+func (r *Registry) OpLatency(o Op) *stats.Hist { return &r.op[o] }
+
+// CounterNames returns all registered counter names, sorted.
+func (r *Registry) CounterNames() []string {
+	names := make([]string, 0, len(r.named))
+	for n := range r.named {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -1,7 +1,6 @@
 package iotrace
 
 import (
-	"sort"
 	"time"
 
 	"durassd/internal/sim"
@@ -140,9 +139,6 @@ func (r *Registry) Stats() *Stats { return &r.s }
 // tracing is off stay untraced for their whole lifetime.
 func (r *Registry) EnableTracing(on bool) { r.tracing = on }
 
-// Tracing reports whether span recording is enabled.
-func (r *Registry) Tracing() bool { return r.tracing }
-
 // SetSpanSink installs a callback invoked with every finished traced
 // request and its spans (property tests use this to check nesting).
 func (r *Registry) SetSpanSink(fn func(Req, []SpanRec)) { r.sink = fn }
@@ -176,17 +172,8 @@ func (r *Registry) finish(q Req, total time.Duration) {
 // across all finished traced requests.
 func (r *Registry) LayerLatency(l Layer) *stats.Hist { return &r.layer[l] }
 
-// OpLatency returns the end-to-end latency histogram for op kind o.
-func (r *Registry) OpLatency(o Op) *stats.Hist { return &r.op[o] }
-
 // Origin returns the live traffic counters for origin o.
 func (r *Registry) Origin(o Origin) *OriginCounters { return &r.origin[o] }
-
-// OriginWriteAmplification returns the per-origin write amplification,
-// guarded against division by zero.
-func (r *Registry) OriginWriteAmplification(o Origin) float64 {
-	return r.origin[o].WriteAmplification()
-}
 
 // AddOriginWrite credits n host pages written to origin o.
 func (r *Registry) AddOriginWrite(o Origin, n int) {
@@ -209,9 +196,6 @@ func (r *Registry) AddOriginGC(o Origin, n int) {
 	r.origin[o].GCSlots += int64(n)
 }
 
-// Counter returns the named legacy counter, or nil if unknown.
-func (r *Registry) Counter(name string) *int64 { return r.named[name] }
-
 // RegisterCounter adds a named counter to the registry and returns its
 // storage; registering an existing name returns the same counter. Layers
 // above the device (the serving gateway's shed/throttle accounting, for
@@ -224,14 +208,4 @@ func (r *Registry) RegisterCounter(name string) *int64 {
 	c := new(int64)
 	r.named[name] = c
 	return c
-}
-
-// CounterNames returns all registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	names := make([]string, 0, len(r.named))
-	for n := range r.named {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// ShardRec is one device event captured in a cluster domain, as Merged
-// reports it: stamped with the domain id and a per-domain capture sequence.
+// ShardRec is one device event captured in a cluster domain, stamped with
+// the domain id and a per-domain capture sequence.
 // The triple (At, Domain, Seq) is a total order: events at one virtual
 // instant are reported by ascending domain id, and within a domain in
 // emission order.
@@ -25,8 +25,8 @@ type ShardRec struct {
 // ShardRecorder collects device event streams from registries living in
 // different cluster domains and merges them into one deterministic report.
 // Each domain appends only to its own stream, so recording is safe under
-// the cluster's parallel workers without locks; Merged and Digest must only
-// be called while the cluster is idle (between or after runs).
+// the cluster's parallel workers without locks; Digest must only be called
+// while the cluster is idle (between or after runs).
 //
 // The merged order — (virtual time, domain id, per-domain seq) — depends
 // only on the simulated schedule, never on how worker threads interleaved,
@@ -84,15 +84,6 @@ func NewShardRecorder(domains int) *ShardRecorder {
 // dispatch order makes deterministic.
 func (r *ShardRecorder) Attach(domain int, reg *Registry) {
 	reg.SetEventFn(r.streams[domain].add)
-}
-
-// Events returns the total number of captured events across all domains.
-func (r *ShardRecorder) Events() int {
-	n := 0
-	for i := range r.streams {
-		n += r.streams[i].n
-	}
-	return n
 }
 
 // mergeCursor yields one domain's records in (At, Seq) order.
@@ -173,13 +164,6 @@ func (r *ShardRecorder) each(fn func(rec ShardRec)) {
 		fn(curs[best].rec)
 		curs[best].advance()
 	}
-}
-
-// Merged returns all captured events in (At, Domain, Seq) order.
-func (r *ShardRecorder) Merged() []ShardRec {
-	all := make([]ShardRec, 0, r.Events())
-	r.each(func(rec ShardRec) { all = append(all, rec) })
-	return all
 }
 
 // Digest returns a SHA-256 over the merged event stream: the schedule

@@ -267,3 +267,19 @@ func TestShardRecorderAllocs(t *testing.T) {
 		t.Fatalf("filling %d chunks allocates %v times, want at most %d", chunks, fewest, chunks+1)
 	}
 }
+
+// Events returns the total number of captured events across all domains.
+func (r *ShardRecorder) Events() int {
+	n := 0
+	for i := range r.streams {
+		n += r.streams[i].n
+	}
+	return n
+}
+
+// Merged returns all captured events in (At, Domain, Seq) order.
+func (r *ShardRecorder) Merged() []ShardRec {
+	all := make([]ShardRec, 0, r.Events())
+	r.each(func(rec ShardRec) { all = append(all, rec) })
+	return all
+}

@@ -85,11 +85,6 @@ func cwSyndrome(cw []byte) uint16 {
 	return syn
 }
 
-// ECCEncode computes the parity blob for a page image.
-func ECCEncode(page []byte) []byte {
-	return ECCEncodeInto(nil, page)
-}
-
 // ECCEncodeInto appends the parity blob for a page image to dst (which is
 // truncated to zero length first), reusing dst's capacity when possible.
 func ECCEncodeInto(dst, page []byte) []byte {

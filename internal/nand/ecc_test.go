@@ -17,7 +17,7 @@ func testPage(size int, seed int64) []byte {
 func TestECCRoundTripClean(t *testing.T) {
 	for _, size := range []int{512, 4096, 8192, 1000} {
 		page := testPage(size, 1)
-		parity := ECCEncode(page)
+		parity := ECCEncodeInto(nil, page)
 		if got := len(parity); got != ECCSize(size) {
 			t.Fatalf("size %d: parity length %d, want %d", size, got, ECCSize(size))
 		}
@@ -34,7 +34,7 @@ func TestECCRoundTripClean(t *testing.T) {
 
 func TestECCCorrectsOneBitPerCodeword(t *testing.T) {
 	page := testPage(8192, 2)
-	parity := ECCEncode(page)
+	parity := ECCEncodeInto(nil, page)
 	img := append([]byte(nil), page...)
 	cws := eccCodewords(len(page))
 	for c := 0; c < cws; c++ {
@@ -52,7 +52,7 @@ func TestECCCorrectsOneBitPerCodeword(t *testing.T) {
 
 func TestECCDetectsDoubleFlip(t *testing.T) {
 	page := testPage(4096, 3)
-	parity := ECCEncode(page)
+	parity := ECCEncodeInto(nil, page)
 	img := append([]byte(nil), page...)
 	img[10] ^= 1 << 3
 	img[200] ^= 1 << 6 // same codeword: even flip count, detected not corrected
@@ -66,7 +66,7 @@ func TestECCCRCBackstopsOddMultiFlip(t *testing.T) {
 	// page CRC must reject the miscorrected image. Whatever the syndrome
 	// path decides, ok=true with wrong bytes is the one forbidden outcome.
 	page := testPage(4096, 4)
-	parity := ECCEncode(page)
+	parity := ECCEncodeInto(nil, page)
 	for trial := int64(0); trial < 64; trial++ {
 		img := append([]byte(nil), page...)
 		rng := rand.New(rand.NewSource(trial))
@@ -125,7 +125,7 @@ func refSyndrome(cw []byte) uint16 {
 
 // refEncode is ECCEncode over refSyndrome.
 func refEncode(page []byte) []byte {
-	out := ECCEncode(page)
+	out := ECCEncodeInto(nil, page)
 	for c := 0; c < eccCodewords(len(page)); c++ {
 		cw := page[c*eccCodewordBytes : min((c+1)*eccCodewordBytes, len(page))]
 		binary.LittleEndian.PutUint16(out[2*c:], refSyndrome(cw))
@@ -144,7 +144,7 @@ func TestECCMatchesBytewiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	check := func(what string, page []byte) {
 		t.Helper()
-		if got, want := ECCEncode(page), refEncode(page); !bytes.Equal(got, want) {
+		if got, want := ECCEncodeInto(nil, page), refEncode(page); !bytes.Equal(got, want) {
 			t.Fatalf("%s, %d bytes: parity %x, reference %x", what, len(page), got, want)
 		}
 	}

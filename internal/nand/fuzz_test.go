@@ -21,7 +21,7 @@ func FuzzECCRoundTrip(f *testing.F) {
 		if len(page) > 16384 {
 			page = page[:16384]
 		}
-		parity := ECCEncode(page)
+		parity := ECCEncodeInto(nil, page)
 		img := append([]byte(nil), page...)
 		// Interpret the fuzz bytes as bit-flip positions (two bytes each)
 		// across the page, plus a final parity-corruption toggle.

@@ -111,7 +111,7 @@ func TestShortPageMediaDamageDecodes(t *testing.T) {
 		t.Error("decoding damaged the stored image")
 	}
 
-	a.InjectBitErrors(5, a.ECCBits())
+	a.InjectBitErrors(5, a.eccBits)
 	if _, _, err := readPage(t, eng, a, 5); !errors.Is(err, storage.ErrUncorrectable) {
 		t.Fatalf("read past the threshold = %v, want ErrUncorrectable", err)
 	}
@@ -152,13 +152,13 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 	eng.Run()
 	instant(t, a, 0, []SlotTag{{LPN: 1}}, data, false)
 	instant(t, a, 1, []SlotTag{{LPN: 3}}, data, false)
-	a.InjectBitErrors(0, a.ECCBits()+1)
+	a.InjectBitErrors(0, a.eccBits+1)
 	a.InjectBitErrors(1, 2)
 	if a.ProgrammedAt(0) != time.Millisecond {
 		t.Fatalf("ProgrammedAt = %v, want 1ms", a.ProgrammedAt(0))
 	}
 
-	a.EraseBlockInstant(0) // block 0's slabs go to the free list
+	a.eraseNow(0) // block 0's slabs go to the free list
 	if got := a.ProgrammedAt(0); got != 0 {
 		t.Fatalf("erased page: ProgrammedAt = %v, want 0", got)
 	}
@@ -194,7 +194,7 @@ func TestInterruptedEraseKeepsStuckBits(t *testing.T) {
 	defer eng.Close()
 	a := newTestArray(t, eng)
 	instant(t, a, 0, []SlotTag{{LPN: 1}}, testPage(a.Config().PageSize, 26), false)
-	a.InjectBitErrors(0, a.ECCBits()+1)
+	a.InjectBitErrors(0, a.eccBits+1)
 	cutErase(eng, a)
 	a.PowerOn()
 	if _, _, err := readPage(t, eng, a, 0); !errors.Is(err, storage.ErrUncorrectable) {

@@ -36,9 +36,6 @@ func (a *Array) initMedia(m MediaConfig) {
 	a.mediaRng = rand.New(rand.NewSource(m.Seed))
 }
 
-// ECCBits returns the effective per-page correction threshold.
-func (a *Array) ECCBits() int { return a.eccBits }
-
 // ProgrammedAt returns the virtual time ppn was last programmed (the
 // scrubber's retention-age gate), 0 for a page that is not programmed.
 func (a *Array) ProgrammedAt(ppn PPN) time.Duration {

@@ -44,7 +44,7 @@ func TestStuckBitsBeyondECCStayUncorrectable(t *testing.T) {
 	if err := a.ProgramPageInstant(0, []SlotTag{{LPN: 1}}, data, false); err != nil {
 		t.Fatal(err)
 	}
-	if !a.InjectBitErrors(0, a.ECCBits()+1) {
+	if !a.InjectBitErrors(0, a.eccBits+1) {
 		t.Fatal("injection rejected")
 	}
 	eng.Go("io", func(p *sim.Proc) {
@@ -83,8 +83,8 @@ func TestRetentionErrorsCorrectedWithinThreshold(t *testing.T) {
 			t.Errorf("aged read: %v", err)
 			return
 		}
-		if info.CorrectedBits < 1 || info.CorrectedBits > a.ECCBits() {
-			t.Errorf("CorrectedBits = %d, want within (0, %d]", info.CorrectedBits, a.ECCBits())
+		if info.CorrectedBits < 1 || info.CorrectedBits > a.eccBits {
+			t.Errorf("CorrectedBits = %d, want within (0, %d]", info.CorrectedBits, a.eccBits)
 		}
 		if !bytes.Equal(buf, data) {
 			t.Error("corrected read returned wrong bytes")
@@ -136,7 +136,7 @@ func TestEraseClearsStuckBitsAndAge(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.InjectBitErrors(0, 1000)
-	a.EraseBlockInstant(0)
+	a.eraseNow(0)
 	if err := a.ProgramPageInstant(0, []SlotTag{{LPN: 1}}, data, false); err != nil {
 		t.Fatal(err)
 	}

@@ -44,11 +44,11 @@ func TestOOBRecordStates(t *testing.T) {
 		}, want{lpns: []storage.LPN{7}}},
 		{"erased", func(t *testing.T, _ *sim.Engine, a *Array, data []byte) {
 			instant(t, a, ppn, tags(7, 8), data, true)
-			a.EraseBlockInstant(0)
+			a.eraseNow(0)
 		}, want{}},
 		{"reprogrammed after erase", func(t *testing.T, _ *sim.Engine, a *Array, data []byte) {
 			instant(t, a, ppn, tags(7, 8), data, true)
-			a.EraseBlockInstant(0)
+			a.eraseNow(0)
 			instant(t, a, ppn, tags(9), nil, false)
 		}, want{lpns: []storage.LPN{9}}},
 		{"more tags than its window", func(t *testing.T, _ *sim.Engine, a *Array, _ []byte) {
@@ -67,7 +67,7 @@ func TestOOBRecordStates(t *testing.T) {
 		}, want{lpns: []storage.LPN{7, 8}, torn: true}},
 		{"torn over an erased page", func(t *testing.T, eng *sim.Engine, a *Array, data []byte) {
 			instant(t, a, ppn, tags(3), data, true)
-			a.EraseBlockInstant(0)
+			a.eraseNow(0)
 			cutProgram(eng, a, ppn, tags(7), nil)
 		}, want{lpns: []storage.LPN{7}, torn: true}},
 		{"dump program", func(t *testing.T, _ *sim.Engine, a *Array, data []byte) {
@@ -86,7 +86,7 @@ func TestOOBRecordStates(t *testing.T) {
 			a.PowerFail()
 			_ = a.ProgramPageInstant(ppn, tags(5), data, true)
 			a.PowerOn()
-			a.EraseBlockInstant(0)
+			a.eraseNow(0)
 		}, want{}},
 		{"interrupted erase", func(t *testing.T, eng *sim.Engine, a *Array, data []byte) {
 			instant(t, a, ppn, tags(7, 8), data, true)
@@ -100,7 +100,7 @@ func TestOOBRecordStates(t *testing.T) {
 			instant(t, a, ppn, tags(7), data, false)
 			cutErase(eng, a)
 			a.PowerOn()
-			a.EraseBlockInstant(0)
+			a.eraseNow(0)
 		}, want{}},
 	}
 	for _, c := range cases {
@@ -188,7 +188,7 @@ func TestProgramEraseCycleDoesNotAllocate(t *testing.T) {
 			if err := a.EraseBlock(p, iotrace.Req{}, 0); err != nil {
 				t.Error(err)
 			}
-			a.EraseBlockInstant(1)
+			a.eraseNow(1)
 		}
 	})
 	cycle := func() {

@@ -40,7 +40,7 @@ func TestReleasedMemoryStartsClean(t *testing.T) {
 	}
 	cutProgram(engA, a, 2*ppb, []SlotTag{{LPN: 7}}, full) // one torn page
 	a.PowerOn()
-	a.InjectBitErrors(1, a.ECCBits()+1)
+	a.InjectBitErrors(1, a.eccBits+1)
 	a.InjectBitErrors(ppb+1, 3)
 	slabs := map[*OOB]bool{}
 	images := map[*byte]bool{}

@@ -12,6 +12,7 @@ import (
 	"durassd/internal/fio"
 	"durassd/internal/iotrace"
 	"durassd/internal/serve"
+	"durassd/internal/ssd"
 	"durassd/internal/workload/ycsb"
 )
 
@@ -157,7 +158,7 @@ func fioDigest(t *testing.T) string {
 		t.Fatalf("NewRig: %v", err)
 	}
 	var b strings.Builder
-	rig.SSDDev().Registry().SetEventFn(func(kind iotrace.EventKind, at time.Duration) {
+	rig.Dev.(*ssd.Device).Registry().SetEventFn(func(kind iotrace.EventKind, at time.Duration) {
 		fmt.Fprintf(&b, "%s %d\n", kind, int64(at))
 	})
 	res, err := fio.Run(rig.Eng, rig.FS, fio.Job{
@@ -188,7 +189,7 @@ func ycsbDigest(t *testing.T) string {
 		t.Fatalf("NewRig: %v", err)
 	}
 	var b strings.Builder
-	rig.SSDDev().Registry().SetEventFn(func(kind iotrace.EventKind, at time.Duration) {
+	rig.Dev.(*ssd.Device).Registry().SetEventFn(func(kind iotrace.EventKind, at time.Duration) {
 		fmt.Fprintf(&b, "%s %d\n", kind, int64(at))
 	})
 	const docs = 2000

@@ -124,12 +124,6 @@ type Rig struct {
 // and their coroutines are freed. The rig must not be used afterwards.
 func (r *Rig) Close() { r.Eng.Close() }
 
-// SSDDev returns the device as an *ssd.Device (nil for the HDD).
-func (r *Rig) SSDDev() *ssd.Device {
-	d, _ := r.Dev.(*ssd.Device)
-	return d
-}
-
 // NewRig builds a powered-on device of the given kind at the given capacity
 // scale, with write barriers in the given state.
 func NewRig(kind DeviceKind, scale int, barrier bool) (*Rig, error) {

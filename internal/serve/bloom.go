@@ -73,6 +73,3 @@ func (b *Bloom) Contains(key uint64) bool {
 	}
 	return true
 }
-
-// Len returns the number of keys inserted.
-func (b *Bloom) Len() int { return b.n }

@@ -104,9 +104,6 @@ func (c *Cache) Update(key uint64, version uint64) {
 	}
 }
 
-// Len returns the number of resident entries.
-func (c *Cache) Len() int { return len(c.entries) }
-
 // Counters returns the cumulative hit/miss/admit/reject/eviction tallies.
 func (c *Cache) Counters() (hits, misses, admits, rejects, evictions int64) {
 	return c.hits, c.misses, c.admits, c.rejects, c.evictions

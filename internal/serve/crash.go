@@ -208,14 +208,6 @@ type CrashVerdict struct {
 	Err         error
 }
 
-// Safe reports whether the claim under test held: no acked write was ever
-// unreadable, and the DuraSSD groups lost and tore nothing. The volatile
-// tallies are deliberately not part of this: their loss is the expected
-// outcome, not a failure.
-func (v *CrashVerdict) Safe() bool {
-	return v.Err == nil && v.GroupLost == 0 && v.DuraLost == 0 && v.DuraTorn == 0
-}
-
 // tenantKey builds tenant t's i-th key: disjoint per-tenant key spaces.
 func tenantKey(t, i int) uint64 { return uint64(t+1)<<32 | uint64(i) }
 

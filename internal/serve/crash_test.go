@@ -276,3 +276,11 @@ func TestReplicaLossProbeIsClean(t *testing.T) {
 		t.Errorf("probe run shed %d writes as unavailable with all replicas healthy", v.Unavailable)
 	}
 }
+
+// Safe reports whether the claim under test held: no acked write was ever
+// unreadable, and the DuraSSD groups lost and tore nothing. The volatile
+// tallies are deliberately not part of this: their loss is the expected
+// outcome, not a failure.
+func (v *CrashVerdict) Safe() bool {
+	return v.Err == nil && v.GroupLost == 0 && v.DuraLost == 0 && v.DuraTorn == 0
+}

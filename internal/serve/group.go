@@ -134,15 +134,6 @@ func NewGroup(id int, front *sim.Domain, stores []*Store) (*Group, error) {
 	return g, nil
 }
 
-// Replicas returns the replication factor R.
-func (g *Group) Replicas() int { return len(g.reps) }
-
-// Replica returns replica ri's store.
-func (g *Group) Replica(ri int) *Store { return g.reps[ri].st }
-
-// Breaker returns replica ri's circuit breaker (health inspection).
-func (g *Group) Breaker(ri int) *Breaker { return &g.reps[ri].br }
-
 // Behind returns the number of keys replica ri is known to be missing.
 func (g *Group) Behind(ri int) int { return len(g.reps[ri].behind) }
 
@@ -179,23 +170,6 @@ func (g *Group) BreakerOpens() int64 {
 // index, so tests and groups agree).
 func replicaSalt(ri int) uint64 {
 	return mix64(uint64(ri+1) * 0xbf58476d1ce4e5b9)
-}
-
-// RendezvousOrder ranks replicas 0..n-1 for a read of key by rendezvous
-// (highest-random-weight) hashing over the replicas alive reports as up
-// (nil admits all). The defining property — the reason replica death never
-// reshuffles healthy assignments — is minimal movement: excluding one
-// replica changes the top choice only for keys that preferred the excluded
-// replica.
-func RendezvousOrder(key uint64, n int, alive func(int) bool) []int {
-	order, weights := make([]int, 0, n), make([]uint64, 0, n)
-	h := mix64(key)
-	for ri := 0; ri < n; ri++ {
-		if alive == nil || alive(ri) {
-			order, weights = rankInsert(order, weights, ri, mix64(h^replicaSalt(ri)))
-		}
-	}
-	return order
 }
 
 // rankInsert adds replica ri of weight w to a ranking kept heaviest first,

@@ -82,7 +82,7 @@ func TestGroupQuorumPutConverges(t *testing.T) {
 		t.Fatalf("ver=%d got=%d found=%v, want 1/1/true", ver, got, found)
 	}
 	for r, st := range h.stores {
-		if v := st.Version(7); v != 1 {
+		if v := st.vers[7]; v != 1 {
 			t.Errorf("replica %d version = %d, want 1 (all replicas converge after drain)", r, v)
 		}
 	}
@@ -171,17 +171,17 @@ func TestGroupCatchUpAfterReboot(t *testing.T) {
 	h.cluster.Run()
 	if transferred != missed {
 		t.Errorf("catch-up transferred %d keys, want %d (the delta, not the %d-key space)",
-			transferred, missed, h.stores[2].Keys())
+			transferred, missed, len(h.stores[2].slots))
 	}
 	if h.g.Behind(2) != 0 {
 		t.Errorf("replica 2 still behind on %d keys after catch-up", h.g.Behind(2))
 	}
 	for k := uint64(0); k < 4; k++ {
-		if v := h.stores[2].Version(k); v != 2 {
+		if v := h.stores[2].vers[k]; v != 2 {
 			t.Errorf("replica 2 key %d version = %d, want 2 after catch-up", k, v)
 		}
 	}
-	if h.g.Breaker(2).Open() {
+	if h.g.reps[2].br.Open() {
 		t.Errorf("breaker still open after successful catch-up")
 	}
 }
@@ -336,8 +336,9 @@ func checkRecordsIdle(t *testing.T, g *Group, calls, attempts int) {
 			t.Fatalf("RPC record released twice")
 		}
 		seenCall[c] = true
-		if c.at != nil || c.tm.Active() || c.err != nil {
-			t.Errorf("free RPC record still live: attempt %p, deadline armed %v, err %v", c.at, c.tm.Active(), c.err)
+		armed := c.tm.Stop() // false, and a no-op, on an idle timer
+		if c.at != nil || armed || c.err != nil {
+			t.Errorf("free RPC record still live: attempt %p, deadline armed %v, err %v", c.at, armed, c.err)
 		}
 	}
 	seenAttempt := map[*attempt]bool{}
@@ -346,7 +347,7 @@ func checkRecordsIdle(t *testing.T, g *Group, calls, attempts int) {
 			t.Fatalf("attempt released twice")
 		}
 		seenAttempt[a] = true
-		if a.refs != 0 || a.acks != 0 || a.fails != 0 || a.firstErr != nil || a.done || a.wake.Len() != 0 || a.hedge.Active() {
+		if a.refs != 0 || a.acks != 0 || a.fails != 0 || a.firstErr != nil || a.done || a.wake.Len() != 0 || a.hedge.Stop() {
 			t.Errorf("free attempt not clean: %+v", a)
 		}
 	}
@@ -395,7 +396,7 @@ func TestGroupLateAckFindsItsOwnAttempt(t *testing.T) {
 		})
 		h.cluster.Run()
 		for _, k := range []uint64{keyA, keyB} {
-			if v := h.stores[slow].Version(k); v != 1 {
+			if v := h.stores[slow].vers[k]; v != 1 {
 				t.Errorf("slow replica key %d at version %d, want 1", k, v)
 			}
 		}
@@ -436,13 +437,13 @@ func TestGroupDeadlineThenLateCompletion(t *testing.T) {
 			}
 		})
 		h.cluster.Run()
-		if _, gets, _ := st.Counters(); gets != 2 {
+		if gets := st.gets; gets != 2 {
 			t.Errorf("store served %d reads, want 2 (the slow one completed too)", gets)
 		}
 		if _, deadlines, _, _, _ := h.g.Counters(); deadlines != 1 {
 			t.Errorf("deadlines = %d after the late completion, want 1", deadlines)
 		}
-		if h.g.Breaker(0).Open() || h.g.reps[0].br.fails != 0 {
+		if h.g.reps[0].br.Open() || h.g.reps[0].br.fails != 0 {
 			t.Errorf("breaker not reset by the successes that followed the deadline")
 		}
 		checkRecordsIdle(t, h.g, 2, 1)
@@ -458,8 +459,7 @@ func TestGroupHedgeTimerLifecycle(t *testing.T) {
 		h := buildGroupHarnessOn(t, workers, 3)
 		reads := func() (n int64) {
 			for _, st := range h.stores {
-				_, gets, _ := st.Counters()
-				n += gets
+				n += st.gets
 			}
 			return n
 		}
@@ -525,4 +525,21 @@ func TestGroupSteadyStateAllocs(t *testing.T) {
 	if own := perOp - firstTouch; own > 0.05 {
 		t.Fatalf("%.2f allocs per group operation beyond the devices' first-touch records, want none", own)
 	}
+}
+
+// RendezvousOrder ranks replicas 0..n-1 for a read of key by rendezvous
+// (highest-random-weight) hashing over the replicas alive reports as up
+// (nil admits all). The defining property — the reason replica death never
+// reshuffles healthy assignments — is minimal movement: excluding one
+// replica changes the top choice only for keys that preferred the excluded
+// replica.
+func RendezvousOrder(key uint64, n int, alive func(int) bool) []int {
+	order, weights := make([]int, 0, n), make([]uint64, 0, n)
+	h := mix64(key)
+	for ri := 0; ri < n; ri++ {
+		if alive == nil || alive(ri) {
+			order, weights = rankInsert(order, weights, ri, mix64(h^replicaSalt(ri)))
+		}
+	}
+	return order
 }

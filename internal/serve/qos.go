@@ -53,11 +53,6 @@ func (tb *TokenBucket) Take(now time.Duration) (wait time.Duration) {
 	return wait
 }
 
-// Rate returns the sustained admissions-per-second the bucket enforces.
-func (tb *TokenBucket) Rate() float64 {
-	return float64(time.Second) / float64(tb.interval)
-}
-
 // TenantAccount is the per-tenant QoS ledger: the token bucket enforcing
 // the tenant's rate and the latency/outcome tallies the report is built
 // from. It lives in the gateway domain and is only touched by that domain's

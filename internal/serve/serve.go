@@ -140,23 +140,8 @@ func PartitionKeys(ring *Ring, keys []uint64) [][]uint64 {
 	return parts
 }
 
-// Ring returns the server's consistent-hash ring (for partitioning keys
-// before the stores exist: NewRing(n) with the same n builds the identical
-// ring, since placement is a pure function of the shard count).
-func (s *Server) Ring() *Ring { return s.ring }
-
 // Cache returns the gateway read cache.
 func (s *Server) Cache() *Cache { return s.cache }
-
-// Registry returns the gateway's metrics registry (shed, throttle and
-// cache counters, published alongside the device registries).
-func (s *Server) Registry() *iotrace.Registry { return s.reg }
-
-// Shards returns the shard count.
-func (s *Server) Shards() int { return len(s.groups) }
-
-// Shard returns shard i's primary store (replica 0 of its group).
-func (s *Server) Shard(i int) *Store { return s.groups[i].Replica(0) }
 
 // Group returns shard i's replica group.
 func (s *Server) Group(i int) *Group { return s.groups[i] }
@@ -188,9 +173,6 @@ func (s *Server) Robustness() RobustnessCounters {
 	rc.StaleReads = *s.staleReads
 	return rc
 }
-
-// ShardFor returns the shard index owning key.
-func (s *Server) ShardFor(key uint64) int { return s.ring.Lookup(key) }
 
 // ShedCount returns the number of requests shed at shard i.
 func (s *Server) ShedCount(i int) int64 { return *s.shedByShard[i] }

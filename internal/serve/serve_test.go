@@ -48,13 +48,13 @@ func TestStoreRoundtrip(t *testing.T) {
 		if ver, found, err := st.Get(p, 20); err != nil || !found || ver != 3 {
 			t.Errorf("Get(20) = (%d, %t, %v), want (3, true, nil)", ver, found, err)
 		}
-		puts, _, syncs := st.Counters()
+		puts, syncs := st.puts, st.syncs
 		for _, stale := range []uint64{3, 2} {
 			if err := st.PutVersion(p, 20, stale); err != nil {
 				t.Errorf("PutVersion(20, %d) after 3: %v", stale, err)
 			}
 		}
-		if p2, _, s2 := st.Counters(); p2 != puts || s2 != syncs {
+		if p2, s2 := st.puts, st.syncs; p2 != puts || s2 != syncs {
 			t.Errorf("stale PutVersion moved counters: puts %d -> %d, syncs %d -> %d", puts, p2, syncs, s2)
 		}
 		if ver, found, err := st.Get(p, 20); err != nil || !found || ver != 3 {
@@ -100,7 +100,7 @@ func TestStoreGroupCommit(t *testing.T) {
 		})
 	}
 	cluster.Run()
-	puts, _, syncs := st.Counters()
+	puts, syncs := st.puts, st.syncs
 	if puts != writers*rounds {
 		t.Fatalf("puts = %d, want %d", puts, writers*rounds)
 	}
@@ -167,8 +167,8 @@ func TestServerGatewayContract(t *testing.T) {
 		if acct.BloomSkip != 1 {
 			t.Errorf("BloomSkip = %d, want 1: the filter should answer absent keys", acct.BloomSkip)
 		}
-		sh := srv.ShardFor(3)
-		if _, gets0, _ := srv.Shard(sh).Counters(); gets0 != 0 {
+		sh := srv.ring.Lookup(3)
+		if gets0 := srv.groups[sh].reps[0].st.gets; gets0 != 0 {
 			t.Fatalf("shard %d saw %d gets before any dispatch", sh, gets0)
 		}
 		ver, err := srv.Put(p, acct, 3)
@@ -180,13 +180,13 @@ func TestServerGatewayContract(t *testing.T) {
 		}
 		// The first read dispatched to the shard and admitted the value into
 		// the host cache; the repeat read must be served from the cache.
-		if _, gets, _ := srv.Shard(sh).Counters(); gets != 1 {
+		if gets := srv.groups[sh].reps[0].st.gets; gets != 1 {
 			t.Errorf("shard gets = %d after first read, want 1", gets)
 		}
 		if got, err := srv.Get(p, acct, 3); err != nil || got != ver {
 			t.Fatalf("repeat Get = (%d, %v), want (%d, nil)", got, err, ver)
 		}
-		if _, gets, _ := srv.Shard(sh).Counters(); gets != 1 {
+		if gets := srv.groups[sh].reps[0].st.gets; gets != 1 {
 			t.Errorf("shard gets = %d after repeat read, want 1: should have hit the host cache", gets)
 		}
 		if acct.CacheHits == 0 {
@@ -228,7 +228,7 @@ func TestServerOverloadSheds(t *testing.T) {
 	}
 	cluster.Run()
 	var shed int64
-	for i := 0; i < srv.Shards(); i++ {
+	for i := range srv.groups {
 		shed += srv.ShedCount(i)
 	}
 	if shed == 0 {

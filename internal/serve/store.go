@@ -163,21 +163,10 @@ func (st *Store) Domain() *sim.Domain { return st.dom }
 // Device returns the shard's device.
 func (st *Store) Device() storage.Device { return st.dev }
 
-// Keys returns the shard's key count.
-func (st *Store) Keys() int { return len(st.slots) }
-
-// Counters returns cumulative put/get/fdatasync tallies.
-func (st *Store) Counters() (puts, gets, syncs int64) { return st.puts, st.gets, st.syncs }
-
 // SetSlowdown injects extra service latency before every subsequent store
 // operation — the chaos plane's replica brownout knob. Call it from the
 // store's own domain (schedule an event there); zero restores normal speed.
 func (st *Store) SetSlowdown(d time.Duration) { st.slowdown = d }
-
-// Version returns the store's last durably acked version of key (0 for a
-// never-written resident key). It is a pure memory read for catch-up
-// planning; serving reads go through Get.
-func (st *Store) Version(key uint64) uint64 { return st.vers[key] }
 
 // page returns a scratch page image in real-bytes mode and nil in timing
 // mode; the caller hands it back with donePage when its command returns.

@@ -63,7 +63,8 @@ func TestSleepWakeZeroAlloc(t *testing.T) {
 func TestTimerZeroAlloc(t *testing.T) {
 	e := New()
 	fired := 0
-	tm := e.NewTimer(func() { fired++ })
+	tm := new(Timer)
+	e.InitTimer(tm, func() { fired++ })
 	tm.Reset(time.Microsecond) // warm up
 	e.Run()
 	allocs := testing.AllocsPerRun(200, func() {

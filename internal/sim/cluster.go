@@ -211,12 +211,6 @@ func NewCluster(n int, latency time.Duration, workers int) *Cluster {
 	return c
 }
 
-// Domains returns the number of domains.
-func (c *Cluster) Domains() int { return len(c.domains) }
-
-// Latency returns the cross-domain link latency (the lookahead bound).
-func (c *Cluster) Latency() time.Duration { return c.latency }
-
 // Domain returns domain i.
 func (c *Cluster) Domain(i int) *Domain { return c.domains[i] }
 
@@ -227,18 +221,6 @@ func (c *Cluster) Events() uint64 {
 		n += d.eng.Events()
 	}
 	return n
-}
-
-// Blocked returns the names of processes parked with no pending wakeup
-// across every domain, in one globally sorted order: neither registration
-// order nor domain layout leaks into the report.
-func (c *Cluster) Blocked() []string {
-	var names []string
-	for _, d := range c.domains {
-		names = append(names, d.eng.Blocked()...)
-	}
-	slices.Sort(names)
-	return names
 }
 
 // Stats returns the merge-loop counters accumulated so far.
@@ -272,18 +254,6 @@ func (c *Cluster) Close() {
 // cross-domain messages are in flight. Like Engine.Run, processes still
 // waiting on queues or resources are left blocked.
 func (c *Cluster) Run() { c.RunUntil(-1) }
-
-// RunFor advances the cluster by d of virtual time past the latest domain
-// clock.
-func (c *Cluster) RunFor(d time.Duration) {
-	var now time.Duration
-	for _, dom := range c.domains {
-		if t := dom.eng.Now(); t > now {
-			now = t
-		}
-	}
-	c.RunUntil(now + d)
-}
 
 // RunUntil processes events with timestamps <= deadline in every domain,
 // then sets each domain clock to deadline. A negative deadline drains the
@@ -505,9 +475,6 @@ func (c *Cluster) inject() {
 	}
 	c.inbox = buf[:0]
 }
-
-// ID returns the domain's index within its cluster.
-func (d *Domain) ID() int { return d.id }
 
 // Cluster returns the owning cluster.
 func (d *Domain) Cluster() *Cluster { return d.c }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,8 +14,8 @@ import (
 // linkAll joins every pair of c's domains: the clique the tests that send
 // between arbitrary domains need.
 func linkAll(c *Cluster) {
-	for i := 0; i < c.Domains(); i++ {
-		for j := i + 1; j < c.Domains(); j++ {
+	for i := 0; i < len(c.domains); i++ {
+		for j := i + 1; j < len(c.domains); j++ {
 			c.Domain(i).Link(c.Domain(j))
 		}
 	}
@@ -42,7 +43,7 @@ func pingPongDigest(t *testing.T, domains, workers int) string {
 	}
 	logs := make([][]rec, domains)
 	log := func(d *Domain, what string) {
-		logs[d.ID()] = append(logs[d.ID()], rec{at: d.Now(), dom: d.ID(), seq: len(logs[d.ID()]), msg: what})
+		logs[d.id] = append(logs[d.id], rec{at: d.Now(), dom: d.id, seq: len(logs[d.id]), msg: what})
 	}
 	// Each domain runs a local ticker plus a chatter process that sends a
 	// token around the ring; receipt schedules more local work, so local
@@ -51,7 +52,7 @@ func pingPongDigest(t *testing.T, domains, workers int) string {
 		d := c.Domain(i)
 		d.Go(fmt.Sprintf("ticker-%d", i), func(p *Proc) {
 			for k := 0; k < 40; k++ {
-				p.Sleep(time.Duration(30+7*d.ID()) * time.Microsecond)
+				p.Sleep(time.Duration(30+7*d.id) * time.Microsecond)
 				log(d, "tick")
 			}
 		})
@@ -82,12 +83,12 @@ func pingPongDigest(t *testing.T, domains, workers int) string {
 		if ttl == 0 {
 			return
 		}
-		next := c.Domain((d.ID() + 1) % domains)
+		next := c.Domain((d.id + 1) % domains)
 		d.Send(next, func() { hop(next, ttl-1) })
 		// Also fan out a short-lived burst to every other domain so
 		// multiple sources target one destination at equal times.
 		for j := 0; j < domains; j++ {
-			if j == d.ID() {
+			if j == d.id {
 				continue
 			}
 			dst := c.Domain(j)
@@ -349,7 +350,7 @@ func TestClusterCall(t *testing.T) {
 		src.Go("caller", func(p *Proc) {
 			p.Sleep(40 * time.Microsecond)
 			src.Call(p, dst, "callee", func(q *Proc) {
-				if q.Engine() != dst.Engine() {
+				if q.eng != dst.Engine() {
 					t.Error("callee running on the wrong engine")
 				}
 				q.Sleep(7 * time.Microsecond)
@@ -457,7 +458,7 @@ func TestClusterBlockedSorted(t *testing.T) {
 	defer c.Close()
 	// Register in an order that is neither sorted globally nor by domain:
 	// domain 2 gets "alpha" last, domain 0 gets "zeta" first.
-	block := func(p *Proc) { NewQueue(p.Engine()).Wait(p) }
+	block := func(p *Proc) { NewQueue(p.eng).Wait(p) }
 	c.Domain(0).Go("zeta", block)
 	c.Domain(1).Go("mid", block)
 	c.Domain(0).Go("beta", block)
@@ -718,11 +719,11 @@ func componentsDigest(t *testing.T, workers int) string {
 	hub.Link(c.Domain(1))
 	hub.Link(c.Domain(2))
 	c.Domain(3).Link(c.Domain(4))
-	logs := make([][]string, c.Domains())
+	logs := make([][]string, len(c.domains))
 	log := func(d *Domain, what string) {
-		logs[d.ID()] = append(logs[d.ID()], fmt.Sprintf("%d %d %s", int64(d.Now()), d.ID(), what))
+		logs[d.id] = append(logs[d.id], fmt.Sprintf("%d %d %s", int64(d.Now()), d.id, what))
 	}
-	for i := 0; i < c.Domains(); i++ {
+	for i := 0; i < len(c.domains); i++ {
 		d := c.Domain(i)
 		d.Go("ticker", func(p *Proc) {
 			for k := 0; k < 60; k++ {
@@ -748,10 +749,10 @@ func componentsDigest(t *testing.T, workers int) string {
 		}
 	}
 	for _, leaf := range []*Domain{c.Domain(1), c.Domain(2)} {
-		other := c.Domain(3 - leaf.ID())
+		other := c.Domain(3 - leaf.id)
 		leaf.Go("leaf", func(p *Proc) {
 			for k := 0; k < 8; k++ {
-				p.Sleep(time.Duration(60+9*leaf.ID()) * time.Microsecond)
+				p.Sleep(time.Duration(60+9*leaf.id) * time.Microsecond)
 				// Leaf to leaf goes through the hub: there is no direct link.
 				call(p, leaf, hub, "relay", func(q *Proc) {
 					call(q, hub, other, "serve", func(r *Proc) { r.Sleep(3 * time.Microsecond) })
@@ -836,4 +837,16 @@ func TestClusterLinkBetweenRuns(t *testing.T) {
 	if msg := mustPanic(t, "Link inside Run", func() { c.RunUntil(300 * time.Microsecond) }); !strings.Contains(msg, "domain 0") || !strings.Contains(msg, "Link called while the cluster is running") {
 		t.Fatalf("Link inside Run: %q", msg)
 	}
+}
+
+// Blocked returns the names of processes parked with no pending wakeup
+// across every domain, in one globally sorted order: neither registration
+// order nor domain layout leaks into the report.
+func (c *Cluster) Blocked() []string {
+	var names []string
+	for _, d := range c.domains {
+		names = append(names, d.eng.Blocked()...)
+	}
+	slices.Sort(names)
+	return names
 }

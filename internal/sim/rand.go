@@ -18,9 +18,6 @@ func NewRand(seed int64) *Rand {
 	return &Rand{s: uint64(seed)}
 }
 
-// Seed resets the generator to the given seed.
-func (r *Rand) Seed(seed int64) { r.s = uint64(seed) }
-
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *Rand) Uint64() uint64 {
 	r.s += 0x9e3779b97f4a7c15
@@ -51,8 +48,3 @@ func (r *Rand) Int63n(n int64) int64 {
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int { return int(r.Int63n(int64(n))) }
-
-// Float64 returns a uniform value in [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}

@@ -23,13 +23,6 @@ type Timer struct {
 	idx  int32  // arena index of the pending event; -1 when idle
 }
 
-// NewTimer returns an idle timer that will run fn each time it fires.
-func (e *Engine) NewTimer(fn func()) *Timer {
-	t := new(Timer)
-	e.InitTimer(t, fn)
-	return t
-}
-
 // InitTimer sets up t, wherever it lives, as an idle timer on e that will
 // run fn each time it fires. It must not be called on a timer that has a
 // firing pending.
@@ -67,6 +60,3 @@ func (t *Timer) Stop() bool {
 	t.idx = -1
 	return true
 }
-
-// Active reports whether a firing is pending.
-func (t *Timer) Active() bool { return t.idx >= 0 }

@@ -222,20 +222,11 @@ func New(eng *sim.Engine, prof Profile) (*Device, error) {
 // (Table 1's "Storage Cache OFF/ON" knob). Disable only while idle.
 func (d *Device) SetWriteCache(on bool) { d.cacheOn = on }
 
-// WriteCache reports whether the write cache is enabled.
-func (d *Device) WriteCache() bool { return d.cacheOn }
-
 // Profile returns the device profile.
 func (d *Device) Profile() Profile { return d.prof }
 
-// FTL exposes the translation layer (tests and preconditioning).
-func (d *Device) FTL() *ftl.FTL { return d.f }
-
 // Array exposes the NAND medium (fault-injection harnesses).
 func (d *Device) Array() *nand.Array { return d.arr }
-
-// Controller exposes the cache controller.
-func (d *Device) Controller() *core.Controller { return d.ctrl }
 
 // PageSize returns the mapping unit (4 KB).
 func (d *Device) PageSize() int { return d.f.SlotSize() }
@@ -474,9 +465,6 @@ func (d *Device) PreloadPages(lpn storage.LPN, n int64, data []byte) error {
 	}
 	return nil
 }
-
-// Precondition installs n sequential logical pages instantly from LPN 0.
-func (d *Device) Precondition(n int64) error { return d.PreloadPages(0, n, nil) }
 
 var (
 	_ storage.Device       = (*Device)(nil)

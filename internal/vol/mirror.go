@@ -52,9 +52,6 @@ func NewMirror(eng *sim.Engine, members []storage.Device) (*Mirror, error) {
 // Pages returns the volume capacity: the smallest member's.
 func (v *Mirror) Pages() int64 { return minPages(v.members) }
 
-// Degraded reports whether the mirror is reconciling after a power cycle.
-func (v *Mirror) Degraded() bool { return v.degraded }
-
 // writeSegs returns one same-range segment per member (the whole payload
 // goes to everyone).
 func (v *Mirror) writeSegs(lpn storage.LPN, n int) []segment {

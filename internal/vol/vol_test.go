@@ -190,7 +190,7 @@ func TestMirrorCrashRepair(t *testing.T) {
 			t.Errorf("Reboot: %v", err)
 			return
 		}
-		if !v.Degraded() {
+		if !v.degraded {
 			t.Error("mirror not degraded after power cycle")
 		}
 		// Degraded read: served from the primary, repaired onto the
@@ -281,7 +281,7 @@ func TestMirrorReadRepairRaces(t *testing.T) {
 				})
 			}
 			eng.Run()
-			if v.Degraded() {
+			if v.degraded {
 				t.Error("mirror still degraded after every page was repaired")
 			}
 			run(t, eng, func(p *sim.Proc) {

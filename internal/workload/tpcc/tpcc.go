@@ -35,11 +35,6 @@ const (
 	numTx
 )
 
-// String names the transaction.
-func (t TxType) String() string {
-	return [...]string{"NewOrder", "Payment", "OrderStatus", "Delivery", "StockLevel"}[t]
-}
-
 // Standard mix percentages (TPC-C §5.2.4 minimums, NewOrder taking the
 // remainder).
 var txMix = [numTx]float64{
@@ -121,9 +116,6 @@ func (r *Result) TpmC() float64 {
 	}
 	return float64(r.NewOrders) / r.Elapsed.Minutes()
 }
-
-// TPS returns total transactions per second.
-func (r *Result) TPS() float64 { return stats.Throughput(r.Total, r.Elapsed) }
 
 // Setup creates and loads the TPC-C schema.
 func Setup(eng *sim.Engine, e *pagedb.Engine, cfg Config) (*Bench, error) {

@@ -69,7 +69,7 @@ func TestRunProducesTpmC(t *testing.T) {
 	}
 	for tt := TxType(0); tt < numTx; tt++ {
 		if res.Lat[tt].Count() == 0 {
-			t.Fatalf("transaction %s never ran", tt)
+			t.Fatalf("transaction %d never ran", tt)
 		}
 	}
 }
