@@ -151,17 +151,11 @@ type Controller struct {
 	stats *storage.Stats
 }
 
-// NewController builds a controller over f and starts its flush workers.
-// The registry (shared with the owning device) may be nil.
+// NewController builds a controller over f and starts its flush workers,
+// counting into reg, the registry it shares with the owning device.
 func NewController(f *ftl.FTL, cfg Config, reg *iotrace.Registry) *Controller {
-	if reg == nil {
-		reg = iotrace.NewRegistry()
-	}
-	if cfg.Frames <= 0 {
-		cfg.Frames = 1024
-	}
-	if cfg.FlushWorkers <= 0 {
-		cfg.FlushWorkers = f.Array().Config().Planes()
+	if cfg.Frames <= 0 || cfg.FlushWorkers <= 0 {
+		panic("core: Frames and FlushWorkers must be positive")
 	}
 	eng := f.Array().Engine()
 	c := &Controller{

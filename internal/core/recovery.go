@@ -81,9 +81,13 @@ func (d *dumpArea) programSlots(slots []ftl.SlotWrite) bool {
 // Recover implements the reboot path of the recovery manager (paper §3.4.2):
 // recharge the capacitors, replay the write-backs stored in the dump area
 // through the normal program path (reflecting them in the mapping table),
-// then clear the dump area and the emergency state. Recovery is idempotent:
-// replayed pages are programmed before the dump is erased, so a second
-// power failure during recovery just replays again.
+// then clear the dump area and the emergency state. Running it twice in a
+// row replays the same pages to the same result (TestRecoveryIdempotent).
+// Surviving a second power failure during recovery relies on one ordering:
+// every replayed page is programmed before the dump area is erased, so a
+// cut before the erase leaves the whole dump to replay again. No test or
+// tool cuts power during recovery yet; ROADMAP item 6 is the test that
+// will check it.
 func Recover(p *sim.Proc, f *ftl.FTL, recharge time.Duration, stats *storage.Stats) error {
 	p.Sleep(recharge)
 	req := f.Registry().NewReq(p, iotrace.OpRecovery, iotrace.OriginUnknown, 0, 0)

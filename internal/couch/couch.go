@@ -43,7 +43,7 @@ func (c *Config) defaults() error {
 		c.DocBytes = 1 * storage.KB
 	}
 	if c.BatchSize <= 0 {
-		c.BatchSize = 1
+		return fmt.Errorf("couch: BatchSize must be positive")
 	}
 	return nil
 }

@@ -64,18 +64,13 @@ func New(cfg Config, base buffer.PageID) (*Tree, error) {
 	}
 	t := &Tree{cfg: cfg, base: base}
 	t.rowsPerLeaf = int64(float64(cfg.PageBytes) / float64(cfg.RowBytes) * fillFactor)
-	if t.rowsPerLeaf < 1 {
-		t.rowsPerLeaf = 1
-	}
 	t.fanout = int64(float64(cfg.PageBytes) / float64(cfg.KeyBytes) * fillFactor)
-	if t.fanout < 2 {
-		t.fanout = 2
+	if t.rowsPerLeaf < 1 || t.fanout < 2 {
+		return nil, fmt.Errorf("index: a %d-byte page holds too few %d-byte rows or %d-byte keys", cfg.PageBytes, cfg.RowBytes, cfg.KeyBytes)
 	}
-	// Level widths at MaxRows determine the reserved regions.
+	// Level widths at MaxRows determine the reserved regions; MaxRows is
+	// positive, so there is at least one leaf.
 	width := (cfg.MaxRows + t.rowsPerLeaf - 1) / t.rowsPerLeaf
-	if width < 1 {
-		width = 1
-	}
 	for {
 		t.levelBase = append(t.levelBase, t.pages)
 		t.pages += width

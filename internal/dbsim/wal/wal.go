@@ -78,11 +78,8 @@ type Log struct {
 
 // New creates the log files on fs and returns the log.
 func New(eng *sim.Engine, fs *host.FS, cfg Config) (*Log, error) {
-	if cfg.Files <= 0 {
-		cfg.Files = 3
-	}
-	if cfg.FilePages <= 0 {
-		return nil, fmt.Errorf("wal: FilePages must be positive")
+	if cfg.Files <= 0 || cfg.FilePages <= 0 {
+		return nil, fmt.Errorf("wal: Files and FilePages must be positive")
 	}
 	l := &Log{eng: eng, cfg: cfg, flushDone: sim.NewQueue(eng)}
 	for i := 0; i < cfg.Files; i++ {
@@ -101,7 +98,7 @@ func New(eng *sim.Engine, fs *host.FS, cfg Config) (*Log, error) {
 // fine for crash tests that recover before appending).
 func Reopen(eng *sim.Engine, fs *host.FS, cfg Config) (*Log, error) {
 	if cfg.Files <= 0 {
-		cfg.Files = 3
+		return nil, fmt.Errorf("wal: Files must be positive")
 	}
 	l := &Log{eng: eng, cfg: cfg, flushDone: sim.NewQueue(eng)}
 	for i := 0; i < cfg.Files; i++ {

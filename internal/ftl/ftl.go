@@ -146,11 +146,6 @@ type FTL struct {
 	tagPool  [][]nand.SlotTag
 	pagePool [][]byte
 	slotPool [][]byte // slot-size relocation buffers (GC / scrub / refresh)
-
-	// byPPN is ReadSlots' grouping scratch, cleared at the top of each
-	// call instead of reallocated; FTL calls are serialized per device,
-	// so a single map suffices.
-	byPPN map[nand.PPN]int
 }
 
 func (f *FTL) getTags(n int) []nand.SlotTag {
@@ -232,8 +227,8 @@ func (f *FTL) recycleBatch(batch []SlotWrite) []SlotWrite {
 	return batch[:0]
 }
 
-// New builds an FTL over the array. All blocks start erased. The registry
-// (shared with the owning device) may be nil.
+// New builds an FTL over the array, counting into reg, the registry it
+// shares with the owning device. All blocks start erased.
 func New(a *nand.Array, cfg Config, reg *iotrace.Registry) (*FTL, error) {
 	ncfg := a.Config()
 	if cfg.SlotsPerPage <= 0 || ncfg.PageSize%cfg.SlotsPerPage != 0 {
@@ -243,7 +238,7 @@ func New(a *nand.Array, cfg Config, reg *iotrace.Registry) (*FTL, error) {
 		return nil, fmt.Errorf("ftl: GCThresholdBlocks must be >= 2, got %d", cfg.GCThresholdBlocks)
 	}
 	if cfg.MapEntryBytes <= 0 {
-		cfg.MapEntryBytes = 4
+		return nil, fmt.Errorf("ftl: MapEntryBytes must be positive, got %d", cfg.MapEntryBytes)
 	}
 	if slots := ncfg.Pages() * int64(cfg.SlotsPerPage); slots > math.MaxUint32 {
 		return nil, fmt.Errorf("ftl: %d physical slots overflow the 32-bit mapping table", slots)
@@ -256,9 +251,6 @@ func New(a *nand.Array, cfg Config, reg *iotrace.Registry) (*FTL, error) {
 		(cfg.ReserveBlocks > 0 && cfg.DumpBlocks/planes+cfg.ReserveBlocks >= ncfg.BlocksPerPlane-cfg.GCThresholdBlocks-1) {
 		return nil, fmt.Errorf("ftl: ReserveBlocks %d leaves no usable space", cfg.ReserveBlocks)
 	}
-	if reg == nil {
-		reg = iotrace.NewRegistry()
-	}
 	f := &FTL{
 		a:          a,
 		cfg:        cfg,
@@ -269,7 +261,6 @@ func New(a *nand.Array, cfg Config, reg *iotrace.Registry) (*FTL, error) {
 		dumpSet:    make(map[int]bool),
 		reserve:    make([][]int, planes),
 		retired:    make(map[int]bool),
-		byPPN:      make(map[nand.PPN]int),
 		reg:        reg,
 		stats:      reg.Stats(),
 		relocStale: reg.RegisterCounter("reloc_stale"),
@@ -402,79 +393,6 @@ func (f *FTL) ReadSlot(p *sim.Proc, req iotrace.Req, lpn storage.LPN, buf []byte
 		copy(buf, page[sub*f.SlotSize():(sub+1)*f.SlotSize()])
 	}
 	f.maybeRefresh(p, req, ppn, info)
-	return nil
-}
-
-// ReadSlots reads several logical slots, issuing one physical page read per
-// distinct physical page (consecutive DB-page slots often share a NAND
-// page). If buf is non-nil it must be len(lpns)*SlotSize bytes.
-//
-//simlint:hotpath
-func (f *FTL) ReadSlots(p *sim.Proc, req iotrace.Req, lpns []storage.LPN, buf []byte) error {
-	sp := req.Begin(p, iotrace.LayerFTL)
-	defer sp.End(p)
-	ss := f.SlotSize()
-	type pending struct {
-		ppn  nand.PPN
-		idxs []int // positions in lpns served by this physical page
-		subs []int // sub-slot per position, captured before any relocation
-	}
-	var reads []pending
-	clear(f.byPPN)
-	for i, lpn := range lpns {
-		spn, ok := f.spnOf(lpn)
-		if !ok {
-			if int64(lpn) >= f.logicalSlots {
-				return storage.ErrOutOfRange
-			}
-			if buf != nil {
-				zero(buf[i*ss : (i+1)*ss])
-			}
-			continue
-		}
-		ppn := nand.PPN(spn / SPN(f.cfg.SlotsPerPage))
-		j, seen := f.byPPN[ppn]
-		if !seen {
-			j = len(reads)
-			f.byPPN[ppn] = j
-			reads = append(reads, pending{ppn: ppn})
-		}
-		reads[j].idxs = append(reads[j].idxs, i)
-		reads[j].subs = append(reads[j].subs, int(spn%SPN(f.cfg.SlotsPerPage)))
-	}
-	// Refreshes are deferred past the copy loop: a refresh relocates
-	// mappings and can trigger GC, which must not move or erase pages the
-	// remaining pending reads still reference.
-	var refresh []nand.PPN
-	var page []byte
-	if buf != nil && len(reads) > 0 {
-		// One pooled buffer serves every pending page: readPagePhys
-		// overwrites it in full before the copy loop reads it back.
-		page = f.getPage()
-		defer f.putPage(page)
-	}
-	for _, r := range reads {
-		info, err := f.readPagePhys(p, req, r.ppn, page)
-		if err != nil {
-			if errors.Is(err, storage.ErrUncorrectable) {
-				f.stats.UncorrectableReads++
-				f.noteUncorrectable(p, req, r.ppn)
-			}
-			return err
-		}
-		if buf != nil {
-			for k, i := range r.idxs {
-				sub := r.subs[k]
-				copy(buf[i*ss:(i+1)*ss], page[sub*ss:(sub+1)*ss])
-			}
-		}
-		if f.cfg.RefreshThreshold > 0 && info.CorrectedBits >= f.cfg.RefreshThreshold {
-			refresh = append(refresh, r.ppn)
-		}
-	}
-	for _, ppn := range refresh {
-		f.refreshBestEffort(p, req, ppn)
-	}
 	return nil
 }
 

@@ -58,21 +58,21 @@ func defaultTestConfig() Config {
 func TestNewValidation(t *testing.T) {
 	eng := sim.New()
 	ncfg := nand.EnterpriseConfig(16)
-	a, _ := nand.New(eng, ncfg, nil)
+	a, _ := nand.New(eng, ncfg, iotrace.NewRegistry())
 
 	bad := defaultTestConfig()
 	bad.SlotsPerPage = 3
-	if _, err := New(a, bad, nil); err == nil {
+	if _, err := New(a, bad, iotrace.NewRegistry()); err == nil {
 		t.Fatal("expected error for non-dividing SlotsPerPage")
 	}
 	bad = defaultTestConfig()
 	bad.GCThresholdBlocks = 1
-	if _, err := New(a, bad, nil); err == nil {
+	if _, err := New(a, bad, iotrace.NewRegistry()); err == nil {
 		t.Fatal("expected error for GC threshold < 2")
 	}
 	bad = defaultTestConfig()
 	bad.DumpBlocks = ncfg.Blocks()
-	if _, err := New(a, bad, nil); err == nil {
+	if _, err := New(a, bad, iotrace.NewRegistry()); err == nil {
 		t.Fatal("expected error for dump area swallowing the device")
 	}
 }
@@ -374,8 +374,8 @@ func TestRandomOpsInvariant(t *testing.T) {
 		cfg := defaultTestConfig()
 		cfg.OverProvisionPct = 30
 		ncfg := nand.EnterpriseConfig(32)
-		a, _ := nand.New(eng, ncfg, nil)
-		f, err := New(a, cfg, nil)
+		a, _ := nand.New(eng, ncfg, iotrace.NewRegistry())
+		f, err := New(a, cfg, iotrace.NewRegistry())
 		if err != nil {
 			return false
 		}
@@ -422,17 +422,17 @@ func TestNewRejectsMapOverflow(t *testing.T) {
 	ncfg.Channels, ncfg.PackagesPerChannel, ncfg.ChipsPerPackage, ncfg.PlanesPerChip = 1, 1, 1, 1
 	ncfg.BlocksPerPlane, ncfg.PagesPerBlock = 1024, 64 // 2^16 pages
 	ncfg.PageSize = 1 << 20
-	a, err := nand.New(sim.New(), ncfg, nil)
+	a, err := nand.New(sim.New(), ncfg, iotrace.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(ncfg.PageSize)
 	cfg.SlotsPerPage = 1 << 16 // 2^32 physical slots: one past the last 32-bit SPN
-	if _, err := New(a, cfg, nil); err == nil || !strings.Contains(err.Error(), "32-bit") {
+	if _, err := New(a, cfg, iotrace.NewRegistry()); err == nil || !strings.Contains(err.Error(), "32-bit") {
 		t.Fatalf("New over 2^32 physical slots: err = %v, want a 32-bit overflow error", err)
 	}
 	cfg.SlotsPerPage = 1 << 4
-	if _, err := New(a, cfg, nil); err != nil {
+	if _, err := New(a, cfg, iotrace.NewRegistry()); err != nil {
 		t.Fatalf("New over 2^20 physical slots: %v", err)
 	}
 }

@@ -311,7 +311,7 @@ func TestGCRetiresVictimWithUnreadablePage(t *testing.T) {
 			t.Errorf("cannot damage LPN %d at ppn %d", damaged, ppn)
 			return
 		}
-		erases := f.a.Registry().Stats().NANDErases
+		erases := f.reg.Stats().NANDErases
 		f.gcLocks[0].Acquire(p, 1)
 		err := f.gcOnce(p, iotrace.Req{}, 0)
 		f.gcLocks[0].Release(1)
@@ -319,7 +319,7 @@ func TestGCRetiresVictimWithUnreadablePage(t *testing.T) {
 			t.Errorf("gcOnce: %v", err)
 			return
 		}
-		if after := f.a.Registry().Stats().NANDErases; !f.retired[victim] || f.isFree(0, victim) || after != erases || f.a.State(ppn) != nand.PageValid {
+		if after := f.reg.Stats().NANDErases; !f.retired[victim] || f.isFree(0, victim) || after != erases || f.a.State(ppn) != nand.PageValid {
 			t.Errorf("victim not retired in place: retired=%v free=%v erases %d→%d", f.retired[victim], f.isFree(0, victim), erases, after)
 		}
 		buf := make([]byte, ss)

@@ -98,7 +98,7 @@ func TestRetentionErrorsCorrectedWithinThreshold(t *testing.T) {
 
 func TestReadRetryRecoversHeavyRetentionLoss(t *testing.T) {
 	eng := sim.New()
-	a, err := New(eng, mediaConfig(MediaConfig{Seed: 5, RetentionPerMs: 1}), nil)
+	a, err := New(eng, mediaConfig(MediaConfig{Seed: 5, RetentionPerMs: 1}), iotrace.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

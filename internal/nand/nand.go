@@ -247,15 +247,11 @@ type Array struct {
 	stats *storage.Stats
 }
 
-// New builds an array with the given geometry, attached to eng. The
-// registry (shared with the owning device) may be nil, in which case the
-// array keeps private counters.
+// New builds an array with the given geometry, attached to eng, counting
+// into reg, the registry it shares with the owning device.
 func New(eng *sim.Engine, cfg Config, reg *iotrace.Registry) (*Array, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if reg == nil {
-		reg = iotrace.NewRegistry()
 	}
 	a := &Array{
 		cfg:       cfg,
@@ -293,9 +289,6 @@ func (a *Array) Config() Config { return a.cfg }
 
 // Engine returns the simulation engine the array is attached to.
 func (a *Array) Engine() *sim.Engine { return a.eng }
-
-// Registry returns the metrics registry shared with the owning device.
-func (a *Array) Registry() *iotrace.Registry { return a.reg }
 
 // PlaneOf returns the plane index holding ppn.
 func (a *Array) PlaneOf(ppn PPN) int {

@@ -17,7 +17,7 @@ func testConfig() Config {
 
 func newTestArray(t *testing.T, eng *sim.Engine) *Array {
 	t.Helper()
-	a, err := New(eng, testConfig(), nil)
+	a, err := New(eng, testConfig(), iotrace.NewRegistry())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -37,12 +37,12 @@ func TestConfigGeometry(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	bad := testConfig()
 	bad.Channels = 0
-	if _, err := New(sim.New(), bad, nil); err == nil {
+	if _, err := New(sim.New(), bad, iotrace.NewRegistry()); err == nil {
 		t.Fatal("expected error for zero channels")
 	}
 	bad = testConfig()
 	bad.PageSize = 0
-	if _, err := New(sim.New(), bad, nil); err == nil {
+	if _, err := New(sim.New(), bad, iotrace.NewRegistry()); err == nil {
 		t.Fatal("expected error for zero page size")
 	}
 }
@@ -470,3 +470,6 @@ func TestEventEmission(t *testing.T) {
 		t.Fatalf("events = %v, want one program and one erase", seen)
 	}
 }
+
+// Registry returns the metrics registry shared with the owning device.
+func (a *Array) Registry() *iotrace.Registry { return a.reg }

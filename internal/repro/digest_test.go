@@ -70,7 +70,7 @@ func goldenCases() map[string]digestFn {
 		// The mixed-tenant serving scenario as servebench runs it: the
 		// default four-shard box, and the replicated box under the seeded
 		// fault schedule (group timings, breakers, link latency).
-		"serve-scenario": func(t *testing.T) string { return scenarioDigest(t, serve.ScenarioConfig{Seed: 1}) },
+		"serve-scenario": func(t *testing.T) string { return scenarioDigest(t, serve.ScenarioConfig{Shards: 4, Seed: 1}) },
 		"serve-chaos":    func(t *testing.T) string { return scenarioDigest(t, serve.ChaosScenario(1, 1)) },
 	}
 }

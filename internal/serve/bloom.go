@@ -22,9 +22,6 @@ type Bloom struct {
 // NewBloom sizes a filter for the expected number of keys at roughly 1%
 // false positives (10 bits per key, 7 hash functions).
 func NewBloom(expected int) *Bloom {
-	if expected < 1 {
-		expected = 1
-	}
 	nbits := uint64(expected) * 10
 	// Round up to a multiple of 64 with a small floor so tiny filters
 	// still have room to spread their hash functions.

@@ -33,11 +33,8 @@ type centry struct {
 	prev, next *centry
 }
 
-// NewCache creates a cache holding at most capacity entries (minimum 1).
+// NewCache creates a cache holding at most capacity entries (at least 1).
 func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &Cache{
 		cap:     capacity,
 		entries: make(map[uint64]*centry, capacity),

@@ -36,34 +36,18 @@ import (
 
 // BurstSpec describes one MidBurst crash run.
 type BurstSpec struct {
-	// Shards is the shard count (default 4; at least 2).
+	// Shards is the shard count.
 	Shards int
 	// Volatile lists the shard indices built on volatile-cache SSD-A
-	// drives; the rest are DuraSSD. Default: every odd shard.
+	// drives; the rest are DuraSSD.
 	Volatile []int
-	// Updates is the total number of Put attempts across all writers
-	// (default 240).
+	// Updates is the total number of Put attempts across all writers.
 	Updates int
 	Seed    int64
 }
 
-func (sp *BurstSpec) defaults() {
-	if sp.Shards < 2 {
-		sp.Shards = 4
-	}
-	if sp.Volatile == nil {
-		for i := 1; i < sp.Shards; i += 2 {
-			sp.Volatile = append(sp.Volatile, i)
-		}
-	}
-	if sp.Updates <= 0 {
-		sp.Updates = 240
-	}
-}
-
 // Name summarizes the configuration (stable: it feeds schedule digests).
 func (sp BurstSpec) Name() string {
-	sp.defaults()
 	return fmt.Sprintf("serve midburst shards=%d volatile=%d barrier=off", sp.Shards, len(sp.Volatile))
 }
 
@@ -71,7 +55,6 @@ func (sp BurstSpec) Name() string {
 // tenants of two processes each over 64 keys apiece, and every shard loses
 // power at the same instant, 5ms in.
 func (sp BurstSpec) Replicated() ReplicaSpec {
-	sp.defaults()
 	return ReplicaSpec{
 		Groups: sp.Shards, Replicas: 1, VolatileGroups: sp.Volatile,
 		Tenants: 3, Writers: 2, Updates: sp.Updates, Keys: 64,
@@ -82,10 +65,10 @@ func (sp BurstSpec) Replicated() ReplicaSpec {
 // ReplicaSpec describes one ReplicaLoss crash run, and is the spec the rig
 // takes.
 type ReplicaSpec struct {
-	// Groups is the number of shard replica groups (default 2).
+	// Groups is the number of shard replica groups.
 	Groups int
-	// Replicas is the replication factor R per group (default 3), written
-	// at a majority quorum W.
+	// Replicas is the replication factor R per group, written at a
+	// majority quorum W.
 	Replicas int
 	// Volatile builds every group on volatile-cache SSD-A drives instead of
 	// DuraSSD — the control configuration that loses acked writes.
@@ -97,7 +80,7 @@ type ReplicaSpec struct {
 	// (default 4).
 	Tenants int
 	Writers int
-	// Updates is the total number of Put attempts (default 160).
+	// Updates is the total number of Put attempts.
 	Updates int
 	// Keys is the per-tenant key-space size (default 96).
 	Keys int
@@ -114,29 +97,17 @@ type ReplicaSpec struct {
 }
 
 func (sp *ReplicaSpec) defaults() {
-	if sp.Groups <= 0 {
-		sp.Groups = 2
-	}
-	if sp.Replicas <= 0 {
-		sp.Replicas = 3
-	}
 	if sp.Tenants <= 0 {
 		sp.Tenants = 1
 	}
 	if sp.Writers <= 0 {
 		sp.Writers = 4
 	}
-	if sp.Updates <= 0 {
-		sp.Updates = 160
-	}
 	if sp.Keys <= 0 {
 		sp.Keys = 96
 	}
 	if sp.CutAfter == 0 {
 		sp.CutAfter = 5 * time.Millisecond
-	}
-	if sp.CutReplica < 0 || sp.CutReplica >= sp.Replicas {
-		sp.CutReplica = 0
 	}
 }
 
@@ -223,6 +194,12 @@ type crashRead struct {
 // and convergence on every replica.
 func RunCrash(sp ReplicaSpec, o CrashOptions) (*CrashVerdict, error) {
 	sp.defaults()
+	if sp.Groups <= 0 || sp.Replicas <= 0 {
+		return nil, fmt.Errorf("serve: Groups and Replicas must be positive")
+	}
+	if sp.CutReplica < 0 || sp.CutReplica >= sp.Replicas {
+		return nil, fmt.Errorf("serve: CutReplica %d out of range for %d replicas", sp.CutReplica, sp.Replicas)
+	}
 	R := sp.Replicas
 	volatile := make([]bool, sp.Groups)
 	for g := range volatile {

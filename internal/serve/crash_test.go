@@ -13,9 +13,15 @@ import (
 // DuraSSD shards must all survive, and the volatile-cache shards must lose
 // some — the control group that proves the audit has teeth.
 
+// testBurst is the burst these tests run: four shards, the odd ones on
+// volatile-cache drives, 240 updates.
+func testBurst(seed int64) BurstSpec {
+	return BurstSpec{Shards: 4, Volatile: []int{1, 3}, Updates: 240, Seed: seed}
+}
+
 // TestMidBurstDuraSafeVolatileLossy is the headline assertion.
 func TestMidBurstDuraSafeVolatileLossy(t *testing.T) {
-	v, err := RunCrash(BurstSpec{Seed: 1}.Replicated(), CrashOptions{})
+	v, err := RunCrash(testBurst(1).Replicated(), CrashOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +67,7 @@ func TestMidBurstDuraSafeVolatileLossy(t *testing.T) {
 // audit finds every acked version on every shard, volatile included — loss
 // in the cut runs comes from the cut, not from the rig.
 func TestMidBurstNoCutClean(t *testing.T) {
-	v, err := RunCrash(BurstSpec{Seed: 1}.Replicated(), CrashOptions{NoCut: true})
+	v, err := RunCrash(testBurst(1).Replicated(), CrashOptions{NoCut: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +85,9 @@ func TestMidBurstNoCutClean(t *testing.T) {
 // TestMidBurstAllDuraSafe: a box built entirely from DuraSSD shards survives
 // the same cut with zero loss anywhere.
 func TestMidBurstAllDuraSafe(t *testing.T) {
-	v, err := RunCrash(BurstSpec{Volatile: []int{}, Seed: 1}.Replicated(), CrashOptions{})
+	sp := testBurst(1)
+	sp.Volatile = nil
+	v, err := RunCrash(sp.Replicated(), CrashOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +103,7 @@ func TestMidBurstAllDuraSafe(t *testing.T) {
 // verdict — the property the crashpoint campaign's replays depend on.
 func TestMidBurstDeterminism(t *testing.T) {
 	run := func() string {
-		v, err := RunCrash(BurstSpec{Seed: 3}.Replicated(), CrashOptions{})
+		v, err := RunCrash(testBurst(3).Replicated(), CrashOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,8 +120,8 @@ func TestMidBurstDeterminism(t *testing.T) {
 // groups a quorum ends nobody, and every writer runs out its budget.
 func TestCrashWholeBoxCutStopsWriters(t *testing.T) {
 	for _, sp := range []ReplicaSpec{
-		BurstSpec{Seed: 1}.Replicated(),
-		{Groups: 2, Replicas: 1, Volatile: true, Seed: 7},
+		testBurst(1).Replicated(),
+		{Groups: 2, Replicas: 1, Volatile: true, Updates: 160, Seed: 7},
 	} {
 		sp.CutAfter = 2 * time.Millisecond
 		v, err := RunCrash(sp, CrashOptions{})
@@ -129,7 +137,7 @@ func TestCrashWholeBoxCutStopsWriters(t *testing.T) {
 			t.Errorf("%s: %d of %d Puts attempted although the box died at 2ms", sp.Name(), got, sp.Updates)
 		}
 	}
-	sp := ReplicaSpec{Groups: 2, Replicas: 3, Seed: 7, CutAfter: 2 * time.Millisecond}
+	sp := ReplicaSpec{Groups: 2, Replicas: 3, Updates: 160, Seed: 7, CutAfter: 2 * time.Millisecond}
 	v, err := RunCrash(sp, CrashOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +152,8 @@ func TestCrashWholeBoxCutStopsWriters(t *testing.T) {
 // silently all-DuraSSD run.
 func TestCrashRejectsVolatileGroupOutOfRange(t *testing.T) {
 	for _, sp := range []ReplicaSpec{
-		{Groups: 2, VolatileGroups: []int{2}},
-		{Groups: 2, VolatileGroups: []int{-1}},
+		{Groups: 2, Replicas: 3, VolatileGroups: []int{2}},
+		{Groups: 2, Replicas: 3, VolatileGroups: []int{-1}},
 		BurstSpec{Shards: 4, Volatile: []int{1, 4}}.Replicated(),
 	} {
 		if _, err := RunCrash(sp, CrashOptions{NoCut: true}); err == nil || !strings.Contains(err.Error(), "out of range") {

@@ -16,7 +16,7 @@ import (
 // report plus the schedule digest.
 func scenarioFingerprint(t *testing.T, workers int) (string, string) {
 	t.Helper()
-	res, err := RunScenario(ScenarioConfig{Workers: workers, Seed: 1})
+	res, err := RunScenario(ScenarioConfig{Shards: 4, Workers: workers, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestScenarioDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // a different seed yields a different schedule, so digest identity above is
 // meaningful rather than vacuous.
 func TestScenarioSeedSensitivity(t *testing.T) {
-	a, err := RunScenario(ScenarioConfig{Seed: 1})
+	a, err := RunScenario(ScenarioConfig{Shards: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunScenario(ScenarioConfig{Seed: 2})
+	b, err := RunScenario(ScenarioConfig{Shards: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestScenarioSeedSensitivity(t *testing.T) {
 // every tenant completes operations, the TPC-C tenant is throttled by its
 // QoS contract, the cache absorbs reads, and at least one shard sheds.
 func TestScenarioServesAndSheds(t *testing.T) {
-	res, err := RunScenario(ScenarioConfig{Seed: 1})
+	res, err := RunScenario(ScenarioConfig{Shards: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,14 +23,8 @@ type TokenBucket struct {
 }
 
 // NewTokenBucket builds a limiter admitting ratePerSec requests per second
-// of virtual time with the given burst size (minimum 1 each).
+// of virtual time with the given burst size (at least 1 each).
 func NewTokenBucket(ratePerSec, burst int) *TokenBucket {
-	if ratePerSec < 1 {
-		ratePerSec = 1
-	}
-	if burst < 1 {
-		burst = 1
-	}
 	t := time.Second / time.Duration(ratePerSec)
 	if t < 1 {
 		t = 1

@@ -21,11 +21,8 @@ type ringPoint struct {
 
 const vnodesPerShard = 64
 
-// NewRing builds a ring over the given number of shards (minimum 1).
+// NewRing builds a ring over the given number of shards (at least 1).
 func NewRing(shards int) *Ring {
-	if shards < 1 {
-		shards = 1
-	}
 	r := &Ring{points: make([]ringPoint, 0, shards*vnodesPerShard), shards: shards}
 	for s := 0; s < shards; s++ {
 		// Double-mix with a salt keeps vnode placement in a different hash

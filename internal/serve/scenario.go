@@ -44,23 +44,17 @@ type TenantSpec struct {
 
 // ScenarioConfig configures one mixed-tenant run.
 type ScenarioConfig struct {
-	Shards   int // engine shard groups (default 4)
+	Shards   int // engine shard groups
 	Replicas int // replicas per shard group (default 1), written at a majority quorum
-	Workers  int // cluster worker threads (default 1)
+	Workers  int // cluster worker threads (at least one runs)
 	Seed     int64
 	Tenants  []TenantSpec // default: DefaultTenants()
 	Chaos    *ChaosSpec   // optional deterministic fault injection
 }
 
 func (c *ScenarioConfig) defaults() {
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
 	if c.Replicas <= 0 {
 		c.Replicas = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.Tenants == nil {
 		c.Tenants = DefaultTenants()
@@ -116,6 +110,9 @@ type ScenarioResult struct {
 // tenant mix to completion.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	cfg.defaults()
+	if cfg.Shards <= 0 {
+		return nil, fmt.Errorf("serve: Shards must be positive")
+	}
 	domains := 1 + cfg.Shards*cfg.Replicas
 	cluster := sim.NewCluster(domains, linkLatency, cfg.Workers)
 	defer cluster.Close()

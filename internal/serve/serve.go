@@ -87,6 +87,9 @@ func NewReplicated(front *sim.Domain, storesByShard [][]*Store, cfg Config) (*Se
 	if len(storesByShard) == 0 {
 		return nil, errors.New("serve: need at least one shard store")
 	}
+	if cfg.CacheSize < 1 {
+		return nil, errors.New("serve: CacheSize must be positive")
+	}
 	s := &Server{
 		front: front,
 		ring:  NewRing(len(storesByShard)),

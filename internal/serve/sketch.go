@@ -26,9 +26,6 @@ const sketchDepth = 4
 // sketch halves itself every 10*capacity increments (the TinyLFU sample
 // window) so stale traffic decays.
 func NewSketch(capacity int) *Sketch {
-	if capacity < 1 {
-		capacity = 1
-	}
 	n := uint64(64)
 	for n < uint64(capacity)*2 {
 		n *= 2

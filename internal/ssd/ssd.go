@@ -38,7 +38,7 @@ type Profile struct {
 	ReadCmdOverhead  time.Duration // serialized per read command
 	FirmwareWrite    time.Duration // overlapping per write command
 	FirmwareRead     time.Duration // overlapping per read command
-	NCQDepth         int           // outstanding commands (SATA NCQ: 32)
+	NCQDepth         int           // outstanding commands (SATA NCQ: 32); 0 = no host-visible queue
 }
 
 // DuraSSD returns the paper's prototype: durable cache, dump area, lazy
@@ -137,8 +137,6 @@ type Device struct {
 	// copies slot data during staging), so concurrent commands simply draw
 	// distinct slices.
 	slotsPool [][]ftl.SlotWrite
-	// lpnPool recycles the per-read LPN scratch the same way.
-	lpnPool [][]storage.LPN
 }
 
 func (d *Device) getSlots(n int) []ftl.SlotWrite {
@@ -164,25 +162,6 @@ func (d *Device) putSlots(s []ftl.SlotWrite) {
 	d.slotsPool = append(d.slotsPool, s[:0])
 }
 
-func (d *Device) getLPNs(n int) []storage.LPN {
-	if last := len(d.lpnPool) - 1; last >= 0 {
-		s := d.lpnPool[last]
-		d.lpnPool[last] = nil
-		d.lpnPool = d.lpnPool[:last]
-		if cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]storage.LPN, n) //simlint:allow hotalloc pool miss fallback; steady state recycles pooled slices
-}
-
-func (d *Device) putLPNs(s []storage.LPN) {
-	if cap(s) == 0 || len(d.lpnPool) >= 8 {
-		return
-	}
-	d.lpnPool = append(d.lpnPool, s[:0])
-}
-
 // New builds a powered-on, empty device from the profile.
 func New(eng *sim.Engine, prof Profile) (*Device, error) {
 	reg := iotrace.NewRegistry()
@@ -193,9 +172,6 @@ func New(eng *sim.Engine, prof Profile) (*Device, error) {
 	f, err := ftl.New(arr, prof.FTL, reg)
 	if err != nil {
 		return nil, err
-	}
-	if prof.NCQDepth <= 0 {
-		prof.NCQDepth = 32
 	}
 	d := &Device{
 		prof: prof,
@@ -317,23 +293,19 @@ func (d *Device) Read(p *sim.Proc, req iotrace.Req, lpn storage.LPN, n int, buf 
 	if err := d.front.Interrupted(); err != nil {
 		return err
 	}
+	// Serve each slot from cache when resident, flash otherwise; with
+	// the write cache off every slot comes from flash.
 	var err error
-	if d.cacheOn {
-		// Serve each slot from cache when resident, flash otherwise.
-		for i := 0; i < n && err == nil; i++ {
-			var sb []byte
-			if buf != nil {
-				sb = buf[i*ss : (i+1)*ss]
-			}
+	for i := 0; i < n && err == nil; i++ {
+		var sb []byte
+		if buf != nil {
+			sb = buf[i*ss : (i+1)*ss]
+		}
+		if d.cacheOn {
 			err = d.ctrl.Read(p, req, lpn+storage.LPN(i), sb)
+		} else {
+			err = d.f.ReadSlot(p, req, lpn+storage.LPN(i), sb)
 		}
-	} else {
-		lpns := d.getLPNs(n)
-		for i := range lpns {
-			lpns[i] = lpn + storage.LPN(i)
-		}
-		err = d.f.ReadSlots(p, req, lpns, buf)
-		d.putLPNs(lpns)
 	}
 	if err != nil {
 		return err

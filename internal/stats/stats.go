@@ -125,9 +125,6 @@ func (h *Hist) Merge(other *Hist) {
 	h.sum += other.sum
 }
 
-// Reset clears the histogram.
-func (h *Hist) Reset() { *h = Hist{} }
-
 // Throughput converts an operation count over a virtual-time window into
 // operations per second.
 func Throughput(ops int64, window time.Duration) float64 {

@@ -74,18 +74,6 @@ type Config struct {
 	OnMeasureStart func()
 }
 
-func (c *Config) defaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 800_000
-	}
-	if c.Clients <= 0 {
-		c.Clients = 128
-	}
-	if c.Requests <= 0 {
-		c.Requests = 100_000
-	}
-}
-
 const (
 	linksPerNode = 10 // average out-links per node
 	listLength   = 10 // rows returned by Get Link List
@@ -140,7 +128,9 @@ type Bench struct {
 
 // Setup creates and bulk-loads the LinkBench schema on the engine.
 func Setup(eng *sim.Engine, e *pagedb.Engine, cfg Config) (*Bench, error) {
-	cfg.defaults()
+	if cfg.Nodes <= 0 || cfg.Clients <= 0 {
+		return nil, fmt.Errorf("linkbench: Nodes and Clients must be positive")
+	}
 	b := &Bench{cfg: cfg, e: e, maxID: cfg.Nodes,
 		pageCPU: 35*time.Microsecond + 3*time.Microsecond*time.Duration(e.PageBytes()/1024)}
 	var err error
@@ -184,9 +174,6 @@ func (b *Bench) Run(eng *sim.Engine) (*Result, error) {
 	}
 	total := cfg.Warmup + cfg.Requests
 	perClient := total / cfg.Clients
-	if perClient == 0 {
-		perClient = 1
-	}
 	warmPer := cfg.Warmup / cfg.Clients
 
 	var firstErr error

@@ -127,7 +127,7 @@ func TestSchemaFitsReservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Setup(eng, e, Config{Nodes: 100_000}); err != nil {
+	if _, err := Setup(eng, e, Config{Nodes: 100_000, Clients: 128}); err != nil {
 		t.Fatal(err)
 	}
 	var _ = index.Config{}

@@ -54,21 +54,6 @@ type Config struct {
 	Seed       int64
 }
 
-func (c *Config) defaults() {
-	if c.Warehouses <= 0 {
-		c.Warehouses = 16
-	}
-	if c.Clients <= 0 {
-		c.Clients = 64
-	}
-	if c.Requests <= 0 {
-		c.Requests = 40_000
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
 // TPC-C scale constants.
 const (
 	districtsPerW = 10
@@ -119,7 +104,9 @@ func (r *Result) TpmC() float64 {
 
 // Setup creates and loads the TPC-C schema.
 func Setup(eng *sim.Engine, e *pagedb.Engine, cfg Config) (*Bench, error) {
-	cfg.defaults()
+	if cfg.Warehouses <= 0 || cfg.Clients <= 0 {
+		return nil, fmt.Errorf("tpcc: Warehouses and Clients must be positive")
+	}
 	b := &Bench{cfg: cfg, e: e, cpu: sim.NewResource(eng, cores)}
 	w := int64(cfg.Warehouses)
 	create := func(name string, rows int64, rowBytes int, headroom int64) (*pagedb.Table, error) {
@@ -175,9 +162,6 @@ func (b *Bench) Run(eng *sim.Engine) (*Result, error) {
 	}
 	total := cfg.Warmup + cfg.Requests
 	perClient := total / cfg.Clients
-	if perClient == 0 {
-		perClient = 1
-	}
 	warmPer := cfg.Warmup / cfg.Clients
 
 	var firstErr error
@@ -335,7 +319,7 @@ func (b *Bench) orderStatusTx(p *sim.Proc, rng *rand.Rand) error {
 	if err := tx.Lookup(p, b.customer, b.cRank(d, rng)); err != nil {
 		return err
 	}
-	oid := rng.Int63n(maxI64(b.nextOrder, 1))
+	oid := rng.Int63n(max(b.nextOrder, 1))
 	if err := tx.Lookup(p, b.orders, oid); err != nil {
 		return err
 	}
@@ -347,8 +331,8 @@ func (b *Bench) deliveryTx(p *sim.Proc, rng *rand.Rand) error {
 	tx := b.e.Begin()
 	b.burnCPU(p, 40, 30)
 	for d := 0; d < districtsPerW; d++ {
-		oid := rng.Int63n(maxI64(b.nextOrder, 1))
-		if err := tx.Delete(p, b.newOrder, oid%maxI64(b.newOrder.Tree().Rows(), 1)); err != nil {
+		oid := rng.Int63n(max(b.nextOrder, 1))
+		if err := tx.Delete(p, b.newOrder, oid%max(b.newOrder.Tree().Rows(), 1)); err != nil {
 			return err
 		}
 		if err := tx.Update(p, b.orders, oid); err != nil {
@@ -372,7 +356,7 @@ func (b *Bench) stockLevelTx(p *sim.Proc, rng *rand.Rand) error {
 	if err := tx.Lookup(p, b.district, d); err != nil {
 		return err
 	}
-	oid := rng.Int63n(maxI64(b.nextOrder, 1))
+	oid := rng.Int63n(max(b.nextOrder, 1))
 	if err := tx.Scan(p, b.orderLine, oid*linesPerOrder, 20*linesPerOrder); err != nil {
 		return err
 	}
@@ -382,11 +366,4 @@ func (b *Bench) stockLevelTx(p *sim.Proc, rng *rand.Rand) error {
 		}
 	}
 	return nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -29,12 +29,6 @@ const (
 )
 
 func (c *Config) defaults() {
-	if c.Operations <= 0 {
-		c.Operations = 200_000
-	}
-	if c.UpdatePct < 0 || c.UpdatePct > 100 {
-		c.UpdatePct = 50
-	}
 	if c.Threads <= 0 {
 		c.Threads = 1
 	}
@@ -85,9 +79,6 @@ func Start(eng *sim.Engine, st *couch.Store, docs int64, cfg Config) *Pending {
 	cfg.defaults()
 	res := &Result{}
 	perThread := cfg.Operations / cfg.Threads
-	if perThread == 0 {
-		perThread = 1
-	}
 	var firstErr error
 	pd := &Pending{eng: eng, res: res, firstErr: &firstErr, start: eng.Now()}
 	for t := 0; t < cfg.Threads; t++ {
