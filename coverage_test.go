@@ -36,7 +36,7 @@ const (
 // function. An entry ending in "/" covers the packages below it.
 var simPackages = []string{
 	"sim", "nand", "ftl", "core", "devfront", "ssd", "hdd", "vol", "host",
-	"dbsim/", "innodb", "pgsql", "couch", "serve", "workload/",
+	"dbsim/", "innodb", "pgsql", "couch", "serve", "workload/", "crashpoint",
 }
 
 // TestEveryStatementRuns builds every cmd/* and examples/* main with

@@ -26,6 +26,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"durassd/internal/freelist"
@@ -50,10 +51,6 @@ type Config struct {
 	// Durable marks the cache capacitor-backed (DuraSSD). False models a
 	// conventional volatile write cache (SSD-A / SSD-B).
 	Durable bool
-	// DumpBudgetPages caps how many physical pages the capacitors can
-	// program after power-off detection (map journal + buffer pool).
-	// Zero means "sized to the dump area" — the paper's design point.
-	DumpBudgetPages int
 	// FlushWorkers is the number of concurrent write-back workers; it
 	// bounds how much of the array's parallelism the flusher can use.
 	FlushWorkers int
@@ -563,19 +560,15 @@ func (c *Controller) PowerFail() {
 // clock has stopped).
 func (c *Controller) dump() {
 	area := newDumpArea(c.f)
-	budget := c.cfg.DumpBudgetPages
-	if budget <= 0 {
-		budget = area.capacity()
-	}
 
 	// Mapping entries first: without them the buffered pages could not be
 	// reintegrated idempotently. A program that fails with bad status (the
 	// partial-dump fault: the dying supply tears the page) is retried on the
-	// next pre-erased dump page while budget and area remain — the margin
-	// the paper sizes the dump area for.
+	// next pre-erased dump page while the area lasts — the margin the paper
+	// sizes the dump area for. Every attempt takes a page of the area, so
+	// the area bounds what the capacitors program.
 	mapPages := c.f.MapJournalPages()
-	for done := 0; done < mapPages && budget > 0; {
-		budget--
+	for done := 0; done < mapPages; {
 		if area.programMapPage() {
 			done++
 			c.stats.DumpPages++
@@ -593,19 +586,15 @@ func (c *Controller) dump() {
 		if len(pending) == 0 {
 			return true
 		}
-		for budget > 0 {
-			budget--
-			if area.programSlots(pending) {
-				c.stats.DumpPages++
-				pending = nil
-				return true
-			}
+		for !area.programSlots(pending) {
 			if area.capacity() == 0 {
 				return false
 			}
 			c.stats.DumpRetries++ // torn dump page: retry on the next one
 		}
-		return false
+		c.stats.DumpPages++
+		pending = nil
+		return true
 	}
 	seen := make(map[storage.LPN]bool)
 	emit := func(fr *frame) bool {
@@ -636,7 +625,7 @@ func (c *Controller) dump() {
 				rest = append(rest, lpn)
 			}
 		}
-		sortLPNs(rest)
+		slices.Sort(rest)
 		for _, lpn := range rest {
 			if !emit(c.frames[lpn]) {
 				ok = false
@@ -648,23 +637,13 @@ func (c *Controller) dump() {
 		ok = false
 	}
 	if !ok {
-		// Capacitor budget exhausted: remaining pinned frames are lost.
+		// Dump area exhausted: remaining pinned frames are lost.
 		for lpn, fr := range c.frames {
 			if !seen[lpn] && (fr.state != frameClean || fr.redirty) {
 				c.stats.LostPages++
-				_ = lpn
 			}
 		}
 		c.stats.LostPages += int64(len(pending))
 	}
 	c.frames, c.cutFrames = nil, c.frames
-}
-
-func sortLPNs(lpns []storage.LPN) {
-	// insertion sort: dump sets are small (a few thousand at most)
-	for i := 1; i < len(lpns); i++ {
-		for j := i; j > 0 && lpns[j] < lpns[j-1]; j-- {
-			lpns[j], lpns[j-1] = lpns[j-1], lpns[j]
-		}
-	}
 }

@@ -333,22 +333,21 @@ func TestVolatilePowerFailLosesCachedWrites(t *testing.T) {
 }
 
 func TestCapacitorBudgetTooSmall(t *testing.T) {
-	// Ablation: an under-provisioned capacitor bank cannot dump the whole
-	// buffer pool; the shortfall is recorded as lost pages.
+	// Ablation: a dump area too small for the buffer pool cannot hold the
+	// whole dump; the shortfall is recorded as lost pages.
 	eng := sim.New()
 	reg := iotrace.NewRegistry()
 	stats := reg.Stats()
 	a, _ := nand.New(eng, nand.EnterpriseConfig(16), reg)
 	fcfg := ftl.DefaultConfig(a.Config().PageSize)
-	fcfg.DumpBlocks = 16
+	fcfg.DumpBlocks = 1 // 64 pages: room for fewer than 128 slots
 	f, _ := ftl.New(a, fcfg, reg)
 	cfg := testConfig(f)
-	cfg.DumpBudgetPages = 2 // can only save ~4 slots
-	cfg.FlushWorkers = 1    // keep lots of data in cache
+	cfg.FlushWorkers = 1 // keep lots of data in cache
 	c := NewController(f, cfg, reg)
 
 	eng.Go("w", func(p *sim.Proc) {
-		slots := make([]ftl.SlotWrite, 64)
+		slots := make([]ftl.SlotWrite, 256)
 		for i := range slots {
 			slots[i].LPN = storage.LPN(i)
 		}
@@ -361,7 +360,7 @@ func TestCapacitorBudgetTooSmall(t *testing.T) {
 		t.Fatal("no pages dumped at all")
 	}
 	if stats.LostPages == 0 {
-		t.Fatal("undersized capacitor bank lost nothing — budget not enforced")
+		t.Fatal("undersized dump area lost nothing — its capacity not enforced")
 	}
 }
 

@@ -25,9 +25,9 @@
 // There is one harness. Explore — probe, derive, sample, add the subject's
 // own points, sort, digest, replay and tally — is written once over a
 // subject (subject.go), and there are two of those: a database engine on a
-// volume (faults.RunWith) and the serving layer over replica groups
-// (serve.RunCrash, which both the MidBurst and the ReplicaLoss campaigns
-// lower to). Problems then judges a result against what its row of the
+// volume (faults.RunWith) and the serving layer over replica groups (the
+// serving crash rig in serving.go, which both the MidBurst and the
+// ReplicaLoss campaigns lower to). Problems then judges a result against what its row of the
 // matrix was built to show.
 package crashpoint
 
@@ -45,7 +45,6 @@ import (
 
 	"durassd/internal/faults"
 	"durassd/internal/iotrace"
-	"durassd/internal/serve"
 )
 
 // Kind classifies a crash point by the schedule feature it attacks.
@@ -120,13 +119,13 @@ type Campaign struct {
 	// burst through internal/serve across mixed DuraSSD/volatile shards,
 	// with the cut hitting every shard at the derived instant. Its
 	// CutAfter is ignored, like Scenario's.
-	Burst *serve.BurstSpec
+	Burst *BurstSpec
 	// Replica, when non-nil, explores the replica-loss scenario: a write
 	// burst through R-way replicated shard groups with one replica cut at
 	// the derived instant (the victim index rotating across points), plus a
 	// mid-catch-up double-fault point. Its CutAfter, CutReplica and
 	// CutPeerDuringCatchup are ignored: the exploration chooses them.
-	Replica *serve.ReplicaSpec
+	Replica *ReplicaSpec
 	// MaxPoints caps the number of replayed crash points (default 24). The
 	// cap is split evenly across the kinds present in the schedule, and
 	// each kind's points are sampled evenly across its timeline, so the
@@ -151,14 +150,14 @@ func (c Campaign) Name() string {
 }
 
 // Outcome pairs a crash point with its audited verdict. For serving
-// campaigns (Burst, Replica) Verdict mirrors the claim under test — acked,
+// campaigns (Burst, Replica) Verdict holds the claim under test — acked,
 // what the DuraSSD groups or the quorum lost and tore, the first findings,
-// the audit error — so reporting reads every campaign alike, and Serve
-// carries the rig's full verdict: the volatile-class and replication tallies.
+// a writer's error — so reporting reads every campaign alike, and Serve
+// the rig's other tallies: by device class and of the replication layer.
 type Outcome struct {
 	Point   Point
 	Verdict *faults.Verdict
-	Serve   *serve.CrashVerdict
+	Serve   *ServeVerdict
 }
 
 // Result is the outcome of one exploration.

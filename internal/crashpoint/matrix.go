@@ -1,9 +1,6 @@
 package crashpoint
 
-import (
-	"durassd/internal/faults"
-	"durassd/internal/serve"
-)
+import "durassd/internal/faults"
 
 // Matrix returns the canonical exploration campaign set that
 // `crashtest` runs, one row per campaign.
@@ -50,13 +47,13 @@ func Matrix(points, updates int, seed int64) []Campaign {
 	// eleven rows, which the appends below fill in place.
 	m := new(struct {
 		rows     [11]Campaign
-		burst    serve.BurstSpec
+		burst    BurstSpec
 		volatile [2]int
-		replica  [2]serve.ReplicaSpec
+		replica  [2]ReplicaSpec
 	})
 	m.volatile = [2]int{1, 3}
-	m.burst = serve.BurstSpec{Shards: 4, Volatile: m.volatile[:], Updates: updates, Seed: seed}
-	m.replica = [2]serve.ReplicaSpec{
+	m.burst = BurstSpec{Shards: 4, Volatile: m.volatile[:], Updates: updates, Seed: seed}
+	m.replica = [2]ReplicaSpec{
 		{Groups: 2, Replicas: 3, Updates: updates, Seed: seed},
 		{Groups: 2, Replicas: 1, Volatile: true, Updates: updates, Seed: seed},
 	}

@@ -6,7 +6,6 @@ import (
 
 	"durassd/internal/faults"
 	"durassd/internal/iotrace"
-	"durassd/internal/serve"
 	"durassd/internal/ssd"
 )
 
@@ -14,7 +13,7 @@ import (
 // completion so the schedule can be recorded, and once more per crash point
 // with the cut pinned there. Explore is written once over it. There are two:
 // a database engine on one volume (faults.RunWith) and the serving layer over
-// replica groups (serve.RunCrash).
+// replica groups (runServe, serving.go).
 type subject interface {
 	// header is the first line of the canonical schedule, less the event
 	// count.
@@ -35,7 +34,7 @@ type subject interface {
 func newSubject(c Campaign) subject {
 	switch {
 	case c.Burst != nil:
-		return serveSubject{c.Name(), c.Burst.Replicated()}
+		return serveSubject{c.Name(), c.Burst.replicated()}
 	case c.Replica != nil:
 		sp := *c.Replica
 		if sp.Replicas <= 0 {
@@ -127,29 +126,25 @@ func (e engineSubject) replay(_ int, pt Point) (Outcome, error) {
 // Result.VolatileLost/VolatileTorn.
 type serveSubject struct {
 	name string
-	sp   serve.ReplicaSpec // the cut fields are the replay's to set
+	sp   ReplicaSpec // the cut fields are the replay's to set
 }
 
 func (s serveSubject) header() string {
 	return fmt.Sprintf("scenario=%s seed=%d", s.name, s.sp.Seed)
 }
 
-// profile: with mixed device classes the volatile members' windows differ
+// profile is the drive runServe builds for the spec's device class. With
+// mixed device classes the volatile members' windows differ
 // slightly from DuraSSD's, but every derived instant is still a legitimate
 // adversarial cut — the replay audit, not the point placement, decides
 // safety.
-func (s serveSubject) profile() (ssd.Profile, error) {
-	if s.sp.Volatile {
-		return faults.Profile(faults.SSDA)
-	}
-	return faults.Profile(faults.DuraSSD)
-}
+func (s serveSubject) profile() (ssd.Profile, error) { return faults.Profile(drive(s.sp.Volatile)) }
 
 func (s serveSubject) probe() ([]event, error) {
 	var rec recorder
-	v, err := serve.RunCrash(s.sp, serve.CrashOptions{NoCut: true, EventFn: rec.record})
-	if err == nil && v.Err != nil {
-		err = fmt.Errorf("audit: %w", v.Err)
+	o, err := runServe(s.sp, faults.Options{NoCut: true, EventFn: rec.record})
+	if err == nil && o.Verdict.Err != nil {
+		err = fmt.Errorf("audit: %w", o.Verdict.Err)
 	}
 	return rec, err
 }
@@ -170,18 +165,5 @@ func (s serveSubject) replay(i int, pt Point) (Outcome, error) {
 	sp.CutAfter = pt.At
 	sp.CutReplica = i % sp.Replicas
 	sp.CutPeerDuringCatchup = pt.Kind == MidCatchup
-	sv, err := serve.RunCrash(sp, serve.CrashOptions{})
-	if err != nil {
-		return Outcome{}, err
-	}
-	v := &faults.Verdict{
-		AckedCommits: sv.AckedCommits,
-		LostCommits:  sv.GroupLost + sv.DuraLost,
-		TornPages:    sv.DuraTorn,
-		Err:          sv.Err,
-	}
-	for _, l := range sv.Losses {
-		v.Losses = append(v.Losses, faults.Loss(l))
-	}
-	return Outcome{Verdict: v, Serve: sv}, nil
+	return runServe(sp, faults.Options{})
 }

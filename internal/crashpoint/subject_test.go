@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"durassd/internal/faults"
-	"durassd/internal/serve"
 )
 
 // TestExploreBurstCampaign: systematic crash-point exploration over the
@@ -17,7 +16,7 @@ import (
 // now demonstrated through gateway acks.
 func TestExploreBurstCampaign(t *testing.T) {
 	c := Campaign{
-		Burst:     &serve.BurstSpec{Shards: 4, Volatile: []int{1, 3}, Updates: 80, Seed: 5},
+		Burst:     &BurstSpec{Shards: 4, Volatile: []int{1, 3}, Updates: 80, Seed: 5},
 		MaxPoints: 4,
 	}
 	res, err := Explore(c)
@@ -73,7 +72,7 @@ func TestExploreReplicaQuorumSafeAtEveryPoint(t *testing.T) {
 		t.Skip("replica-loss exploration replays many full runs")
 	}
 	res, err := Explore(Campaign{
-		Replica: &serve.ReplicaSpec{
+		Replica: &ReplicaSpec{
 			Groups: 2, Replicas: 3,
 			Updates: 60, Seed: 11,
 		},
@@ -123,7 +122,7 @@ func TestExploreReplicaVolatileControlLoses(t *testing.T) {
 		t.Skip("replica-loss exploration replays many full runs")
 	}
 	res, err := Explore(Campaign{
-		Replica: &serve.ReplicaSpec{
+		Replica: &ReplicaSpec{
 			Groups: 2, Replicas: 1, Volatile: true,
 			Updates: 60, Seed: 11,
 		},
@@ -155,7 +154,7 @@ func TestExploreReplicaDeterminism(t *testing.T) {
 	}
 	run := func() *Result {
 		res, err := Explore(Campaign{
-			Replica: &serve.ReplicaSpec{
+			Replica: &ReplicaSpec{
 				Groups: 2, Replicas: 3,
 				Updates: 60, Seed: 7,
 			},
@@ -190,9 +189,9 @@ func TestProblems(t *testing.T) {
 	durable := Campaign{Scenario: faults.Scenario{Device: faults.DuraSSD, Engine: faults.EnginePgSQL, WearOut: true}}
 	safeSlow := Campaign{Scenario: faults.Scenario{Device: faults.SSDA, Barrier: true, DoubleWrite: true}}
 	engineControl := Campaign{Scenario: faults.Scenario{Device: faults.SSDA}}
-	burst := Campaign{Burst: &serve.BurstSpec{Volatile: []int{1, 3}}}
-	quorum := Campaign{Replica: &serve.ReplicaSpec{Replicas: 3}}
-	volatileR1 := Campaign{Replica: &serve.ReplicaSpec{Replicas: 1, Volatile: true}}
+	burst := Campaign{Burst: &BurstSpec{Volatile: []int{1, 3}}}
+	quorum := Campaign{Replica: &ReplicaSpec{Replicas: 3}}
+	volatileR1 := Campaign{Replica: &ReplicaSpec{Replicas: 1, Volatile: true}}
 
 	pts := []Point{{Kind: AfterAck, At: 1000}, {Kind: MidDump, At: 2000, DumpTear: 2}}
 	safe := func() *Result {

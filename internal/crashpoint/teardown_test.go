@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"durassd/internal/faults"
-	"durassd/internal/serve"
 )
 
 // TestExploreFreesRigs: a campaign builds one full rig per crash point (an
@@ -39,7 +38,7 @@ func TestExploreFreesRigs(t *testing.T) {
 			DumpTears: 1,
 		},
 		{
-			Replica:   &serve.ReplicaSpec{Groups: 2, Replicas: 3, Updates: 60, Seed: 11},
+			Replica:   &ReplicaSpec{Groups: 2, Replicas: 3, Updates: 60, Seed: 11},
 			MaxPoints: 4,
 		},
 	} {

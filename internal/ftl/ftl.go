@@ -136,9 +136,12 @@ type FTL struct {
 	scrubWake *sim.Queue    // scrubber wakeup (nil when disabled)
 	lastScrub time.Duration // virtual time the last patrol pass started
 
-	reg        *iotrace.Registry
-	stats      *storage.Stats
-	relocStale *int64 // relocated copies dropped because a newer write moved their LPN first
+	reg   *iotrace.Registry
+	stats *storage.Stats
+	// relocStale counts relocated copies dropped because a newer write moved
+	// their LPN first. It stays out of Stats, whose every field feeds
+	// cmd/bench's fio digest.
+	relocStale int64
 
 	// Program-path scratch pools. A program holds its tag slice and page
 	// buffer exclusively from get to put (the NAND array copies both at
@@ -263,7 +266,6 @@ func New(a *nand.Array, cfg Config, reg *iotrace.Registry) (*FTL, error) {
 		retired:    make(map[int]bool),
 		reg:        reg,
 		stats:      reg.Stats(),
-		relocStale: reg.RegisterCounter("reloc_stale"),
 	}
 	f.gcLocks = make([]*sim.Resource, planes)
 	f.gcTemp = make([]gcScratch, planes)
@@ -492,7 +494,7 @@ func (f *FTL) commitMapping(ppn nand.PPN, slots []SlotWrite) {
 		e := f.mapEntry(s.LPN)
 		old := *e
 		if s.from != 0 && old != uint32(s.from-1) {
-			*f.relocStale++
+			f.relocStale++
 			continue
 		}
 		if old != unmapped {

@@ -519,7 +519,7 @@ func TestRelocationLosesToConcurrentHostWrite(t *testing.T) {
 			}
 		})
 		eng.Run()
-		if stale := *f.relocStale; stale != 2 {
+		if stale := f.relocStale; stale != 2 {
 			t.Errorf("eager=%v: reloc_stale = %d, want both copies dropped", eager, stale)
 		}
 		if err := f.CheckInvariants(); err != nil {

@@ -1,7 +1,6 @@
 package iotrace
 
 import (
-	"sort"
 	"testing"
 	"time"
 
@@ -147,28 +146,6 @@ func TestTracingTogglePerRequest(t *testing.T) {
 	eng.Run()
 }
 
-func TestNamedCounters(t *testing.T) {
-	reg := NewRegistry()
-	names := reg.CounterNames()
-	if len(names) != 28 {
-		t.Fatalf("%d counter names", len(names))
-	}
-	c := reg.named["nand_programs"]
-	if reg.named["scrub_passes"] == nil {
-		t.Fatal("scrub_passes not registered")
-	}
-	if c == nil {
-		t.Fatal("nand_programs not registered")
-	}
-	*c = 9
-	if reg.Stats().NANDPrograms != 9 {
-		t.Fatal("named counter not aliased to Stats field")
-	}
-	if reg.named["no_such"] != nil {
-		t.Fatal("unknown counter name resolved")
-	}
-}
-
 func TestOriginCountersAndWA(t *testing.T) {
 	reg := NewRegistry()
 	if reg.Origin(OriginRedo).WriteAmplification() != 0 {
@@ -211,13 +188,3 @@ func (r Req) WellNested() bool { return r.tr == nil || !r.tr.bad }
 
 // OpLatency returns the end-to-end latency histogram for op kind o.
 func (r *Registry) OpLatency(o Op) *stats.Hist { return &r.op[o] }
-
-// CounterNames returns all registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	names := make([]string, 0, len(r.named))
-	for n := range r.named {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -75,8 +75,8 @@ func (c *OriginCounters) WriteAmplification() float64 {
 }
 
 // Registry is the unified per-device metrics store: the legacy cumulative
-// counters (Stats), per-origin traffic counters, per-layer and per-op
-// latency histograms, and a name → counter map for generic reporting.
+// counters (Stats), per-origin traffic counters, and per-layer and per-op
+// latency histograms.
 //
 // A Registry is confined to its device's simulation; the engine runs one
 // process at a time, so no locking is needed (the race detector in CI
@@ -87,48 +87,13 @@ type Registry struct {
 	origin  [NumOrigins]OriginCounters
 	layer   [NumLayers]stats.Hist
 	op      [NumOps]stats.Hist
-	named   map[string]*int64
 	sink    func(Req, []SpanRec)
 	ev      EventFn
 }
 
 // NewRegistry returns an empty registry with tracing disabled.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	s := &r.s
-	r.named = map[string]*int64{
-		"read_commands":   &s.ReadCommands,
-		"write_commands":  &s.WriteCommands,
-		"flush_commands":  &s.FlushCommands,
-		"pages_read":      &s.PagesRead,
-		"pages_written":   &s.PagesWritten,
-		"nand_reads":      &s.NANDReads,
-		"nand_programs":   &s.NANDPrograms,
-		"nand_erases":     &s.NANDErases,
-		"gc_programs":     &s.GCPrograms,
-		"cache_hits":      &s.CacheHits,
-		"cache_evicts":    &s.CacheEvicts,
-		"cache_overlaps":  &s.CacheOverlaps,
-		"dump_pages":      &s.DumpPages,
-		"torn_pages":      &s.TornPages,
-		"lost_pages":      &s.LostPages,
-		"recoveries":      &s.Recoveries,
-		"map_flush_pages": &s.MapFlushPages,
-
-		"dump_retries":       &s.DumpRetries,
-		"interrupted_erases": &s.InterruptedErases,
-
-		"corrected_bits":       &s.CorrectedBits,
-		"read_retries":         &s.ReadRetries,
-		"uncorrectable_reads":  &s.UncorrectableReads,
-		"refresh_programs":     &s.RefreshPrograms,
-		"retired_blocks":       &s.RetiredBlocks,
-		"scrub_passes":         &s.ScrubPasses,
-		"scrub_reads":          &s.ScrubReads,
-		"degraded_transitions": &s.DegradedTransitions,
-		"read_repairs":         &s.ReadRepairs,
-	}
-	return r
+	return &Registry{}
 }
 
 // Stats returns the registry's live legacy counters. Callers may hold the
@@ -194,18 +159,4 @@ func (r *Registry) AddOriginNAND(o Origin, n int) {
 // counted in NANDSlots by the caller).
 func (r *Registry) AddOriginGC(o Origin, n int) {
 	r.origin[o].GCSlots += int64(n)
-}
-
-// RegisterCounter adds a named counter to the registry and returns its
-// storage; registering an existing name returns the same counter. Layers
-// above the device (the serving gateway's shed/throttle accounting, for
-// example) use this to publish their tallies through the same reporting
-// surface as the device counters.
-func (r *Registry) RegisterCounter(name string) *int64 {
-	if c, ok := r.named[name]; ok {
-		return c
-	}
-	c := new(int64)
-	r.named[name] = c
-	return c
 }

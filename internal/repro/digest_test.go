@@ -54,17 +54,17 @@ func goldenCases() map[string]digestFn {
 		"ycsb-a-durassd":            ycsbDigest,
 		"serve-midburst": func(t *testing.T) string {
 			return serveDigest(t, crashpoint.Campaign{
-				Burst: &serve.BurstSpec{Shards: 4, Volatile: []int{1, 3}, Updates: 120, Seed: 5}, MaxPoints: 6,
+				Burst: &crashpoint.BurstSpec{Shards: 4, Volatile: []int{1, 3}, Updates: 120, Seed: 5}, MaxPoints: 6,
 			})
 		},
 		"serve-replicaloss-r3w2": func(t *testing.T) string {
 			return serveDigest(t, crashpoint.Campaign{
-				Replica: &serve.ReplicaSpec{Groups: 2, Replicas: 3, Updates: 120, Seed: 6}, MaxPoints: 6,
+				Replica: &crashpoint.ReplicaSpec{Groups: 2, Replicas: 3, Updates: 120, Seed: 6}, MaxPoints: 6,
 			})
 		},
 		"serve-replicaloss-r1-volatile": func(t *testing.T) string {
 			return serveDigest(t, crashpoint.Campaign{
-				Replica: &serve.ReplicaSpec{Groups: 2, Replicas: 1, Volatile: true, Updates: 120, Seed: 7}, MaxPoints: 6,
+				Replica: &crashpoint.ReplicaSpec{Groups: 2, Replicas: 1, Volatile: true, Updates: 120, Seed: 7}, MaxPoints: 6,
 			})
 		},
 		// The mixed-tenant serving scenario as servebench runs it: the

@@ -33,6 +33,26 @@ type lbRun struct {
 	warmNAND int64       // data-drive NAND programs when measurement began
 }
 
+// openInnoDB builds the InnoDB rig of the paper's MySQL experiments: data
+// on a DuraSSD(2) drive, redo logs on a DuraSSD(16) one, one filesystem on
+// each with the given barrier setting. It sizes cfg's data file to 90 % of
+// the data drive and each log file to a quarter of the log drive, and
+// returns the engine and the data drive.
+func openInnoDB(eng *sim.Engine, barrier bool, cfg innodb.Config) (*innodb.Engine, *ssd.Device, error) {
+	dataDev, err := ssd.New(eng, ssd.DuraSSD(2))
+	if err != nil {
+		return nil, nil, err
+	}
+	logDev, err := ssd.New(eng, ssd.DuraSSD(16))
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.DataPages = dataDev.Pages() * int64(dataDev.PageSize()) / int64(cfg.PageBytes) * 9 / 10
+	cfg.LogFilePages = logDev.Pages() / 4
+	e, err := innodb.Open(eng, host.NewFS(dataDev, barrier), host.NewFS(logDev, barrier), cfg)
+	return e, dataDev, err
+}
+
 // runLinkBench builds the two-DuraSSD rig, loads the scaled social graph
 // and runs the benchmark.
 func runLinkBench(c lbCell) (lbRun, error) {
@@ -41,25 +61,11 @@ func runLinkBench(c lbCell) (lbRun, error) {
 	}
 	eng := sim.New()
 	defer eng.Close()
-	dataDev, err := ssd.New(eng, ssd.DuraSSD(2))
-	if err != nil {
-		return lbRun{}, err
-	}
-	logDev, err := ssd.New(eng, ssd.DuraSSD(16))
-	if err != nil {
-		return lbRun{}, err
-	}
-	dataFS := host.NewFS(dataDev, c.barrier)
-	logFS := host.NewFS(logDev, c.barrier)
-
-	dataPages := dataDev.Pages() * int64(dataDev.PageSize()) / int64(c.pageBytes) * 9 / 10
-	e, err := innodb.Open(eng, dataFS, logFS, innodb.Config{
-		PageBytes:    c.pageBytes,
-		BufferBytes:  c.bufferBytes,
-		DoubleWrite:  c.doubleWrite,
-		DataPages:    dataPages,
-		LogFilePages: logDev.Pages() / 4,
-		LogFiles:     3,
+	e, dataDev, err := openInnoDB(eng, c.barrier, innodb.Config{
+		PageBytes:   c.pageBytes,
+		BufferBytes: c.bufferBytes,
+		DoubleWrite: c.doubleWrite,
+		LogFiles:    3,
 	})
 	if err != nil {
 		return lbRun{}, err

@@ -29,25 +29,10 @@ type tpccCell struct {
 func runTPCC(c tpccCell) (*tpcc.Result, error) {
 	eng := sim.New()
 	defer eng.Close()
-	dataDev, err := ssd.New(eng, ssd.DuraSSD(2))
-	if err != nil {
-		return nil, err
-	}
-	logDev, err := ssd.New(eng, ssd.DuraSSD(16))
-	if err != nil {
-		return nil, err
-	}
-	dataFS := host.NewFS(dataDev, c.barrier)
-	logFS := host.NewFS(logDev, c.barrier)
-
-	dataPages := dataDev.Pages() * int64(dataDev.PageSize()) / int64(c.pageBytes) * 9 / 10
-	e, err := innodb.Open(eng, dataFS, logFS, innodb.Config{
-		PageBytes:    c.pageBytes,
-		BufferBytes:  2 * storage.GB / int64(c.Scale),
-		DoubleWrite:  false,
-		ODSync:       true,
-		DataPages:    dataPages,
-		LogFilePages: logDev.Pages() / 4,
+	e, _, err := openInnoDB(eng, c.barrier, innodb.Config{
+		PageBytes:   c.pageBytes,
+		BufferBytes: 2 * storage.GB / int64(c.Scale),
+		ODSync:      true,
 	})
 	if err != nil {
 		return nil, err

@@ -152,7 +152,7 @@ func installChaos(spec *ChaosSpec, cfg *ScenarioConfig, front *sim.Domain, srv *
 					for i := 0; i < o.Ops; i++ {
 						// Noise outcomes (shed, unavailable) are the point;
 						// they land in the account, not in errors.
-						_, _ = srv.Put(p, acct, tenantKey(tn, rng.Intn(ts.Keys)))
+						_, _ = srv.Put(p, acct, TenantKey(tn, rng.Intn(ts.Keys)))
 					}
 				})
 			})

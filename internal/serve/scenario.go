@@ -106,6 +106,11 @@ type ScenarioResult struct {
 	Elapsed     time.Duration
 }
 
+// TenantKey builds tenant t's i-th key: disjoint per-tenant key spaces.
+// The serving scenario and crashpoint's serving crash rig share the layout,
+// and their digests pin it.
+func TenantKey(t, i int) uint64 { return uint64(t+1)<<32 | uint64(i) }
+
 // RunScenario builds the serving box on a fresh cluster and drives the
 // tenant mix to completion.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
@@ -114,7 +119,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		return nil, fmt.Errorf("serve: Shards must be positive")
 	}
 	domains := 1 + cfg.Shards*cfg.Replicas
-	cluster := sim.NewCluster(domains, linkLatency, cfg.Workers)
+	cluster := sim.NewCluster(domains, LinkLatency, cfg.Workers)
 	defer cluster.Close()
 	front := cluster.Domain(0)
 
@@ -123,7 +128,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	var keys []uint64
 	for t, ts := range cfg.Tenants {
 		for i := 0; i < ts.Keys; i++ {
-			keys = append(keys, tenantKey(t, i))
+			keys = append(keys, TenantKey(t, i))
 		}
 	}
 	parts := PartitionKeys(ring, keys)
@@ -189,9 +194,9 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 						idx = rng.Intn(spec.Keys)
 					}
 					write := rng.Intn(100) < spec.WritePct
-					key := tenantKey(tn, idx)
+					key := TenantKey(tn, idx)
 					if !write && spec.MissPct > 0 && rng.Intn(100) < spec.MissPct {
-						key = tenantKey(tn, spec.Keys+idx) // absent key
+						key = TenantKey(tn, spec.Keys+idx) // absent key
 					}
 					// Overload is transient by contract (ErrOverloaded means
 					// "the queue was full at that instant"), so a shed request

@@ -16,16 +16,15 @@
 // group-commit fdatasync completed; whether that ack survives a power cut
 // mid-burst is decided by the device, which is the paper's claim — DuraSSD
 // shards keep every acked write in the fast (no-barrier) configuration,
-// volatile-cache shards do not. The MidBurst crashpoint campaign audits
-// exactly this across shards.
+// volatile-cache shards do not. Package crashpoint's serving crash rig
+// audits exactly this: it power-fails replicas under a write burst through
+// this layer and reads every acked key back with Store.CrashRead.
 package serve
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
-	"durassd/internal/iotrace"
 	"durassd/internal/sim"
 )
 
@@ -50,9 +49,9 @@ const (
 	dispatchCPU = 1 * time.Microsecond
 )
 
-// linkLatency is the gateway<->replica link latency of the serving
-// scenario and of the crash rig.
-const linkLatency = 100 * time.Microsecond
+// LinkLatency is the gateway<->replica link latency of the serving
+// scenario and of crashpoint's serving crash rig.
+const LinkLatency = 100 * time.Microsecond
 
 // Server is the gateway: it lives in one cluster domain (the front) and
 // ships storage operations to shard domains with Domain.Call. All methods
@@ -67,15 +66,9 @@ type Server struct {
 	admit  []*sim.Resource // per-shard dispatch windows (front domain)
 	cache  *Cache
 	cfg    Config
-	reg    *iotrace.Registry // gateway counters (shed, throttle, cache)
 
-	shedByShard []*int64
-	shedTotal   *int64
-	throttles   *int64
-	cacheHits   *int64
-	bloomSkips  *int64
-	staleReads  *int64
-	unavailable *int64
+	shedByShard []int64 // requests shed at each shard
+	staleReads  int64   // cache hits served while the owning group was below quorum
 }
 
 // NewReplicated builds a gateway whose shard i is a replica group over
@@ -97,9 +90,9 @@ func NewReplicated(front *sim.Domain, storesByShard [][]*Store, cfg Config) (*Se
 		admit: make([]*sim.Resource, len(storesByShard)),
 		cache: NewCache(cfg.CacheSize),
 		cfg:   cfg,
-		reg:   iotrace.NewRegistry(),
+
+		shedByShard: make([]int64, len(storesByShard)),
 	}
-	s.shedByShard = make([]*int64, len(storesByShard))
 	for i, reps := range storesByShard {
 		g, err := NewGroup(i, front, reps)
 		if err != nil {
@@ -107,14 +100,7 @@ func NewReplicated(front *sim.Domain, storesByShard [][]*Store, cfg Config) (*Se
 		}
 		s.groups = append(s.groups, g)
 		s.admit[i] = sim.NewResource(front.Engine(), cfg.Concurrency)
-		s.shedByShard[i] = s.reg.RegisterCounter(fmt.Sprintf("serve_shed_shard%d", i))
 	}
-	s.shedTotal = s.reg.RegisterCounter("serve_shed")
-	s.throttles = s.reg.RegisterCounter("serve_throttled")
-	s.cacheHits = s.reg.RegisterCounter("serve_cache_hits")
-	s.bloomSkips = s.reg.RegisterCounter("serve_bloom_skips")
-	s.staleReads = s.reg.RegisterCounter("serve_stale_reads")
-	s.unavailable = s.reg.RegisterCounter("serve_unavailable")
 	return s, nil
 }
 
@@ -173,12 +159,12 @@ func (s *Server) Robustness() RobustnessCounters {
 		rc.CatchupKeys += c
 		rc.BreakerOpens += g.BreakerOpens()
 	}
-	rc.StaleReads = *s.staleReads
+	rc.StaleReads = s.staleReads
 	return rc
 }
 
 // ShedCount returns the number of requests shed at shard i.
-func (s *Server) ShedCount(i int) int64 { return *s.shedByShard[i] }
+func (s *Server) ShedCount(i int) int64 { return s.shedByShard[i] }
 
 // throttle charges the tenant's token bucket and sleeps out any
 // non-conformance. The bucket runs on virtual time, so pacing is exact and
@@ -187,7 +173,6 @@ func (s *Server) throttle(p *sim.Proc, t *TenantAccount) {
 	if wait := t.Bucket.Take(p.Now()); wait > 0 {
 		t.Throttled++
 		t.ThrottleT += wait
-		*s.throttles++
 		p.Sleep(wait)
 	}
 }
@@ -199,8 +184,7 @@ func (s *Server) admitShard(p *sim.Proc, sh int, t *TenantAccount) bool {
 	r := s.admit[sh]
 	if r.InUse() >= r.Capacity() && r.QueueLen() >= s.cfg.QueueDepth {
 		t.Shed++
-		*s.shedByShard[sh]++
-		*s.shedTotal++
+		s.shedByShard[sh]++
 		return false
 	}
 	r.Acquire(p, 1)
@@ -221,14 +205,13 @@ func (s *Server) Get(p *sim.Proc, t *TenantAccount, key uint64) (uint64, error) 
 	if v, ok := s.cache.Get(key); ok {
 		p.Sleep(cacheHitCPU)
 		t.CacheHits++
-		*s.cacheHits++
 		if g.BelowQuorum() {
 			// Degraded-mode fallback: the cache may be the only copy we can
 			// still answer from, but with the group below quorum a fresher
 			// version could exist that we cannot see. Serve it — availability
 			// over consistency for reads — and flag it in the accounting.
 			t.StaleReads++
-			*s.staleReads++
+			s.staleReads++
 		}
 		t.Ops++
 		t.Reads.Record(p.Now() - start)
@@ -237,7 +220,6 @@ func (s *Server) Get(p *sim.Proc, t *TenantAccount, key uint64) (uint64, error) 
 	if !s.neg[sh].Contains(key) {
 		p.Sleep(cacheHitCPU)
 		t.BloomSkip++
-		*s.bloomSkips++
 		t.Ops++
 		t.Reads.Record(p.Now() - start)
 		return 0, ErrNotFound
@@ -251,7 +233,6 @@ func (s *Server) Get(p *sim.Proc, t *TenantAccount, key uint64) (uint64, error) 
 	if err != nil {
 		if errors.Is(err, ErrShardUnavailable) {
 			t.Unavailable++
-			*s.unavailable++
 		}
 		return 0, err
 	}
@@ -285,7 +266,6 @@ func (s *Server) Put(p *sim.Proc, t *TenantAccount, key uint64) (uint64, error) 
 	if err != nil {
 		if errors.Is(err, ErrShardUnavailable) {
 			t.Unavailable++
-			*s.unavailable++
 		}
 		return 0, err
 	}
